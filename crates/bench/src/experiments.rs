@@ -176,7 +176,7 @@ pub fn e3_amortized_work(scale: Scale) -> String {
 }
 
 /// E4 — dynamic batches vs recompute-from-scratch: both engines are primed with
-/// the same large standing graph through the same staged-session path, then
+/// the same large standing graph through the same `apply_batch` path, then
 /// process the same churn batches; the dynamic algorithm's per-update cost depends
 /// on the batch, the recompute baselines pay for the whole graph every batch.
 #[must_use]

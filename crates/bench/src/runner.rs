@@ -6,13 +6,6 @@
 //! engine-specific branching —
 //! the paper's algorithm, every baseline, and the static adapter are measured
 //! through identical code.
-//!
-//! The timed region deliberately calls `apply_batch` directly rather than the
-//! staged `BatchSession` path: sessions clone and re-validate every update,
-//! which would add ingest bookkeeping to the measured per-update cost (and
-//! proportionally most to the cheapest baselines, skewing every comparison).
-//! The session path has its own coverage in `tests/engine_conformance.rs` and
-//! `Workload::drive`.
 
 use pdmm::engine::{self, BatchError, EngineBuilder, EngineKind, MatchingEngine};
 use pdmm_hypergraph::streams::Workload;

@@ -23,9 +23,9 @@ use crate::persist;
 use crate::settle::{process_level, release_bucket_and_remove};
 use crate::state::MatcherState;
 use pdmm_hypergraph::engine::{
-    run_batch, run_batch_trusted, BatchError, BatchKernel, BatchReport, EngineBuilder,
-    EngineMetrics, EnginePool, KernelOutcome, MatchingEngine, MatchingIter, RepairError,
-    StateError, UpdateCounters, ValidatedBatch,
+    run_batch_trusted, BatchError, BatchKernel, BatchReport, EngineBuilder, EngineMetrics,
+    EnginePool, KernelOutcome, MatchingEngine, MatchingIter, RepairError, StateError,
+    UpdateCounters, ValidatedBatch,
 };
 use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};
 use pdmm_primitives::cost_model::CostTracker;
@@ -36,7 +36,7 @@ use rustc_hash::FxHashSet;
 /// (Ghaffari–Trygub, SPAA 2024).
 ///
 /// ```
-/// use pdmm_core::{EngineBuilder, ParallelDynamicMatching};
+/// use pdmm_core::{EngineBuilder, MatchingEngine, ParallelDynamicMatching};
 /// use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};
 ///
 /// let mut matcher =
@@ -168,33 +168,6 @@ impl ParallelDynamicMatching {
     pub fn verify_invariants(&mut self) -> Result<(), String> {
         self.state.flush_dirty();
         invariants::check_all(&self.state)
-    }
-
-    /// Processes one batch of simultaneous updates and returns a cost report.
-    ///
-    /// The batch is validated up front; on error nothing was applied.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BatchError`] if a deletion names an unknown edge, an insertion
-    /// reuses a live id, or an inserted edge exceeds the configured maximum rank
-    /// or the vertex range.
-    pub fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, BatchError> {
-        // Run the shared scaffold (validation → kernel → counters → report) on
-        // the engine's pool so every parallel primitive beneath it (Luby
-        // matching, prefix sums, compaction, the parallel dictionary) is
-        // bounded by `EngineBuilder::threads`.
-        let pool = self.pool.clone();
-        pool.install(|| run_batch(self, updates))
-    }
-
-    /// Processes a pre-validated batch without re-checking legality — the
-    /// trusted half of the split `apply_batch` ([`ValidatedBatch`] is the
-    /// proof).  Runs on the engine's pool exactly like
-    /// [`ParallelDynamicMatching::apply_batch`].
-    pub fn apply_batch_trusted(&mut self, batch: ValidatedBatch<'_>) -> BatchReport {
-        let pool = self.pool.clone();
-        pool.install(|| run_batch_trusted(self, batch))
     }
 }
 
@@ -439,15 +412,15 @@ impl MatchingEngine for ParallelDynamicMatching {
         self.state.edges.contains_key(&id)
     }
 
-    fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, BatchError> {
-        ParallelDynamicMatching::apply_batch(self, updates)
-    }
-
     fn apply_batch_trusted(
         &mut self,
         batch: ValidatedBatch<'_>,
     ) -> Result<BatchReport, BatchError> {
-        Ok(ParallelDynamicMatching::apply_batch_trusted(self, batch))
+        // Run the shared scaffold on the engine's pool so every parallel
+        // primitive beneath it (Luby matching, prefix sums, compaction, the
+        // parallel dictionary) is bounded by `EngineBuilder::threads`.
+        let pool = self.pool.clone();
+        Ok(pool.install(|| run_batch_trusted(self, batch)))
     }
 
     fn matching(&self) -> MatchingIter<'_> {

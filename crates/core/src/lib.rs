@@ -57,11 +57,11 @@
 //! let err = matcher.apply_batch(&[Update::Delete(EdgeId(99))]);
 //! assert!(err.is_err());
 //!
-//! // Staged ingestion deduplicates and validates before anything is applied.
-//! let mut session = matcher.begin_batch();
-//! session.stage(Update::Delete(EdgeId(1))).unwrap();
-//! assert!(!session.stage(Update::Delete(EdgeId(1))).unwrap()); // deduplicated
-//! session.commit().unwrap();
+//! // Lossy validation drops exact repeats and reports the rest, then the
+//! // survivors commit without being checked again.
+//! let lossy = matcher.validate_lossy(vec![Update::Delete(EdgeId(1)); 2]);
+//! assert_eq!((lossy.survivors().len(), lossy.deduplicated), (1, 1));
+//! matcher.apply_batch_trusted(lossy.proof()).unwrap();
 //! ```
 
 #![warn(missing_docs)]
@@ -79,5 +79,5 @@ pub use algorithm::ParallelDynamicMatching;
 pub use config::{Config, LevelingParams};
 pub use metrics::{LevelStats, Metrics};
 pub use pdmm_hypergraph::engine::{
-    BatchError, BatchReport, BatchSession, EngineBuilder, EngineMetrics, MatchingEngine,
+    BatchError, BatchReport, EngineBuilder, EngineMetrics, MatchingEngine,
 };

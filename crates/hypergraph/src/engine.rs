@@ -5,13 +5,18 @@
 //! module is the contract that makes that comparison honest: every implementation
 //! in the workspace — the paper's algorithm (`pdmm-core`), the three sequential
 //! baselines (`pdmm-seq-dynamic`), and the static-recompute adapter
-//! (`pdmm-static`) — is driven through the [`MatchingEngine`] trait, configured
-//! through the [`EngineBuilder`], and fed batches through the staged
-//! [`BatchSession`] API, so the harness, the conformance tests, and user code all
-//! exercise exactly the same code paths.
+//! (`pdmm-static`) — is driven through the [`MatchingEngine`] trait and
+//! configured through the [`EngineBuilder`], so the harness, the conformance
+//! tests, and user code all exercise exactly the same code paths.
 //!
 //! Design points:
 //!
+//! * **One ingest path** — a batch is validated once, by
+//!   [`MatchingEngine::validate`] (strict) or [`MatchingEngine::validate_lossy`]
+//!   (drops exact repeats, reports the rest), which mints the sealed
+//!   [`ValidatedBatch`] proof; [`MatchingEngine::apply_batch_trusted`] then runs
+//!   the kernel without checking again.  [`MatchingEngine::apply_batch`] is the
+//!   two steps in one call.
 //! * **Typed errors** — invalid batches (duplicate ids, rank violations, unknown
 //!   deletions, out-of-range endpoints) return a [`BatchError`] instead of
 //!   panicking, and an engine rejects the *whole* batch before mutating anything.
@@ -19,9 +24,6 @@
 //!   matching straight out of the engine's internal tables ([`MatchingIter`]
 //!   borrows the engine; no `Vec` is materialised unless the caller asks with
 //!   [`MatchingEngine::matching_ids`]).
-//! * **Staged ingestion** — [`MatchingEngine::begin_batch`] opens a
-//!   [`BatchSession`] that validates and deduplicates updates *before* they are
-//!   applied, the shape a production ingest path needs.
 
 use crate::types::{EdgeId, Update, UpdateBatch, VertexId};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -582,8 +584,9 @@ pub fn read_state_graph(
 
 /// Summary of one successfully applied batch.
 ///
-/// Every engine produces one through the shared [`run_batch`] scaffold, so the
-/// fields mean the same thing regardless of which engine filled them in.
+/// Every engine produces one through the shared [`run_batch_trusted`]
+/// scaffold, so the fields mean the same thing regardless of which engine
+/// filled them in.
 ///
 /// ```
 /// use pdmm::engine::{self, EngineBuilder, EngineKind};
@@ -665,8 +668,8 @@ impl EngineMetrics {
     }
 
     /// Field-wise difference between two metric snapshots (`self` taken after
-    /// `earlier`).  The shared [`run_batch`] scaffold uses this to derive the
-    /// per-batch delta reported in [`BatchReport::metrics`].
+    /// `earlier`).  The shared [`run_batch_trusted`] scaffold uses this to
+    /// derive the per-batch delta reported in [`BatchReport::metrics`].
     ///
     /// ```
     /// use pdmm_hypergraph::engine::EngineMetrics;
@@ -717,7 +720,7 @@ impl EngineMetrics {
 }
 
 /// Per-batch update counters shared by the baseline engines, and the shape of
-/// the per-batch delta the [`run_batch`] scaffold hands to
+/// the per-batch delta the [`run_batch_trusted`] scaffold hands to
 /// [`BatchKernel::record_batch`].
 ///
 /// (`pdmm-core` derives the same numbers from its richer §4.2 metrics.)
@@ -764,8 +767,8 @@ impl UpdateCounters {
         }
     }
 
-    /// Adds a per-batch delta (produced by the [`run_batch`] scaffold) into
-    /// these lifetime counters.
+    /// Adds a per-batch delta (produced by the [`run_batch_trusted`]
+    /// scaffold) into these lifetime counters.
     ///
     /// ```
     /// use pdmm_hypergraph::engine::UpdateCounters;
@@ -786,12 +789,12 @@ impl UpdateCounters {
     }
 }
 
-/// One update refused by a skip-and-report (lossy) ingest session, together
-/// with the typed reason.
+/// One update refused by skip-and-report (lossy) validation, together with
+/// the typed reason.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RejectedUpdate {
-    /// Position of the update in the submission order (counting every update
-    /// offered to the session, including deduplicated and rejected ones).
+    /// Position of the update in the submission order (counting every
+    /// offered update, including deduplicated and rejected ones).
     pub index: usize,
     /// The refused update.
     pub update: Update,
@@ -802,14 +805,14 @@ pub struct RejectedUpdate {
 /// Report of one skip-and-report (lossy) ingest: what was committed, what was
 /// silently deduplicated, and what was rejected with which error.
 ///
-/// Produced by [`BatchSession::commit_lossy`] and
-/// [`MatchingEngine::apply_batch_lossy`] — the ingest-pipeline recovery path
-/// where a dirty stream must not poison the whole batch.
+/// Produced by `EngineService::drain_lossy` (one per drained batch) — the
+/// ingest-pipeline recovery path where a dirty stream must not poison the
+/// whole batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestReport {
     /// Report of the committed batch (the surviving subset of the updates).
     pub batch: BatchReport,
-    /// Exact duplicates silently dropped during staging (not errors).
+    /// Exact duplicates silently dropped during validation (not errors).
     pub deduplicated: usize,
     /// Per-update rejections, in submission order.
     pub rejected: Vec<RejectedUpdate>,
@@ -922,57 +925,105 @@ pub trait MatchingEngine {
         v.index() < self.num_vertices()
     }
 
-    /// Maximum rank accepted by [`MatchingEngine::apply_batch`].
+    /// Maximum rank accepted by validation.
     fn max_rank(&self) -> usize;
 
     /// Whether an edge with this id is currently live (from the adversary's point
     /// of view — edges the algorithm has only *temporarily* deleted are live).
     fn contains_edge(&self, id: EdgeId) -> bool;
 
-    /// Applies one batch of simultaneous updates and restores maximality.
-    ///
-    /// The batch is validated as a whole first; on error nothing was applied.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`BatchError`] found in the batch.
-    fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, BatchError>;
-
     /// Validates `updates` against this engine's live state and mints the
-    /// [`ValidatedBatch`] proof — the one legality pass of the trusted hot
-    /// path.  Discharge the proof with
-    /// [`MatchingEngine::apply_batch_trusted`] before the engine changes.
+    /// [`ValidatedBatch`] proof — the one legality pass of the batch.
+    /// Discharge the proof with [`MatchingEngine::apply_batch_trusted`] before
+    /// the engine changes.
+    ///
+    /// `delete X` followed by `insert X` in one batch is legal (deletions are
+    /// processed first, §3.3); `insert X` followed by `delete X` is not, and
+    /// neither is any repeat — even an exact copy (use
+    /// [`MatchingEngine::validate_lossy`] to drop those instead).
     ///
     /// # Errors
     ///
     /// Returns the first violation in batch order; nothing was applied.
     fn validate<'u>(&self, updates: &'u [Update]) -> Result<ValidatedBatch<'u>, BatchError> {
-        ValidatedBatch::new(
+        fold_strict(
             updates,
-            |id| self.contains_edge(id),
+            |update| self.contains_edge(update.edge_id()),
             self.max_rank(),
             self.num_vertices(),
-        )
+        )?;
+        Ok(ValidatedBatch {
+            updates,
+            _proof: ValidationToken { _sealed: () },
+        })
     }
 
-    /// Applies a batch that already carries its validation proof, skipping
-    /// the whole-batch validation pass [`MatchingEngine::apply_batch`] would
-    /// run.
+    /// Skip-and-report validation: keeps the largest legal subsequence of
+    /// `updates` a left-to-right scan finds, so a dirty stream cannot poison
+    /// the whole batch.
     ///
-    /// Every in-tree engine overrides this with [`run_batch_trusted`]; the
-    /// provided default conservatively **revalidates** through
-    /// [`MatchingEngine::apply_batch`], so an external engine that has not
-    /// opted in stays correct (just not single-validation).
+    /// An exact repeat of a kept update (the same deletion id, or an
+    /// insertion structurally equal to a kept one) is dropped and counted in
+    /// [`LossyBatch::deduplicated`]; any other illegal update lands in
+    /// [`LossyBatch::rejected`] with its submission index and the exact
+    /// [`BatchError`] [`MatchingEngine::validate`] would return for the kept
+    /// updates plus it.  [`LossyBatch::proof`] mints the [`ValidatedBatch`]
+    /// for the survivors.
+    ///
+    /// ```
+    /// use pdmm::engine::{self, BatchError, EngineBuilder, EngineKind};
+    /// use pdmm::prelude::*;
+    ///
+    /// let mut engine = engine::build(EngineKind::Parallel, &EngineBuilder::new(4));
+    /// let e = Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1)));
+    /// let lossy = engine.validate_lossy(vec![
+    ///     e.clone(),
+    ///     e.clone(),                 // exact repeat: dropped
+    ///     Update::Delete(EdgeId(7)), // unknown: rejected, not fatal
+    /// ]);
+    /// assert_eq!(lossy.survivors(), &[e]);
+    /// assert_eq!(lossy.deduplicated, 1);
+    /// assert_eq!(lossy.rejected[0].index, 2);
+    /// assert_eq!(lossy.rejected[0].error, BatchError::UnknownDeletion { id: EdgeId(7) });
+    /// let report = engine.apply_batch_trusted(lossy.proof()).unwrap();
+    /// assert_eq!(report.batch_size, 1);
+    /// ```
+    fn validate_lossy(&self, updates: Vec<Update>) -> LossyBatch {
+        let (survivors, deduplicated, rejected) = fold_lossy(
+            updates,
+            |update| self.contains_edge(update.edge_id()),
+            self.max_rank(),
+            self.num_vertices(),
+        );
+        LossyBatch {
+            survivors,
+            deduplicated,
+            rejected,
+        }
+    }
+
+    /// Applies a batch that already carries its validation proof and restores
+    /// maximality, without checking legality again.  Every in-tree engine
+    /// implements this with [`run_batch_trusted`], run on its own pool.
     ///
     /// # Errors
     ///
     /// Cannot fire for engines routed through [`run_batch_trusted`]; the
-    /// revalidating default propagates [`MatchingEngine::apply_batch`].
-    fn apply_batch_trusted(
-        &mut self,
-        batch: ValidatedBatch<'_>,
-    ) -> Result<BatchReport, BatchError> {
-        self.apply_batch(batch.updates())
+    /// `Result` leaves room for engines whose kernels can fail.
+    fn apply_batch_trusted(&mut self, batch: ValidatedBatch<'_>)
+        -> Result<BatchReport, BatchError>;
+
+    /// Applies one batch of simultaneous updates and restores maximality:
+    /// [`MatchingEngine::validate`], then
+    /// [`MatchingEngine::apply_batch_trusted`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`BatchError`] found in the batch; nothing was
+    /// applied.
+    fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, BatchError> {
+        let proof = self.validate(updates)?;
+        self.apply_batch_trusted(proof)
     }
 
     /// The current matching, iterated zero-copy out of the engine's state.
@@ -1082,65 +1133,6 @@ pub trait MatchingEngine {
         }
         Ok(reports)
     }
-
-    /// Opens a staged batch session: stage updates with validation and
-    /// deduplication, then commit them as one batch.
-    fn begin_batch(&mut self) -> BatchSession<'_, Self>
-    where
-        Self: Sized,
-    {
-        BatchSession::new(self)
-    }
-
-    /// Opens a skip-and-report session: invalid updates are collected with
-    /// their errors instead of refused, and [`BatchSession::commit_lossy`]
-    /// commits the surviving subset.
-    fn begin_batch_lossy(&mut self) -> BatchSession<'_, Self>
-    where
-        Self: Sized,
-    {
-        BatchSession::lossy(self)
-    }
-
-    /// Applies the valid subset of `updates` as one batch, skipping (and
-    /// reporting) invalid or duplicate updates instead of rejecting the whole
-    /// batch — the ingest-pipeline recovery path.
-    ///
-    /// Exactly the updates a strict [`BatchSession`] would stage are
-    /// committed; everything else lands in [`IngestReport::rejected`] (with
-    /// its typed error) or is counted in [`IngestReport::deduplicated`].
-    /// An input with no surviving updates commits the empty batch, which is a
-    /// counter-neutral no-op.
-    ///
-    /// ```
-    /// use pdmm::engine::{self, BatchError, EngineBuilder, EngineKind};
-    /// use pdmm::prelude::*;
-    ///
-    /// let mut engine = engine::build(EngineKind::Parallel, &EngineBuilder::new(4));
-    /// let report = engine
-    ///     .apply_batch_lossy(&[
-    ///         Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1))),
-    ///         Update::Delete(EdgeId(7)), // unknown: skipped, not fatal
-    ///     ])
-    ///     .unwrap();
-    /// assert_eq!(report.batch.batch_size, 1);
-    /// assert_eq!(report.rejected.len(), 1);
-    /// assert_eq!(report.rejected[0].error, BatchError::UnknownDeletion { id: EdgeId(7) });
-    /// assert_eq!(engine.matching_size(), 1);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Propagates the engine's own batch validation of the surviving subset,
-    /// which cannot fire for engines routed through [`run_batch`].
-    fn apply_batch_lossy(&mut self, updates: &[Update]) -> Result<IngestReport, BatchError> {
-        let mut session = BatchSession::lossy(self);
-        for update in updates {
-            // Lossy staging records rejections instead of returning them.
-            let _ = session.stage(update.clone());
-        }
-        session.commit_lossy()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1153,14 +1145,16 @@ static VALIDATION_CHECKS: AtomicU64 = AtomicU64::new(0);
 
 /// How many per-update legality checks this process has performed, lifetime.
 ///
-/// Every legality decision in the workspace — [`validate_batch`], staged
-/// [`BatchSession`]s, [`crate::types::UpdateBatch`] construction, the `io`
-/// parser, `net` admission — flows through the one [`BatchLedger::check`]
-/// machine, which bumps this counter once per update checked.  The counter is
-/// the observability hook behind the single-validation guarantee: the serve
-/// path ([`crate::service::EngineService::submit`] → `drain`) performs
-/// **exactly one** check per update, which the hot-path test suite and the
-/// `hot_path` bench assert by differencing this counter around a run.
+/// Every legality decision in the workspace — [`MatchingEngine::validate`],
+/// [`MatchingEngine::validate_lossy`], [`crate::types::UpdateBatch`]
+/// construction, the `io` parser, `net` admission — flows through the one
+/// [`BatchLedger::check`] machine, which bumps this counter once per update
+/// checked.  The counter is the observability hook behind the
+/// single-validation guarantee: the serve path
+/// ([`crate::service::EngineService::submit`] → `drain` or `drain_lossy`)
+/// performs **exactly one** check per offered update, which the hot-path test
+/// suite and the `hot_path` bench assert by differencing this counter around
+/// a run.
 ///
 /// The counter is global and monotone (relaxed atomics; reads may interleave
 /// with concurrent checks), so measure on a quiescent process or difference
@@ -1174,26 +1168,27 @@ pub fn validation_checks() -> u64 {
 /// — the sealed handoff between the validation layer and the kernels.
 ///
 /// A `ValidatedBatch` can only be minted by paying exactly one
-/// [`BatchLedger`] pass: either through [`ValidatedBatch::new`] /
-/// [`MatchingEngine::validate`] (whole-batch validation against a live
-/// predicate) or — crate-internally — by a [`BatchSession`] whose staging
-/// already checked every update against the live engine.  The token inside is
-/// a zero-sized sealed witness with a private constructor, so the *type
-/// system*, not reviewer discipline, guarantees [`run_batch_trusted`] never
-/// sees an unvalidated update: there is no way to construct the proof without
-/// running the validator.
+/// [`BatchLedger`] pass against a live engine: [`MatchingEngine::validate`]
+/// (strict) or [`LossyBatch::proof`] (the survivors of
+/// [`MatchingEngine::validate_lossy`]).  The token inside is a zero-sized
+/// sealed witness with a private constructor, so the *type system*, not
+/// code-review discipline, guarantees [`run_batch_trusted`] never sees an
+/// unvalidated update: there is no way to construct the proof without running
+/// the validator.
 ///
 /// The proof certifies validity **against the engine state at mint time**.
 /// Discharge it before the engine changes (the in-tree callers mint and
 /// discharge under one commit lock, with nothing in between).
 ///
 /// ```
-/// use pdmm_hypergraph::engine::{run_batch_trusted, ValidatedBatch};
-/// # use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};
+/// use pdmm::engine::{self, EngineBuilder, EngineKind};
+/// use pdmm::prelude::*;
+///
+/// let mut engine = engine::build(EngineKind::Parallel, &EngineBuilder::new(10));
 /// let updates = vec![Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1)))];
-/// let live = |_id: EdgeId| false;
-/// let proof = ValidatedBatch::new(&updates, live, 2, 10).unwrap();
+/// let proof = engine.validate(&updates).unwrap();
 /// assert_eq!(proof.len(), 1);
+/// assert_eq!(engine.apply_batch_trusted(proof).unwrap().matching_size, 1);
 /// ```
 ///
 /// The seal cannot be worked around — neither the struct nor its token can be
@@ -1228,38 +1223,6 @@ pub struct ValidationToken {
 }
 
 impl<'a> ValidatedBatch<'a> {
-    /// Mints the proof by running the one whole-batch validator
-    /// ([`validate_batch`]) — the single legality pass the batch ever needs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violation in batch order; no proof is minted.
-    pub fn new(
-        updates: &'a [Update],
-        is_live: impl Fn(EdgeId) -> bool,
-        max_rank: usize,
-        num_vertices: usize,
-    ) -> Result<Self, BatchError> {
-        validate_batch(updates, is_live, max_rank, num_vertices)?;
-        Ok(ValidatedBatch {
-            updates,
-            _proof: ValidationToken { _sealed: () },
-        })
-    }
-
-    /// Crate-internal mint for updates whose per-update checks already ran
-    /// through the same [`BatchLedger`] machine against the live engine — the
-    /// [`BatchSession`] commit path.  Callers must hold the invariant that a
-    /// whole-batch [`validate_batch`] of `updates` would succeed (sessions do:
-    /// staging checks each update against the live engine and the ledger, and
-    /// deduplication only ever *removes* repeats).
-    pub(crate) fn presealed(updates: &'a [Update]) -> Self {
-        ValidatedBatch {
-            updates,
-            _proof: ValidationToken { _sealed: () },
-        }
-    }
-
     /// The proven updates.
     #[must_use]
     pub fn updates(&self) -> &'a [Update] {
@@ -1279,7 +1242,43 @@ impl<'a> ValidatedBatch<'a> {
     }
 }
 
-/// What an engine's recompute/repair kernel reports back to [`run_batch`].
+/// What [`MatchingEngine::validate_lossy`] kept of a dirty batch: the owned
+/// survivors, which only validation can produce, plus the dedup count and
+/// typed rejections an [`IngestReport`] carries.
+///
+/// Like a [`ValidatedBatch`], it certifies the survivors against the engine
+/// state it was validated on; [`LossyBatch::proof`] hands them to
+/// [`MatchingEngine::apply_batch_trusted`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LossyBatch {
+    /// The kept updates, in submission order (private: the seal).
+    survivors: Vec<Update>,
+    /// Exact repeats dropped (not errors).
+    pub deduplicated: usize,
+    /// Per-update rejections, in submission order.
+    pub rejected: Vec<RejectedUpdate>,
+}
+
+impl LossyBatch {
+    /// The kept updates, in submission order.
+    #[must_use]
+    pub fn survivors(&self) -> &[Update] {
+        &self.survivors
+    }
+
+    /// The proof for the survivors, to discharge through
+    /// [`MatchingEngine::apply_batch_trusted`].
+    #[must_use]
+    pub fn proof(&self) -> ValidatedBatch<'_> {
+        ValidatedBatch {
+            updates: &self.survivors,
+            _proof: ValidationToken { _sealed: () },
+        }
+    }
+}
+
+/// What an engine's recompute/repair kernel reports back to
+/// [`run_batch_trusted`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelOutcome {
     /// Deletions in this batch that removed a matched edge.
@@ -1290,18 +1289,19 @@ pub struct KernelOutcome {
     pub rebuilt: bool,
 }
 
-/// The per-engine kernel driven by the shared [`run_batch`] batch pipeline.
+/// The per-engine kernel driven by the shared [`run_batch_trusted`] batch
+/// pipeline.
 ///
-/// [`run_batch`] owns everything the engines' `apply_batch` implementations
-/// used to copy-paste: whole-batch validation, empty-batch short-circuiting,
-/// lifetime-counter bookkeeping, matched-deletion accounting, per-batch
-/// [`EngineMetrics`] deltas, and [`BatchReport`] assembly.  An engine supplies
-/// only its recompute/repair kernel plus a one-line counter fold, and wires
-/// [`MatchingEngine::apply_batch`] to `run_batch(self, updates)`.
+/// [`run_batch_trusted`] owns everything the engines' batch implementations
+/// used to copy-paste: empty-batch short-circuiting, lifetime-counter
+/// bookkeeping, matched-deletion accounting, per-batch [`EngineMetrics`]
+/// deltas, and [`BatchReport`] assembly.  An engine supplies only its
+/// recompute/repair kernel plus a one-line counter fold, and wires
+/// [`MatchingEngine::apply_batch_trusted`] to `run_batch_trusted(self, batch)`.
 pub trait BatchKernel: MatchingEngine {
     /// Applies one validated, non-empty batch of updates and restores
-    /// maximality.  The scaffold has already verified the batch, so kernels
-    /// may assume deletions name live edges and insertions carry fresh ids.
+    /// maximality.  The proof certifies the batch, so kernels may assume
+    /// deletions name live edges and insertions carry fresh ids.
     fn run_kernel(&mut self, updates: &[Update]) -> KernelOutcome;
 
     /// Folds the scaffold's per-batch counter delta into the engine's
@@ -1310,46 +1310,21 @@ pub trait BatchKernel: MatchingEngine {
     fn record_batch(&mut self, delta: &UpdateCounters);
 }
 
-/// The shared batch pipeline: validate → run the engine's kernel → count →
-/// snapshot costs → assemble the [`BatchReport`].
+/// The shared batch pipeline: discharges a [`ValidatedBatch`] proof straight
+/// into the engine's kernel, with **no** validation pass, then counts,
+/// snapshots costs and assembles the [`BatchReport`].
 ///
-/// Semantics every engine inherits by routing `apply_batch` through here:
+/// Semantics every engine inherits by routing
+/// [`MatchingEngine::apply_batch_trusted`] through here:
 ///
-/// * invalid batches are refused **atomically** with the first [`BatchError`]
-///   in batch order — the kernel only ever sees valid batches;
+/// * the kernel only ever sees batches [`MatchingEngine::validate`] or
+///   [`MatchingEngine::validate_lossy`] accepted, so each update is checked
+///   exactly once end to end;
 /// * the empty batch is a true no-op: an `Ok` report with `batch_size == 0`,
 ///   the current matching size, and a zeroed metrics delta, and **no**
 ///   lifetime counter is mutated;
 /// * [`BatchReport::metrics`] is the exact [`EngineMetrics`] delta of this
 ///   batch, so every engine reports its per-batch costs uniformly.
-///
-/// # Errors
-///
-/// Returns the first violation found in batch order; the engine is untouched.
-pub fn run_batch<E: BatchKernel + ?Sized>(
-    engine: &mut E,
-    updates: &[Update],
-) -> Result<BatchReport, BatchError> {
-    let proven = ValidatedBatch::new(
-        updates,
-        |id| engine.contains_edge(id),
-        engine.max_rank(),
-        engine.num_vertices(),
-    )?;
-    Ok(run_batch_trusted(engine, proven))
-}
-
-/// The trusted half of the batch pipeline: discharges a [`ValidatedBatch`]
-/// proof straight into the engine's kernel, with **no** validation pass.
-///
-/// This is where the single-validation hot path lands: [`run_batch`] mints the
-/// proof and calls here; session commits ([`BatchSession::commit`],
-/// [`BatchSession::commit_staged`], [`BatchSession::commit_lossy`]) and the
-/// serve-path drains mint their proofs from checks that already ran and call
-/// here through [`MatchingEngine::apply_batch_trusted`] — so each update is
-/// checked exactly once end to end.  Everything else ([`BatchReport`]
-/// assembly, empty-batch no-op, counter folds, metrics deltas) is identical to
-/// [`run_batch`]; the engines' kernels are untouched.
 ///
 /// Infallible by construction: the proof certifies the batch, so there is no
 /// error path left.
@@ -1390,30 +1365,32 @@ pub fn run_batch_trusted<E: BatchKernel + ?Sized>(
 /// Verdict of [`BatchLedger::check`] for an update that passed the shared
 /// legality checks but repeats content the batch already contains.
 ///
-/// Strict whole-batch validation ([`validate_batch`]) treats both variants as
-/// errors; a staged [`BatchSession`] deduplicates exact copies instead.
+/// Strict validation ([`MatchingEngine::validate`],
+/// [`crate::types::UpdateBatch::new`]) treats both variants as errors; lossy
+/// validation deduplicates exact copies instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateCheck {
     /// Fresh and legal: record it and include it in the batch.
     Fresh,
     /// An insertion whose id was already inserted in this batch.  Strict
-    /// validation turns this into [`BatchError::DuplicateEdgeId`]; a session
-    /// compares the two edges structurally and deduplicates exact copies.
+    /// validation turns this into [`BatchError::DuplicateEdgeId`]; lossy
+    /// validation compares the two edges structurally and deduplicates exact
+    /// copies.
     RepeatedInsert {
         /// The position passed to [`BatchLedger::record`] for the earlier
         /// insertion of this id.
         at: usize,
     },
     /// A deletion of an id this batch already deletes.  Strict validation
-    /// turns this into [`BatchError::DuplicateDeletion`]; a session
+    /// turns this into [`BatchError::DuplicateDeletion`]; lossy validation
     /// deduplicates.
     RepeatedDelete,
 }
 
 /// The id-tracking state of one in-flight batch plus the per-update legality
 /// rules of the §2 update model — the **single** validation machine behind
-/// both [`validate_batch`] and [`BatchSession`], so the two paths cannot
-/// drift (a differential property test pins them together).
+/// the strict and lossy batch folds and the `io`/`net` per-line parsers, so
+/// no two paths can drift (a differential property test pins them together).
 ///
 /// The rules, per update kind:
 ///
@@ -1503,8 +1480,8 @@ impl BatchLedger {
                     // A second deletion of the same pre-batch edge.  If the id
                     // was re-inserted after the recorded deletion, this targets
                     // the *new* edge, which a single batch cannot express
-                    // (deletions run first, §3.3) — a hard error either way
-                    // for strict validation, and an error even for sessions.
+                    // (deletions run first, §3.3) — an error for strict and
+                    // lossy validation alike, never a dedup.
                     return if self.inserted.contains_key(id) {
                         Err(BatchError::DuplicateDeletion { id: *id })
                     } else {
@@ -1519,9 +1496,9 @@ impl BatchLedger {
         }
     }
 
-    /// Records a [`UpdateCheck::Fresh`] update at position `at` (sessions pass
-    /// the staging index, whole-batch validation the batch index; the value is
-    /// only echoed back through [`UpdateCheck::RepeatedInsert`]).
+    /// Records a [`UpdateCheck::Fresh`] update at position `at` (the lossy
+    /// fold passes the survivor index, the strict fold the batch index; the
+    /// value is only echoed back through [`UpdateCheck::RepeatedInsert`]).
     pub fn record(&mut self, update: &Update, at: usize) {
         match update {
             Update::Insert(edge) => {
@@ -1534,376 +1511,78 @@ impl BatchLedger {
     }
 }
 
-/// Validates a batch against the live-edge predicate of an engine.
+/// The strict batch fold: every update must be [`UpdateCheck::Fresh`], and a
+/// repeat — even an exact copy — is a `Duplicate*` error.
 ///
-/// Shared by every [`MatchingEngine::apply_batch`] implementation (via the
-/// [`run_batch`] scaffold) so all engines reject exactly the same batches with
-/// exactly the same errors, and built on the same [`BatchLedger`] machine as
-/// [`BatchSession`] so the two validation paths cannot drift.  `delete X`
-/// followed by `insert X` in one batch is legal (deletions are processed first,
-/// §3.3); `insert X` followed by `delete X` is not.
-///
-/// ```
-/// use pdmm_hypergraph::engine::{validate_batch, BatchError};
-/// use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};
-///
-/// let live = |id: EdgeId| id == EdgeId(0); // pretend edge 0 is live
-/// let reinsert = vec![
-///     Update::Delete(EdgeId(0)),
-///     Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(1), VertexId(2))),
-/// ];
-/// assert_eq!(validate_batch(&reinsert, live, 2, 10), Ok(()));
-/// assert_eq!(
-///     validate_batch(&[Update::Delete(EdgeId(9))], live, 2, 10),
-///     Err(BatchError::UnknownDeletion { id: EdgeId(9) })
-/// );
-/// ```
-///
-/// # Errors
-///
-/// Returns the first violation in batch order.
-pub fn validate_batch(
+/// Shared by [`MatchingEngine::validate`] and
+/// [`crate::types::UpdateBatch::new`], which differ only in what they pass:
+/// `live(update)` says whether the edge `update` names was live before the
+/// batch, and `max_rank`/`num_vertices` bound insertions.
+pub(crate) fn fold_strict(
     updates: &[Update],
-    is_live: impl Fn(EdgeId) -> bool,
+    live: impl Fn(&Update) -> bool,
     max_rank: usize,
     num_vertices: usize,
 ) -> Result<(), BatchError> {
     let mut ledger = BatchLedger::new();
     for (at, update) in updates.iter().enumerate() {
-        match ledger.check(update, &is_live, max_rank, num_vertices)? {
+        let id = update.edge_id();
+        match ledger.check(update, |_| live(update), max_rank, num_vertices)? {
             UpdateCheck::Fresh => ledger.record(update, at),
-            // A raw batch slice has no dedup pass: repeats are hard errors.
-            UpdateCheck::RepeatedInsert { .. } => {
-                return Err(BatchError::DuplicateEdgeId {
-                    id: update.edge_id(),
-                })
-            }
-            UpdateCheck::RepeatedDelete => {
-                return Err(BatchError::DuplicateDeletion {
-                    id: update.edge_id(),
-                })
-            }
+            UpdateCheck::RepeatedInsert { .. } => return Err(BatchError::DuplicateEdgeId { id }),
+            UpdateCheck::RepeatedDelete => return Err(BatchError::DuplicateDeletion { id }),
         }
     }
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Staged batch sessions
-// ---------------------------------------------------------------------------
-
-/// A staged batch: updates are validated and deduplicated as they are staged,
-/// then committed to the engine as one batch.
+/// The lossy batch fold: keeps every [`UpdateCheck::Fresh`] update, drops
+/// exact repeats of kept ones, and rejects the rest with the error strict
+/// validation would return for the kept updates plus it.  Returns
+/// `(survivors, deduplicated, rejected)`.
 ///
-/// Staging rules (enforced by the same [`BatchLedger`] machine as
-/// [`validate_batch`], so sessions and whole-batch validation cannot drift):
-///
-/// * an exact duplicate (same deletion id, or an insertion structurally equal to
-///   an already-staged one) is silently dropped — [`BatchSession::stage`] returns
-///   `Ok(false)`;
-/// * a *conflicting* duplicate (two different edges with one id) or an otherwise
-///   invalid update is rejected with the same [`BatchError`] the engine itself
-///   would return — as an error in strict mode ([`BatchSession::new`]), or
-///   collected into [`BatchSession::rejected`] in skip-and-report mode
-///   ([`BatchSession::lossy`]);
-/// * nothing touches the engine until [`BatchSession::commit`] /
-///   [`BatchSession::commit_lossy`].
-///
-/// ```
-/// use pdmm::engine::{self, BatchSession, EngineBuilder, EngineKind};
-/// use pdmm::prelude::*;
-///
-/// let mut engine = engine::build(EngineKind::Parallel, &EngineBuilder::new(4));
-/// let mut session = BatchSession::new(&mut *engine);
-/// let e = HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1));
-/// assert!(session.stage(Update::Insert(e.clone())).unwrap());   // staged
-/// assert!(!session.stage(Update::Insert(e)).unwrap());          // exact dup: dropped
-/// assert_eq!(session.len(), 1);
-/// assert_eq!(session.deduplicated(), 1);
-/// let report = session.commit().unwrap();
-/// assert_eq!(report.batch_size, 1);
-/// ```
-#[derive(Debug)]
-pub struct BatchSession<'a, E: MatchingEngine + ?Sized> {
-    engine: &'a mut E,
-    staged: Vec<Update>,
-    /// The shared validation machine (same rules as [`validate_batch`]).
-    ledger: BatchLedger,
-    /// Exact duplicates dropped so far.
-    deduplicated: usize,
-    /// Updates already committed by [`BatchSession::commit_staged`] (keeps the
-    /// submission-order index of later [`RejectedUpdate`]s correct).
-    committed: usize,
-    /// Skip-and-report mode: invalid updates are collected, not errors.
-    skip_and_report: bool,
-    /// Updates refused in skip-and-report mode, in submission order.
-    rejected: Vec<RejectedUpdate>,
-}
-
-impl<'a, E: MatchingEngine + ?Sized> BatchSession<'a, E> {
-    /// Opens a strict session on `engine`: staging an invalid update returns
-    /// its [`BatchError`].
-    pub fn new(engine: &'a mut E) -> Self {
-        BatchSession {
-            engine,
-            staged: Vec::new(),
-            ledger: BatchLedger::new(),
-            deduplicated: 0,
-            committed: 0,
-            skip_and_report: false,
-            rejected: Vec::new(),
-        }
-    }
-
-    /// Opens a skip-and-report session on `engine`: staging an invalid update
-    /// records a [`RejectedUpdate`] and returns `Ok(false)` instead of
-    /// erroring, so a dirty stream cannot poison the batch.
-    pub fn lossy(engine: &'a mut E) -> Self {
-        BatchSession {
-            skip_and_report: true,
-            ..BatchSession::new(engine)
-        }
-    }
-
-    /// Stages one update.  Returns `Ok(true)` if it was staged, `Ok(false)` if
-    /// it was dropped (an exact duplicate of an already-staged update, or — in
-    /// skip-and-report mode — an invalid update recorded in
-    /// [`BatchSession::rejected`]).
-    ///
-    /// # Errors
-    ///
-    /// In strict mode, returns the [`BatchError`] this update would trigger on
-    /// commit; the session itself stays usable (the offending update is simply
-    /// not staged).  In skip-and-report mode, never errors.
-    pub fn stage(&mut self, update: Update) -> Result<bool, BatchError> {
-        // In skip-and-report mode every offered update lands in exactly one of
-        // committed / staged / deduplicated / rejected, so the submission index
-        // of this update is the number of updates already bucketed.
-        let index = self.committed + self.staged.len() + self.deduplicated + self.rejected.len();
-        let check = {
-            let engine = &*self.engine;
-            self.ledger.check(
-                &update,
-                |id| engine.contains_edge(id),
-                engine.max_rank(),
-                engine.num_vertices(),
-            )
-        };
-        match check {
+/// Shared by [`MatchingEngine::validate_lossy`] and
+/// [`crate::types::UpdateBatch::new_lossy`], with the same parameters as
+/// [`fold_strict`].
+pub(crate) fn fold_lossy(
+    updates: Vec<Update>,
+    live: impl Fn(&Update) -> bool,
+    max_rank: usize,
+    num_vertices: usize,
+) -> (Vec<Update>, usize, Vec<RejectedUpdate>) {
+    let mut ledger = BatchLedger::new();
+    let mut survivors: Vec<Update> = Vec::with_capacity(updates.len());
+    let mut deduplicated = 0;
+    let mut rejected = Vec::new();
+    for (index, update) in updates.into_iter().enumerate() {
+        let error = match ledger.check(&update, |_| live(&update), max_rank, num_vertices) {
             Ok(UpdateCheck::Fresh) => {
-                self.ledger.record(&update, self.staged.len());
-                self.staged.push(update);
-                Ok(true)
+                ledger.record(&update, survivors.len());
+                survivors.push(update);
+                continue;
             }
-            Ok(UpdateCheck::RepeatedInsert { at }) => {
-                let Update::Insert(edge) = &update else {
-                    unreachable!("RepeatedInsert verdicts only arise for insertions")
-                };
-                // Structurally identical re-stage is a no-op; a different
-                // edge under the same id is a conflict.
-                if matches!(&self.staged[at], Update::Insert(prev) if prev == edge) {
-                    self.deduplicated += 1;
-                    Ok(false)
-                } else {
-                    let error = BatchError::DuplicateEdgeId { id: edge.id };
-                    self.refuse(index, update, error)
-                }
+            // A structurally identical repeat is dropped; a different edge
+            // under a kept id is a conflict.
+            Ok(UpdateCheck::RepeatedInsert { at }) if survivors[at] == update => {
+                deduplicated += 1;
+                continue;
             }
+            Ok(UpdateCheck::RepeatedInsert { .. }) => BatchError::DuplicateEdgeId {
+                id: update.edge_id(),
+            },
             Ok(UpdateCheck::RepeatedDelete) => {
-                self.deduplicated += 1;
-                Ok(false)
+                deduplicated += 1;
+                continue;
             }
-            Err(error) => self.refuse(index, update, error),
-        }
+            Err(error) => error,
+        };
+        rejected.push(RejectedUpdate {
+            index,
+            update,
+            error,
+        });
     }
-
-    /// Handles an invalid update: error in strict mode, recorded in lossy mode.
-    fn refuse(
-        &mut self,
-        index: usize,
-        update: Update,
-        error: BatchError,
-    ) -> Result<bool, BatchError> {
-        if self.skip_and_report {
-            self.rejected.push(RejectedUpdate {
-                index,
-                update,
-                error,
-            });
-            Ok(false)
-        } else {
-            Err(error)
-        }
-    }
-
-    /// Stages every update of an iterator; returns how many were actually staged
-    /// (exact duplicates are dropped and not counted).
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first invalid update.
-    pub fn stage_all(
-        &mut self,
-        updates: impl IntoIterator<Item = Update>,
-    ) -> Result<usize, BatchError> {
-        let mut staged = 0;
-        for update in updates {
-            if self.stage(update)? {
-                staged += 1;
-            }
-        }
-        Ok(staged)
-    }
-
-    /// The updates staged so far, in staging order.
-    #[must_use]
-    pub fn staged(&self) -> &[Update] {
-        &self.staged
-    }
-
-    /// Number of staged updates.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// Whether nothing has been staged.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.staged.is_empty()
-    }
-
-    /// How many exact duplicates were dropped during staging.
-    #[must_use]
-    pub fn deduplicated(&self) -> usize {
-        self.deduplicated
-    }
-
-    /// The updates refused so far in skip-and-report mode, in submission
-    /// order (always empty for strict sessions).
-    #[must_use]
-    pub fn rejected(&self) -> &[RejectedUpdate] {
-        &self.rejected
-    }
-
-    /// Read-only view of the engine the session is staged on (the staged
-    /// updates are *not* applied to it until a commit).
-    #[must_use]
-    pub fn engine(&self) -> &E {
-        self.engine
-    }
-
-    /// Applies the staged updates as one batch through the trusted path:
-    /// staging already checked every update against the live engine, so the
-    /// commit discharges that proof into
-    /// [`MatchingEngine::apply_batch_trusted`] instead of validating again.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the engine's trusted apply (which cannot fire for engines
-    /// routed through [`run_batch_trusted`]).
-    pub fn commit(self) -> Result<BatchReport, BatchError> {
-        let BatchSession { engine, staged, .. } = self;
-        debug_assert!(
-            validate_batch(
-                &staged,
-                |id| engine.contains_edge(id),
-                engine.max_rank(),
-                engine.num_vertices()
-            )
-            .is_ok(),
-            "session staging must imply whole-batch validity"
-        );
-        engine.apply_batch_trusted(ValidatedBatch::presealed(&staged))
-    }
-
-    /// Commits what is staged as one batch and **keeps the session open** — the
-    /// incremental/streaming commit a long-lived ingest path needs: commit under
-    /// backpressure, keep accepting.
-    ///
-    /// After the commit the session validates against the engine's *new* state,
-    /// so an update staged later may delete an edge committed earlier through
-    /// the same session.  A sequence of `commit_staged` calls is exactly
-    /// equivalent to applying each committed chunk through
-    /// [`MatchingEngine::apply_batch`] (conformance-pinned across all engines);
-    /// committing with nothing staged is the empty-batch no-op.  The session's
-    /// [`BatchSession::deduplicated`] and [`BatchSession::rejected`] tallies are
-    /// cumulative over the whole session, not reset per commit.
-    ///
-    /// ```
-    /// use pdmm::engine::{self, EngineBuilder, EngineKind};
-    /// use pdmm::prelude::*;
-    ///
-    /// let mut engine = engine::build(EngineKind::Parallel, &EngineBuilder::new(4));
-    /// let mut session = BatchSession::new(&mut *engine);
-    /// session
-    ///     .stage(Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1))))
-    ///     .unwrap();
-    /// let first = session.commit_staged().unwrap();
-    /// assert_eq!(first.batch_size, 1);
-    /// // The session is still open, and now validates against the new state:
-    /// session.stage(Update::Delete(EdgeId(0))).unwrap();
-    /// let second = session.commit_staged().unwrap();
-    /// assert_eq!(second.batch_size, 1);
-    /// assert_eq!(session.engine().matching_size(), 0);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Propagates the engine's batch validation (which cannot fire for updates
-    /// staged through this session); on error the staged updates are retained.
-    pub fn commit_staged(&mut self) -> Result<BatchReport, BatchError> {
-        let staged = std::mem::take(&mut self.staged);
-        // Staging already performed this batch's one legality pass; the
-        // commit hands the proof over instead of re-validating.
-        match self
-            .engine
-            .apply_batch_trusted(ValidatedBatch::presealed(&staged))
-        {
-            Ok(report) => {
-                // Committed updates are now engine state: validate what comes
-                // next against the engine, not against this batch's ledger.
-                // They still count toward the session's submission order.
-                self.committed += staged.len();
-                self.ledger = BatchLedger::new();
-                Ok(report)
-            }
-            Err(error) => {
-                // Rejection is atomic; keep the staged updates and the ledger
-                // so the caller can inspect or abort.
-                self.staged = staged;
-                Err(error)
-            }
-        }
-    }
-
-    /// Applies the staged (valid) updates as one batch and returns the full
-    /// [`IngestReport`]: the committed batch's report plus everything the
-    /// session deduplicated or rejected.  With nothing staged, the empty
-    /// batch commits as a counter-neutral no-op.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the engine's trusted apply (which cannot fire for engines
-    /// routed through [`run_batch_trusted`]).
-    pub fn commit_lossy(self) -> Result<IngestReport, BatchError> {
-        let BatchSession {
-            engine,
-            staged,
-            deduplicated,
-            rejected,
-            ..
-        } = self;
-        let batch = engine.apply_batch_trusted(ValidatedBatch::presealed(&staged))?;
-        Ok(IngestReport {
-            batch,
-            deduplicated,
-            rejected,
-        })
-    }
-
-    /// Discards the staged updates without touching the engine.
-    pub fn abort(self) {}
+    (survivors, deduplicated, rejected)
 }
 
 // ---------------------------------------------------------------------------
@@ -2119,29 +1798,33 @@ impl fmt::Display for EngineKind {
     }
 }
 
+/// The one test fixture engine, shared by the `engine` and `service` unit
+/// tests: mirror the graph, recompute greedily.  Enough to exercise the
+/// trait's provided methods and the service without the real engines (which
+/// live in downstream crates).
 #[cfg(test)]
-mod tests {
+pub(crate) mod toy {
     use super::*;
     use crate::graph::DynamicHypergraph;
     use crate::matching::{greedy_maximal_matching, verify_maximality};
-    use crate::types::HyperEdge;
 
-    /// Minimal reference engine: replay the graph, recompute greedily.  Exercises
-    /// the trait's default methods and the session logic without pulling in the
-    /// real engines (which live in downstream crates).
-    struct ToyEngine {
+    pub(crate) struct ToyEngine {
         graph: DynamicHypergraph,
         matching: Vec<EdgeId>,
         counters: UpdateCounters,
     }
 
     impl ToyEngine {
-        fn new(num_vertices: usize) -> Self {
+        pub(crate) fn new(num_vertices: usize) -> Self {
             ToyEngine {
                 graph: DynamicHypergraph::new(num_vertices),
                 matching: Vec::new(),
                 counters: UpdateCounters::default(),
             }
+        }
+
+        pub(crate) fn boxed(num_vertices: usize) -> Box<dyn MatchingEngine + Send> {
+            Box::new(ToyEngine::new(num_vertices))
         }
     }
 
@@ -2160,10 +1843,6 @@ mod tests {
 
         fn contains_edge(&self, id: EdgeId) -> bool {
             self.graph.contains_edge(id)
-        }
-
-        fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, BatchError> {
-            run_batch(self, updates)
         }
 
         fn apply_batch_trusted(
@@ -2188,10 +1867,9 @@ mod tests {
 
     impl BatchKernel for ToyEngine {
         fn run_kernel(&mut self, updates: &[Update]) -> KernelOutcome {
-            let matched: FxHashSet<EdgeId> = self.matching.iter().copied().collect();
             let matched_deletions = updates
                 .iter()
-                .filter(|u| matches!(u, Update::Delete(id) if matched.contains(id)))
+                .filter(|u| matches!(u, Update::Delete(id) if self.matching.contains(id)))
                 .count();
             self.graph.apply_batch(updates);
             self.matching = greedy_maximal_matching(&self.graph);
@@ -2205,9 +1883,21 @@ mod tests {
             self.counters.merge(delta);
         }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::toy::ToyEngine;
+    use super::*;
+    use crate::types::HyperEdge;
 
     fn pair(id: u64, a: u32, b: u32) -> HyperEdge {
         HyperEdge::pair(EdgeId(id), VertexId(a), VertexId(b))
+    }
+
+    /// Edge 7 is live; rank ≤ 2 on 10 vertices.
+    fn strict(updates: &[Update]) -> Result<(), BatchError> {
+        fold_strict(updates, |u| u.edge_id() == EdgeId(7), 2, 10)
     }
 
     #[test]
@@ -2231,47 +1921,29 @@ mod tests {
     }
 
     #[test]
-    fn validate_batch_catches_every_error_kind() {
-        let live = |id: EdgeId| id == EdgeId(7);
-        let ok = validate_batch(&[Update::Delete(EdgeId(7))], live, 2, 10);
-        assert_eq!(ok, Ok(()));
-
+    fn strict_fold_catches_every_error_kind() {
+        assert_eq!(strict(&[Update::Delete(EdgeId(7))]), Ok(()));
         assert_eq!(
-            validate_batch(&[Update::Delete(EdgeId(9))], live, 2, 10),
+            strict(&[Update::Delete(EdgeId(9))]),
             Err(BatchError::UnknownDeletion { id: EdgeId(9) })
         );
         assert_eq!(
-            validate_batch(
-                &[Update::Delete(EdgeId(7)), Update::Delete(EdgeId(7))],
-                live,
-                2,
-                10
-            ),
+            strict(&[Update::Delete(EdgeId(7)), Update::Delete(EdgeId(7))]),
             Err(BatchError::DuplicateDeletion { id: EdgeId(7) })
         );
         assert_eq!(
-            validate_batch(&[Update::Insert(pair(7, 0, 1))], live, 2, 10),
+            strict(&[Update::Insert(pair(7, 0, 1))]),
             Err(BatchError::DuplicateEdgeId { id: EdgeId(7) })
         );
         assert_eq!(
-            validate_batch(
-                &[Update::Insert(pair(1, 0, 1)), Update::Insert(pair(1, 2, 3)),],
-                live,
-                2,
-                10
-            ),
+            strict(&[Update::Insert(pair(1, 0, 1)), Update::Insert(pair(1, 2, 3))]),
             Err(BatchError::DuplicateEdgeId { id: EdgeId(1) })
         );
         assert_eq!(
-            validate_batch(
-                &[Update::Insert(HyperEdge::new(
-                    EdgeId(1),
-                    vec![VertexId(0), VertexId(1), VertexId(2)]
-                ))],
-                live,
-                2,
-                10
-            ),
+            strict(&[Update::Insert(HyperEdge::new(
+                EdgeId(1),
+                vec![VertexId(0), VertexId(1), VertexId(2)]
+            ))]),
             Err(BatchError::RankExceeded {
                 id: EdgeId(1),
                 rank: 3,
@@ -2279,7 +1951,7 @@ mod tests {
             })
         );
         assert_eq!(
-            validate_batch(&[Update::Insert(pair(1, 0, 99))], live, 2, 10),
+            strict(&[Update::Insert(pair(1, 0, 99))]),
             Err(BatchError::VertexOutOfRange {
                 id: EdgeId(1),
                 vertex: VertexId(99),
@@ -2288,213 +1960,14 @@ mod tests {
         );
         // delete X then insert X in one batch is legal (§3.3 ordering) …
         assert_eq!(
-            validate_batch(
-                &[Update::Delete(EdgeId(7)), Update::Insert(pair(7, 0, 1))],
-                live,
-                2,
-                10
-            ),
+            strict(&[Update::Delete(EdgeId(7)), Update::Insert(pair(7, 0, 1))]),
             Ok(())
         );
         // … but insert X then delete X is not.
         assert_eq!(
-            validate_batch(
-                &[Update::Insert(pair(1, 0, 1)), Update::Delete(EdgeId(1))],
-                live,
-                2,
-                10
-            ),
+            strict(&[Update::Insert(pair(1, 0, 1)), Update::Delete(EdgeId(1))]),
             Err(BatchError::UnknownDeletion { id: EdgeId(1) })
         );
-    }
-
-    #[test]
-    fn session_stages_validates_and_dedups() {
-        let mut engine = ToyEngine::new(6);
-        engine
-            .apply_batch(&[Update::Insert(pair(0, 0, 1))])
-            .unwrap();
-
-        let mut session = engine.begin_batch();
-        assert!(session.stage(Update::Insert(pair(1, 2, 3))).unwrap());
-        // Exact duplicate insertion: dropped.
-        assert!(!session.stage(Update::Insert(pair(1, 2, 3))).unwrap());
-        // Conflicting insertion under the same id: typed error.
-        assert_eq!(
-            session.stage(Update::Insert(pair(1, 4, 5))),
-            Err(BatchError::DuplicateEdgeId { id: EdgeId(1) })
-        );
-        // Deleting the live edge works; deleting it again dedups.
-        assert!(session.stage(Update::Delete(EdgeId(0))).unwrap());
-        assert!(!session.stage(Update::Delete(EdgeId(0))).unwrap());
-        // Deleting an edge only staged in this session: refused (§3.3 ordering).
-        assert_eq!(
-            session.stage(Update::Delete(EdgeId(1))),
-            Err(BatchError::UnknownDeletion { id: EdgeId(1) })
-        );
-        // Oversized and out-of-range edges: refused before commit.
-        assert!(matches!(
-            session.stage(Update::Insert(HyperEdge::new(
-                EdgeId(9),
-                (0..4).map(VertexId).collect()
-            ))),
-            Err(BatchError::RankExceeded { .. })
-        ));
-        assert!(matches!(
-            session.stage(Update::Insert(pair(9, 0, 77))),
-            Err(BatchError::VertexOutOfRange { .. })
-        ));
-
-        assert_eq!(session.len(), 2);
-        assert_eq!(session.deduplicated(), 2);
-        let report = session.commit().unwrap();
-        assert_eq!(report.batch_size, 2);
-        assert_eq!(engine.matching_ids(), vec![EdgeId(1)]);
-        engine.verify().unwrap();
-    }
-
-    #[test]
-    fn session_rejects_delete_of_a_reinserted_id() {
-        let mut engine = ToyEngine::new(4);
-        engine
-            .apply_batch(&[Update::Insert(pair(0, 0, 1))])
-            .unwrap();
-        let mut session = engine.begin_batch();
-        assert!(session.stage(Update::Delete(EdgeId(0))).unwrap());
-        // Legal delete-then-reinsert of the same id.
-        assert!(session.stage(Update::Insert(pair(0, 2, 3))).unwrap());
-        // Deleting id 0 again targets the re-inserted edge; one batch cannot
-        // express delete/insert/delete, so this must be an error — not a
-        // silent dedup that would drop the caller's request.
-        assert_eq!(
-            session.stage(Update::Delete(EdgeId(0))),
-            Err(BatchError::DuplicateDeletion { id: EdgeId(0) })
-        );
-        assert_eq!(session.len(), 2);
-        session.commit().unwrap();
-        assert!(engine.contains_edge(EdgeId(0)));
-    }
-
-    #[test]
-    fn commit_staged_keeps_the_session_open() {
-        let mut engine = ToyEngine::new(6);
-        let mut session = engine.begin_batch();
-        session.stage(Update::Insert(pair(0, 0, 1))).unwrap();
-        // Deleting an id staged (not yet committed) by this session: refused.
-        assert_eq!(
-            session.stage(Update::Delete(EdgeId(0))),
-            Err(BatchError::UnknownDeletion { id: EdgeId(0) })
-        );
-        let first = session.commit_staged().unwrap();
-        assert_eq!(first.batch_size, 1);
-        assert!(session.is_empty(), "staged updates were committed");
-
-        // After the commit the edge is live, so the same deletion now stages.
-        session.stage(Update::Delete(EdgeId(0))).unwrap();
-        session.stage(Update::Insert(pair(1, 2, 3))).unwrap();
-        let second = session.commit_staged().unwrap();
-        assert_eq!(second.batch_size, 2);
-
-        // Committing with nothing staged is the empty-batch no-op.
-        let metrics_before = session.engine().metrics();
-        let empty = session.commit_staged().unwrap();
-        assert_eq!(empty.batch_size, 0);
-        assert_eq!(empty.matching_size, 1);
-        assert_eq!(session.engine().metrics(), metrics_before);
-
-        // The session can still finish with a normal consuming commit.
-        session.stage(Update::Insert(pair(2, 4, 5))).unwrap();
-        let last = session.commit().unwrap();
-        assert_eq!(last.batch_size, 1);
-        assert_eq!(engine.metrics().batches, 3, "empty commit was a no-op");
-        assert_eq!(engine.matching_size(), 2);
-        engine.verify().unwrap();
-    }
-
-    #[test]
-    fn lossy_rejection_indexes_survive_commit_staged() {
-        let mut engine = ToyEngine::new(6);
-        let mut session = engine.begin_batch_lossy();
-        // Offers 0 and 1 are committed mid-session.  After the commit, the
-        // session validates against the engine's new state: re-offering a
-        // committed id is a rejection (not a dedup), an exact dup of a *newly
-        // staged* update still dedups, and the reported indexes must count
-        // every offer since the session opened.
-        session.stage(Update::Insert(pair(0, 0, 1))).unwrap();
-        session.stage(Update::Insert(pair(1, 2, 3))).unwrap();
-        session.commit_staged().unwrap();
-        assert!(!session.stage(Update::Insert(pair(1, 2, 3))).unwrap()); // 2: live id now
-        assert!(session.stage(Update::Insert(pair(2, 4, 5))).unwrap()); //  3: staged
-        assert!(!session.stage(Update::Insert(pair(2, 4, 5))).unwrap()); // 4: exact dup
-        assert!(!session.stage(Update::Delete(EdgeId(9))).unwrap()); //     5: unknown
-        let report = session.commit_lossy().unwrap();
-        let got: Vec<(usize, BatchError)> = report
-            .rejected
-            .iter()
-            .map(|r| (r.index, r.error.clone()))
-            .collect();
-        assert_eq!(
-            got,
-            vec![
-                (2, BatchError::DuplicateEdgeId { id: EdgeId(1) }),
-                (5, BatchError::UnknownDeletion { id: EdgeId(9) }),
-            ]
-        );
-        assert_eq!(report.deduplicated, 1);
-        assert_eq!(report.batch.batch_size, 1, "only edge 2 in the last chunk");
-    }
-
-    #[test]
-    fn commit_staged_matches_separate_apply_batch_calls() {
-        let chunks: Vec<Vec<Update>> = vec![
-            vec![Update::Insert(pair(0, 0, 1)), Update::Insert(pair(1, 2, 3))],
-            vec![Update::Delete(EdgeId(0)), Update::Insert(pair(2, 1, 4))],
-            vec![Update::Delete(EdgeId(2))],
-        ];
-        let mut via_session = ToyEngine::new(6);
-        let mut session = via_session.begin_batch();
-        let mut session_reports = Vec::new();
-        for chunk in &chunks {
-            session.stage_all(chunk.iter().cloned()).unwrap();
-            session_reports.push(session.commit_staged().unwrap());
-        }
-        session.abort();
-
-        let mut via_apply = ToyEngine::new(6);
-        let mut apply_reports = Vec::new();
-        for chunk in &chunks {
-            apply_reports.push(via_apply.apply_batch(chunk).unwrap());
-        }
-        assert_eq!(session_reports, apply_reports);
-        assert_eq!(via_session.matching_ids(), via_apply.matching_ids());
-        assert_eq!(via_session.metrics(), via_apply.metrics());
-    }
-
-    #[test]
-    fn session_abort_leaves_engine_untouched() {
-        let mut engine = ToyEngine::new(4);
-        engine
-            .apply_batch(&[Update::Insert(pair(0, 0, 1))])
-            .unwrap();
-        let mut session = engine.begin_batch();
-        session.stage(Update::Delete(EdgeId(0))).unwrap();
-        session.abort();
-        assert!(engine.contains_edge(EdgeId(0)));
-        assert_eq!(engine.matching_size(), 1);
-    }
-
-    #[test]
-    fn session_works_through_a_trait_object() {
-        let mut boxed: Box<dyn MatchingEngine> = Box::new(ToyEngine::new(4));
-        let mut session = BatchSession::new(&mut *boxed);
-        session
-            .stage_all(vec![
-                Update::Insert(pair(0, 0, 1)),
-                Update::Insert(pair(1, 2, 3)),
-            ])
-            .unwrap();
-        let report = session.commit().unwrap();
-        assert_eq!(report.matching_size, 2);
     }
 
     #[test]
@@ -2578,28 +2051,28 @@ mod tests {
     }
 
     #[test]
-    fn lossy_session_skips_and_reports_instead_of_failing() {
+    fn lossy_validation_skips_and_reports_instead_of_failing() {
         let mut engine = ToyEngine::new(6);
         engine
             .apply_batch(&[Update::Insert(pair(0, 0, 1))])
             .unwrap();
 
-        let report = engine
-            .apply_batch_lossy(&[
-                Update::Insert(pair(1, 2, 3)),  // 0: staged
-                Update::Insert(pair(1, 2, 3)),  // 1: exact dup, dropped
-                Update::Insert(pair(1, 4, 5)),  // 2: conflicting id, rejected
-                Update::Insert(pair(0, 4, 5)),  // 3: live id, rejected
-                Update::Delete(EdgeId(42)),     // 4: unknown, rejected
-                Update::Delete(EdgeId(0)),      // 5: staged
-                Update::Insert(pair(9, 0, 77)), // 6: out of range, rejected
-                Update::Insert(HyperEdge::new(EdgeId(9), (0..4).map(VertexId).collect())), // 7: rank > 3, rejected
-            ])
-            .unwrap();
-
-        assert_eq!(report.batch.batch_size, 2);
-        assert_eq!(report.deduplicated, 1);
-        assert_eq!(report.offered(), 8);
+        let lossy = engine.validate_lossy(vec![
+            Update::Insert(pair(1, 2, 3)),  // 0: kept
+            Update::Insert(pair(1, 2, 3)),  // 1: exact dup, dropped
+            Update::Insert(pair(1, 4, 5)),  // 2: conflicting id, rejected
+            Update::Insert(pair(0, 4, 5)),  // 3: live id, rejected
+            Update::Delete(EdgeId(42)),     // 4: unknown, rejected
+            Update::Delete(EdgeId(0)),      // 5: kept
+            Update::Insert(pair(9, 0, 77)), // 6: out of range, rejected
+            Update::Insert(HyperEdge::new(EdgeId(9), (0..4).map(VertexId).collect())), // 7: rank > 3, rejected
+            Update::Delete(EdgeId(1)), // 8: deletes an id this batch inserts (§3.3), rejected
+        ]);
+        assert_eq!(
+            lossy.survivors(),
+            &[Update::Insert(pair(1, 2, 3)), Update::Delete(EdgeId(0))]
+        );
+        assert_eq!(lossy.deduplicated, 1);
         let expected: Vec<(usize, BatchError)> = vec![
             (2, BatchError::DuplicateEdgeId { id: EdgeId(1) }),
             (3, BatchError::DuplicateEdgeId { id: EdgeId(0) }),
@@ -2620,65 +2093,60 @@ mod tests {
                     max_rank: 3,
                 },
             ),
+            (8, BatchError::UnknownDeletion { id: EdgeId(1) }),
         ];
-        let got: Vec<(usize, BatchError)> = report
+        let got: Vec<(usize, BatchError)> = lossy
             .rejected
             .iter()
             .map(|r| (r.index, r.error.clone()))
             .collect();
         assert_eq!(got, expected);
-        // The surviving subset was committed: edge 0 replaced by edge 1.
+        // The survivors pass strict validation and commit: edge 0 replaced
+        // by edge 1.
+        assert!(engine.validate(lossy.survivors()).is_ok());
+        let report = engine.apply_batch_trusted(lossy.proof()).unwrap();
+        assert_eq!(report.batch_size, 2);
         assert!(!engine.contains_edge(EdgeId(0)));
         assert!(engine.contains_edge(EdgeId(1)));
         engine.verify().unwrap();
     }
 
     #[test]
+    fn lossy_validation_rejects_delete_of_a_reinserted_id() {
+        let mut engine = ToyEngine::new(4);
+        engine
+            .apply_batch(&[Update::Insert(pair(0, 0, 1))])
+            .unwrap();
+        // Deleting id 0 again targets the re-inserted edge; one batch cannot
+        // express delete/insert/delete, so this must be an error — not a
+        // silent dedup that would drop the caller's request.
+        let lossy = engine.validate_lossy(vec![
+            Update::Delete(EdgeId(0)),
+            Update::Insert(pair(0, 2, 3)),
+            Update::Delete(EdgeId(0)),
+        ]);
+        assert_eq!(lossy.survivors().len(), 2);
+        assert_eq!(lossy.deduplicated, 0);
+        assert_eq!(
+            lossy.rejected[0].error,
+            BatchError::DuplicateDeletion { id: EdgeId(0) }
+        );
+        engine.apply_batch_trusted(lossy.proof()).unwrap();
+        assert!(engine.contains_edge(EdgeId(0)));
+    }
+
+    #[test]
     fn lossy_commit_of_nothing_is_a_noop() {
         let mut engine = ToyEngine::new(4);
-        let report = engine
-            .apply_batch_lossy(&[Update::Delete(EdgeId(3))])
-            .unwrap();
-        assert_eq!(report.batch.batch_size, 0);
-        assert_eq!(report.rejected.len(), 1);
+        let lossy = engine.validate_lossy(vec![Update::Delete(EdgeId(3))]);
+        assert_eq!(lossy.rejected.len(), 1);
+        let report = engine.apply_batch_trusted(lossy.proof()).unwrap();
+        assert_eq!(report.batch_size, 0);
         assert_eq!(engine.metrics(), EngineMetrics::default());
     }
 
     #[test]
-    fn strict_and_lossy_sessions_stage_the_same_subset() {
-        let dirty = vec![
-            Update::Insert(pair(0, 0, 1)),
-            Update::Insert(pair(0, 2, 3)), // conflict
-            Update::Delete(EdgeId(5)),     // unknown
-            Update::Insert(pair(1, 2, 3)),
-            Update::Insert(pair(1, 2, 3)), // exact dup
-            Update::Delete(EdgeId(0)),     // §3.3: cannot delete an id staged by this batch
-        ];
-        let mut a = ToyEngine::new(6);
-        let mut strict = BatchSession::new(&mut a);
-        let mut errors = Vec::new();
-        for update in &dirty {
-            if let Err(e) = strict.stage(update.clone()) {
-                errors.push(e);
-            }
-        }
-        let strict_staged = strict.staged().to_vec();
-        let mut b = ToyEngine::new(6);
-        let mut lossy = BatchSession::lossy(&mut b);
-        for update in &dirty {
-            lossy
-                .stage(update.clone())
-                .expect("lossy staging never errors");
-        }
-        assert_eq!(lossy.staged(), strict_staged.as_slice());
-        let lossy_errors: Vec<BatchError> =
-            lossy.rejected().iter().map(|r| r.error.clone()).collect();
-        assert_eq!(lossy_errors, errors);
-        assert_eq!(lossy.deduplicated(), 1);
-    }
-
-    #[test]
-    fn ledger_and_validate_batch_agree_on_every_error_kind() {
+    fn ledger_and_strict_fold_agree_on_every_error_kind() {
         // Every BatchError kind, checked through both entry points.
         let live = |id: EdgeId| id == EdgeId(7);
         let cases: Vec<(Update, BatchError)> = vec![
@@ -2718,7 +2186,7 @@ mod tests {
                 "{update:?}"
             );
             assert_eq!(
-                validate_batch(std::slice::from_ref(&update), live, 2, 10),
+                strict(std::slice::from_ref(&update)),
                 Err(expected),
                 "{update:?}"
             );

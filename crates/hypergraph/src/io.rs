@@ -129,11 +129,15 @@ pub fn block_is_committed(block: &str) -> bool {
 /// are skipped; [`batches_from_string`] consequently never produces one, and the
 /// round trip `parse ∘ serialize` is the identity on streams of non-empty
 /// batches (property-tested in `tests/io_roundtrip.rs`).
+///
+/// Takes anything that exposes a batch's updates as a slice, so the serve path
+/// can journal validated lossy survivors without sealing them into an
+/// [`UpdateBatch`] (and so checking them) again.
 #[must_use]
-pub fn batches_to_string(batches: &[UpdateBatch]) -> String {
+pub fn batches_to_string<B: AsRef<[Update]>>(batches: &[B]) -> String {
     let mut out = String::new();
     let mut written = 0usize;
-    for batch in batches {
+    for batch in batches.iter().map(AsRef::as_ref) {
         if batch.is_empty() {
             continue;
         }
@@ -231,7 +235,7 @@ pub(crate) fn check_and_push(
 /// Parses an update stream produced by [`batches_to_string`].
 ///
 /// Every block is validated as it is parsed with the same [`BatchLedger`]
-/// machine behind [`UpdateBatch::new`] and `validate_batch`, so a stream file
+/// machine behind [`UpdateBatch::new`] and engine validation, so a stream file
 /// can no longer smuggle an invalid batch (repeated ids, double deletions,
 /// insert-then-delete of one id) past the engines: the parser reports the
 /// offending *line* instead of handing the batch on.

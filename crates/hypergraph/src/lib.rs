@@ -7,8 +7,10 @@
 //!   [`types::Update`] model of §2,
 //! * [`engine`] — the [`engine::MatchingEngine`] API every matcher in the
 //!   workspace implements: typed [`engine::BatchError`]s, zero-copy matching
-//!   queries, the [`engine::EngineBuilder`] configuration, and staged
-//!   [`engine::BatchSession`] ingestion,
+//!   queries, the [`engine::EngineBuilder`] configuration, and the one ingest
+//!   path ([`engine::MatchingEngine::validate`] or
+//!   [`engine::MatchingEngine::validate_lossy`], then
+//!   [`engine::MatchingEngine::apply_batch_trusted`]),
 //! * [`graph`] — the ground-truth dynamic hypergraph,
 //! * [`matching`] — matchings, validity/maximality verification, reference
 //!   (greedy / exact) matching algorithms,
@@ -47,8 +49,7 @@ pub mod streams;
 pub mod types;
 
 pub use engine::{
-    BatchError, BatchReport, BatchSession, EngineBuilder, EngineKind, EngineMetrics,
-    MatchingEngine, MatchingIter,
+    BatchError, BatchReport, EngineBuilder, EngineKind, EngineMetrics, MatchingEngine, MatchingIter,
 };
 pub use graph::DynamicHypergraph;
 pub use matching::{verify_maximality, verify_validity, Matching, MatchingError};

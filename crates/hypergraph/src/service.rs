@@ -5,7 +5,7 @@
 //! *service*: updates arrive over time from many producers, queries must not
 //! stall behind a committing batch, and the whole update history must be
 //! recoverable after a restart.  [`EngineService`] owns a [`MatchingEngine`]
-//! behind the staged-session API and adds exactly those three capabilities:
+//! and adds exactly those three capabilities:
 //!
 //! * **snapshot reads** — [`EngineService::snapshot`] hands out an
 //!   `Arc<`[`MatchingSnapshot`]`>`: an immutable view of the matching (size,
@@ -68,8 +68,7 @@
 
 use crate::checkpoint::{self, CheckpointError};
 use crate::engine::{
-    write_state_graph, BatchError, BatchReport, BatchSession, EngineMetrics, IngestReport,
-    MatchingEngine,
+    write_state_graph, BatchError, BatchReport, EngineMetrics, IngestReport, MatchingEngine,
 };
 use crate::graph::DynamicHypergraph;
 use crate::io::{self, ParseError};
@@ -520,13 +519,18 @@ impl MatchingSnapshot {
 /// matching, sort it, resolve every matched edge's endpoints through the
 /// mirror, rebuild the whole per-vertex map — per publish.  The index instead
 /// persists between commits: [`MatchedIndex::sync`] folds the engine's current
-/// matching in with **one linear scan and O(matching-delta) structural
-/// mutation** (no sort of the full matching, no mirror lookups or `by_vertex`
-/// writes for unchanged edges), and [`MatchedIndex::snapshot`] publishes by a
-/// flat clone of the maintained structures (a memcpy of the sorted ids plus a
-/// rehash-free table copy).  That is what makes
-/// [`EngineService::with_snapshot_every`]`(1)` — per-commit snapshot freshness
-/// — affordable.
+/// matching in with **one scan of `engine.matching()` and O(matching-delta)
+/// structural mutation** (no sort of the full matching, no mirror lookups or
+/// `by_vertex` writes for unchanged edges), and [`MatchedIndex::snapshot`]
+/// publishes by a flat clone of the maintained structures (a memcpy of the
+/// sorted ids plus a rehash-free table copy).
+///
+/// A publish is therefore **not** O(matching-delta): the paper's engine
+/// answers `matching()` by filtering every live edge, and the clone copies
+/// the whole index, so a publish costs O(|E| + M) for `|E|` live edges and a
+/// matching of size `M`.  `BENCH_hotpath.json` compares per-commit
+/// publishing ([`EngineService::with_snapshot_every`]`(1)`) with `(1000)` at
+/// 2k live edges only; the gap grows with the graph.
 ///
 /// Endpoint sets are cached at match time because a matched edge can be
 /// *deleted* by the very batch that unmatches it — by then the mirror no
@@ -534,7 +538,7 @@ impl MatchingSnapshot {
 ///
 /// Engines whose kernels rebuild the matching wholesale (the recompute
 /// engines report [`BatchReport::rebuilt`]) naturally degrade to a full-delta
-/// sync; the incremental engines get the O(delta) win.
+/// mutation; the incremental engines mutate only what changed.
 #[derive(Debug, Default)]
 struct MatchedIndex {
     /// Matched edges with their endpoint sets cached at match time.
@@ -987,13 +991,14 @@ impl EngineService {
         }
     }
 
-    /// Commits every queued batch through per-batch **skip-and-report** lossy
-    /// sessions, so a dirty stream cannot poison a drain: invalid updates are
-    /// skipped (and reported with their typed error) while the surviving
-    /// subset of each batch commits — the serve-path twin of
-    /// [`MatchingEngine::apply_batch_lossy`].  The journal records exactly the
-    /// surviving subsets, so [`EngineService::replay`] of a lossy journal
-    /// still rebuilds bit-identical state.
+    /// Commits every queued batch in **skip-and-report** mode, so a dirty
+    /// stream cannot poison a drain: [`MatchingEngine::validate_lossy`] drops
+    /// exact repeats and reports invalid updates with their typed error, and
+    /// the surviving subset of each batch commits through
+    /// [`MatchingEngine::apply_batch_trusted`] — one legality check per
+    /// offered update, as in [`EngineService::drain`].  The journal records
+    /// exactly the surviving subsets, so [`EngineService::replay`] of a lossy
+    /// journal still rebuilds bit-identical state.
     ///
     /// Returns one [`IngestReport`] per drained batch, in commit order.  A
     /// batch whose updates are all rejected commits the empty batch (counted,
@@ -1018,32 +1023,31 @@ impl EngineService {
                 }
                 return reports;
             };
-            let mut session = BatchSession::lossy(inner.engine.as_mut());
-            for update in batch.iter().cloned() {
-                // Lossy staging records rejections instead of returning them.
-                let _ = session.stage(update);
-            }
-            let survived: Vec<Update> = session.staged().to_vec();
-            let report = session
-                .commit_lossy()
-                .expect("session-staged updates cannot fail engine validation");
+            let lossy = inner.engine.validate_lossy(batch.into_updates());
+            let report = inner
+                .engine
+                .apply_batch_trusted(lossy.proof())
+                .expect("validated survivors cannot fail the trusted apply");
             // The journal and mirror record what actually committed — the
             // surviving subset — so replay stays bit-faithful.
-            let survived = UpdateBatch::trusted(survived);
-            inner.mirror.apply_batch(&survived);
+            inner.mirror.apply_batch(lossy.survivors());
             inner.committed += 1;
-            append_journal(inner.journal.as_mut(), &survived);
+            append_journal(inner.journal.as_mut(), lossy.survivors());
             inner.journal.commit();
             if inner.committed.is_multiple_of(self.snapshot_every) {
                 self.publish(inner);
             }
-            reports.push(report);
+            reports.push(IngestReport {
+                batch: report,
+                deduplicated: lossy.deduplicated,
+                rejected: lossy.rejected,
+            });
         }
     }
 
-    /// Syncs the matched-edge index with the engine (O(matching-delta) since
-    /// the last publish) and swaps a snapshot cloned from it into the
-    /// published slot.
+    /// Syncs the matched-edge index with the engine and swaps a snapshot
+    /// cloned from it into the published slot — O(|E| + M), see
+    /// [`MatchedIndex`].
     fn publish(&self, inner: &mut ServiceInner) {
         inner.index.sync(inner.engine.as_ref(), &inner.mirror);
         let snapshot = Arc::new(inner.index.snapshot(inner.engine.as_ref(), inner.committed));
@@ -1253,7 +1257,8 @@ impl EngineService {
         }
         sink.commit();
         // Seed the matched-edge index from the recovered matching (one full
-        // sync against the empty index); subsequent publishes are O(delta).
+        // sync against the empty index); later publishes mutate only the
+        // matching's delta.
         let mut index = MatchedIndex::default();
         index.sync(engine.as_ref(), &mirror);
         let initial = Arc::new(index.snapshot(engine.as_ref(), committed));
@@ -1405,13 +1410,13 @@ impl EngineService {
 /// [`io::COMMIT_MARKER`] trailer in the same append, so a torn write loses
 /// the trailer with the tail and recovery never mistakes a partial block for
 /// a committed batch (the parsers skip `#` lines, so replay is unaffected).
-fn append_journal(journal: &mut dyn JournalSink, batch: &UpdateBatch) {
+fn append_journal(journal: &mut dyn JournalSink, batch: &[Update]) {
     if batch.is_empty() {
         // The stream format cannot represent an empty batch; it is a no-op on
         // every engine, so skipping it keeps replay faithful.
         return;
     }
-    let mut block = io::batches_to_string(std::slice::from_ref(batch));
+    let mut block = io::batches_to_string(&[batch]);
     block.push_str(io::COMMIT_MARKER);
     block.push('\n');
     journal.append_block(&block);
@@ -1427,90 +1432,8 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{
-        run_batch, run_batch_trusted, BatchKernel, EngineMetrics, KernelOutcome, MatchingIter,
-        UpdateCounters, ValidatedBatch,
-    };
-    use crate::matching::{greedy_maximal_matching, verify_maximality};
+    use crate::engine::toy::ToyEngine;
     use crate::types::{HyperEdge, Update};
-
-    /// Same toy recompute engine as the `engine` module tests: enough to
-    /// exercise the service without the downstream engine crates.
-    struct ToyEngine {
-        graph: DynamicHypergraph,
-        matching: Vec<EdgeId>,
-        counters: UpdateCounters,
-    }
-
-    impl ToyEngine {
-        fn boxed(num_vertices: usize) -> Box<dyn MatchingEngine + Send> {
-            Box::new(ToyEngine {
-                graph: DynamicHypergraph::new(num_vertices),
-                matching: Vec::new(),
-                counters: UpdateCounters::default(),
-            })
-        }
-    }
-
-    impl MatchingEngine for ToyEngine {
-        fn name(&self) -> &'static str {
-            "toy-recompute"
-        }
-
-        fn num_vertices(&self) -> usize {
-            self.graph.num_vertices()
-        }
-
-        fn max_rank(&self) -> usize {
-            3
-        }
-
-        fn contains_edge(&self, id: EdgeId) -> bool {
-            self.graph.contains_edge(id)
-        }
-
-        fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, BatchError> {
-            run_batch(self, updates)
-        }
-
-        fn apply_batch_trusted(
-            &mut self,
-            batch: ValidatedBatch<'_>,
-        ) -> Result<BatchReport, BatchError> {
-            Ok(run_batch_trusted(self, batch))
-        }
-
-        fn matching(&self) -> MatchingIter<'_> {
-            MatchingIter::new(self.matching.iter().copied())
-        }
-
-        fn verify(&mut self) -> Result<(), String> {
-            verify_maximality(&self.graph, &self.matching).map_err(|e| format!("{e:?}"))
-        }
-
-        fn metrics(&self) -> EngineMetrics {
-            self.counters.into_metrics(0, 0)
-        }
-    }
-
-    impl BatchKernel for ToyEngine {
-        fn run_kernel(&mut self, updates: &[Update]) -> KernelOutcome {
-            let matched_deletions = updates
-                .iter()
-                .filter(|u| matches!(u, Update::Delete(id) if self.matching.contains(id)))
-                .count();
-            self.graph.apply_batch(updates);
-            self.matching = greedy_maximal_matching(&self.graph);
-            KernelOutcome {
-                matched_deletions,
-                rebuilt: true,
-            }
-        }
-
-        fn record_batch(&mut self, delta: &UpdateCounters) {
-            self.counters.merge(delta);
-        }
-    }
 
     fn pair(id: u64, a: u32, b: u32) -> Update {
         Update::Insert(HyperEdge::pair(EdgeId(id), VertexId(a), VertexId(b)))

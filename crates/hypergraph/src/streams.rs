@@ -18,7 +18,6 @@
 //! * **hub churn** — churn concentrated around a few hub vertices (stresses the
 //!   leveling scheme with vertices of rapidly changing degree).
 
-use crate::engine::{BatchError, BatchReport, BatchSession, MatchingEngine};
 use crate::generators;
 use crate::types::{EdgeId, HyperEdge, Update, UpdateBatch, VertexId};
 use rand::seq::SliceRandom;
@@ -61,32 +60,6 @@ impl Workload {
     #[must_use]
     pub fn total_deletions(&self) -> usize {
         self.total_updates() - self.total_insertions()
-    }
-
-    /// Replays the whole workload through an engine, feeding every batch through
-    /// a staged [`BatchSession`], so every engine sees the same validated
-    /// batches.  Inherits the session's lenient dedup: an *exact* duplicate
-    /// update inside a batch is dropped rather than rejected, unlike
-    /// [`MatchingEngine::apply_all`], which returns a typed error for it.
-    /// Workloads from this module never contain duplicates (see
-    /// [`validate_workload`]), so the two replay paths agree on them.  (The
-    /// bench runner calls `apply_batch` directly to keep ingest bookkeeping out
-    /// of its timed region.)
-    ///
-    /// # Errors
-    ///
-    /// Stops at (and returns) the first update the engine rejects.
-    pub fn drive<E: MatchingEngine + ?Sized>(
-        &self,
-        engine: &mut E,
-    ) -> Result<Vec<BatchReport>, BatchError> {
-        let mut reports = Vec::with_capacity(self.batches.len());
-        for batch in &self.batches {
-            let mut session = BatchSession::new(&mut *engine);
-            session.stage_all(batch.iter().cloned())?;
-            reports.push(session.commit()?);
-        }
-        Ok(reports)
     }
 }
 

@@ -7,7 +7,9 @@
 //! deletion can name exactly which copy of an edge disappears (parallel edges with
 //! identical endpoint sets are allowed and occasionally produced by the generators).
 
-use crate::engine::{BatchError, BatchLedger, RejectedUpdate, UpdateCheck};
+use crate::engine::{
+    fold_lossy, fold_strict, BatchError, BatchLedger, RejectedUpdate, UpdateCheck,
+};
 use std::fmt;
 use std::ops::Deref;
 
@@ -240,9 +242,10 @@ impl Update {
 /// The constructor checks are *context-free*: they enforce everything §2 requires
 /// of a batch in isolation (id freshness within the batch, the delete-before-
 /// insert ordering of §3.3), while liveness against a concrete engine plus the
-/// engine's rank/vertex-range limits are re-checked by [`validate_batch`] when
-/// the batch is applied.  A deletion of an id the batch does not touch is assumed
-/// to name a live edge; an insertion is assumed to use a fresh id.
+/// engine's rank/vertex-range limits are checked by
+/// [`MatchingEngine::validate`] when the batch is applied.  A deletion of an id
+/// the batch does not touch is assumed to name a live edge; an insertion is
+/// assumed to use a fresh id.
 ///
 /// `UpdateBatch` is therefore the **context-free tier** of the two-tier proof
 /// ladder: it certifies batch-internal legality, and the engine-context tier —
@@ -277,7 +280,6 @@ impl Update {
 /// ```
 ///
 /// [`BatchLedger`]: crate::engine::BatchLedger
-/// [`validate_batch`]: crate::engine::validate_batch
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UpdateBatch {
     updates: Vec<Update>,
@@ -286,40 +288,25 @@ pub struct UpdateBatch {
 impl UpdateBatch {
     /// Validates `updates` as one batch and seals them.
     ///
-    /// Strict, mirroring [`validate_batch`]: any repeated id — even an exact
-    /// duplicate of an earlier update — is an error.  Use
+    /// Strict, like [`MatchingEngine::validate`]: any repeated id — even an
+    /// exact duplicate of an earlier update — is an error.  Use
     /// [`UpdateBatch::new_lossy`] for dirty streams.
     ///
     /// # Errors
     ///
     /// Returns the first context-free [`BatchError`] in batch order.
     ///
-    /// [`validate_batch`]: crate::engine::validate_batch
+    /// [`MatchingEngine::validate`]: crate::engine::MatchingEngine::validate
     pub fn new(updates: Vec<Update>) -> Result<Self, BatchError> {
-        let mut ledger = BatchLedger::new();
-        for (at, update) in updates.iter().enumerate() {
-            match Self::check_context_free(&ledger, update)? {
-                UpdateCheck::Fresh => ledger.record(update, at),
-                UpdateCheck::RepeatedInsert { .. } => {
-                    return Err(BatchError::DuplicateEdgeId {
-                        id: update.edge_id(),
-                    })
-                }
-                UpdateCheck::RepeatedDelete => {
-                    return Err(BatchError::DuplicateDeletion {
-                        id: update.edge_id(),
-                    })
-                }
-            }
-        }
+        fold_strict(&updates, Update::is_delete, usize::MAX, usize::MAX)?;
         Ok(UpdateBatch { updates })
     }
 
-    /// Validates `updates` leniently, mirroring a lossy
-    /// [`BatchSession`](crate::engine::BatchSession): exact duplicates (the same
-    /// deletion id, or an insertion structurally equal to an earlier one) are
-    /// silently dropped, while conflicting or otherwise invalid updates land in
-    /// the returned rejection list with their typed error and submission index.
+    /// Validates `updates` leniently, like
+    /// [`MatchingEngine::validate_lossy`]: exact duplicates (the same deletion
+    /// id, or an insertion structurally equal to an earlier one) are silently
+    /// dropped, while conflicting or otherwise invalid updates land in the
+    /// returned rejection list with their typed error and submission index.
     ///
     /// ```
     /// use pdmm_hypergraph::engine::BatchError;
@@ -332,43 +319,12 @@ impl UpdateBatch {
     /// assert_eq!(batch.len(), 1);
     /// assert!(rejected.is_empty());
     /// ```
+    ///
+    /// [`MatchingEngine::validate_lossy`]: crate::engine::MatchingEngine::validate_lossy
     #[must_use]
     pub fn new_lossy(updates: Vec<Update>) -> (Self, Vec<RejectedUpdate>) {
-        let mut ledger = BatchLedger::new();
-        let mut kept: Vec<Update> = Vec::with_capacity(updates.len());
-        let mut rejected = Vec::new();
-        for (index, update) in updates.into_iter().enumerate() {
-            match Self::check_context_free(&ledger, &update) {
-                Ok(UpdateCheck::Fresh) => {
-                    ledger.record(&update, kept.len());
-                    kept.push(update);
-                }
-                Ok(UpdateCheck::RepeatedInsert { at }) => {
-                    let Update::Insert(edge) = &update else {
-                        unreachable!("RepeatedInsert verdicts only arise for insertions")
-                    };
-                    if matches!(&kept[at], Update::Insert(prev) if prev == edge) {
-                        // Exact duplicate: dropped silently, like a session.
-                    } else {
-                        let error = BatchError::DuplicateEdgeId { id: edge.id };
-                        rejected.push(RejectedUpdate {
-                            index,
-                            update,
-                            error,
-                        });
-                    }
-                }
-                Ok(UpdateCheck::RepeatedDelete) => {
-                    // Exact duplicate deletion: dropped silently.
-                }
-                Err(error) => rejected.push(RejectedUpdate {
-                    index,
-                    update,
-                    error,
-                }),
-            }
-        }
-        (UpdateBatch { updates: kept }, rejected)
+        let (updates, _, rejected) = fold_lossy(updates, Update::is_delete, usize::MAX, usize::MAX);
+        (UpdateBatch { updates }, rejected)
     }
 
     /// The empty batch (a counter-neutral no-op on every engine).
@@ -387,16 +343,16 @@ impl UpdateBatch {
         UpdateBatch { updates }
     }
 
-    /// The context-free legality rule shared by the constructors and the stream
-    /// parser: a deletion of an id the batch does not touch is assumed live, an
-    /// insertion's id is assumed fresh, and rank/vertex limits are deferred to
-    /// the engine (checked again, with real limits, on apply).
+    /// The context-free legality rule shared by the constructors and the
+    /// per-line stream parsers: a deletion of an id the batch does not touch
+    /// is assumed live, an insertion's id is assumed fresh, and rank/vertex
+    /// limits are deferred to the engine (checked, with real limits, when the
+    /// batch is validated against it).
     pub(crate) fn check_context_free(
         ledger: &BatchLedger,
         update: &Update,
     ) -> Result<UpdateCheck, BatchError> {
-        let assume_live = update.is_delete();
-        ledger.check(update, |_| assume_live, usize::MAX, usize::MAX)
+        ledger.check(update, |_| update.is_delete(), usize::MAX, usize::MAX)
     }
 
     /// The validated updates, in batch order.

@@ -10,7 +10,7 @@
 
 use crate::persist;
 use pdmm_hypergraph::engine::{
-    read_state_counters, read_state_graph, read_state_header, run_batch, run_batch_trusted,
+    read_state_counters, read_state_graph, read_state_header, run_batch_trusted,
     write_state_counters, write_state_graph, write_state_header, BatchError, BatchKernel,
     BatchReport, EngineBuilder, EngineMetrics, KernelOutcome, MatchingEngine, MatchingIter,
     RepairError, StateError, StateParser, UpdateCounters, ValidatedBatch,
@@ -140,10 +140,6 @@ impl MatchingEngine for NaiveDynamicMatching {
 
     fn contains_edge(&self, id: EdgeId) -> bool {
         self.graph.contains_edge(id)
-    }
-
-    fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, BatchError> {
-        run_batch(self, updates)
     }
 
     fn apply_batch_trusted(

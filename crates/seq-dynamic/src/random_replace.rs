@@ -11,11 +11,10 @@
 
 use crate::persist;
 use pdmm_hypergraph::engine::{
-    read_state_counters, read_state_graph, read_state_header, read_state_rng, run_batch,
-    run_batch_trusted, write_state_counters, write_state_graph, write_state_header,
-    write_state_rng, BatchError, BatchKernel, BatchReport, EngineBuilder, EngineMetrics,
-    KernelOutcome, MatchingEngine, MatchingIter, RepairError, StateError, StateParser,
-    UpdateCounters, ValidatedBatch,
+    read_state_counters, read_state_graph, read_state_header, read_state_rng, run_batch_trusted,
+    write_state_counters, write_state_graph, write_state_header, write_state_rng, BatchError,
+    BatchKernel, BatchReport, EngineBuilder, EngineMetrics, KernelOutcome, MatchingEngine,
+    MatchingIter, RepairError, StateError, StateParser, UpdateCounters, ValidatedBatch,
 };
 use pdmm_hypergraph::graph::DynamicHypergraph;
 use pdmm_hypergraph::matching::{verify_maximality, Matching};
@@ -136,10 +135,6 @@ impl MatchingEngine for RandomReplaceMatching {
 
     fn contains_edge(&self, id: EdgeId) -> bool {
         self.graph.contains_edge(id)
-    }
-
-    fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchReport, BatchError> {
-        run_batch(self, updates)
     }
 
     fn apply_batch_trusted(

@@ -8,9 +8,9 @@
 //! (machines, GPUs, file locks).  A matching is a conflict-free schedule: no two
 //! running tasks share a resource.  A *maximal* matching means no submitted task
 //! that could run right now is left idle — exactly the greedy admission guarantee a
-//! scheduler wants.  Tasks are submitted and cancelled in batches through the
-//! staged batch-session API (the shape a real admission queue has: stage
-//! submissions as they arrive, validate and deduplicate, commit once per tick).
+//! scheduler wants.  Tasks are submitted and cancelled one tick at a time (the
+//! shape a real admission queue has: validate the tick's requests once, dropping
+//! exact repeats and reporting malformed ones, then commit the survivors).
 
 use pdmm::hypergraph::streams::random_churn;
 use pdmm::prelude::*;
@@ -43,14 +43,13 @@ fn main() {
 
     let mut running_history = Vec::new();
     for (i, batch) in workload.batches.iter().enumerate() {
-        // Admission control: stage each submission/cancellation, then commit the
-        // tick as one batch.  A malformed request would surface here as a typed
-        // BatchError instead of corrupting the schedule.
-        let mut tick = scheduler.begin_batch();
-        for update in batch {
-            tick.stage(update.clone()).expect("well-formed request");
-        }
-        let report = tick.commit().expect("validated tick");
+        // Admission control: a malformed request would surface here as a typed
+        // rejection instead of corrupting the schedule.
+        let tick = scheduler.validate_lossy(batch.updates().to_vec());
+        assert!(tick.rejected.is_empty(), "well-formed requests");
+        let report = scheduler
+            .apply_batch_trusted(tick.proof())
+            .expect("validated tick");
         running_history.push(report.matching_size);
         if i % 8 == 0 {
             println!(

@@ -7,8 +7,8 @@
 //! Workloads are plain-text files (`+ id v1 v2 …` / `- id`, one batch per block),
 //! so they can be generated once, versioned, shared with other implementations, and
 //! replayed deterministically.  This example writes a churn workload to a temporary
-//! file, reads it back, replays it through the dynamic matcher via the staged
-//! batch-session path, and shows that the replay is byte-for-byte the same stream
+//! file, reads it back, replays it through the dynamic matcher (validating every
+//! batch on the way in), and shows that the replay is byte-for-byte the same stream
 //! and produces the same matching as the in-memory workload.
 
 use pdmm::hypergraph::io;
@@ -36,21 +36,16 @@ fn main() {
     let loaded = std::fs::read_to_string(&path).expect("read stream file");
     let batches = io::batches_from_string(&loaded).expect("parse stream file");
     assert_eq!(batches, workload.batches, "round-trip must be lossless");
-    let replayed = Workload {
-        num_vertices: n,
-        rank: workload.rank,
-        batches,
-        name: format!("{} (from file)", workload.name),
-    };
 
-    // 3. Replay both through the matcher with the same seed, feeding every batch
-    //    through the validating session path (`Workload::drive`): identical
-    //    results.
+    // 3. Replay both through the matcher with the same seed, validating every
+    //    batch on the way in (`apply_all`): identical results.
     let builder = EngineBuilder::new(n).seed(99);
     let mut from_memory = ParallelDynamicMatching::from_builder(&builder);
-    workload.drive(&mut from_memory).expect("valid stream");
+    from_memory
+        .apply_all(&workload.batches)
+        .expect("valid stream");
     let mut from_file = ParallelDynamicMatching::from_builder(&builder);
-    let reports = replayed.drive(&mut from_file).expect("valid stream");
+    let reports = from_file.apply_all(&batches).expect("valid stream");
 
     let mut a = from_memory.matching_ids();
     let mut b = from_file.matching_ids();

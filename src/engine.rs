@@ -1,7 +1,7 @@
 //! The engine-agnostic API, plus construction of every engine the workspace
 //! ships.
 //!
-//! The trait, builder, session, and error types live in
+//! The trait, builder, proof, and error types live in
 //! [`pdmm_hypergraph::engine`] (re-exported here); this module adds the one piece
 //! that has to sit above all engine crates: [`build`], which turns an
 //! [`EngineKind`] plus an [`EngineBuilder`] into a boxed [`MatchingEngine`].
@@ -20,10 +20,10 @@
 //! ```
 
 pub use pdmm_hypergraph::engine::{
-    run_batch, run_batch_trusted, validate_batch, validation_checks, BatchError, BatchKernel,
-    BatchLedger, BatchReport, BatchSession, EngineBuilder, EngineKind, EngineMetrics, EnginePool,
-    IngestReport, KernelOutcome, MatchingEngine, MatchingIter, RejectedUpdate, RepairError,
-    UpdateCheck, UpdateCounters, ValidatedBatch, ValidationToken,
+    run_batch_trusted, validation_checks, BatchError, BatchKernel, BatchLedger, BatchReport,
+    EngineBuilder, EngineKind, EngineMetrics, EnginePool, IngestReport, KernelOutcome, LossyBatch,
+    MatchingEngine, MatchingIter, RejectedUpdate, RepairError, UpdateCheck, UpdateCounters,
+    ValidatedBatch, ValidationToken,
 };
 
 /// Constructs the engine of the given kind from a shared builder configuration.

@@ -10,8 +10,9 @@
 //!
 //! * [`engine`] — the engine-agnostic [`MatchingEngine`] API: the
 //!   [`EngineBuilder`] configuration, typed [`engine::BatchError`]s, zero-copy
-//!   matching queries, staged [`engine::BatchSession`] ingestion, and
-//!   [`engine::build`] to construct any of the five engines,
+//!   matching queries, one ingest path (validate, then apply the
+//!   [`engine::ValidatedBatch`] proof), and [`engine::build`] to construct any
+//!   of the five engines,
 //! * [`service`] — the serve path: a long-lived [`service::EngineService`]
 //!   over any engine, with concurrent [`service::MatchingSnapshot`] reads, a
 //!   bounded submission queue with backpressure, pluggable
@@ -70,25 +71,23 @@
 //! assert_eq!(size, matcher.matching_size());
 //! ```
 //!
-//! Staged ingestion validates and deduplicates before anything is applied — the
-//! shape a production ingest path needs:
+//! Every batch is validated once, then applied without a second check.
+//! [`MatchingEngine::validate`] refuses a whole batch with a typed error;
+//! [`MatchingEngine::validate_lossy`] keeps the legal updates of a dirty batch,
+//! dropping exact repeats and reporting the rest:
 //!
 //! ```
 //! use pdmm::prelude::*;
 //!
 //! let mut engine = pdmm::engine::build(EngineKind::Parallel, &EngineBuilder::new(4));
-//! let mut session = BatchSession::new(&mut *engine);
-//! session
-//!     .stage(Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1))))
-//!     .unwrap();
-//! // Exact duplicates are dropped, conflicting ones are typed errors.
-//! assert!(!session
-//!     .stage(Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1))))
-//!     .unwrap());
-//! assert!(session
-//!     .stage(Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(2), VertexId(3))))
-//!     .is_err());
-//! let report = session.commit().unwrap();
+//! let e = Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1)));
+//! let conflict = Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(2), VertexId(3)));
+//! // Strict: the whole batch is refused, nothing is applied.
+//! assert!(engine.validate(&[e.clone(), conflict.clone()]).is_err());
+//! // Lossy: the exact repeat is dropped, the conflicting insert is reported.
+//! let lossy = engine.validate_lossy(vec![e.clone(), e, conflict]);
+//! assert_eq!((lossy.deduplicated, lossy.rejected.len()), (1, 1));
+//! let report = engine.apply_batch_trusted(lossy.proof()).unwrap();
 //! assert_eq!(report.batch_size, 1);
 //! ```
 //!
@@ -175,8 +174,8 @@ pub use pdmm_static as static_matching;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use crate::engine::{
-        BatchError, BatchReport, BatchSession, EngineBuilder, EngineKind, EngineMetrics,
-        IngestReport, MatchingEngine, RejectedUpdate, ValidatedBatch,
+        BatchError, BatchReport, EngineBuilder, EngineKind, EngineMetrics, IngestReport,
+        LossyBatch, MatchingEngine, RejectedUpdate, ValidatedBatch,
     };
     pub use pdmm_core::{Config, ParallelDynamicMatching};
     pub use pdmm_hypergraph::graph::DynamicHypergraph;

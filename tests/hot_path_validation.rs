@@ -1,6 +1,7 @@
 //! Pins the serve path's **single-validation** guarantee with the
 //! [`validation_checks`] counter hook: from submission to commit, the service
-//! runs the [`BatchLedger`] legality check exactly once per update.
+//! runs the [`BatchLedger`] legality check exactly once per offered update, on
+//! the strict drain and the lossy drain alike.
 //!
 //! The counter is process-global and `cargo test` runs the tests of one
 //! binary on parallel threads, so *everything* that asserts counter deltas
@@ -10,7 +11,7 @@
 //! [`validation_checks`]: pdmm::engine::validation_checks
 //! [`BatchLedger`]: pdmm::engine::BatchLedger
 
-use pdmm::engine::{self, validation_checks, BatchSession};
+use pdmm::engine::{self, validation_checks};
 use pdmm::prelude::*;
 
 const NUM_VERTICES: usize = 64;
@@ -64,27 +65,36 @@ fn serve_path_validates_each_update_exactly_once() {
         workload.batches.len() as u64
     );
 
-    // The legacy triple-checking ingest shape (construct + stage + validating
-    // apply) pays three checks per update — the before/after the refactor
-    // closes.  Pinned here so a regression in either direction is loud.
-    let mut engine = engine::build(EngineKind::Parallel, &builder);
+    // Tier 3 — the lossy drain on a dirty stream: every batch carries a
+    // poison deletion of an edge that never existed.  `validate_lossy` checks
+    // each offered update once and the survivors are journaled as they are,
+    // never sealed (and so checked) a second time.
+    let dirty: Vec<UpdateBatch> = rebuilt
+        .iter()
+        .map(|b| {
+            let mut updates = b.updates().to_vec();
+            updates.push(Update::Delete(EdgeId(u64::MAX)));
+            UpdateBatch::new(updates).expect("an untouched deletion is context-free valid")
+        })
+        .collect();
+    let offered: u64 = dirty.iter().map(|b| b.len() as u64).sum();
+    let service = EngineService::new(engine::build(EngineKind::Parallel, &builder));
     let before = validation_checks();
-    for batch in &workload.batches {
-        let reconstructed =
-            UpdateBatch::new(batch.updates().to_vec()).expect("workload batches are valid");
-        let mut session = BatchSession::new(engine.as_mut());
-        session
-            .stage_all(reconstructed.iter().cloned())
-            .expect("valid batches stage");
-        session.commit().expect("staged batches commit");
+    let mut rejected = 0;
+    for chunk in dirty.chunks(16) {
+        for batch in chunk {
+            service.submit(batch.clone());
+        }
+        rejected += service
+            .drain_lossy()
+            .iter()
+            .map(|r| r.rejected.len())
+            .sum::<usize>();
     }
-    let legacy_checks = validation_checks() - before;
-    // Staging checks per update; construction checks per update; commit
-    // discharges the staged proof without a third pass (debug builds spend
-    // one extra whole-batch audit inside commit's debug_assert).
-    let expected_floor = 2 * total_updates;
-    assert!(
-        legacy_checks >= expected_floor,
-        "legacy ingest re-checks: {legacy_checks} < {expected_floor}"
+    assert_eq!(
+        validation_checks() - before,
+        offered,
+        "submit + drain_lossy runs exactly one legality check per offered update"
     );
+    assert_eq!(rejected, dirty.len(), "every poison deletion is rejected");
 }

@@ -8,7 +8,7 @@
 //!   `compile_fail` doctests on [`ValidatedBatch`]).
 //! * The service's incrementally maintained snapshot equals a from-scratch
 //!   ground-truth rebuild after every workload, across engines, snapshot
-//!   throttles and the lossy drain — the pin that lets publish be O(delta).
+//!   throttles and the lossy drain — the pin behind the incremental index.
 //!
 //! [`run_batch_trusted`]: pdmm::engine::run_batch_trusted
 //! [`ValidatedBatch`]: pdmm::engine::ValidatedBatch

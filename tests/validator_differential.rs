@@ -1,35 +1,36 @@
-//! Differential test pinning the two batch-validation paths together.
+//! Differential test pinning the strict and lossy batch validators together.
 //!
-//! The engine layer validates updates in two places: [`validate_batch`]
-//! (whole-batch, used by the shared `run_batch` scaffold inside every
-//! `apply_batch`) and [`BatchSession::stage`] (incremental, used by the staged
-//! ingest path).  Both are built on the same `BatchLedger` machine; this test
-//! drives random dirty update sequences — duplicates, reinserts, rank and
+//! Each tier has one strict and one lossy validator, built on one shared
+//! `BatchLedger` fold per mode: [`MatchingEngine::validate`] and
+//! [`MatchingEngine::validate_lossy`] against a live engine, and
+//! [`UpdateBatch::new`] and [`UpdateBatch::new_lossy`] context-free.  This
+//! test drives random dirty update sequences — duplicates, reinserts, rank and
 //! vertex violations, delete-then-insert and insert-then-delete chains —
-//! through both paths and asserts they agree exactly:
+//! through both tiers and walks each lossy verdict in submission order:
 //!
-//! * every update a strict session rejects would make the staged batch fail
-//!   `validate_batch` with the *same* error;
-//! * every update a session deduplicates is a `Duplicate*` under
-//!   `validate_batch`, naming the same edge;
-//! * after every accepted update, the staged prefix passes `validate_batch`;
-//! * strict and lossy sessions stage the same subset, lossy collecting exactly
-//!   the errors the strict session returned;
-//! * the final staged batch passes engine validation and commits cleanly.
+//! * a kept update extends the survivors so far to a strictly valid batch, so
+//!   the survivors pass strict validation;
+//! * a dropped update is an exact repeat of an earlier survivor, and strict
+//!   validation calls it a `Duplicate*` naming the same edge;
+//! * a rejected update carries exactly the typed error strict validation
+//!   returns for the survivors so far plus it;
+//! * the engine-context survivors commit cleanly.
 
-use pdmm::engine::{self, validate_batch, BatchError, BatchSession, MatchingEngine};
+use pdmm::engine::{self, BatchError, MatchingEngine, RejectedUpdate};
 use pdmm::prelude::*;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::collections::HashSet;
 
 const NUM_VERTICES: usize = 6;
 const MAX_RANK: usize = 2;
-/// Ids of the edges every engine is primed with before staging begins.
+/// Ids of the edges the engine is primed with before validation.
 const LIVE_IDS: [u64; 3] = [0, 1, 2];
 
-fn primed_engine(kind: EngineKind) -> Box<dyn MatchingEngine + Send> {
+/// The static-recompute engine (deterministic), primed with three live edges.
+fn primed_engine() -> Box<dyn MatchingEngine + Send> {
     let builder = EngineBuilder::new(NUM_VERTICES).rank(MAX_RANK).seed(7);
-    let mut engine = engine::build(kind, &builder);
+    let mut engine = engine::build(EngineKind::StaticRecompute, &builder);
     engine
         .apply_batch(&[
             Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1))),
@@ -54,15 +55,56 @@ fn decode(op: u8, id: u64, a: u32, b: u32, c: u32) -> Update {
     }
 }
 
-fn is_live(id: EdgeId) -> bool {
-    LIVE_IDS.contains(&id.0)
+/// Walks one lossy verdict over `offered` in submission order against its
+/// strict twin (`strict` validates a whole batch).
+fn check_against_strict(
+    offered: &[Update],
+    survivors: &[Update],
+    deduplicated: usize,
+    rejected: &[RejectedUpdate],
+    strict: impl Fn(&[Update]) -> Result<(), BatchError>,
+) -> Result<(), TestCaseError> {
+    let mut kept: Vec<Update> = Vec::new();
+    let mut dropped = 0;
+    let mut rejections = rejected.iter().peekable();
+    for (index, update) in offered.iter().enumerate() {
+        let mut with = kept.clone();
+        with.push(update.clone());
+        if let Some(rejection) = rejections.next_if(|r| r.index == index) {
+            prop_assert_eq!(&rejection.update, update);
+            prop_assert_eq!(strict(&with), Err(rejection.error.clone()));
+        } else if survivors.get(kept.len()) == Some(update) {
+            prop_assert_eq!(strict(&with), Ok(()));
+            kept.push(update.clone());
+        } else {
+            prop_assert!(
+                kept.contains(update),
+                "dropped {:?} repeats no survivor",
+                update
+            );
+            let id = update.edge_id();
+            let error = strict(&with);
+            prop_assert!(
+                error == Err(BatchError::DuplicateEdgeId { id })
+                    || error == Err(BatchError::DuplicateDeletion { id }),
+                "dedup of {:?} maps to non-duplicate {:?}",
+                update,
+                error
+            );
+            dropped += 1;
+        }
+    }
+    prop_assert_eq!(kept.as_slice(), survivors);
+    prop_assert_eq!(dropped, deduplicated);
+    prop_assert!(rejections.next().is_none(), "rejections out of order");
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn session_and_validate_batch_agree_on_random_dirty_streams(
+    fn strict_and_lossy_validators_agree_on_random_dirty_streams(
         raw in proptest::collection::vec(
             (0u8..4, 0u64..8, 0u32..8, 0u32..8, 0u32..8),
             1..40,
@@ -73,81 +115,35 @@ proptest! {
             .map(|(op, id, a, b, c)| decode(op, id, a, b, c))
             .collect();
 
-        // Strict session against the static-recompute engine (deterministic).
-        let mut strict_engine = primed_engine(EngineKind::StaticRecompute);
-        let mut strict = BatchSession::new(&mut *strict_engine);
-        let mut accepted: Vec<Update> = Vec::new();
-        let mut strict_errors: Vec<BatchError> = Vec::new();
-        for update in &updates {
-            match strict.stage(update.clone()) {
-                Ok(true) => {
-                    accepted.push(update.clone());
-                    // Invariant: every session-accepted prefix passes the
-                    // engine-side whole-batch validation.
-                    prop_assert_eq!(
-                        validate_batch(&accepted, is_live, MAX_RANK, NUM_VERTICES),
-                        Ok(())
-                    );
-                }
-                Ok(false) => {
-                    // Deduplicated: as a raw batch element it would be a
-                    // Duplicate* error naming the same edge.
-                    let mut with = accepted.clone();
-                    with.push(update.clone());
-                    let err = validate_batch(&with, is_live, MAX_RANK, NUM_VERTICES)
-                        .expect_err("a deduplicated update must be a strict duplicate");
-                    let id = update.edge_id();
-                    prop_assert!(
-                        err == BatchError::DuplicateEdgeId { id }
-                            || err == BatchError::DuplicateDeletion { id },
-                        "dedup of {:?} maps to non-duplicate error {:?}",
-                        update,
-                        err
-                    );
-                }
-                Err(error) => {
-                    // Rejected: appending it to the accepted prefix must fail
-                    // whole-batch validation with the identical error.
-                    let mut with = accepted.clone();
-                    with.push(update.clone());
-                    prop_assert_eq!(
-                        validate_batch(&with, is_live, MAX_RANK, NUM_VERTICES),
-                        Err(error.clone())
-                    );
-                    strict_errors.push(error);
-                }
-            }
-        }
+        // Engine context.
+        let mut engine = primed_engine();
+        let lossy = engine.validate_lossy(updates.clone());
+        check_against_strict(
+            &updates,
+            lossy.survivors(),
+            lossy.deduplicated,
+            &lossy.rejected,
+            |batch| engine.validate(batch).map(|_| ()),
+        )?;
 
-        // The lossy session stages exactly the same subset and collects
-        // exactly the errors the strict session returned.
-        let mut lossy_engine = primed_engine(EngineKind::StaticRecompute);
-        let mut lossy = BatchSession::lossy(&mut *lossy_engine);
-        for update in &updates {
-            let staged = lossy.stage(update.clone());
-            prop_assert!(staged.is_ok(), "lossy staging returned {:?}", staged);
-        }
-        prop_assert_eq!(lossy.staged(), accepted.as_slice());
-        let lossy_errors: Vec<BatchError> =
-            lossy.rejected().iter().map(|r| r.error.clone()).collect();
-        prop_assert_eq!(lossy_errors, strict_errors);
+        // Context-free tier.
+        let (batch, rejected) = UpdateBatch::new_lossy(updates.clone());
+        check_against_strict(
+            &updates,
+            &batch,
+            updates.len() - batch.len() - rejected.len(),
+            &rejected,
+            |batch| UpdateBatch::new(batch.to_vec()).map(|_| ()),
+        )?;
 
-        // Both commits succeed, and being the same deterministic engine fed
-        // the same surviving batch, they agree on the resulting matching.
-        let strict_report = strict.commit().expect("strict staged batch must commit");
-        let lossy_report = lossy.commit_lossy().expect("lossy staged batch must commit");
-        prop_assert_eq!(strict_report.batch_size, accepted.len());
-        prop_assert_eq!(strict_report, lossy_report.batch);
-        let mut a = strict_engine.matching_ids();
-        let mut b = lossy_engine.matching_ids();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-
-        // Cross-check the live view: ids inserted (and not re-deleted) by the
-        // committed batch are live, batch-deleted ids are not.
+        // The survivors commit; ids they insert (and do not re-delete) are
+        // live afterwards, ids they delete are not.
+        let report = engine
+            .apply_batch_trusted(lossy.proof())
+            .expect("validated survivors must commit");
+        prop_assert_eq!(report.batch_size, lossy.survivors().len());
         let mut live: HashSet<EdgeId> = LIVE_IDS.iter().map(|&id| EdgeId(id)).collect();
-        for update in &accepted {
+        for update in lossy.survivors() {
             match update {
                 Update::Insert(edge) => {
                     live.insert(edge.id);
@@ -158,7 +154,7 @@ proptest! {
             }
         }
         for id in (0..8).map(EdgeId) {
-            prop_assert_eq!(strict_engine.contains_edge(id), live.contains(&id));
+            prop_assert_eq!(engine.contains_edge(id), live.contains(&id));
         }
     }
 }
