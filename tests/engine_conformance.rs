@@ -569,3 +569,46 @@ fn lossy_ingest_commits_the_same_surviving_subset_with_identical_rejections() {
         engine.verify().unwrap();
     }
 }
+
+#[test]
+fn lossy_validation_deduplicates_identically_for_every_engine() {
+    // Exact repeats are the one kind of illegal update the lossy validator
+    // drops silently; the strict validator refuses the same batch.
+    let e0 = Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1)));
+    let e1 = Update::Insert(HyperEdge::pair(EdgeId(1), VertexId(2), VertexId(3)));
+    let offered = vec![e0.clone(), e0.clone(), e1.clone()];
+    let builder = EngineBuilder::new(8).rank(2).seed(11);
+    for kind in EngineKind::ALL {
+        let mut engine = engine::build(kind, &builder);
+        let name = engine.name();
+        assert_eq!(
+            engine.validate(&offered).err(),
+            Some(BatchError::DuplicateEdgeId { id: EdgeId(0) }),
+            "{name}"
+        );
+        let lossy = engine.validate_lossy(offered.clone());
+        assert_eq!(
+            lossy.survivors(),
+            [e0.clone(), e1.clone()].as_slice(),
+            "{name}"
+        );
+        assert_eq!(lossy.deduplicated, 1, "{name}: exact dup drops");
+        assert!(lossy.rejected.is_empty(), "{name}");
+        let report = engine.apply_batch_trusted(lossy.proof()).unwrap();
+        assert_eq!(report.batch_size, 2, "{name}");
+        assert_eq!(engine.matching_size(), 2, "{name}");
+
+        // Repeated deletions of one live id collapse the same way.
+        let lossy = engine.validate_lossy(vec![Update::Delete(EdgeId(0)); 3]);
+        assert_eq!(
+            lossy.survivors(),
+            [Update::Delete(EdgeId(0))].as_slice(),
+            "{name}"
+        );
+        assert_eq!(lossy.deduplicated, 2, "{name}");
+        assert!(lossy.rejected.is_empty(), "{name}");
+        engine.apply_batch_trusted(lossy.proof()).unwrap();
+        assert_eq!(engine.matching_ids(), vec![EdgeId(1)], "{name}");
+        engine.verify().unwrap();
+    }
+}

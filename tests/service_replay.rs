@@ -4,6 +4,8 @@
 //! * **journal → replay is bit-identical**: drain a churn workload through a
 //!   service, replay its journal on a fresh engine of the same kind and seed,
 //!   and the matching, committed count and metrics all match exactly;
+//! * **lossy drain conforms**: on clean batches `drain_lossy` commits what
+//!   plain `apply_batch` and the strict `drain` commit, report for report;
 //! * **concurrent snapshot consistency**: readers on the in-tree work-stealing
 //!   pool sample snapshots while batches commit; every observed snapshot must
 //!   be exactly the (valid, maximal) matching of some committed prefix, and
@@ -86,6 +88,75 @@ fn replay_on_a_different_engine_rebuilds_the_same_graph() {
             verify_maximality(&truth, &ids),
             Ok(()),
             "{kind} replayed to a non-maximal matching"
+        );
+    }
+}
+
+#[test]
+fn lossy_drain_of_clean_batches_equals_plain_apply_batch_on_every_engine() {
+    // On a clean stream the skip-and-report drain drops nothing, so it must
+    // commit exactly what the engine's own `apply_batch` commits.
+    let workload = serve_workload();
+    for threads in THREAD_COUNTS {
+        for kind in EngineKind::ALL {
+            let builder = builder_for(&workload, 11, threads);
+            let service = EngineService::new(engine::build(kind, &builder));
+            let mut via_apply = engine::build(kind, &builder);
+            for (i, batch) in workload.batches.iter().enumerate() {
+                service.submit(batch.clone());
+                let ingested = service.drain_lossy();
+                assert_eq!(ingested.len(), 1, "{kind}: one batch in, one report out");
+                assert_eq!(ingested[0].deduplicated, 0, "{kind}: batch {i} is clean");
+                assert!(
+                    ingested[0].rejected.is_empty(),
+                    "{kind}: batch {i} is clean"
+                );
+                let plain = via_apply.apply_batch(batch).unwrap();
+                assert_eq!(
+                    ingested[0].batch, plain,
+                    "{kind} at {threads} threads diverged on the report of batch {i}"
+                );
+            }
+            let mut plain_ids = via_apply.matching_ids();
+            plain_ids.sort_unstable();
+            let snapshot = service.snapshot();
+            assert_eq!(
+                snapshot.edge_ids(),
+                plain_ids,
+                "{kind} at {threads} threads: the lossy drain changed the matching"
+            );
+            assert_eq!(snapshot.metrics(), via_apply.metrics(), "{kind}");
+        }
+    }
+}
+
+#[test]
+fn one_lossy_drain_equals_one_strict_drain_on_every_engine() {
+    // The degenerate boundary: the whole graph in one clean batch, drained
+    // once strictly and once skip-and-report.
+    let edges = pdmm::hypergraph::generators::gnm_graph(80, 300, 5, 0);
+    let batch = UpdateBatch::new(edges.into_iter().map(Update::Insert).collect()).unwrap();
+    for kind in EngineKind::ALL {
+        let builder = EngineBuilder::new(80).seed(5);
+        let strict = EngineService::new(engine::build(kind, &builder));
+        let lossy = EngineService::new(engine::build(kind, &builder));
+        strict.submit(batch.clone());
+        lossy.submit(batch.clone());
+
+        let strict_reports = strict.drain().unwrap();
+        let lossy_reports = lossy.drain_lossy();
+        assert_eq!(lossy_reports.len(), 1, "{kind}");
+        assert_eq!(lossy_reports[0].offered(), batch.len(), "{kind}");
+        assert_eq!(strict_reports, vec![lossy_reports[0].batch], "{kind}");
+        assert_eq!(
+            strict.snapshot().edge_ids(),
+            lossy.snapshot().edge_ids(),
+            "{kind}"
+        );
+        assert_eq!(
+            strict.journal(),
+            lossy.journal(),
+            "{kind}: both drains journal the same batch"
         );
     }
 }
