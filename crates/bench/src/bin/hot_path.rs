@@ -7,13 +7,13 @@
 //! 1. **Validations per update.**  The serve path mints one `ValidatedBatch`
 //!    proof per batch in the drain and discharges it on the trusted kernel
 //!    path, so its counter delta must be exactly one check per update.
-//! 2. **Publish cost.**  A publish syncs the incremental matched-edge index
-//!    (one scan of the engine's matching, which on the paper's engine visits
-//!    every live edge) and clones the index, so it costs O(|E| + M), not
-//!    O(matching-delta).  The gate: `with_snapshot_every(1)` (a fresh
-//!    snapshot after *every* commit) must cost within 2× of
+//! 2. **Publish cost.**  A publish folds the engine's matching delta into
+//!    the previous snapshot: it copies the flat id and endpoint arrays and
+//!    the vertex map and scans no edge table, so it costs O(M + delta) for a
+//!    matching of `M` edges, not O(|E|).  The gate: `with_snapshot_every(1)`
+//!    (a fresh snapshot after *every* commit) must cost within 2× of
 //!    `with_snapshot_every(1000)` (publish effectively only at drain exit)
-//!    per update — at this run's 2k live edges only.
+//!    per update, at this run's 2k live edges.
 //!
 //! Usage:
 //!

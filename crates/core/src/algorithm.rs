@@ -27,6 +27,7 @@ use pdmm_hypergraph::engine::{
     EnginePool, KernelOutcome, MatchingEngine, MatchingIter, RepairError, StateError,
     UpdateCounters, ValidatedBatch,
 };
+use pdmm_hypergraph::matching::MatchingDelta;
 use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};
 use pdmm_primitives::cost_model::CostTracker;
 use pdmm_static::luby::luby_maximal_matching;
@@ -361,12 +362,21 @@ impl ParallelDynamicMatching {
         let rng = self.state.rng.clone();
         let cost = self.state.cost.clone();
         let metrics = self.state.metrics.clone();
+        // The delta tracker survives too: the old matching leaves it here, and
+        // edges the rebuild re-matches below cancel out again.
+        let mut delta = std::mem::take(&mut self.state.delta);
+        for (id, e) in &self.state.edges {
+            if e.matched {
+                delta.unmatched(*id, &e.vertices);
+            }
+        }
 
         let mut fresh = MatcherState::new(num_vertices, config);
         fresh.params = new_params;
         fresh.rng = rng;
         fresh.cost = cost;
         fresh.metrics = metrics;
+        fresh.delta = delta;
         fresh.metrics.ensure_level(fresh.params.num_levels);
         // Vertex and S-level tables must match the (possibly larger) level count.
         for v in &mut fresh.vertices {
@@ -425,6 +435,10 @@ impl MatchingEngine for ParallelDynamicMatching {
 
     fn matching(&self) -> MatchingIter<'_> {
         MatchingIter::new(self.state.matched_ids())
+    }
+
+    fn take_matching_delta(&mut self) -> MatchingDelta {
+        self.state.delta.take()
     }
 
     fn matching_size(&self) -> usize {

@@ -143,6 +143,13 @@ fn check_matching(state: &MatcherState) -> Result<(), String> {
             ));
         }
     }
+    let matched = state.edges.values().filter(|e| e.matched).count();
+    if matched != state.matched_count {
+        return Err(format!(
+            "matched count {} disagrees with the {matched} matched edges",
+            state.matched_count
+        ));
+    }
     Ok(())
 }
 
@@ -184,14 +191,10 @@ fn check_temp_deleted(state: &MatcherState) -> Result<(), String> {
 /// The `O(v)` / `A(v, ℓ)` tables agree exactly with the edge records.
 fn check_structures(state: &MatcherState) -> Result<(), String> {
     // Every live, non-temp-deleted edge appears exactly where it should.
+    // (Temp-deleted edges must appear nowhere; the per-vertex pass below
+    // checks that as it looks up every referenced edge.)
     for (id, e) in &state.edges {
         if e.temp_deleted {
-            // Temp-deleted edges must not appear in any vertex structure.
-            for (i, vs) in state.vertices.iter().enumerate() {
-                if vs.owned.contains(id) || vs.unowned.iter().any(|b| b.contains(id)) {
-                    return Err(format!("temp-deleted edge {id} still referenced by v{i}"));
-                }
-            }
             continue;
         }
         for &v in e.vertices.iter() {
@@ -217,6 +220,9 @@ fn check_structures(state: &MatcherState) -> Result<(), String> {
             referenced.insert((i, *id));
             match state.edges.get(id) {
                 None => return Err(format!("O(v{i}) references dead edge {id}")),
+                Some(e) if e.temp_deleted => {
+                    return Err(format!("temp-deleted edge {id} still referenced by v{i}"))
+                }
                 Some(e) if e.owner != VertexId(i as u32) => {
                     return Err(format!("O(v{i}) contains edge {id} owned by {}", e.owner))
                 }
@@ -228,6 +234,9 @@ fn check_structures(state: &MatcherState) -> Result<(), String> {
                 referenced.insert((i, *id));
                 match state.edges.get(id) {
                     None => return Err(format!("A(v{i}, {level}) references dead edge {id}")),
+                    Some(e) if e.temp_deleted => {
+                        return Err(format!("temp-deleted edge {id} still referenced by v{i}"))
+                    }
                     Some(e) if e.level != level => {
                         return Err(format!(
                             "A(v{i}, {level}) contains edge {id} whose level is {}",
@@ -366,5 +375,34 @@ mod tests {
         // Several invariants are now broken (maximality, 3.1(1), 3.2); the checker
         // must flag the state as invalid whichever it reports first.
         assert!(check_all(&s).is_err());
+    }
+
+    #[test]
+    fn detects_temp_deleted_edge_left_in_a_vertex_structure() {
+        // Star around v0: edge 0 = {0, 1} is matched, edges 1 = {0, 2} and
+        // 2 = {0, 3} are parked in D(0); each corruption re-inserts one of
+        // them into a vertex structure it must have left.
+        let parked = || {
+            let mut s = MatcherState::new(4, Config::for_graphs(6));
+            s.register_edge(&edge(0, &[0, 1]), false, 0);
+            s.register_edge(&edge(1, &[0, 2]), false, 0);
+            s.register_edge(&edge(2, &[0, 3]), false, 0);
+            s.match_edge(EdgeId(0), 1);
+            s.temp_delete_edge(EdgeId(1), EdgeId(0));
+            s.temp_delete_edge(EdgeId(2), EdgeId(0));
+            s.flush_dirty();
+            assert_eq!(check_all(&s), Ok(()));
+            s
+        };
+        let mut in_owned = parked();
+        in_owned.vertices[2].owned.insert(EdgeId(1));
+        let mut in_bucket = parked();
+        in_bucket.vertices[3].unowned[1].insert(EdgeId(2));
+        for (s, expected) in [
+            (in_owned, "temp-deleted edge e1 still referenced by v2"),
+            (in_bucket, "temp-deleted edge e2 still referenced by v3"),
+        ] {
+            assert_eq!(check_all(&s), Err(expected.to_string()));
+        }
     }
 }

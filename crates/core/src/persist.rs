@@ -29,6 +29,7 @@ use crate::state::{EdgeState, MatcherState};
 use pdmm_hypergraph::engine::{
     read_state_header, read_state_rng, write_state_header, write_state_rng, StateError, StateParser,
 };
+use pdmm_hypergraph::matching::DeltaTracker;
 use pdmm_hypergraph::types::{EdgeId, VertexId};
 use pdmm_primitives::cost_model::CostTracker;
 use pdmm_primitives::random::RandomSource;
@@ -215,6 +216,7 @@ pub(crate) fn restore(state: &mut MatcherState, blob: &str) -> Result<(), StateE
     state.edges.clear();
     state.dirty.clear();
     state.undecided.clear();
+    state.delta = DeltaTracker::default();
 
     // Edge table.
     let edge_count: usize = {
@@ -300,12 +302,15 @@ pub(crate) fn restore(state: &mut MatcherState, blob: &str) -> Result<(), StateE
     p.finish()?;
 
     // Derive vertex state from the matched edges (Invariant 3.1), then
-    // re-register every visible edge in the vertex structures.
+    // re-register every visible edge in the vertex structures.  The whole
+    // restored matching is the first delta the engine hands out.
+    state.matched_count = matched.len();
     for &id in &matched {
         let (verts, level) = {
             let e = &state.edges[&id];
             (e.vertices.clone(), e.level)
         };
+        state.delta.matched(id, &verts);
         for &v in verts.iter() {
             let vs = &mut state.vertices[v.index()];
             if vs.matched_edge.is_some() {

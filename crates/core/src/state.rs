@@ -19,6 +19,7 @@
 
 use crate::config::{Config, LevelingParams};
 use crate::metrics::Metrics;
+use pdmm_hypergraph::matching::DeltaTracker;
 use pdmm_hypergraph::types::{EdgeId, HyperEdge, VertexId};
 use pdmm_primitives::cost_model::CostTracker;
 use pdmm_primitives::random::RandomSource;
@@ -116,6 +117,10 @@ pub(crate) struct MatcherState {
     pub metrics: Metrics,
     /// Updates processed since the last rebuild (drives the `N`-doubling rule).
     pub updates_since_rebuild: u64,
+    /// Number of matched edges, kept in step with the edges' `matched` flags.
+    pub matched_count: usize,
+    /// The matching's net change since the engine last handed it out.
+    pub delta: DeltaTracker,
 }
 
 impl MatcherState {
@@ -139,6 +144,8 @@ impl MatcherState {
             cost: CostTracker::new(),
             metrics: Metrics::new(num_levels),
             updates_since_rebuild: 0,
+            matched_count: 0,
+            delta: DeltaTracker::default(),
         }
     }
 
@@ -175,9 +182,9 @@ impl MatcherState {
         self.matched_ids().collect()
     }
 
-    /// Number of matched edges.
+    /// Number of matched edges, O(1).
     pub fn matching_size(&self) -> usize {
-        self.edges.values().filter(|e| e.matched).count()
+        self.matched_count
     }
 
     /// Number of live edges (including temporarily deleted ones).
@@ -378,6 +385,8 @@ impl MatcherState {
         }
         self.reindex_edge(id);
         self.cost.work(verts.len() as u64);
+        self.matched_count += 1;
+        self.delta.matched(id, &verts);
     }
 
     /// Removes edge `id` from the matching, leaving endpoint levels untouched.
@@ -399,6 +408,8 @@ impl MatcherState {
             exposed.push(v);
         }
         self.cost.work(verts.len() as u64);
+        self.matched_count -= 1;
+        self.delta.unmatched(id, &verts);
         exposed
     }
 
@@ -453,6 +464,8 @@ impl MatcherState {
                 self.vertices[v.index()].matched_edge = Some(edge.id);
                 self.undecided.remove(&v);
             }
+            self.matched_count += 1;
+            self.delta.matched(edge.id, edge.vertices());
         }
         self.recompute_owner_and_level(edge.id);
         self.add_edge_to_structures(edge.id);

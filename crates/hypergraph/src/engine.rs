@@ -25,6 +25,7 @@
 //!   borrows the engine; no `Vec` is materialised unless the caller asks with
 //!   [`MatchingEngine::matching_ids`]).
 
+use crate::matching::MatchingDelta;
 use crate::types::{EdgeId, Update, UpdateBatch, VertexId};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::fmt;
@@ -1029,6 +1030,32 @@ pub trait MatchingEngine {
     /// The current matching, iterated zero-copy out of the engine's state.
     fn matching(&self) -> MatchingIter<'_>;
 
+    /// The net change to the matching since the previous call, under the
+    /// [`MatchingDelta`] contract; a fresh or just-restored engine's first
+    /// call returns its whole matching as `added`.
+    ///
+    /// Engines record each change as they make it, through one
+    /// [`DeltaTracker`](crate::matching::DeltaTracker), so a call costs
+    /// O(delta) and never scans the edge table.  The bookkeeping charges
+    /// nothing to the cost model and is not part of
+    /// [`MatchingEngine::save_state`].  The serve path publishes snapshots
+    /// from it ([`crate::service`]).
+    ///
+    /// ```
+    /// use pdmm::engine::{self, EngineBuilder, EngineKind};
+    /// use pdmm::prelude::*;
+    ///
+    /// let mut engine = engine::build(EngineKind::Parallel, &EngineBuilder::new(4));
+    /// engine
+    ///     .apply_batch(&[Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1)))])
+    ///     .unwrap();
+    /// let delta = engine.take_matching_delta();
+    /// assert_eq!(delta.added[0].vertices(), &[VertexId(0), VertexId(1)]);
+    /// engine.apply_batch(&[Update::Delete(EdgeId(0))]).unwrap();
+    /// assert_eq!(engine.take_matching_delta().removed, vec![EdgeId(0)]);
+    /// ```
+    fn take_matching_delta(&mut self) -> MatchingDelta;
+
     /// Current matching size.
     fn matching_size(&self) -> usize {
         self.matching().count()
@@ -1806,11 +1833,12 @@ impl fmt::Display for EngineKind {
 pub(crate) mod toy {
     use super::*;
     use crate::graph::DynamicHypergraph;
-    use crate::matching::{greedy_maximal_matching, verify_maximality};
+    use crate::matching::{greedy_maximal_matching, verify_maximality, DeltaTracker};
 
     pub(crate) struct ToyEngine {
         graph: DynamicHypergraph,
         matching: Vec<EdgeId>,
+        delta: DeltaTracker,
         counters: UpdateCounters,
     }
 
@@ -1819,6 +1847,7 @@ pub(crate) mod toy {
             ToyEngine {
                 graph: DynamicHypergraph::new(num_vertices),
                 matching: Vec::new(),
+                delta: DeltaTracker::default(),
                 counters: UpdateCounters::default(),
             }
         }
@@ -1856,6 +1885,10 @@ pub(crate) mod toy {
             MatchingIter::new(self.matching.iter().copied())
         }
 
+        fn take_matching_delta(&mut self) -> MatchingDelta {
+            self.delta.take()
+        }
+
         fn verify(&mut self) -> Result<(), String> {
             verify_maximality(&self.graph, &self.matching).map_err(|e| format!("{e:?}"))
         }
@@ -1871,8 +1904,10 @@ pub(crate) mod toy {
                 .iter()
                 .filter(|u| matches!(u, Update::Delete(id) if self.matching.contains(id)))
                 .count();
+            self.delta.retire(&self.matching, &self.graph);
             self.graph.apply_batch(updates);
             self.matching = greedy_maximal_matching(&self.graph);
+            self.delta.adopt(&self.matching, &self.graph);
             KernelOutcome {
                 matched_deletions,
                 rebuilt: true,

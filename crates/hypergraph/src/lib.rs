@@ -52,7 +52,9 @@ pub use engine::{
     BatchError, BatchReport, EngineBuilder, EngineKind, EngineMetrics, MatchingEngine, MatchingIter,
 };
 pub use graph::DynamicHypergraph;
-pub use matching::{verify_maximality, verify_validity, Matching, MatchingError};
+pub use matching::{
+    verify_maximality, verify_validity, DeltaTracker, Matching, MatchingDelta, MatchingError,
+};
 pub use service::{EngineService, MatchingSnapshot};
 pub use sharding::{Partitioner, ShardedService, ShardedSnapshot};
 pub use streams::Workload;

@@ -12,12 +12,184 @@
 use crate::graph::DynamicHypergraph;
 use crate::types::{EdgeId, HyperEdge, VertexId};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::collections::hash_map::Entry;
 
-/// A matching: a set of edge ids together with the vertices they cover.
+/// The net change to a matching between two takes from a [`DeltaTracker`] —
+/// what [`crate::engine::MatchingEngine::take_matching_delta`] returns.
+///
+/// Dropping `removed` from the matching `M₀` of the previous take, then adding
+/// `added`, yields the current matching `M₁`:
+///
+/// * `removed` ⊆ `M₀`, ascending;
+/// * `added` carries every edge's endpoints, ascending by id, and no added id
+///   is in `M₀ \ removed`.  An id lands in both lists only when its edge was
+///   deleted and re-inserted under the same id with other endpoints;
+/// * an edge matched in both `M₀` and `M₁` with the same endpoints is in
+///   neither list, however often it left and rejoined the matching between
+///   the two takes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MatchingDelta {
+    /// Ids matched at the previous take and no longer matched, ascending.
+    pub removed: Vec<EdgeId>,
+    /// Edges matched now that were not matched (with these endpoints) at the
+    /// previous take, ascending by id.
+    pub added: Vec<HyperEdge>,
+}
+
+impl MatchingDelta {
+    /// Whether the matching is unchanged since the previous take.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.removed.is_empty() && self.added.is_empty()
+    }
+}
+
+/// One edge's net change since the last take.
+#[derive(Debug, Clone)]
+enum Change {
+    /// Unmatched at the last take; matched now with these endpoints.
+    Added(Box<[VertexId]>),
+    /// Matched at the last take with these endpoints; unmatched now.
+    Removed(Box<[VertexId]>),
+    /// Matched at the last take with `was` and now with `now != was`.
+    Replaced {
+        was: Box<[VertexId]>,
+        now: Box<[VertexId]>,
+    },
+}
+
+/// Nets an engine's matching changes between takes into a [`MatchingDelta`].
+///
+/// An engine reports every change to its matching as it makes it —
+/// [`DeltaTracker::matched`] when an edge joins, [`DeltaTracker::unmatched`]
+/// when it leaves — and [`DeltaTracker::take`] hands out the net effect since
+/// the previous take.  Opposite changes cancel on arrival, so the tracker
+/// holds at most one entry per edge of the last take's matching plus one per
+/// edge of the current matching: O(matching) memory even when nobody takes.
+/// It is bookkeeping only — no cost-model charge, no part of any saved state.
+///
+/// ```
+/// use pdmm_hypergraph::matching::DeltaTracker;
+/// use pdmm_hypergraph::types::{EdgeId, VertexId};
+///
+/// let mut tracker = DeltaTracker::default();
+/// let ends = [VertexId(0), VertexId(1)];
+/// tracker.matched(EdgeId(7), &ends);
+/// assert_eq!(tracker.take().added[0].id, EdgeId(7));
+/// // Leaving and rejoining with the same endpoints nets out.
+/// tracker.unmatched(EdgeId(7), &ends);
+/// tracker.matched(EdgeId(7), &ends);
+/// assert!(tracker.take().is_empty());
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct DeltaTracker {
+    changes: FxHashMap<EdgeId, Change>,
+}
+
+impl DeltaTracker {
+    /// Records that edge `id`, with sorted endpoints `endpoints`, joined the
+    /// matching.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` joined since the last take without leaving again — an
+    /// engine bug.
+    pub fn matched(&mut self, id: EdgeId, endpoints: &[VertexId]) {
+        match self.changes.entry(id) {
+            Entry::Vacant(slot) => {
+                slot.insert(Change::Added(endpoints.into()));
+            }
+            Entry::Occupied(mut slot) => match slot.get_mut() {
+                Change::Removed(was) if **was == *endpoints => {
+                    slot.remove();
+                }
+                Change::Removed(was) => {
+                    let was = std::mem::take(was);
+                    slot.insert(Change::Replaced {
+                        was,
+                        now: endpoints.into(),
+                    });
+                }
+                Change::Added(_) | Change::Replaced { .. } => {
+                    panic!("edge {id} joined the matching twice")
+                }
+            },
+        }
+    }
+
+    /// Records that edge `id`, with sorted endpoints `endpoints`, left the
+    /// matching.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` left since the last take without joining again — an
+    /// engine bug.
+    pub fn unmatched(&mut self, id: EdgeId, endpoints: &[VertexId]) {
+        match self.changes.entry(id) {
+            Entry::Vacant(slot) => {
+                slot.insert(Change::Removed(endpoints.into()));
+            }
+            Entry::Occupied(mut slot) => match slot.get_mut() {
+                Change::Added(_) => {
+                    slot.remove();
+                }
+                Change::Replaced { was, .. } => {
+                    let was = std::mem::take(was);
+                    slot.insert(Change::Removed(was));
+                }
+                Change::Removed(_) => panic!("edge {id} left the matching twice"),
+            },
+        }
+    }
+
+    /// Records every edge of `matching` (ids live in `graph`) as leaving —
+    /// for an engine about to throw its matching away and recompute it;
+    /// edges the recompute matches again with the same endpoints cancel.
+    pub fn retire(&mut self, matching: &[EdgeId], graph: &DynamicHypergraph) {
+        for &id in matching {
+            let edge = graph.edge(id).expect("matched edges are live");
+            self.unmatched(id, edge.vertices());
+        }
+    }
+
+    /// Records every edge of `matching` (ids live in `graph`) as joining —
+    /// after a recompute or a restore installs it.
+    pub fn adopt(&mut self, matching: &[EdgeId], graph: &DynamicHypergraph) {
+        for &id in matching {
+            let edge = graph.edge(id).expect("matched edges are live");
+            self.matched(id, edge.vertices());
+        }
+    }
+
+    /// The net change since the previous take (or since construction), in
+    /// O(changes) time; the tracker starts over empty, sized for as many
+    /// changes as this take returned.
+    pub fn take(&mut self) -> MatchingDelta {
+        let fresh = FxHashMap::with_capacity_and_hasher(self.changes.len(), Default::default());
+        let mut delta = MatchingDelta::default();
+        for (id, change) in std::mem::replace(&mut self.changes, fresh) {
+            match change {
+                Change::Added(now) => delta.added.push(HyperEdge::new(id, now.into_vec())),
+                Change::Removed(_) => delta.removed.push(id),
+                Change::Replaced { now, .. } => {
+                    delta.removed.push(id);
+                    delta.added.push(HyperEdge::new(id, now.into_vec()));
+                }
+            }
+        }
+        delta.removed.sort_unstable();
+        delta.added.sort_unstable_by_key(|edge| edge.id);
+        delta
+    }
+}
+
+/// A matching: a set of edge ids together with the vertices they cover, and
+/// the [`DeltaTracker`] of its changes since the last [`Matching::take_delta`].
 #[derive(Debug, Clone, Default)]
 pub struct Matching {
     edges: FxHashSet<EdgeId>,
     matched_vertices: FxHashMap<VertexId, EdgeId>,
+    delta: DeltaTracker,
 }
 
 impl Matching {
@@ -95,6 +267,7 @@ impl Matching {
                 edge.id
             );
         }
+        self.delta.matched(edge.id, edge.vertices());
     }
 
     /// Removes `edge` from the matching (must be present).
@@ -107,6 +280,13 @@ impl Matching {
         for &v in edge.vertices() {
             self.matched_vertices.remove(&v);
         }
+        self.delta.unmatched(edge.id, edge.vertices());
+    }
+
+    /// The net change since the previous call (a new matching's first call
+    /// returns every edge added so far) — see [`DeltaTracker::take`].
+    pub fn take_delta(&mut self) -> MatchingDelta {
+        self.delta.take()
     }
 
     /// Builds a matching from edge ids, looking endpoints up in `graph`.
@@ -291,6 +471,53 @@ mod tests {
         m.remove(&e);
         assert!(m.is_empty());
         assert!(!m.is_matched(v(1)));
+    }
+
+    #[test]
+    fn delta_tracker_nets_changes_between_takes() {
+        let (a, b) = ([v(0), v(1)], [v(2), v(3)]);
+        let mut t = DeltaTracker::default();
+        t.matched(EdgeId(1), &a);
+        t.matched(EdgeId(2), &a);
+        t.unmatched(EdgeId(2), &a); // joined and left: nothing
+        assert_eq!(
+            t.take(),
+            MatchingDelta {
+                removed: vec![],
+                added: vec![HyperEdge::new(EdgeId(1), a.to_vec())],
+            }
+        );
+        assert!(t.take().is_empty());
+        // Matched at the take: leaving and rejoining with other endpoints
+        // replaces it; leaving again restores the plain removal, and
+        // rejoining with the old endpoints cancels everything.
+        t.unmatched(EdgeId(1), &a);
+        t.matched(EdgeId(1), &b);
+        let replaced = t.clone().take();
+        assert_eq!(replaced.removed, vec![EdgeId(1)]);
+        assert_eq!(replaced.added, vec![HyperEdge::new(EdgeId(1), b.to_vec())]);
+        t.unmatched(EdgeId(1), &b);
+        assert_eq!(t.clone().take().removed, vec![EdgeId(1)]);
+        t.matched(EdgeId(1), &a);
+        assert!(t.take().is_empty());
+    }
+
+    #[test]
+    fn matching_records_its_own_delta() {
+        let mut m = Matching::new();
+        m.add(&pair(0, 1, 2));
+        m.add(&pair(1, 3, 4));
+        assert_eq!(m.take_delta().added.len(), 2);
+        m.remove(&pair(0, 1, 2));
+        assert_eq!(m.take_delta().removed, vec![EdgeId(0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "joined the matching twice")]
+    fn delta_tracker_refuses_a_double_join() {
+        let mut t = DeltaTracker::default();
+        t.matched(EdgeId(0), &[v(0)]);
+        t.matched(EdgeId(0), &[v(0)]);
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   sorted matched-edge set, per-vertex lookup) taken at a committed batch
 //!   boundary.  Readers clone the `Arc` under a lock held for nanoseconds, then
 //!   query lock-free for as long as they like — a snapshot stays consistent
-//!   while the next batch commits;
+//!   while the next batch commits.  Each publish folds the engine's matching
+//!   delta ([`MatchingEngine::take_matching_delta`]) into the previous
+//!   snapshot: it copies the flat id and endpoint arrays and the vertex map,
+//!   and scans no edge table;
 //! * **a submission queue with backpressure** — producers
 //!   [`EngineService::submit`] validated [`UpdateBatch`]es; when the bounded
 //!   queue is full, `submit` blocks (and [`EngineService::try_submit`] hands
@@ -72,12 +75,14 @@ use crate::engine::{
 };
 use crate::graph::DynamicHypergraph;
 use crate::io::{self, ParseError};
+use crate::matching::MatchingDelta;
 use crate::types::{EdgeId, HyperEdge, Update, UpdateBatch, VertexId};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -403,6 +408,15 @@ impl JournalSink for FileJournal {
 /// Produced by [`EngineService::snapshot`].  All queries are lock-free reads of
 /// data frozen at commit time, so a snapshot held across a later commit keeps
 /// answering from the state it was taken at.
+///
+/// The matched edges live in flat arrays — the sorted ids, and every edge's
+/// endpoints concatenated in the same order — beside a vertex → edge map whose
+/// keys and values are `Copy`, so copying a snapshot is a few flat copies and
+/// no per-edge allocation.  A publish builds the next snapshot from the
+/// previous one plus the engine's [`MatchingDelta`] in one merge pass: it
+/// copies the id and endpoint arrays and the vertex map, hashes only the
+/// vertices of changed edges, and scans no edge table — O(M + delta) for a
+/// matching of `M` edges, whatever the number of live edges.
 #[derive(Debug, Clone)]
 pub struct MatchingSnapshot {
     /// How many batches had committed when this snapshot was taken.
@@ -411,10 +425,14 @@ pub struct MatchingSnapshot {
     num_vertices: usize,
     /// The matched edge ids, sorted.
     matching: Box<[EdgeId]>,
+    /// `matching[i]`'s endpoints are `endpoints[bounds[i]..bounds[i + 1]]`
+    /// (`bounds[0] == 0`).  Matched edges are vertex-disjoint, so the total
+    /// fits the `u32` vertex-id space.
+    bounds: Box<[u32]>,
+    /// The endpoints of every matched edge, concatenated in `matching` order.
+    endpoints: Box<[VertexId]>,
     /// Matched edge covering each matched vertex.
     by_vertex: FxHashMap<VertexId, EdgeId>,
-    /// Endpoint set of every matched edge, cached at match time.
-    endpoints: FxHashMap<EdgeId, Box<[VertexId]>>,
     /// The engine's lifetime metrics at commit time.
     metrics: EngineMetrics,
     /// The engine's display name.
@@ -457,10 +475,25 @@ impl MatchingSnapshot {
     /// matched in this snapshot.  Frozen at commit time like every other
     /// query, so the endpoints remain readable even after a later batch
     /// deletes the edge — the sharded boundary-arbitration pass relies on
-    /// this to judge conflicts without touching the engines.
+    /// this to judge conflicts without touching the engines.  O(log M).
     #[must_use]
     pub fn matched_endpoints(&self, id: EdgeId) -> Option<&[VertexId]> {
-        self.endpoints.get(&id).map(|e| &**e)
+        let i = self.matching.binary_search(&id).ok()?;
+        Some(self.endpoints_at(i))
+    }
+
+    /// The endpoints of the `i`-th matched edge in id order.
+    fn endpoints_at(&self, i: usize) -> &[VertexId] {
+        &self.endpoints[self.bounds[i] as usize..self.bounds[i + 1] as usize]
+    }
+
+    /// Every matched edge with its endpoints, ascending by id — one pass over
+    /// the flat arrays, no lookups.
+    pub(crate) fn matched_edges(&self) -> impl Iterator<Item = (EdgeId, &[VertexId])> + '_ {
+        self.matching
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| (id, self.endpoints_at(i)))
     }
 
     /// The matched edge ids, sorted ascending.
@@ -473,10 +506,10 @@ impl MatchingSnapshot {
     /// identically regardless of hash-map history.  The merge side of a
     /// sharded snapshot folds this into its conflict accounting (which
     /// vertices are matched in more than one shard) and relies on the
-    /// determinism.  Allocates and sorts the matched-vertex set; O(k log k)
+    /// determinism.  Copies and sorts the flat endpoint array; O(k log k)
     /// for k matched vertices.
     pub fn matched_vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        let mut vertices: Vec<VertexId> = self.by_vertex.keys().copied().collect();
+        let mut vertices = self.endpoints.to_vec();
         vertices.sort_unstable();
         vertices.into_iter()
     }
@@ -511,138 +544,130 @@ impl MatchingSnapshot {
     pub fn engine(&self) -> &'static str {
         self.engine
     }
-}
 
-/// The incrementally maintained matched-edge index behind snapshot publishes.
-///
-/// Publishing used to rebuild the full snapshot from scratch — collect the
-/// matching, sort it, resolve every matched edge's endpoints through the
-/// mirror, rebuild the whole per-vertex map — per publish.  The index instead
-/// persists between commits: [`MatchedIndex::sync`] folds the engine's current
-/// matching in with **one scan of `engine.matching()` and O(matching-delta)
-/// structural mutation** (no sort of the full matching, no mirror lookups or
-/// `by_vertex` writes for unchanged edges), and [`MatchedIndex::snapshot`]
-/// publishes by a flat clone of the maintained structures (a memcpy of the
-/// sorted ids plus a rehash-free table copy).
-///
-/// A publish is therefore **not** O(matching-delta): the paper's engine
-/// answers `matching()` by filtering every live edge, and the clone copies
-/// the whole index, so a publish costs O(|E| + M) for `|E|` live edges and a
-/// matching of size `M`.  `BENCH_hotpath.json` compares per-commit
-/// publishing ([`EngineService::with_snapshot_every`]`(1)`) with `(1000)` at
-/// 2k live edges only; the gap grows with the graph.
-///
-/// Endpoint sets are cached at match time because a matched edge can be
-/// *deleted* by the very batch that unmatches it — by then the mirror no
-/// longer holds it, but its `by_vertex` entries still have to be retired.
-///
-/// Engines whose kernels rebuild the matching wholesale (the recompute
-/// engines report [`BatchReport::rebuilt`]) naturally degrade to a full-delta
-/// mutation; the incremental engines mutate only what changed.
-#[derive(Debug, Default)]
-struct MatchedIndex {
-    /// Matched edges with their endpoint sets cached at match time.
-    matched: FxHashMap<EdgeId, Box<[VertexId]>>,
-    /// The matched edge ids, sorted ascending — the snapshot's `matching`.
-    sorted: Vec<EdgeId>,
-    /// Matched edge covering each matched vertex — the snapshot's `by_vertex`.
-    by_vertex: FxHashMap<VertexId, EdgeId>,
-}
-
-impl MatchedIndex {
-    /// Folds the engine's current matching into the index.
-    fn sync(&mut self, engine: &(impl MatchingEngine + ?Sized), mirror: &DynamicHypergraph) {
-        let current: Vec<EdgeId> = engine.matching().collect();
-        let mut added: Vec<EdgeId> = current
-            .iter()
-            .copied()
-            .filter(|id| !self.matched.contains_key(id))
-            .collect();
-        if added.is_empty() && current.len() == self.matched.len() {
-            // No additions and equal sizes ⇒ identical matched sets: the
-            // common case for batches that never touch the matching.
-            return;
-        }
-        // Removals: previously matched ids absent from the current matching.
-        // A pure-growth sync (the common insert-heavy case) skips building
-        // the membership set entirely.
-        let removed: Vec<EdgeId> = if current.len() == self.matched.len() + added.len() {
-            Vec::new()
-        } else {
-            let current_set: FxHashSet<EdgeId> = current.iter().copied().collect();
-            self.matched
-                .keys()
-                .copied()
-                .filter(|id| !current_set.contains(id))
-                .collect()
-        };
-        // Retire removals before installing additions: a vertex freed by an
-        // unmatched edge may be claimed by a newly matched one in the same
-        // batch.
-        for id in &removed {
-            let endpoints = self
-                .matched
-                .remove(id)
-                .expect("removed ids were previously matched");
-            for v in endpoints.iter() {
-                if self.by_vertex.get(v) == Some(id) {
-                    self.by_vertex.remove(v);
-                }
-            }
-        }
-        for &id in &added {
-            let edge = mirror
-                .edge(id)
-                .expect("matched edges are live in the mirror graph");
-            let endpoints: Box<[VertexId]> = edge.vertices().into();
-            for &v in endpoints.iter() {
-                self.by_vertex.insert(v, id);
-            }
-            self.matched.insert(id, endpoints);
-        }
-        // Re-derive the sorted id list by one linear merge of the retained
-        // run (already sorted) with the sorted additions — never a full
-        // re-sort of the matching.
-        added.sort_unstable();
-        let removed_set: FxHashSet<EdgeId> = removed.into_iter().collect();
-        let mut merged = Vec::with_capacity(self.matched.len());
-        let mut additions = added.into_iter().peekable();
-        for &id in self.sorted.iter() {
-            if removed_set.contains(&id) {
-                continue;
-            }
-            while let Some(&next) = additions.peek() {
-                if next < id {
-                    merged.push(next);
-                    additions.next();
-                } else {
-                    break;
-                }
-            }
-            merged.push(id);
-        }
-        merged.extend(additions);
-        self.sorted = merged;
-        debug_assert_eq!(self.sorted.len(), self.matched.len());
-    }
-
-    /// Publishes the maintained structures as an immutable snapshot: a flat
-    /// memcpy of the sorted ids plus a rehash-free clone of the per-vertex
-    /// table — no sort, no mirror lookups.
-    fn snapshot(
-        &self,
-        engine: &(impl MatchingEngine + ?Sized),
-        committed_batches: u64,
-    ) -> MatchingSnapshot {
+    /// The snapshot of an empty matching — the base a service's first
+    /// publish folds the engine's whole matching into.
+    fn empty(engine: &(impl MatchingEngine + ?Sized)) -> Self {
         MatchingSnapshot {
-            committed_batches,
+            committed_batches: 0,
             num_vertices: engine.num_vertices(),
-            matching: self.sorted.clone().into_boxed_slice(),
-            by_vertex: self.by_vertex.clone(),
-            endpoints: self.matched.clone(),
+            matching: Box::default(),
+            bounds: Box::new([0]),
+            endpoints: Box::default(),
+            by_vertex: FxHashMap::default(),
             metrics: engine.metrics(),
             engine: engine.name(),
         }
+    }
+
+    /// The next snapshot: this one with `delta` applied, stamped with the
+    /// engine's current metrics and `committed_batches`.  One merge pass in
+    /// id order copies each run of retained edges wholesale into the new id
+    /// and endpoint arrays; the vertex map is copied flat and only the
+    /// vertices of removed and added edges are rehashed.
+    fn advance(
+        &self,
+        delta: &MatchingDelta,
+        engine: &(impl MatchingEngine + ?Sized),
+        committed_batches: u64,
+    ) -> Self {
+        let mut by_vertex = self.by_vertex.clone();
+        // Retire removals before installing additions: a vertex freed by an
+        // unmatched edge may be claimed by a newly matched one.
+        let removed_at: Vec<usize> = delta
+            .removed
+            .iter()
+            .map(|id| {
+                let i = self
+                    .matching
+                    .binary_search(id)
+                    .expect("removed edges were matched at the previous publish");
+                for v in self.endpoints_at(i) {
+                    by_vertex.remove(v);
+                }
+                i
+            })
+            .collect();
+        for edge in &delta.added {
+            for &v in edge.vertices() {
+                by_vertex.insert(v, edge.id);
+            }
+        }
+
+        let size = self.matching.len() - delta.removed.len() + delta.added.len();
+        let added_endpoints: usize = delta.added.iter().map(HyperEdge::rank).sum();
+        let mut next = FlatEdges {
+            matching: Vec::with_capacity(size),
+            bounds: Vec::with_capacity(size + 1),
+            endpoints: Vec::with_capacity(self.endpoints.len() + added_endpoints),
+        };
+        next.bounds.push(0);
+        // `copied`: this snapshot's edges below it are copied or dropped.  A
+        // removal at `r` is dropped only once no addition sorts before it, so
+        // an edge re-added under a removed id takes the old one's place.
+        let mut copied = 0;
+        let mut removed = removed_at.into_iter().peekable();
+        for edge in &delta.added {
+            let at = self.matching.partition_point(|&id| id < edge.id);
+            while let Some(r) = removed.next_if(|&r| r < at) {
+                next.copy(self, copied..r);
+                copied = r + 1;
+            }
+            next.copy(self, copied..at);
+            copied = at;
+            next.push(edge.id, edge.vertices());
+        }
+        for r in removed {
+            next.copy(self, copied..r);
+            copied = r + 1;
+        }
+        next.copy(self, copied..self.matching.len());
+        MatchingSnapshot {
+            committed_batches,
+            num_vertices: engine.num_vertices(),
+            matching: next.matching.into_boxed_slice(),
+            bounds: next.bounds.into_boxed_slice(),
+            endpoints: next.endpoints.into_boxed_slice(),
+            by_vertex,
+            metrics: engine.metrics(),
+            engine: engine.name(),
+        }
+    }
+}
+
+/// The flat arrays of a [`MatchingSnapshot`] under construction.
+struct FlatEdges {
+    matching: Vec<EdgeId>,
+    bounds: Vec<u32>,
+    endpoints: Vec<VertexId>,
+}
+
+impl FlatEdges {
+    /// Appends one edge.
+    fn push(&mut self, id: EdgeId, vertices: &[VertexId]) {
+        self.matching.push(id);
+        self.endpoints.extend_from_slice(vertices);
+        self.bounds.push(self.end());
+    }
+
+    /// Appends `from`'s edges `edges` (by index) wholesale.
+    fn copy(&mut self, from: &MatchingSnapshot, edges: Range<usize>) {
+        let (lo, hi) = (from.bounds[edges.start], from.bounds[edges.end]);
+        let base = self.end();
+        self.matching
+            .extend_from_slice(&from.matching[edges.clone()]);
+        self.endpoints
+            .extend_from_slice(&from.endpoints[lo as usize..hi as usize]);
+        self.bounds.extend(
+            from.bounds[edges.start + 1..=edges.end]
+                .iter()
+                .map(|&b| b - lo + base),
+        );
+    }
+
+    /// The offset one past the last endpoint.
+    fn end(&self) -> u32 {
+        u32::try_from(self.endpoints.len()).expect("matched edges are vertex-disjoint")
     }
 }
 
@@ -714,12 +739,14 @@ impl std::error::Error for ReplayError {}
 // The service
 // ---------------------------------------------------------------------------
 
-/// State guarded by the commit lock: the engine, its ground-truth mirror (for
-/// endpoint lookups in snapshots), and the journal of committed batches.
+/// State guarded by the commit lock: the engine, its ground-truth mirror, and
+/// the journal of committed batches.
 struct ServiceInner {
     engine: Box<dyn MatchingEngine + Send>,
-    /// Mirrors every committed batch; resolves matched-edge endpoints when a
-    /// snapshot is captured (the engine API only exposes matched *ids*).
+    /// Mirrors every committed batch: the checkpoint's graph section, and the
+    /// live-edge queries of the sharded router and arbitration's repair wave.
+    /// Snapshots never read it (matched endpoints come with the engine's
+    /// matching delta).
     mirror: DynamicHypergraph,
     /// Sink holding the committed batches in the [`crate::io`] update-stream
     /// format ([`MemoryJournal`] unless [`EngineService::with_journal`] swapped
@@ -729,14 +756,9 @@ struct ServiceInner {
     /// committed empty batches, which the format cannot represent).
     committed: u64,
     /// `committed` value of the most recently published snapshot (snapshot
-    /// publishing may lag `committed` under [`EngineService::with_snapshot_every`]).
+    /// publishing may lag `committed` under [`EngineService::with_snapshot_every`];
+    /// the engine's delta tracker nets the changes in between).
     published_at: u64,
-    /// Incrementally maintained matched-edge structures; publishing clones
-    /// them instead of rebuilding from the engine + mirror (see
-    /// [`MatchedIndex`]).  Synced lazily at publish time, so a throttled
-    /// service ([`EngineService::with_snapshot_every`]) pays no per-commit
-    /// maintenance either.
-    index: MatchedIndex,
 }
 
 /// A long-lived engine service: concurrent snapshot reads, a bounded
@@ -794,7 +816,10 @@ impl EngineService {
     ///
     /// Panics if `capacity` is 0 or the engine has already applied batches.
     #[must_use]
-    pub fn with_queue_capacity(engine: Box<dyn MatchingEngine + Send>, capacity: usize) -> Self {
+    pub fn with_queue_capacity(
+        mut engine: Box<dyn MatchingEngine + Send>,
+        capacity: usize,
+    ) -> Self {
         assert!(capacity >= 1, "queue capacity must be at least 1");
         assert_eq!(
             engine.metrics().batches,
@@ -802,8 +827,7 @@ impl EngineService {
             "EngineService needs a fresh engine: it must observe the whole update history"
         );
         let mirror = DynamicHypergraph::new(engine.num_vertices());
-        let index = MatchedIndex::default();
-        let initial = Arc::new(index.snapshot(engine.as_ref(), 0));
+        let initial = Arc::new(first_snapshot(engine.as_mut(), 0));
         EngineService {
             inner: Mutex::new(ServiceInner {
                 engine,
@@ -811,7 +835,6 @@ impl EngineService {
                 journal: Box::new(MemoryJournal::new()),
                 committed: 0,
                 published_at: 0,
-                index,
             }),
             published: Mutex::new(initial),
             queue: Mutex::new(VecDeque::new()),
@@ -842,10 +865,12 @@ impl EngineService {
     }
 
     /// Publishes a fresh snapshot only every `n` committed batches (and always
-    /// at the end of a drain), instead of after every commit.  With a
-    /// 100k-edge matching under tiny batches, rebuilding the full snapshot
-    /// view per commit dominates the commit path; throttling trades snapshot
-    /// freshness *during* a drain for commit throughput.  Readers still only
+    /// at the end of a drain), instead of after every commit.  A publish
+    /// copies the matching's flat arrays and vertex map, O(M) for a matching
+    /// of `M` edges, so with a 100k-edge matching under tiny batches the copy
+    /// can dominate the commit path; throttling trades snapshot freshness
+    /// *during* a drain for commit throughput (the engine nets the skipped
+    /// commits' changes into the next publish's delta).  Readers still only
     /// ever observe committed prefixes — snapshots are captured strictly after
     /// a batch commits.
     ///
@@ -1045,13 +1070,22 @@ impl EngineService {
         }
     }
 
-    /// Syncs the matched-edge index with the engine and swaps a snapshot
-    /// cloned from it into the published slot — O(|E| + M), see
-    /// [`MatchedIndex`].
+    /// Takes the engine's matching delta since the last publish, folds it
+    /// into the published snapshot and swaps the result in — O(M + delta),
+    /// no edge-table scan (see [`MatchingSnapshot`]).  The replaced snapshot
+    /// is freed after the slot's lock is released.
     fn publish(&self, inner: &mut ServiceInner) {
-        inner.index.sync(inner.engine.as_ref(), &inner.mirror);
-        let snapshot = Arc::new(inner.index.snapshot(inner.engine.as_ref(), inner.committed));
-        *self.published.lock().expect("snapshot lock poisoned") = snapshot;
+        let delta = inner.engine.take_matching_delta();
+        let next = Arc::new(self.snapshot().advance(
+            &delta,
+            inner.engine.as_ref(),
+            inner.committed,
+        ));
+        let previous = std::mem::replace(
+            &mut *self.published.lock().expect("snapshot lock poisoned"),
+            next,
+        );
+        drop(previous);
         inner.published_at = inner.committed;
     }
 
@@ -1256,12 +1290,8 @@ impl EngineService {
             committed += 1;
         }
         sink.commit();
-        // Seed the matched-edge index from the recovered matching (one full
-        // sync against the empty index); later publishes mutate only the
-        // matching's delta.
-        let mut index = MatchedIndex::default();
-        index.sync(engine.as_ref(), &mirror);
-        let initial = Arc::new(index.snapshot(engine.as_ref(), committed));
+        // The restored engine's first delta is its whole matching.
+        let initial = Arc::new(first_snapshot(engine.as_mut(), committed));
         Ok(EngineService {
             inner: Mutex::new(ServiceInner {
                 engine,
@@ -1269,7 +1299,6 @@ impl EngineService {
                 journal: sink,
                 committed,
                 published_at: committed,
-                index,
             }),
             published: Mutex::new(initial),
             queue: Mutex::new(VecDeque::new()),
@@ -1402,6 +1431,14 @@ impl EngineService {
     pub(crate) fn queue_guard(&self) -> MutexGuard<'_, VecDeque<UpdateBatch>> {
         self.lock_queue()
     }
+}
+
+/// A service's first snapshot: the engine's first delta — its whole
+/// matching — folded into the empty snapshot, exactly as later publishes fold
+/// theirs.
+fn first_snapshot(engine: &mut (dyn MatchingEngine + Send), committed: u64) -> MatchingSnapshot {
+    let delta = engine.take_matching_delta();
+    MatchingSnapshot::empty(engine).advance(&delta, engine, committed)
 }
 
 /// Appends one committed batch to a journal sink as an update-stream block,

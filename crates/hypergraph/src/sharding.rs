@@ -487,12 +487,18 @@ impl ArbitratedMatching {
 /// The merged read view over every shard's [`MatchingSnapshot`], with
 /// explicit cross-shard accounting.
 ///
-/// Assembly is O(shards): one `Arc` clone per shard plus the (small)
-/// cross-shard sets.  Per-shard queries then delegate to the O(1)/O(log)
-/// queries of the underlying snapshots.  Each shard's snapshot is consistent
-/// at *its own* committed-batch boundary; there is no global cut across
-/// shards (cross-shard accounting is computed from those per-shard
-/// boundaries).
+/// Assembly ([`ShardedService::snapshot`]) is **not** O(shards): besides one
+/// `Arc` clone per shard it copies the router's whole cross-shard edge set,
+/// walks every shard's matched edges, and counts every matched vertex in a
+/// hash map — O(|cross| + M·r) per call for `|cross|` cross-shard live edges
+/// and `M` matched edges of rank up to `r`.  At 2k live edges over 2 shards
+/// a read costs about 130–150 µs, against about 1 µs through one service's
+/// [`EngineService::snapshot`] (`read_p50_ns` of the benchmark's wire-2shard
+/// and serve-2k workloads, each read including 64 lookups).  Per-shard
+/// queries then delegate to the O(1)/O(log) queries of the underlying
+/// snapshots.  Each shard's snapshot is consistent at *its own*
+/// committed-batch boundary; there is no global cut across shards
+/// (cross-shard accounting is computed from those per-shard boundaries).
 #[derive(Debug, Clone)]
 pub struct ShardedSnapshot {
     /// One snapshot per shard, indexed by shard.
@@ -1149,8 +1155,9 @@ impl ShardedService {
     }
 
     /// The merged snapshot: every shard's current [`MatchingSnapshot`] (one
-    /// `Arc` clone each) plus cross-shard accounting.  Never touches a commit
-    /// lock.
+    /// `Arc` clone each) plus cross-shard accounting, which costs
+    /// O(|cross| + M·r) per call (see [`ShardedSnapshot`]).  Never touches a
+    /// commit lock.
     #[must_use]
     pub fn snapshot(&self) -> ShardedSnapshot {
         let shards: Vec<Arc<MatchingSnapshot>> =
@@ -1475,21 +1482,23 @@ impl ShardedService {
             self.shards.iter().map(EngineService::snapshot).collect();
         let pre_size: usize = shards.iter().map(|s| s.size()).sum();
 
-        // Award pass: occupancy counts, then lowest-shard awards.
+        // Award pass: occupancy counts, then lowest-shard awards.  Each pass
+        // walks every shard's (id, endpoints) pairs once, in id order.
         let mut cover_count: FxHashMap<VertexId, u32> = FxHashMap::default();
         for snap in &shards {
-            for v in snap.matched_vertices() {
-                *cover_count.entry(v).or_insert(0) += 1;
+            for (_, endpoints) in snap.matched_edges() {
+                for &v in endpoints {
+                    *cover_count.entry(v).or_insert(0) += 1;
+                }
             }
         }
         let mut award: FxHashMap<VertexId, (usize, EdgeId)> = FxHashMap::default();
         for (k, snap) in shards.iter().enumerate() {
-            for v in snap.matched_vertices() {
-                if cover_count[&v] > 1 {
-                    let id = snap
-                        .matched_edge_of(v)
-                        .expect("matched vertices have a matched edge");
-                    award.entry(v).or_insert((k, id));
+            for (id, endpoints) in snap.matched_edges() {
+                for &v in endpoints {
+                    if cover_count[&v] > 1 {
+                        award.entry(v).or_insert((k, id));
+                    }
                 }
             }
         }
@@ -1501,10 +1510,7 @@ impl ShardedService {
         let mut by_vertex: FxHashMap<VertexId, EdgeId> = FxHashMap::default();
         let mut conflicted: Vec<VertexId> = Vec::new();
         for (k, snap) in shards.iter().enumerate() {
-            for id in snap.edges() {
-                let endpoints = snap
-                    .matched_endpoints(id)
-                    .expect("matched edges have frozen endpoints");
+            for (id, endpoints) in snap.matched_edges() {
                 let wins = endpoints
                     .iter()
                     .all(|v| cover_count[v] == 1 || award.get(v) == Some(&(k, id)));

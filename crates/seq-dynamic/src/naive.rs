@@ -16,7 +16,7 @@ use pdmm_hypergraph::engine::{
     RepairError, StateError, StateParser, UpdateCounters, ValidatedBatch,
 };
 use pdmm_hypergraph::graph::DynamicHypergraph;
-use pdmm_hypergraph::matching::{verify_maximality, Matching};
+use pdmm_hypergraph::matching::{verify_maximality, Matching, MatchingDelta};
 use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};
 use pdmm_primitives::cost_model::CostTracker;
 
@@ -151,6 +151,10 @@ impl MatchingEngine for NaiveDynamicMatching {
 
     fn matching(&self) -> MatchingIter<'_> {
         MatchingIter::new(self.matching.iter())
+    }
+
+    fn take_matching_delta(&mut self) -> MatchingDelta {
+        self.matching.take_delta()
     }
 
     fn matching_size(&self) -> usize {

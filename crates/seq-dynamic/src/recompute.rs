@@ -19,7 +19,7 @@ use pdmm_hypergraph::engine::{
     ValidatedBatch,
 };
 use pdmm_hypergraph::graph::DynamicHypergraph;
-use pdmm_hypergraph::matching::verify_maximality;
+use pdmm_hypergraph::matching::{verify_maximality, DeltaTracker, MatchingDelta};
 use pdmm_hypergraph::types::{EdgeId, Update, VertexId};
 use pdmm_primitives::cost_model::CostTracker;
 use pdmm_primitives::random::RandomSource;
@@ -31,6 +31,8 @@ use rustc_hash::FxHashSet;
 pub struct RecomputeFromScratch {
     graph: DynamicHypergraph,
     matching: Vec<EdgeId>,
+    /// Net matching change since the last `take_matching_delta`.
+    delta: DeltaTracker,
     rng: RandomSource,
     cost: CostTracker,
     counters: UpdateCounters,
@@ -47,6 +49,7 @@ impl RecomputeFromScratch {
         RecomputeFromScratch {
             graph: DynamicHypergraph::new(num_vertices),
             matching: Vec::new(),
+            delta: DeltaTracker::default(),
             rng: RandomSource::from_seed(seed),
             cost: CostTracker::new(),
             counters: UpdateCounters::default(),
@@ -117,6 +120,10 @@ impl MatchingEngine for RecomputeFromScratch {
         MatchingIter::new(self.matching.iter().copied())
     }
 
+    fn take_matching_delta(&mut self) -> MatchingDelta {
+        self.delta.take()
+    }
+
     fn matching_size(&self) -> usize {
         self.matching.len()
     }
@@ -157,6 +164,7 @@ impl MatchingEngine for RecomputeFromScratch {
         }
         let rank = edge.rank() as u64;
         self.cost.work(rank);
+        self.delta.matched(id, edge.vertices());
         self.matching.push(id);
         Ok(())
     }
@@ -209,6 +217,7 @@ impl MatchingEngine for RecomputeFromScratch {
         p.finish()?;
         self.graph = graph;
         self.matching = matching;
+        self.delta.adopt(&self.matching, &self.graph);
         self.rng = RandomSource::from_state(words, index);
         self.counters = counters;
         self.cost = CostTracker::new();
@@ -223,6 +232,7 @@ impl BatchKernel for RecomputeFromScratch {
         // Hash the previous matching once so per-deletion lookups are O(1)
         // instead of a linear scan per update.
         let matched: FxHashSet<EdgeId> = self.matching.iter().copied().collect();
+        self.delta.retire(&self.matching, &self.graph);
         let mut matched_deletions = 0usize;
         for update in updates {
             match update {
@@ -251,6 +261,7 @@ impl BatchKernel for RecomputeFromScratch {
             .pool
             .install(|| luby_maximal_matching(&edges, rng, Some(cost)));
         self.matching = result.edges;
+        self.delta.adopt(&self.matching, &self.graph);
         KernelOutcome {
             matched_deletions,
             // The matching is thrown away and recomputed on every batch.

@@ -17,7 +17,7 @@ use pdmm_hypergraph::engine::{
     RepairError, StateError, StateParser, UpdateCounters, ValidatedBatch,
 };
 use pdmm_hypergraph::graph::DynamicHypergraph;
-use pdmm_hypergraph::matching::verify_maximality;
+use pdmm_hypergraph::matching::{verify_maximality, DeltaTracker, MatchingDelta};
 use pdmm_hypergraph::types::{EdgeId, Update, VertexId};
 use pdmm_primitives::cost_model::CostTracker;
 use rustc_hash::FxHashSet;
@@ -27,6 +27,8 @@ use rustc_hash::FxHashSet;
 pub struct StaticRecompute {
     graph: DynamicHypergraph,
     matching: Vec<EdgeId>,
+    /// Net matching change since the last `take_matching_delta`.
+    delta: DeltaTracker,
     cost: CostTracker,
     counters: UpdateCounters,
     max_rank: usize,
@@ -40,6 +42,7 @@ impl StaticRecompute {
         StaticRecompute {
             graph: DynamicHypergraph::new(num_vertices),
             matching: Vec::new(),
+            delta: DeltaTracker::default(),
             cost: CostTracker::new(),
             counters: UpdateCounters::default(),
             max_rank: usize::MAX,
@@ -107,6 +110,10 @@ impl MatchingEngine for StaticRecompute {
         MatchingIter::new(self.matching.iter().copied())
     }
 
+    fn take_matching_delta(&mut self) -> MatchingDelta {
+        self.delta.take()
+    }
+
     fn matching_size(&self) -> usize {
         self.matching.len()
     }
@@ -147,6 +154,7 @@ impl MatchingEngine for StaticRecompute {
         }
         let rank = edge.rank() as u64;
         self.cost.work(rank);
+        self.delta.matched(id, edge.vertices());
         self.matching.push(id);
         Ok(())
     }
@@ -196,6 +204,7 @@ impl MatchingEngine for StaticRecompute {
         p.finish()?;
         self.graph = graph;
         self.matching = matching;
+        self.delta.adopt(&self.matching, &self.graph);
         self.counters = counters;
         self.cost = CostTracker::new();
         self.cost.work(work);
@@ -209,6 +218,7 @@ impl BatchKernel for StaticRecompute {
         // Hash the previous matching once so per-deletion lookups are O(1)
         // instead of a linear scan per update.
         let matched: FxHashSet<EdgeId> = self.matching.iter().copied().collect();
+        self.delta.retire(&self.matching, &self.graph);
         let mut matched_deletions = 0usize;
         for update in updates {
             match update {
@@ -229,6 +239,7 @@ impl BatchKernel for StaticRecompute {
         let mut edges = self.graph.snapshot_edges();
         edges.sort_by_key(|e| e.id);
         self.matching = greedy_maximal_matching(&edges, Some(&self.cost));
+        self.delta.adopt(&self.matching, &self.graph);
         KernelOutcome {
             matched_deletions,
             // The matching is thrown away and recomputed on every batch.

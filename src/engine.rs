@@ -25,6 +25,7 @@ pub use pdmm_hypergraph::engine::{
     MatchingEngine, MatchingIter, RejectedUpdate, RepairError, UpdateCheck, UpdateCounters,
     ValidatedBatch, ValidationToken,
 };
+pub use pdmm_hypergraph::matching::{DeltaTracker, MatchingDelta};
 
 /// Constructs the engine of the given kind from a shared builder configuration.
 ///

@@ -16,6 +16,7 @@ use pdmm::engine::{self, BatchError, MatchingEngine};
 use pdmm::hypergraph::streams::{self, Workload};
 use pdmm::hypergraph::{generators, verify_maximality, verify_validity};
 use pdmm::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The generated workloads every engine is driven through, with the rank each
 /// one needs.
@@ -365,6 +366,128 @@ fn zero_copy_iterator_collected_ids_and_size_agree() {
             "{} reports a dead matched edge",
             engine.name()
         );
+    }
+}
+
+/// A churn stream over vertices `0..60` of an 80-vertex space, with dirty
+/// riders on every batch after the first: an unknown deletion (rejected), an
+/// exact repeat of the batch's first update (deduplicated), and the two
+/// lowest-id live edges the batch leaves alone deleted and re-inserted under
+/// their ids onto the spare vertices `60..80` — legal, and the one way an id
+/// can stay matched with other endpoints.
+fn dirty_churn() -> (usize, Vec<Vec<Update>>) {
+    const SPARE: u32 = 60;
+    const N: usize = 80;
+    let w = streams::random_churn(SPARE as usize, 2, 90, 40, 16, 0.5, 41);
+    let mut truth = DynamicHypergraph::new(N);
+    let mut validator = engine::build(EngineKind::NaiveSequential, &EngineBuilder::new(N).rank(2));
+    let mut batches = Vec::new();
+    for (i, batch) in w.batches.iter().enumerate() {
+        let mut updates = batch.updates().to_vec();
+        if i > 0 {
+            let touched: Vec<EdgeId> = updates.iter().map(Update::edge_id).collect();
+            let mut untouched: Vec<&HyperEdge> =
+                truth.edges().filter(|e| !touched.contains(&e.id)).collect();
+            untouched.sort_unstable_by_key(|e| e.id);
+            let moved: Vec<HyperEdge> = untouched
+                .iter()
+                .take(2)
+                .map(|e| {
+                    let spare = e.vertices().iter().map(|v| VertexId(SPARE + v.0 % 20));
+                    HyperEdge::new(e.id, spare.collect())
+                })
+                .collect();
+            updates.push(Update::Delete(EdgeId(1_000_000 + i as u64)));
+            updates.push(updates[0].clone());
+            for edge in moved {
+                updates.push(Update::Delete(edge.id));
+                updates.push(Update::Insert(edge));
+            }
+        }
+        let lossy = validator.validate_lossy(updates.clone());
+        truth.apply_batch(lossy.survivors());
+        validator.apply_batch_trusted(lossy.proof()).unwrap();
+        batches.push(updates);
+    }
+    (N, batches)
+}
+
+#[test]
+fn matching_deltas_net_out_to_the_matching_on_every_engine() {
+    let (n, batches) = dirty_churn();
+    let builder = EngineBuilder::new(n).rank(2).seed(29);
+    for kind in EngineKind::ALL {
+        let mut engine = engine::build(kind, &builder);
+        let name = engine.name();
+        assert!(
+            engine.take_matching_delta().is_empty(),
+            "{name}: fresh engine"
+        );
+        let mut truth = DynamicHypergraph::new(n);
+        // The matching at the previous take, with each edge's endpoints.
+        let mut previous: BTreeMap<EdgeId, Vec<VertexId>> = BTreeMap::new();
+        let mut rebuilt = false;
+        for (i, updates) in batches.iter().enumerate() {
+            let lossy = engine.validate_lossy(updates.clone());
+            assert!(
+                i == 0 || !lossy.rejected.is_empty(),
+                "{name}: riders rejected"
+            );
+            truth.apply_batch(lossy.survivors());
+            let report = engine.apply_batch_trusted(lossy.proof()).unwrap();
+            rebuilt |= i > 0 && report.rebuilt;
+
+            let delta = engine.take_matching_delta();
+            let current: BTreeSet<EdgeId> = engine.matching().collect();
+            assert!(delta.removed.windows(2).all(|w| w[0] < w[1]), "{name}");
+            assert!(delta.added.windows(2).all(|w| w[0].id < w[1].id), "{name}");
+            let mut folded = previous.clone();
+            for id in &delta.removed {
+                assert!(
+                    folded.remove(id).is_some(),
+                    "{name}, batch {i}: removed {id} was not matched at the previous take"
+                );
+            }
+            for edge in &delta.added {
+                let live = truth
+                    .edge(edge.id)
+                    .unwrap_or_else(|| panic!("{name}, batch {i}: added {} is not live", edge.id));
+                assert_eq!(edge.vertices(), live.vertices(), "{name}: stale endpoints");
+                // An added id is new to the matching, or was removed with
+                // other endpoints (deleted and re-inserted under its id).
+                if let Some(was) = previous.get(&edge.id) {
+                    assert!(delta.removed.contains(&edge.id), "{name}: {} kept", edge.id);
+                    assert_ne!(was.as_slice(), edge.vertices(), "{name}: no-op replace");
+                }
+                assert!(
+                    folded.insert(edge.id, edge.vertices().to_vec()).is_none(),
+                    "{name}, batch {i}: added {} was matched already",
+                    edge.id
+                );
+            }
+            assert_eq!(
+                folded.keys().copied().collect::<BTreeSet<_>>(),
+                current,
+                "{name}, batch {i}: previous - removed + added != matching()"
+            );
+            assert_eq!(engine.matching_size(), engine.matching().count(), "{name}");
+
+            // A restored twin's first take is its whole matching.
+            let blob = engine.save_state().expect("every engine serializes");
+            let mut restored = engine::build(kind, &builder);
+            restored.restore_state(&blob).unwrap();
+            let whole = restored.take_matching_delta();
+            assert!(whole.removed.is_empty(), "{name}: restore removed edges");
+            let restored_ids: BTreeSet<EdgeId> = whole.added.iter().map(|e| e.id).collect();
+            assert_eq!(restored_ids, current, "{name}, batch {i}: restored delta");
+            for edge in &whole.added {
+                assert_eq!(folded[&edge.id].as_slice(), edge.vertices(), "{name}");
+            }
+            previous = folded;
+        }
+        if kind == EngineKind::Parallel {
+            assert!(rebuilt, "the stream must be long enough for a rebuild");
+        }
     }
 }
 

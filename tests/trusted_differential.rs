@@ -6,9 +6,10 @@
 //!   `MatchingEngine::validate` refuses exactly what `apply_batch` refuses
 //!   (construction *around* validation is a compile error, pinned by the
 //!   `compile_fail` doctests on [`ValidatedBatch`]).
-//! * The service's incrementally maintained snapshot equals a from-scratch
-//!   ground-truth rebuild after every workload, across engines, snapshot
-//!   throttles and the lossy drain — the pin behind the incremental index.
+//! * The service's snapshot — each publish folds the engine's matching delta
+//!   into the previous snapshot, with no edge-table scan — equals a
+//!   from-scratch ground-truth rebuild after every drain, across engines,
+//!   drain sizes, snapshot throttles and the lossy drain.
 //!
 //! [`run_batch_trusted`]: pdmm::engine::run_batch_trusted
 //! [`ValidatedBatch`]: pdmm::engine::ValidatedBatch
@@ -113,6 +114,11 @@ fn assert_snapshot_matches_ground_truth(service: &EngineService, kind: EngineKin
         let endpoints = live
             .get(id)
             .unwrap_or_else(|| panic!("{kind:?}: matched edge {id:?} is not live"));
+        assert_eq!(
+            snapshot.matched_endpoints(*id),
+            Some(endpoints.as_slice()),
+            "{kind:?}: endpoints of {id:?} diverge from the live edge"
+        );
         for &v in endpoints {
             assert_eq!(
                 snapshot.matched_edge_of(v),
@@ -135,23 +141,24 @@ fn assert_snapshot_matches_ground_truth(service: &EngineService, kind: EngineKin
 #[test]
 fn incremental_snapshot_matches_from_scratch_rebuild() {
     for kind in EngineKind::ALL {
-        for every in [1_u64, 3, 1000] {
-            let workload = workload(29);
-            let service =
-                EngineService::new(engine::build(kind, &builder(13))).with_snapshot_every(every);
-            for chunk in workload.batches.chunks(16) {
-                for batch in chunk {
-                    service.submit(batch.clone());
+        for per_drain in [1, 4, 16] {
+            for every in [1_u64, 3, 1000] {
+                let workload = workload(29);
+                let service = EngineService::new(engine::build(kind, &builder(13)))
+                    .with_snapshot_every(every);
+                let mut committed = 0;
+                for chunk in workload.batches.chunks(per_drain) {
+                    for batch in chunk {
+                        service.submit(batch.clone());
+                    }
+                    service.drain().expect("valid batches drain");
+                    // A drain always publishes the committed frontier on
+                    // exit, even when the throttle lagged mid-drain.
+                    committed += chunk.len() as u64;
+                    assert_eq!(service.snapshot().committed_batches(), committed);
+                    assert_snapshot_matches_ground_truth(&service, kind);
                 }
-                service.drain().expect("valid batches drain");
             }
-            // A drain always publishes the committed frontier on exit, even
-            // when the throttle lagged mid-stream.
-            assert_eq!(
-                service.snapshot().committed_batches(),
-                workload.batches.len() as u64
-            );
-            assert_snapshot_matches_ground_truth(&service, kind);
         }
     }
 }
@@ -167,12 +174,21 @@ fn incremental_snapshot_survives_lossy_drains() {
         }
         service.drain_lossy();
         // A dirty batch: the duplicate insert and unknown deletion are
-        // skipped, the survivors commit, and the index must track exactly
-        // the survivors.
+        // skipped, the survivors commit, and the snapshot must track exactly
+        // the survivors.  It also moves a matched edge, under its id, onto a
+        // free vertex — the id can stay matched with other endpoints.
+        let moved = service.snapshot().edges().next().expect("a matched edge");
+        let spare = *service
+            .free_vertices()
+            .iter()
+            .find(|v| v.0 > 3)
+            .expect("a free vertex");
         let (dirty, rejected) = UpdateBatch::new_lossy(vec![
             pair(9_000, 0, 1),
             pair(9_000, 2, 3),
             Update::Delete(EdgeId(8_888)),
+            Update::Delete(moved),
+            Update::Insert(HyperEdge::new(moved, vec![spare])),
         ]);
         assert_eq!(rejected.len(), 1, "duplicate insert rejected at sealing");
         service.submit(dirty);
