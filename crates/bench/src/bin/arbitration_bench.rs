@@ -3,8 +3,10 @@
 //! Per engine and shard count (1, 2, 4, 8) it serves a skewed churn workload
 //! on a sharded service and records what the end-of-drain arbitration pass
 //! did: raw conflicts found, edges evicted, edges repaired back in, the
-//! matched size retained versus the raw per-shard union, and the wall-clock
-//! cost of the final drain's arbitration-bearing drain.  Every run ends with
+//! matched size retained versus the raw per-shard union, the arbitrated size
+//! against the same engine's 1-shard matching on the same stream
+//! (`vs_one_engine`: the raw union over-counts, so `retained` alone flatters
+//! sharding), and the wall-clock cost of the final drain.  Every run ends with
 //! the hard audits this layer exists for: zero conflicted vertices after
 //! arbitration, a valid + maximal matching on the journal-rebuilt global
 //! graph, and matched-size retained at or above 95% of the raw union.
@@ -55,6 +57,8 @@ struct RunOutcome {
     evicted: usize,
     repaired: usize,
     retained: f64,
+    /// Arbitrated size over the same engine's 1-shard size.
+    vs_one_engine: f64,
     drain_ms: f64,
     conflicts_after: usize,
     audit_ok: bool,
@@ -126,6 +130,7 @@ fn run(kind: EngineKind, shards: usize, config: &BenchConfig) -> RunOutcome {
         evicted,
         repaired,
         retained: report.retained(),
+        vs_one_engine: 1.0,
         drain_ms,
         conflicts_after,
         audit_ok,
@@ -134,14 +139,15 @@ fn run(kind: EngineKind, shards: usize, config: &BenchConfig) -> RunOutcome {
 
 fn print_outcome(outcome: &RunOutcome) {
     println!(
-        "{:<20} shards={} | raw {} -> arbitrated {} (retained {:.3}) | \
-         conflicts {} evicted {} repaired {} | last drain {:.2} ms | \
+        "{:<20} shards={} | raw {} -> arbitrated {} (retained {:.3}, \
+         vs 1 engine {:.3}) | conflicts {} evicted {} repaired {} | last drain {:.2} ms | \
          after-arbitration conflicts={} audit={}",
         outcome.engine,
         outcome.shards,
         outcome.raw_size,
         outcome.arbitrated_size,
         outcome.retained,
+        outcome.vs_one_engine,
         outcome.conflicts,
         outcome.evicted,
         outcome.repaired,
@@ -155,7 +161,8 @@ fn outcome_json(outcome: &RunOutcome) -> String {
     format!(
         concat!(
             "    {{\"engine\": \"{}\", \"shards\": {}, \"raw_size\": {}, ",
-            "\"arbitrated_size\": {}, \"retained\": {:.4}, \"conflicts\": {}, ",
+            "\"arbitrated_size\": {}, \"retained\": {:.4}, \"vs_one_engine\": {:.4}, ",
+            "\"conflicts\": {}, ",
             "\"evicted\": {}, \"repaired\": {}, \"last_drain_ms\": {:.3}, ",
             "\"conflicts_after_arbitration\": {}, \"audit_ok\": {}}}"
         ),
@@ -164,6 +171,7 @@ fn outcome_json(outcome: &RunOutcome) -> String {
         outcome.raw_size,
         outcome.arbitrated_size,
         outcome.retained,
+        outcome.vs_one_engine,
         outcome.conflicts,
         outcome.evicted,
         outcome.repaired,
@@ -233,8 +241,14 @@ fn main() {
 
     let mut outcomes = Vec::new();
     for kind in EngineKind::ALL {
+        // Both shard lists start at 1: that run is the engine's baseline.
+        let mut one_engine_size = None;
         for &shards in shard_counts {
-            let outcome = run(kind, shards, &config);
+            let mut outcome = run(kind, shards, &config);
+            let base = *one_engine_size.get_or_insert(outcome.arbitrated_size);
+            if base > 0 {
+                outcome.vs_one_engine = outcome.arbitrated_size as f64 / base as f64;
+            }
             print_outcome(&outcome);
             outcomes.push(outcome);
         }

@@ -426,9 +426,10 @@ impl MatchingEngine for ParallelDynamicMatching {
         &mut self,
         batch: ValidatedBatch<'_>,
     ) -> Result<BatchReport, BatchError> {
-        // Run the shared scaffold on the engine's pool so every parallel
-        // primitive beneath it (Luby matching, prefix sums, compaction, the
-        // parallel dictionary) is bounded by `EngineBuilder::threads`.
+        // Run the shared scaffold on the engine's pool, bounded by
+        // `EngineBuilder::threads`.  The only step beneath it that uses the
+        // pool is Luby's priority map, and only while more than 2,048
+        // candidate edges are alive; the rest of the kernel is sequential.
         let pool = self.pool.clone();
         Ok(pool.install(|| run_batch_trusted(self, batch)))
     }

@@ -44,12 +44,15 @@ pub(crate) fn process_level(
 
 /// Step 1: resolve every undecided node at exactly this level.
 fn step1_resolve_undecided(state: &mut MatcherState, level: usize) {
-    let undecided_here: Vec<VertexId> = state
+    let mut undecided_here: Vec<VertexId> = state
         .undecided
         .iter()
         .copied()
         .filter(|v| state.level_of(*v) == level as i32)
         .collect();
+    // Canonical order, as for `b` in step 2: the free edges below are
+    // gathered in this order, so it must not follow hash-iteration order.
+    undecided_here.sort_unstable();
     if undecided_here.is_empty() {
         return;
     }
@@ -87,12 +90,16 @@ fn step1_resolve_undecided(state: &mut MatcherState, level: usize) {
     }
 
     // Undecided nodes at this level that are still unmatched drop to level -1.
-    let still_undecided: Vec<VertexId> = state
+    let mut still_undecided: Vec<VertexId> = state
         .undecided
         .iter()
         .copied()
         .filter(|v| state.level_of(*v) == level as i32 && !state.is_matched_vertex(*v))
         .collect();
+    // `set_vertex_level` charges for the edges a node owns when it moves,
+    // and that depends on which neighbours moved first: demote in canonical
+    // order, so a restored engine charges exactly what the live one did.
+    still_undecided.sort_unstable();
     state.cost.round();
     for v in still_undecided {
         state.set_vertex_level(v, -1);
@@ -228,7 +235,7 @@ fn subsubsettle(
             *marked_per_vertex.entry(v).or_insert(0) += 1;
         }
     }
-    let selected: Vec<EdgeId> = marked
+    let mut selected: Vec<EdgeId> = marked
         .iter()
         .copied()
         .filter(|eid| {
@@ -238,6 +245,9 @@ fn subsubsettle(
                 .all(|v| marked_per_vertex[v] == 1)
         })
         .collect();
+    // Canonical order: lifting kicks out matched edges and re-levels nodes,
+    // which must not follow the hash-iteration order of `marked`.
+    selected.sort_unstable();
     state.cost.work(marked.len() as u64);
 
     if !selected.is_empty() {

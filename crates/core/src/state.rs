@@ -264,11 +264,11 @@ impl MatcherState {
     /// Adds a (live, non-temporarily-deleted) edge to its endpoints' structures,
     /// using its stored owner and level.
     pub fn add_edge_to_structures(&mut self, id: EdgeId) {
-        let (verts, owner, level) = {
-            let e = &self.edges[&id];
-            debug_assert!(!e.temp_deleted, "temp-deleted edges stay out of structures");
-            (e.vertices.clone(), e.owner, e.level)
-        };
+        // Borrow the endpoints in place: `edges` is disjoint from the
+        // `vertices` and `dirty` fields mutated below.
+        let e = &self.edges[&id];
+        debug_assert!(!e.temp_deleted, "temp-deleted edges stay out of structures");
+        let (verts, owner, level) = (&e.vertices, e.owner, e.level);
         self.cost.work(verts.len() as u64);
         for &v in verts.iter() {
             let vs = &mut self.vertices[v.index()];
@@ -284,10 +284,8 @@ impl MatcherState {
     /// Removes an edge from its endpoints' structures (stored owner and level must
     /// still describe where it currently sits).
     pub fn remove_edge_from_structures(&mut self, id: EdgeId) {
-        let (verts, owner, level) = {
-            let e = &self.edges[&id];
-            (e.vertices.clone(), e.owner, e.level)
-        };
+        let e = &self.edges[&id];
+        let (verts, owner, level) = (&e.vertices, e.owner, e.level);
         self.cost.work(verts.len() as u64);
         for &v in verts.iter() {
             let vs = &mut self.vertices[v.index()];
@@ -304,7 +302,7 @@ impl MatcherState {
     /// its endpoints' current levels.  The edge must *not* currently be registered
     /// in any vertex structure.
     fn recompute_owner_and_level(&mut self, id: EdgeId) {
-        let verts = self.edges[&id].vertices.clone();
+        let verts = &self.edges[&id].vertices;
         let mut best_v = verts[0];
         let mut best_level = self.vertices[best_v.index()].level;
         for &v in verts.iter().skip(1) {

@@ -1712,9 +1712,11 @@ impl EngineBuilder {
 /// Built from [`EngineBuilder::threads`]: `Some(t)` owns a dedicated
 /// work-stealing pool of `t` workers (shared by clones of this handle), `None`
 /// delegates to the process-global pool.  Engines wrap each `apply_batch` in
-/// [`EnginePool::install`], which makes the bounded pool ambient for every
-/// parallel primitive beneath it (prefix sums, compaction, the parallel
-/// dictionary, Luby matching, …).
+/// [`EnginePool::install`], which makes the bounded pool ambient for the
+/// batch.  Today one step beneath it runs on the pool: Luby's priority map,
+/// and only while more than 2,048 candidate edges are alive.  The parallel
+/// dictionary, prefix sums and compaction primitives are not called by any
+/// engine.
 ///
 /// ```
 /// use pdmm_hypergraph::engine::{EngineBuilder, EnginePool};

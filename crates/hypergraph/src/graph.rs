@@ -89,6 +89,15 @@ impl DynamicHypergraph {
         ids
     }
 
+    /// Ids of the live edges incident on `v`, in no particular order and
+    /// without allocating — for callers that impose their own order.
+    pub(crate) fn incident_edges_unordered(
+        &self,
+        v: VertexId,
+    ) -> impl Iterator<Item = EdgeId> + '_ {
+        self.incidence.get(v.index()).into_iter().flatten().copied()
+    }
+
     /// Degree of `v`: number of live edges incident on it.
     #[must_use]
     pub fn degree(&self, v: VertexId) -> usize {

@@ -482,6 +482,60 @@ impl MatchingSnapshot {
         Some(self.endpoints_at(i))
     }
 
+    /// The edges matched in `older` but not here (`removed`) and the
+    /// reverse (`added`), with their endpoints: one hash-free merge of the
+    /// two sorted id arrays, comparing runs of equal ids wholesale.  An id
+    /// matched in both with different endpoints (deleted and re-inserted in
+    /// between) counts as both.  The sharded layer's incremental arbitration
+    /// finds each shard's matching change since its last drain this way.
+    pub(crate) fn delta_since<'a>(
+        &'a self,
+        older: &'a MatchingSnapshot,
+        removed: &mut Vec<(EdgeId, &'a [VertexId])>,
+        added: &mut Vec<(EdgeId, &'a [VertexId])>,
+    ) {
+        let (a, b) = (&older.matching, &self.matching);
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let run = a[i..]
+                .iter()
+                .zip(&b[j..])
+                .take_while(|(x, y)| x == y)
+                .count();
+            if run == 0 {
+                if a[i] < b[j] {
+                    removed.push((a[i], older.endpoints_at(i)));
+                    i += 1;
+                } else {
+                    added.push((b[j], self.endpoints_at(j)));
+                    j += 1;
+                }
+                continue;
+            }
+            // Same ids: same edge sizes and endpoints, almost always.
+            let (from_a, from_b) = (older.bounds[i], self.bounds[j]);
+            let same = older.bounds[i..=i + run]
+                .iter()
+                .zip(&self.bounds[j..=j + run])
+                .all(|(&x, &y)| x - from_a == y - from_b)
+                && older.endpoints[from_a as usize..older.bounds[i + run] as usize]
+                    == self.endpoints[from_b as usize..self.bounds[j + run] as usize];
+            if !same {
+                for t in 0..run {
+                    let (before, after) = (older.endpoints_at(i + t), self.endpoints_at(j + t));
+                    if before != after {
+                        removed.push((a[i + t], before));
+                        added.push((b[j + t], after));
+                    }
+                }
+            }
+            i += run;
+            j += run;
+        }
+        removed.extend((i..a.len()).map(|i| (a[i], older.endpoints_at(i))));
+        added.extend((j..b.len()).map(|j| (b[j], self.endpoints_at(j))));
+    }
+
     /// The endpoints of the `i`-th matched edge in id order.
     fn endpoints_at(&self, i: usize) -> &[VertexId] {
         &self.endpoints[self.bounds[i] as usize..self.bounds[i + 1] as usize]
@@ -1405,7 +1459,7 @@ impl EngineService {
         let mut seen: FxHashSet<EdgeId> = FxHashSet::default();
         let mut out = Vec::new();
         for &v in freed {
-            for id in inner.mirror.incident_edges(v) {
+            for id in inner.mirror.incident_edges_unordered(v) {
                 if seen.insert(id) {
                     let edge = inner
                         .mirror
@@ -1416,6 +1470,33 @@ impl EngineService {
             }
         }
         out.sort_unstable_by_key(|&(id, _)| id);
+        out
+    }
+
+    /// The live committed edges incident to any vertex in `vertices` that
+    /// `keep` accepts, each once, with their endpoint sets, in no particular
+    /// order.  The incremental boundary arbitration scans with this: `keep`
+    /// runs under the commit lock, and only the edges it keeps are copied.
+    pub(crate) fn incident_edges_where(
+        &self,
+        vertices: &[VertexId],
+        keep: impl Fn(EdgeId, &[VertexId]) -> bool,
+    ) -> Vec<(EdgeId, Box<[VertexId]>)> {
+        let inner = self.inner.lock().expect("service commit lock poisoned");
+        let mut seen: FxHashSet<EdgeId> = FxHashSet::default();
+        let mut out = Vec::new();
+        for &v in vertices {
+            for id in inner.mirror.incident_edges_unordered(v) {
+                let endpoints = inner
+                    .mirror
+                    .edge(id)
+                    .expect("incident edges are live in the mirror graph")
+                    .vertices();
+                if keep(id, endpoints) && seen.insert(id) {
+                    out.push((id, endpoints.into()));
+                }
+            }
+        }
         out
     }
 

@@ -33,26 +33,44 @@
 //!   [`BatchReport`]s into one [`ShardedDrainReport`] (summed
 //!   [`EngineMetrics`], total matching size); [`ShardedService::drain_lossy`]
 //!   does the same for skip-and-report ingest with [`IngestReport`]s.
-//! * **[`ShardedSnapshot`]** — O(1)-per-shard reads (one `Arc` clone per
-//!   shard) plus a merged matched-edge view with **pre-arbitration** raw
-//!   cross-shard accounting: which matched edges span shards, and which
-//!   vertices are matched by more than one shard
-//!   ([`ShardedSnapshot::conflicted_vertices`]).  Each shard's matching is
-//!   valid and maximal **on that shard's edges**; the raw union of them is
-//!   globally valid only when that conflict set is empty.  The *repaired*
-//!   global matching is [`ShardedSnapshot::arbitrated_matching`], below.
+//! * **[`ShardedSnapshot`]** — one immutable view per drain boundary, read
+//!   with one lock and one `Arc` clone: every shard's snapshot at that
+//!   boundary, the **pre-arbitration** raw cross-shard accounting derived
+//!   from exactly those snapshots (which matched edges span shards, and
+//!   which vertices are matched by more than one shard —
+//!   [`ShardedSnapshot::conflicted_vertices`]), and the arbitrated matching.
+//!   Each shard's matching is valid and maximal **on that shard's edges**;
+//!   the raw union of them is globally valid only when that conflict set is
+//!   empty.  The *repaired* global matching is
+//!   [`ShardedSnapshot::arbitrated_matching`], below.
 //! * **Boundary arbitration** — after every drain, an arbitration pass turns
 //!   the per-shard matchings into one globally valid matching
 //!   ([`ArbitratedMatching`]): every conflicted vertex is awarded to exactly
 //!   one matched edge by the deterministic **(owner shard, edge id)**
 //!   priority rule, edges that lost an endpoint are evicted, and one bounded
-//!   repair wave re-matches edges over the vertices the evictions freed
-//!   (per-shard candidate scans run concurrently on the in-tree pool; the
-//!   final greedy merge walks candidates in the same priority order).  One
-//!   wave suffices for maximality: repaired edges only *add* coverage, so no
+//!   repair wave re-matches edges over the vertices the evictions freed (a
+//!   greedy walk of the candidates in the same priority order).  One wave
+//!   suffices for maximality: repaired edges only *add* coverage, so no
 //!   cascade can re-expose a vertex.  The outcome is **derived state** — a
-//!   pure function of the committed per-shard matchings — so replay and
-//!   recovery reproduce it bit-identically without persisting anything.
+//!   pure function of the committed per-shard matchings and live edges — so
+//!   replay and recovery reproduce it bit-identically without persisting
+//!   anything.
+//! * **Incremental arbitration** — a drain does not redo the pass.  It
+//!   merges each shard's previous and current sorted matched-id arrays into
+//!   the matching delta, re-awards only the matched edges covering a vertex
+//!   the delta touched, and reruns the repair greedy only over the *repair
+//!   components* (candidates linked through vertices no kept edge covers)
+//!   that such a vertex, a freed endpoint of a routed insert, or a routed
+//!   deletion reaches.  The hashing is proportional to the batch, the
+//!   matching delta and the components they reach, on top of a few flat
+//!   O(M) copies and merges for `M` matched edges; the
+//!   result equals the from-scratch pass bit for bit (a differential suite
+//!   checks every drain).  On the benchmark's wire-2shard workload (2
+//!   shards, 2k live edges, batches of 32) this cut a lossy drain from about
+//!   540 µs to about 250 µs (`sharding.drain_lossy_ns`, 2 shared vCPUs).
+//!   Dense boundaries defeat it: when one repair component holds most
+//!   candidates (at 200k live edges over 2 hash shards, nearly all of about
+//!   100k), drains take the full pass instead.
 //! * **Journal and replay** — the sharded journal is the shard-tagged framing
 //!   of [`crate::io`] (`@ <shard>` blocks): per-shard journals in shard order,
 //!   each block tagged with its owner.  [`ShardedService::replay`] routes each
@@ -64,8 +82,9 @@
 //! What sharding deliberately does **not** give: cross-shard batch atomicity.
 //! A poison sub-batch is dropped on its shard while sibling sub-batches
 //! commit; per-shard atomicity and the typed error still hold (and the lossy
-//! drain never poisons anything).  Likewise, per-shard snapshots are each
-//! taken at their own committed-batch boundary — there is no global cut.
+//! drain never poisons anything).  Snapshots, though, are a consistent cut:
+//! a [`ShardedSnapshot`] holds every shard's snapshot at one sharded drain
+//! boundary, so per-shard commits show once the drain that made them ends.
 //!
 //! # Sub-batches and the single-validation hot path
 //!
@@ -135,6 +154,7 @@ use crate::service::{EngineService, JournalSink, MatchingSnapshot, ServiceError}
 use crate::types::{ArbitrationStats, EdgeId, ShardId, Update, UpdateBatch, VertexId};
 use rayon::prelude::*;
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex};
 
@@ -487,38 +507,29 @@ impl ArbitratedMatching {
 /// The merged read view over every shard's [`MatchingSnapshot`], with
 /// explicit cross-shard accounting.
 ///
-/// Assembly ([`ShardedService::snapshot`]) is **not** O(shards): besides one
-/// `Arc` clone per shard it copies the router's whole cross-shard edge set,
-/// walks every shard's matched edges, and counts every matched vertex in a
-/// hash map — O(|cross| + M·r) per call for `|cross|` cross-shard live edges
-/// and `M` matched edges of rank up to `r`.  At 2k live edges over 2 shards
-/// a read costs about 130–150 µs, against about 1 µs through one service's
-/// [`EngineService::snapshot`] (`read_p50_ns` of the benchmark's wire-2shard
-/// and serve-2k workloads, each read including 64 lookups).  Per-shard
-/// queries then delegate to the O(1)/O(log) queries of the underlying
-/// snapshots.  Each shard's snapshot is consistent at *its own*
-/// committed-batch boundary; there is no global cut across shards
-/// (cross-shard accounting is computed from those per-shard boundaries).
+/// Every drain publishes one immutable view, and
+/// [`ShardedService::snapshot`] hands it out with one lock and one `Arc`
+/// clone, O(1) whatever the matching size.  The view is a **consistent cut
+/// across shards**: its shard snapshots were all taken at the same sharded
+/// drain boundary, and the cross-shard accounting and the arbitrated
+/// matching were derived from exactly those snapshots.  Per-shard queries
+/// delegate to the O(1)/O(log) queries of the underlying snapshots.  At 2k
+/// live edges over 2 shards a read (one snapshot plus 64 arbitrated
+/// lookups) costs about 0.75 µs, against about 0.95 µs through one
+/// service's [`EngineService::snapshot`] (the benchmark's wire-2shard and
+/// serve-2k `read_p50_ns` on 2 shared vCPUs; it cost about 145 µs when every
+/// read re-derived the cross-shard accounting).
 #[derive(Debug, Clone)]
 pub struct ShardedSnapshot {
-    /// One snapshot per shard, indexed by shard.
-    shards: Vec<Arc<MatchingSnapshot>>,
-    /// Matched edges (across all shards) whose endpoints span shards, sorted.
-    cross_matched: Vec<EdgeId>,
-    /// Vertices matched by more than one shard, sorted — the raw,
-    /// pre-arbitration conflict set (see
-    /// [`ShardedSnapshot::conflicted_vertices`]).
-    conflicted: Vec<VertexId>,
-    /// The arbitrated (repaired, globally valid) matching, as of the most
-    /// recent drain boundary.
-    arbitrated: Arc<ArbitratedMatching>,
+    /// The view of the most recent drain boundary.
+    view: Arc<ShardedView>,
 }
 
 impl ShardedSnapshot {
     /// Number of shards.
     #[must_use]
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.view.shards.len()
     }
 
     /// Shard `k`'s own snapshot (O(1)).
@@ -528,32 +539,32 @@ impl ShardedSnapshot {
     /// Panics if `k` is out of range.
     #[must_use]
     pub fn shard(&self, k: usize) -> &Arc<MatchingSnapshot> {
-        &self.shards[k]
+        &self.view.shards[k]
     }
 
     /// Total matched edges across shards.
     #[must_use]
     pub fn size(&self) -> usize {
-        self.shards.iter().map(|s| s.size()).sum()
+        self.view.shards.iter().map(|s| s.size()).sum()
     }
 
     /// Whether no shard matched anything.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
+        self.view.shards.iter().all(|s| s.is_empty())
     }
 
     /// Total committed sub-batches across shards.
     #[must_use]
     pub fn committed_batches(&self) -> u64 {
-        self.shards.iter().map(|s| s.committed_batches()).sum()
+        self.view.shards.iter().map(|s| s.committed_batches()).sum()
     }
 
     /// Field-wise sum of every shard's lifetime [`EngineMetrics`].
     #[must_use]
     pub fn metrics(&self) -> EngineMetrics {
         let mut total = EngineMetrics::default();
-        for shard in &self.shards {
+        for shard in &self.view.shards {
             total.merge(&shard.metrics());
         }
         total
@@ -562,7 +573,7 @@ impl ShardedSnapshot {
     /// Whether `id` is matched in any shard.
     #[must_use]
     pub fn contains_edge(&self, id: EdgeId) -> bool {
-        self.shards.iter().any(|s| s.contains_edge(id))
+        self.view.shards.iter().any(|s| s.contains_edge(id))
     }
 
     /// The matched edge covering `v`, if any shard matched it (lowest shard
@@ -570,13 +581,13 @@ impl ShardedSnapshot {
     /// [`ShardedSnapshot::conflicted_vertices`]).
     #[must_use]
     pub fn matched_edge_of(&self, v: VertexId) -> Option<EdgeId> {
-        self.shards.iter().find_map(|s| s.matched_edge_of(v))
+        self.view.shards.iter().find_map(|s| s.matched_edge_of(v))
     }
 
     /// Whether any shard matched an edge covering `v`.
     #[must_use]
     pub fn is_matched(&self, v: VertexId) -> bool {
-        self.shards.iter().any(|s| s.is_matched(v))
+        self.view.shards.iter().any(|s| s.is_matched(v))
     }
 
     /// The merged matched-edge view: every shard's matched edges, sorted
@@ -584,7 +595,7 @@ impl ShardedSnapshot {
     /// is allocation-free).
     #[must_use]
     pub fn edge_ids(&self) -> Vec<EdgeId> {
-        let mut ids: Vec<EdgeId> = self.shards.iter().flat_map(|s| s.edges()).collect();
+        let mut ids: Vec<EdgeId> = self.view.shards.iter().flat_map(|s| s.edges()).collect();
         ids.sort_unstable();
         ids
     }
@@ -599,7 +610,7 @@ impl ShardedSnapshot {
     /// [`ShardedSnapshot::arbitrated_matching`] instead.
     #[must_use]
     pub fn cross_shard_matched(&self) -> &[EdgeId] {
-        &self.cross_matched
+        &self.view.cross_matched
     }
 
     /// Vertices matched by more than one shard, sorted.
@@ -613,21 +624,19 @@ impl ShardedSnapshot {
     /// pass.
     #[must_use]
     pub fn conflicted_vertices(&self) -> &[VertexId] {
-        &self.conflicted
+        &self.view.conflicted
     }
 
     /// The arbitrated matching: the globally valid (and, by the one-wave
     /// repair argument, maximal over the committed edge set) matching
-    /// recovered from the per-shard matchings at the most recent drain
-    /// boundary.
+    /// recovered from this view's shard snapshots.
     ///
     /// Refreshed at the end of every [`ShardedService::drain`] /
     /// [`ShardedService::drain_lossy`] (and by construction, replay and
-    /// recovery); between drains it stays at the last drain's outcome even
-    /// though per-shard snapshots may already show newer per-shard commits.
+    /// recovery), together with the shard snapshots it was derived from.
     #[must_use]
     pub fn arbitrated_matching(&self) -> &ArbitratedMatching {
-        &self.arbitrated
+        &self.view.arbitrated
     }
 }
 
@@ -635,14 +644,71 @@ impl ShardedSnapshot {
 // The sharded service
 // ---------------------------------------------------------------------------
 
-/// Routing state: which shard owns each routed-live edge, and which of those
-/// edges are cross-shard.
+/// Routing state: which shard owns each routed-live edge, which of those
+/// edges are cross-shard, and what the routed batches touched since the
+/// arbitration last consumed it.
 #[derive(Debug, Default)]
 struct Router {
     /// Owner shard of every routed, not-yet-deleted edge.
     owner: FxHashMap<EdgeId, u32>,
     /// The routed-live edges whose endpoints span shards.
     cross: FxHashSet<EdgeId>,
+    /// What each routed batch touched, in ticket order.  A record outlives
+    /// the drain that commits its batch only if that drain may have left
+    /// part of the batch queued (see [`Router::routed_since`]).
+    routed: VecDeque<RoutedRecord>,
+    /// Tickets of [`ShardedService::submit`] calls that have routed their
+    /// batch but not yet enqueued every sub-batch.
+    in_flight: Vec<u64>,
+    /// The ticket the next routed batch gets.
+    next_ticket: u64,
+}
+
+/// What one routed batch touched, for the incremental arbitration: the
+/// endpoints of its inserts and the ids of its deletions (a deletion names
+/// no endpoints; the arbitration looks the id up in its own state).
+#[derive(Debug)]
+struct RoutedRecord {
+    ticket: u64,
+    vertices: Vec<VertexId>,
+    deleted: Vec<EdgeId>,
+}
+
+/// Everything routed since the last arbitration, flattened.
+#[derive(Debug, Default)]
+struct Routed {
+    vertices: Vec<VertexId>,
+    deleted: Vec<EdgeId>,
+}
+
+impl Router {
+    /// Every batch with a smaller ticket was fully enqueued before this
+    /// call: a drain started after it pops all of them.
+    fn enqueued_floor(&self) -> u64 {
+        self.in_flight
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(self.next_ticket)
+    }
+
+    /// Everything routed and not yet consumed.  With `settled`, the records
+    /// below `floor` (taken by [`Router::enqueued_floor`] before the drain)
+    /// are forgotten: the drain popped and committed their batches.  Later
+    /// records stay, since their batches may still be queued.
+    fn routed_since(&mut self, floor: u64, settled: bool) -> Routed {
+        let mut routed = Routed::default();
+        for record in &self.routed {
+            routed.vertices.extend_from_slice(&record.vertices);
+            routed.deleted.extend_from_slice(&record.deleted);
+        }
+        if settled {
+            while self.routed.front().is_some_and(|r| r.ticket < floor) {
+                self.routed.pop_front();
+            }
+        }
+        routed
+    }
 }
 
 /// One batch's routing decisions, computed against the router *without
@@ -665,6 +731,10 @@ struct RoutePlan {
     /// Final per-id cross-shard flags this batch establishes, overlaying
     /// [`Router::cross`].
     cross_overlay: FxHashMap<EdgeId, bool>,
+    /// Endpoints of the batch's inserts, for [`Router::routed`].
+    touched: Vec<VertexId>,
+    /// Ids of the batch's deletions, for [`Router::routed`].
+    deleted: Vec<EdgeId>,
 }
 
 impl RoutePlan {
@@ -677,9 +747,17 @@ impl RoutePlan {
     }
 
     /// Folds the overlay into the router — the point where the plan's routing
-    /// decisions become real.
-    fn apply(self, router: &mut Router) -> (RouteReport, Vec<Vec<Update>>) {
+    /// decisions become real — and records what the batch touched under a
+    /// fresh ticket, which it returns.
+    fn apply(self, router: &mut Router) -> (RouteReport, Vec<Vec<Update>>, u64) {
         let report = self.report();
+        let ticket = router.next_ticket;
+        router.next_ticket += 1;
+        router.routed.push_back(RoutedRecord {
+            ticket,
+            vertices: self.touched,
+            deleted: self.deleted,
+        });
         for (id, owner) in self.owner_overlay {
             match owner {
                 Some(shard) => {
@@ -697,7 +775,7 @@ impl RoutePlan {
                 router.cross.remove(&id);
             }
         }
-        (report, self.per_shard)
+        (report, self.per_shard, ticket)
     }
 
     /// Reassembles the original batch, in submission order, from the routed
@@ -726,7 +804,8 @@ impl RoutePlan {
 ///
 /// `Sync` like the underlying services: share it across threads with `Arc` or
 /// scoped borrows; submissions route under a short router lock, drains
-/// fan out per shard, reads never touch any commit lock.
+/// fan out per shard and run one at a time (each carries the arbitration
+/// forward from the last), reads never touch any commit lock.
 pub struct ShardedService {
     /// The shards, each a full service (engine, queue, journal, snapshots).
     shards: Vec<EngineService>,
@@ -736,9 +815,12 @@ pub struct ShardedService {
     router: Mutex<Router>,
     /// The shared vertex-space size (all shard engines agree).
     num_vertices: usize,
-    /// The arbitrated matching as of the most recent drain boundary
-    /// (swapped whole, like a published snapshot; readers clone the `Arc`).
-    arbitrated: Mutex<Arc<ArbitratedMatching>>,
+    /// The incremental arbitration state.  A drain holds it from start to
+    /// finish, so sharded drains run one at a time.
+    arbitration: Mutex<Arbitration>,
+    /// The view of the most recent drain boundary (swapped whole, like a
+    /// published snapshot; readers clone the `Arc`).
+    published: Mutex<Arc<ShardedView>>,
 }
 
 impl fmt::Debug for ShardedService {
@@ -805,14 +887,26 @@ impl ShardedService {
                 "shard {k} disagrees on the vertex-space size"
             );
         }
+        Self::assemble(services, partitioner, Router::default(), num_vertices)
+    }
+
+    /// The service over `shards` with `router`, its arbitration built from
+    /// scratch over the shards' current state.
+    fn assemble(
+        shards: Vec<EngineService>,
+        partitioner: Box<dyn Partitioner>,
+        router: Router,
+        num_vertices: usize,
+    ) -> Self {
+        let arbitration = arbitrate(snapshots(&shards), &shards, partitioner.as_ref(), None);
+        let published = Arc::clone(&arbitration.view);
         ShardedService {
-            shards: services,
+            shards,
             partitioner,
-            router: Mutex::new(Router::default()),
+            router: Mutex::new(router),
             num_vertices,
-            // Fresh services have empty matchings: the empty arbitrated view
-            // is exact (and `ArbitrationReport::default` is its report).
-            arbitrated: Mutex::new(Arc::new(ArbitratedMatching::default())),
+            arbitration: Mutex::new(arbitration),
+            published: Mutex::new(published),
         }
     }
 
@@ -900,10 +994,13 @@ impl ShardedService {
             cross_shard: 0,
             owner_overlay: FxHashMap::default(),
             cross_overlay: FxHashMap::default(),
+            touched: Vec::new(),
+            deleted: Vec::new(),
         };
         for update in batch {
             let shard = match &update {
                 Update::Insert(edge) => {
+                    plan.touched.extend_from_slice(edge.vertices());
                     let holder = match plan.owner_overlay.get(&edge.id) {
                         Some(overlaid) => *overlaid,
                         None => router.owner.get(&edge.id).copied(),
@@ -926,11 +1023,8 @@ impl ShardedService {
                         // shards.
                         let endpoints = edge.vertices();
                         let owner = self.partitioner.shard_of(endpoints[0], num_shards);
-                        let cross = endpoints[1..]
-                            .iter()
-                            .any(|&v| self.partitioner.shard_of(v, num_shards) != owner);
                         plan.owner_overlay.insert(edge.id, Some(owner as u32));
-                        if cross {
+                        if spans_shards(self.partitioner.as_ref(), endpoints, num_shards) {
                             plan.cross_overlay.insert(edge.id, true);
                             plan.cross_shard += 1;
                         }
@@ -938,6 +1032,7 @@ impl ShardedService {
                     }
                 }
                 Update::Delete(id) => {
+                    plan.deleted.push(*id);
                     let was_cross = match plan.cross_overlay.get(id) {
                         Some(overlaid) => *overlaid,
                         None => router.cross.contains(id),
@@ -981,10 +1076,14 @@ impl ShardedService {
                 cross_shard: 0,
             };
         }
-        let (report, per_shard) = {
+        let (report, per_shard, ticket) = {
             let mut router = self.lock_router();
             let plan = self.plan_routes(&router, batch);
-            plan.apply(&mut router)
+            let applied = plan.apply(&mut router);
+            // Until every sub-batch is enqueued, a concurrent drain must not
+            // forget what this batch touched (see `Router::enqueued_floor`).
+            router.in_flight.push(applied.2);
+            applied
         };
         for (shard, updates) in per_shard.into_iter().enumerate() {
             if !updates.is_empty() {
@@ -993,6 +1092,7 @@ impl ShardedService {
                 self.shards[shard].submit(UpdateBatch::trusted(updates));
             }
         }
+        self.lock_router().in_flight.retain(|&t| t != ticket);
         report
     }
 
@@ -1046,7 +1146,8 @@ impl ShardedService {
             drop(router);
             return Err(plan.into_batch());
         }
-        let (report, mut per_shard) = plan.apply(&mut router);
+        // Enqueued under the router lock, so the batch is never in flight.
+        let (report, mut per_shard, _) = plan.apply(&mut router);
         for (&k, guard) in targets.iter().zip(guards.iter_mut()) {
             let updates = std::mem::take(&mut per_shard[k]);
             // Sub-batches of a valid batch stay context-free valid.
@@ -1067,6 +1168,8 @@ impl ShardedService {
     /// returned [`ShardedServiceError::partial`] reports everything that did
     /// commit.
     pub fn drain(&self) -> Result<ShardedDrainReport, ShardedServiceError> {
+        let mut arbitration = self.lock_arbitration();
+        let floor = self.lock_router().enqueued_floor();
         let results: Vec<Result<Vec<BatchReport>, ServiceError>> =
             self.shards.par_iter().map(EngineService::drain).collect();
         let mut per_shard = Vec::with_capacity(results.len());
@@ -1095,7 +1198,9 @@ impl ShardedService {
             self.resync_router_with_shard(shard);
         }
         let mut report = self.merge_drain(per_shard);
-        report.arbitration = self.refresh_arbitration();
+        // A failed shard leaves its later sub-batches queued, so the routing
+        // records of this drain's batches must outlive it.
+        report.arbitration = self.rearbitrate(&mut arbitration, floor, first_error.is_none());
         match first_error {
             None => Ok(report),
             Some((shard, error)) => Err(ShardedServiceError {
@@ -1113,6 +1218,8 @@ impl ShardedService {
     /// are always empty afterwards.
     #[must_use]
     pub fn drain_lossy(&self) -> ShardedIngestReport {
+        let mut arbitration = self.lock_arbitration();
+        let floor = self.lock_router().enqueued_floor();
         let per_shard: Vec<Vec<IngestReport>> = self
             .shards
             .par_iter()
@@ -1134,7 +1241,7 @@ impl ShardedService {
             }
         }
         merged.per_shard = per_shard;
-        merged.arbitration = self.refresh_arbitration();
+        merged.arbitration = self.rearbitrate(&mut arbitration, floor, true);
         merged
     }
 
@@ -1154,41 +1261,15 @@ impl ShardedService {
         merged
     }
 
-    /// The merged snapshot: every shard's current [`MatchingSnapshot`] (one
-    /// `Arc` clone each) plus cross-shard accounting, which costs
-    /// O(|cross| + M·r) per call (see [`ShardedSnapshot`]).  Never touches a
-    /// commit lock.
+    /// The merged snapshot published by the most recent drain: one lock,
+    /// one `Arc` clone, O(1) (see [`ShardedSnapshot`]).  Never touches a
+    /// commit lock.  Shard commits show here once the sharded drain that
+    /// made them has arbitrated; [`ShardedService::shard_snapshot`] reads a
+    /// shard's latest commit directly.
     #[must_use]
     pub fn snapshot(&self) -> ShardedSnapshot {
-        let shards: Vec<Arc<MatchingSnapshot>> =
-            self.shards.iter().map(EngineService::snapshot).collect();
-        let cross: FxHashSet<EdgeId> = {
-            let router = self.lock_router();
-            router.cross.iter().copied().collect()
-        };
-        let mut cross_matched: Vec<EdgeId> = shards
-            .iter()
-            .flat_map(|s| s.edges())
-            .filter(|id| cross.contains(id))
-            .collect();
-        cross_matched.sort_unstable();
-        let mut matched_in: FxHashMap<VertexId, u32> = FxHashMap::default();
-        for shard in &shards {
-            for v in shard.matched_vertices() {
-                *matched_in.entry(v).or_insert(0) += 1;
-            }
-        }
-        let mut conflicted: Vec<VertexId> = matched_in
-            .into_iter()
-            .filter_map(|(v, count)| (count > 1).then_some(v))
-            .collect();
-        conflicted.sort_unstable();
-        let arbitrated = Arc::clone(&self.lock_arbitrated());
         ShardedSnapshot {
-            shards,
-            cross_matched,
-            conflicted,
-            arbitrated,
+            view: Arc::clone(&self.lock_published()),
         }
     }
 
@@ -1306,12 +1387,8 @@ impl ShardedService {
                     match update {
                         Update::Insert(edge) => {
                             router.owner.insert(edge.id, shard as u32);
-                            let endpoints = edge.vertices();
-                            let owner = service.partitioner.shard_of(endpoints[0], num_shards);
-                            if endpoints[1..]
-                                .iter()
-                                .any(|&v| service.partitioner.shard_of(v, num_shards) != owner)
-                            {
+                            let partitioner = service.partitioner.as_ref();
+                            if spans_shards(partitioner, edge.vertices(), num_shards) {
                                 router.cross.insert(edge.id);
                             }
                         }
@@ -1329,7 +1406,7 @@ impl ShardedService {
         }
         // Arbitration is derived state: recomputing it over the replayed
         // per-shard matchings reproduces the original outcome bit-identically.
-        service.refresh_arbitration();
+        service.rebuild_arbitration();
         Ok(service)
     }
 
@@ -1421,28 +1498,15 @@ impl ShardedService {
         for (k, shard) in shards.iter().enumerate() {
             for edge in shard.mirror_edges() {
                 router.owner.insert(edge.id, k as u32);
-                let endpoints = edge.vertices();
-                let owner = partitioner.shard_of(endpoints[0], num_shards);
-                if endpoints[1..]
-                    .iter()
-                    .any(|&v| partitioner.shard_of(v, num_shards) != owner)
-                {
+                if spans_shards(partitioner.as_ref(), edge.vertices(), num_shards) {
                     router.cross.insert(edge.id);
                 }
             }
         }
-        let service = ShardedService {
-            shards,
-            partitioner,
-            router: Mutex::new(router),
-            num_vertices,
-            arbitrated: Mutex::new(Arc::new(ArbitratedMatching::default())),
-        };
         // Derived state, recomputed rather than persisted: the recovered
         // per-shard matchings are bit-identical to the originals, so the
         // arbitration pass over them is too.
-        service.refresh_arbitration();
-        Ok(service)
+        Ok(Self::assemble(shards, partitioner, router, num_vertices))
     }
 
     /// Shard `k`'s canonical engine state blob (exactly
@@ -1457,151 +1521,57 @@ impl ShardedService {
         self.shards[k].save_state()
     }
 
-    /// One boundary-arbitration pass over the current published per-shard
-    /// snapshots — a pure, deterministic function of them (the shard engines
-    /// are never touched, let alone mutated).
-    ///
-    /// 1. **Award**: count, per vertex, how many shards cover it; every
-    ///    vertex covered more than once is awarded to the covering edge with
-    ///    the smallest `(owner shard, edge id)` — walking shards ascending,
-    ///    the first coverer wins (within one shard exactly one matched edge
-    ///    covers a vertex, so the shard determines the edge).
-    /// 2. **Evict**: a matched edge keeping *all* its endpoint awards is
-    ///    kept; an edge that lost any endpoint is evicted.
-    /// 3. **Repair**, one bounded wave: the endpoints of evicted edges not
-    ///    covered by kept edges are *freed*; each shard concurrently collects
-    ///    its live edges incident to a freed vertex
-    ///    ([`EngineService::repair_candidates`], id-sorted), and a sequential
-    ///    greedy walks the candidates in `(owner shard, edge id)` order
-    ///    accepting every edge whose endpoints are all still uncovered.
-    ///    Repaired edges only add coverage, so one wave cannot re-expose a
-    ///    vertex — which is exactly why a single wave restores maximality
-    ///    over the committed edge set (see the module docs).
-    fn arbitrate(&self) -> ArbitratedMatching {
-        let shards: Vec<Arc<MatchingSnapshot>> =
-            self.shards.iter().map(EngineService::snapshot).collect();
-        let pre_size: usize = shards.iter().map(|s| s.size()).sum();
-
-        // Award pass: occupancy counts, then lowest-shard awards.  Each pass
-        // walks every shard's (id, endpoints) pairs once, in id order.
-        let mut cover_count: FxHashMap<VertexId, u32> = FxHashMap::default();
-        for snap in &shards {
-            for (_, endpoints) in snap.matched_edges() {
-                for &v in endpoints {
-                    *cover_count.entry(v).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut award: FxHashMap<VertexId, (usize, EdgeId)> = FxHashMap::default();
-        for (k, snap) in shards.iter().enumerate() {
-            for (id, endpoints) in snap.matched_edges() {
-                for &v in endpoints {
-                    if cover_count[&v] > 1 {
-                        award.entry(v).or_insert((k, id));
-                    }
-                }
-            }
-        }
-
-        // Evict pass: keep exactly the edges that won all their endpoints.
-        let mut kept: Vec<EdgeId> = Vec::new();
-        let mut evicted: Vec<EdgeId> = Vec::new();
-        let mut evicted_endpoints: Vec<VertexId> = Vec::new();
-        let mut by_vertex: FxHashMap<VertexId, EdgeId> = FxHashMap::default();
-        let mut conflicted: Vec<VertexId> = Vec::new();
-        for (k, snap) in shards.iter().enumerate() {
-            for (id, endpoints) in snap.matched_edges() {
-                let wins = endpoints
-                    .iter()
-                    .all(|v| cover_count[v] == 1 || award.get(v) == Some(&(k, id)));
-                if wins {
-                    kept.push(id);
-                    for &v in endpoints {
-                        if let Some(prev) = by_vertex.insert(v, id) {
-                            if prev != id {
-                                // Unreachable by the award argument; recorded
-                                // honestly rather than asserted away, so the
-                                // conformance audits check a real structure.
-                                conflicted.push(v);
-                            }
-                        }
-                    }
-                } else {
-                    evicted.push(id);
-                    evicted_endpoints.extend_from_slice(endpoints);
-                }
-            }
-        }
-
-        // Freed vertices: endpoints evictions exposed, minus kept coverage.
-        let mut freed: Vec<VertexId> = evicted_endpoints
-            .into_iter()
-            .filter(|v| !by_vertex.contains_key(v))
-            .collect();
-        freed.sort_unstable();
-        freed.dedup();
-
-        // Repair wave.
-        let mut repaired: Vec<EdgeId> = Vec::new();
-        let mut repair_candidates = 0usize;
-        if !freed.is_empty() {
-            let candidates: Vec<Vec<(EdgeId, Box<[VertexId]>)>> = self
-                .shards
-                .par_iter()
-                .map(|shard| shard.repair_candidates(&freed))
-                .collect();
-            // `by_vertex` doubles as the claimed set; shard-major over
-            // id-sorted lists is the (owner shard, edge id) priority order.
-            for per_shard in &candidates {
-                repair_candidates += per_shard.len();
-                for (id, endpoints) in per_shard {
-                    if endpoints.iter().any(|v| by_vertex.contains_key(v)) {
-                        continue;
-                    }
-                    for &v in endpoints.iter() {
-                        by_vertex.insert(v, *id);
-                    }
-                    repaired.push(*id);
-                }
-            }
-        }
-
-        let stats = ArbitrationStats {
-            conflicted_vertices: award.len(),
-            evicted_edges: evicted.len(),
-            freed_vertices: freed.len(),
-            repair_candidates,
-            repaired_edges: repaired.len(),
-        };
-        let report = ArbitrationReport {
-            stats,
-            pre_size,
-            post_size: kept.len() + repaired.len(),
-        };
-        let mut matching = kept;
-        matching.extend_from_slice(&repaired);
-        matching.sort_unstable();
-        evicted.sort_unstable();
-        repaired.sort_unstable();
-        conflicted.sort_unstable();
-        conflicted.dedup();
-        ArbitratedMatching {
-            matching,
-            evicted,
-            repaired,
-            by_vertex,
-            conflicted,
-            report,
-        }
+    /// The arbitrated matching recomputed from scratch over the shards'
+    /// current state, O(M·r) for `M` matched edges of rank up to `r`: the
+    /// oracle the incrementally maintained
+    /// [`ShardedSnapshot::arbitrated_matching`] is tested against.  Not a
+    /// serving-path read.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn arbitrate_from_scratch(&self) -> ArbitratedMatching {
+        arbitrate(
+            snapshots(&self.shards),
+            &self.shards,
+            self.partitioner.as_ref(),
+            None,
+        )
+        .view
+        .arbitrated
+        .as_ref()
+        .clone()
     }
 
-    /// Recomputes and publishes the arbitrated matching (swap-whole, like a
-    /// snapshot publish), returning the pass's report.  Called at the end of
-    /// every drain, and by replay/recovery construction.
-    fn refresh_arbitration(&self) -> ArbitrationReport {
-        let arbitrated = Arc::new(self.arbitrate());
-        let report = arbitrated.report();
-        *self.lock_arbitrated() = arbitrated;
+    /// Replaces the arbitration state with one built from scratch and
+    /// publishes its view (replay and recovery, after rebuilding shards).
+    fn rebuild_arbitration(&self) {
+        let arbitration = arbitrate(
+            snapshots(&self.shards),
+            &self.shards,
+            self.partitioner.as_ref(),
+            None,
+        );
+        *self.lock_published() = Arc::clone(&arbitration.view);
+        *self.lock_arbitration() = arbitration;
+    }
+
+    /// Brings the arbitration up to the shards' current matchings and live
+    /// edges, publishes the new view and returns the pass's report.
+    /// `floor` and `settled` say which routing records the drain consumed
+    /// (see [`Router::routed_since`]).
+    fn rearbitrate(
+        &self,
+        arbitration: &mut Arbitration,
+        floor: u64,
+        settled: bool,
+    ) -> ArbitrationReport {
+        let shards = snapshots(&self.shards);
+        let routed = self.lock_router().routed_since(floor, settled);
+        arbitration.advance(shards, &routed, &self.shards, self.partitioner.as_ref());
+        let view = Arc::clone(&arbitration.view);
+        let report = view.arbitrated.report();
+        // The replaced view is freed after the slot's lock is released.
+        let previous = std::mem::replace(&mut *self.lock_published(), view);
+        drop(previous);
         report
     }
 
@@ -1661,25 +1631,815 @@ impl ShardedService {
                 continue;
             }
             router.owner.insert(edge.id, k as u32);
-            let endpoints = edge.vertices();
-            let owner = self.partitioner.shard_of(endpoints[0], num_shards);
-            if endpoints[1..]
-                .iter()
-                .any(|&v| self.partitioner.shard_of(v, num_shards) != owner)
-            {
+            if spans_shards(self.partitioner.as_ref(), edge.vertices(), num_shards) {
                 router.cross.insert(edge.id);
             }
         }
     }
 
-    fn lock_arbitrated(&self) -> std::sync::MutexGuard<'_, Arc<ArbitratedMatching>> {
-        self.arbitrated
-            .lock()
-            .expect("arbitrated matching lock poisoned")
+    fn lock_arbitration(&self) -> std::sync::MutexGuard<'_, Arbitration> {
+        self.arbitration.lock().expect("arbitration lock poisoned")
+    }
+
+    fn lock_published(&self) -> std::sync::MutexGuard<'_, Arc<ShardedView>> {
+        self.published.lock().expect("published view lock poisoned")
     }
 
     fn lock_router(&self) -> std::sync::MutexGuard<'_, Router> {
         self.router.lock().expect("shard router lock poisoned")
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Arbitration state
+// ---------------------------------------------------------------------------
+
+/// One drain boundary's published view: the shard snapshots, and the raw
+/// cross-shard accounting and arbitrated matching derived from exactly
+/// those snapshots.
+#[derive(Debug)]
+struct ShardedView {
+    /// One snapshot per shard, indexed by shard.
+    shards: Vec<Arc<MatchingSnapshot>>,
+    /// Matched edges (across all shards) whose endpoints span shards, sorted.
+    cross_matched: Vec<EdgeId>,
+    /// Vertices matched by more than one shard, sorted — the raw,
+    /// pre-arbitration conflict set (see
+    /// [`ShardedSnapshot::conflicted_vertices`]).
+    conflicted: Vec<VertexId>,
+    /// The arbitrated matching, shared with the previous view when a drain
+    /// changed nothing it depends on.
+    arbitrated: Arc<ArbitratedMatching>,
+}
+
+/// A repair candidate: its owner shard, id and endpoints.
+type Candidate = (usize, EdgeId, Box<[VertexId]>);
+
+/// Below this many query vertices the per-shard incidence scans run on the
+/// caller's thread: handing them to the pool costs more than they take.
+const PAR_SCAN_MIN_VERTICES: usize = 1024;
+
+/// `scan` over every shard, indexed by shard: on the pool when it queries at
+/// least [`PAR_SCAN_MIN_VERTICES`] vertices, in turn otherwise.
+fn scan_shards<T: Send>(
+    services: &[EngineService],
+    vertices: &[VertexId],
+    scan: impl Fn(&EngineService) -> T + Sync,
+) -> Vec<T> {
+    if vertices.len() < PAR_SCAN_MIN_VERTICES {
+        services.iter().map(scan).collect()
+    } else {
+        services.par_iter().map(&scan).collect()
+    }
+}
+
+/// Whether `endpoints` (sorted, so the first is the minimum) span shards:
+/// the router's cross-shard test.
+fn spans_shards(partitioner: &dyn Partitioner, endpoints: &[VertexId], num_shards: usize) -> bool {
+    let owner = partitioner.shard_of(endpoints[0], num_shards);
+    endpoints[1..]
+        .iter()
+        .any(|&v| partitioner.shard_of(v, num_shards) != owner)
+}
+
+/// How the arbitration covers a vertex.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cover {
+    /// A kept edge covers it.
+    Kept,
+    /// Only evicted edges cover it: a seed of the repair wave.
+    Freed,
+    /// No shard matched it.
+    Uncovered,
+}
+
+/// `v`'s cover.  The award rule gives a vertex to its lowest covering shard,
+/// so `v` is kept-covered exactly when that shard's edge was kept, and
+/// freed when it was evicted (every higher shard's edge lost `v`).
+fn cover_of(shards: &[Arc<MatchingSnapshot>], evicted: &FxHashSet<EdgeId>, v: VertexId) -> Cover {
+    match shards.iter().find_map(|s| s.matched_edge_of(v)) {
+        None => Cover::Uncovered,
+        Some(id) if evicted.contains(&id) => Cover::Freed,
+        Some(_) => Cover::Kept,
+    }
+}
+
+/// `old` without the items of `remove`, plus the items of `add`.  All three
+/// are sorted; `remove` is a subset of `old`, and `add` is disjoint from
+/// what remains of it.  The runs between changes are copied wholesale, so a
+/// small change to a long list costs a copy plus a binary search per change.
+fn patch_sorted<T: Ord + Copy>(old: &[T], mut remove: &[T], mut add: &[T]) -> Vec<T> {
+    let mut out = Vec::with_capacity(old.len() + add.len());
+    let mut rest = old;
+    loop {
+        // The next change in order; a removal goes first on a tie, so an
+        // item removed and re-added ends up present once.
+        let (item, removal) = match (remove.first(), add.first()) {
+            (None, None) => break,
+            (Some(&r), Some(&a)) if r <= a => (r, true),
+            (_, Some(&a)) => (a, false),
+            (Some(&r), None) => (r, true),
+        };
+        let at = rest.partition_point(|&x| x < item);
+        out.extend_from_slice(&rest[..at]);
+        rest = &rest[at..];
+        if removal {
+            if rest.first() == Some(&item) {
+                rest = &rest[1..];
+            }
+            remove = &remove[1..];
+        } else {
+            out.push(item);
+            add = &add[1..];
+        }
+    }
+    out.extend_from_slice(rest);
+    out
+}
+
+/// A connected piece of the repair wave: freed vertices (its seeds), the
+/// live edges incident to them (its candidates), and the candidates the
+/// greedy accepted, with their endpoints.  Candidates that share a vertex
+/// no kept edge covers are in one component; the greedy can only claim
+/// such vertices, so each component's outcome is independent of the rest.
+#[derive(Debug, Default)]
+struct RepairComponent {
+    seeds: Vec<VertexId>,
+    candidates: Vec<EdgeId>,
+    repaired: Vec<(EdgeId, Box<[VertexId]>)>,
+}
+
+/// A component of at least this many candidates that holds more than half
+/// of all candidates is *giant*: nearly every change reaches it, and
+/// rerunning it costs about as much as the full pass, so while one exists
+/// drains run the full pass instead.  Dense boundaries produce one: at 200k
+/// live edges over 2 hash shards, one component holds nearly all of about
+/// 100k candidates.  Smaller components rerun cheaply whatever their share.
+const GIANT_COMPONENT_MIN: usize = 1024;
+
+/// Splits a closed set of candidates, in priority order, and their seeds
+/// into connected components, linking through the vertices `links`
+/// accepts.  `accepted[i]` says whether the greedy took `candidates[i]`.
+/// Returns `None` instead when one component is giant next to `total`
+/// candidates (see [`GIANT_COMPONENT_MIN`]).  Vertices are below
+/// `num_vertices`.
+fn split_components(
+    seeds: Vec<VertexId>,
+    candidates: Vec<Candidate>,
+    accepted: &[bool],
+    total: usize,
+    num_vertices: usize,
+    links: impl Fn(VertexId) -> bool,
+) -> Option<Vec<RepairComponent>> {
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    let n = candidates.len();
+    let mut parent: Vec<usize> = (0..n + seeds.len()).collect();
+    // The first node seen at each vertex (dense: every candidate endpoint
+    // is probed, and hashing them would cost more than the array).
+    let mut first_at = vec![usize::MAX; num_vertices];
+    let memberships = candidates
+        .iter()
+        .enumerate()
+        .flat_map(|(i, (_, _, endpoints))| endpoints.iter().map(move |&v| (i, v)))
+        .chain(seeds.iter().enumerate().map(|(s, &v)| (n + s, v)));
+    for (node, v) in memberships {
+        if !links(v) {
+            continue;
+        }
+        let first = &mut first_at[v.index()];
+        if *first == usize::MAX {
+            *first = node;
+        } else {
+            let (a, b) = (find(&mut parent, node), find(&mut parent, *first));
+            parent[a] = b;
+        }
+    }
+    let roots: Vec<usize> = (0..parent.len()).map(|x| find(&mut parent, x)).collect();
+    let mut size = vec![0usize; roots.len()];
+    for &root in &roots[..n] {
+        size[root] += 1;
+    }
+    if size
+        .iter()
+        .any(|&s| s >= GIANT_COMPONENT_MIN && 2 * s > total)
+    {
+        return None;
+    }
+    let mut slot_of_root = vec![usize::MAX; roots.len()];
+    let mut components: Vec<RepairComponent> = Vec::new();
+    let slots: Vec<usize> = roots
+        .iter()
+        .map(|&root| {
+            if slot_of_root[root] == usize::MAX {
+                slot_of_root[root] = components.len();
+                components.push(RepairComponent::default());
+            }
+            slot_of_root[root]
+        })
+        .collect();
+    for ((i, (_, id, endpoints)), &taken) in candidates.into_iter().enumerate().zip(accepted) {
+        let component = &mut components[slots[i]];
+        component.candidates.push(id);
+        if taken {
+            component.repaired.push((id, endpoints));
+        }
+    }
+    for (s, v) in seeds.into_iter().enumerate() {
+        components[slots[n + s]].seeds.push(v);
+    }
+    Some(components)
+}
+
+/// The repair components, indexed by candidate, with the report's running
+/// counts over them.
+#[derive(Debug, Default)]
+struct RepairIndex {
+    components: FxHashMap<u64, RepairComponent>,
+    /// The component holding each candidate.
+    component_of: FxHashMap<EdgeId, u64>,
+    /// The key the next component gets.
+    next_key: u64,
+    /// Seeds across components: the report's `freed_vertices`.
+    freed: usize,
+    /// Candidates across components: the report's `repair_candidates`.
+    candidates: usize,
+    /// When the last full pass found (or assumed) a giant component, which
+    /// it left unindexed, the candidate count it found it at: the next drain
+    /// runs the full pass again.
+    giant: Option<usize>,
+}
+
+impl RepairIndex {
+    fn insert(&mut self, components: Vec<RepairComponent>) {
+        for component in components {
+            let key = self.next_key;
+            self.next_key += 1;
+            self.freed += component.seeds.len();
+            self.candidates += component.candidates.len();
+            for &id in &component.candidates {
+                self.component_of.insert(id, key);
+            }
+            self.components.insert(key, component);
+        }
+    }
+
+    /// Removes and returns the component holding candidate `id`, if any.
+    fn take_of(&mut self, id: EdgeId) -> Option<RepairComponent> {
+        let key = *self.component_of.get(&id)?;
+        let component = self
+            .components
+            .remove(&key)
+            .expect("indexed components exist");
+        for id in &component.candidates {
+            self.component_of.remove(id);
+        }
+        self.freed -= component.seeds.len();
+        self.candidates -= component.candidates.len();
+        Some(component)
+    }
+}
+
+/// The arbitration carried from one drain to the next: the published view,
+/// plus what lets the next drain redo only the part that changed.
+#[derive(Debug)]
+struct Arbitration {
+    /// The view this state describes.
+    view: Arc<ShardedView>,
+    /// The evicted edges, for O(1) membership.
+    evicted: FxHashSet<EdgeId>,
+    /// The repair wave, component by component.
+    repairs: RepairIndex,
+}
+
+/// Every shard's published snapshot, indexed by shard.
+fn snapshots(services: &[EngineService]) -> Vec<Arc<MatchingSnapshot>> {
+    services.iter().map(EngineService::snapshot).collect()
+}
+
+/// One boundary-arbitration pass from scratch over the shard snapshots
+/// `shards` and the shards' committed live edges — a pure, deterministic
+/// function of them (the shard engines are never touched, let alone
+/// mutated).  It
+/// builds the state at construction, replay and recovery, and it is the
+/// oracle [`Arbitration::advance`] is tested against.
+///
+/// 1. **Award**: count, per vertex, how many shards cover it; every
+///    vertex covered more than once is awarded to the covering edge with
+///    the smallest `(owner shard, edge id)` — walking shards ascending,
+///    the first coverer wins (within one shard exactly one matched edge
+///    covers a vertex, so the shard determines the edge).
+/// 2. **Evict**: a matched edge keeping *all* its endpoint awards is
+///    kept; an edge that lost any endpoint is evicted.
+/// 3. **Repair**, one bounded wave: the endpoints of evicted edges not
+///    covered by kept edges are *freed*; each shard collects its live edges
+///    incident to a freed vertex ([`EngineService::repair_candidates`],
+///    id-sorted), and a sequential greedy walks the candidates in
+///    `(owner shard, edge id)` order accepting every edge whose endpoints
+///    are all still uncovered.  Repaired edges only add coverage, so one
+///    wave cannot re-expose a vertex — which is exactly why a single wave
+///    restores maximality over the committed edge set (see the module
+///    docs).
+fn arbitrate(
+    shards: Vec<Arc<MatchingSnapshot>>,
+    services: &[EngineService],
+    partitioner: &dyn Partitioner,
+    giant: Option<usize>,
+) -> Arbitration {
+    let pre_size: usize = shards.iter().map(|s| s.size()).sum();
+
+    // Award pass: occupancy counts, then lowest-shard awards.  Each pass
+    // walks every shard's (id, endpoints) pairs once, in id order.
+    let mut cover_count: FxHashMap<VertexId, u32> = FxHashMap::default();
+    for snap in &shards {
+        for (_, endpoints) in snap.matched_edges() {
+            for &v in endpoints {
+                *cover_count.entry(v).or_insert(0) += 1;
+            }
+        }
+    }
+    let mut award: FxHashMap<VertexId, (usize, EdgeId)> = FxHashMap::default();
+    for (k, snap) in shards.iter().enumerate() {
+        for (id, endpoints) in snap.matched_edges() {
+            for &v in endpoints {
+                if cover_count[&v] > 1 {
+                    award.entry(v).or_insert((k, id));
+                }
+            }
+        }
+    }
+
+    // Evict pass: keep exactly the edges that won all their endpoints.
+    let mut kept: Vec<EdgeId> = Vec::new();
+    let mut evicted: Vec<EdgeId> = Vec::new();
+    let mut evicted_endpoints: Vec<VertexId> = Vec::new();
+    let mut by_vertex: FxHashMap<VertexId, EdgeId> = FxHashMap::default();
+    let num_vertices = shards.first().map_or(0, |s| s.num_vertices());
+    let mut kept_vertex = vec![false; num_vertices];
+    let mut conflicted: Vec<VertexId> = Vec::new();
+    for (k, snap) in shards.iter().enumerate() {
+        for (id, endpoints) in snap.matched_edges() {
+            let wins = endpoints
+                .iter()
+                .all(|v| cover_count[v] == 1 || award.get(v) == Some(&(k, id)));
+            if wins {
+                kept.push(id);
+                for &v in endpoints {
+                    kept_vertex[v.index()] = true;
+                    if let Some(prev) = by_vertex.insert(v, id) {
+                        if prev != id {
+                            // Unreachable by the award argument; recorded
+                            // honestly rather than asserted away, so the
+                            // conformance audits check a real structure.
+                            conflicted.push(v);
+                        }
+                    }
+                }
+            } else {
+                evicted.push(id);
+                evicted_endpoints.extend_from_slice(endpoints);
+            }
+        }
+    }
+
+    // Freed vertices: endpoints evictions exposed, minus kept coverage.
+    let mut freed: Vec<VertexId> = evicted_endpoints
+        .into_iter()
+        .filter(|v| !by_vertex.contains_key(v))
+        .collect();
+    freed.sort_unstable();
+    freed.dedup();
+
+    // Repair wave.  `by_vertex` doubles as the claimed set; shard-major
+    // over id-sorted lists is the (owner shard, edge id) priority order.
+    let candidates: Vec<Candidate> = scan_shards(services, &freed, |s| s.repair_candidates(&freed))
+        .into_iter()
+        .enumerate()
+        .flat_map(|(k, edges)| edges.into_iter().map(move |(id, ends)| (k, id, ends)))
+        .collect();
+    let mut repaired: Vec<EdgeId> = Vec::new();
+    let mut accepted = vec![false; candidates.len()];
+    for ((_, id, endpoints), taken) in candidates.iter().zip(&mut accepted) {
+        if endpoints.iter().any(|v| by_vertex.contains_key(v)) {
+            continue;
+        }
+        for &v in endpoints.iter() {
+            by_vertex.insert(v, *id);
+        }
+        repaired.push(*id);
+        *taken = true;
+    }
+
+    let stats = ArbitrationStats {
+        conflicted_vertices: award.len(),
+        evicted_edges: evicted.len(),
+        freed_vertices: freed.len(),
+        repair_candidates: candidates.len(),
+        repaired_edges: repaired.len(),
+    };
+    let report = ArbitrationReport {
+        stats,
+        pre_size,
+        post_size: kept.len() + repaired.len(),
+    };
+    let mut matching = kept;
+    matching.extend_from_slice(&repaired);
+    matching.sort_unstable();
+    evicted.sort_unstable();
+    repaired.sort_unstable();
+    conflicted.sort_unstable();
+    conflicted.dedup();
+
+    let evicted_set: FxHashSet<EdgeId> = evicted.iter().copied().collect();
+    let mut repairs = RepairIndex::default();
+    let total = candidates.len();
+    // Finding a giant component costs more than the rest of the pass, so
+    // one found before is assumed to persist until the candidates halve.
+    let assumed = giant.filter(|&found_at| 2 * total > found_at);
+    let components = match assumed {
+        Some(_) => None,
+        None => split_components(freed, candidates, &accepted, total, num_vertices, |v| {
+            !kept_vertex[v.index()]
+        }),
+    };
+    match components {
+        Some(components) => repairs.insert(components),
+        None => {
+            repairs.giant = Some(assumed.unwrap_or(total));
+            repairs.freed = stats.freed_vertices;
+            repairs.candidates = stats.repair_candidates;
+        }
+    }
+    let mut cross_matched: Vec<EdgeId> = shards
+        .iter()
+        .flat_map(|s| s.matched_edges())
+        .filter(|(_, endpoints)| spans_shards(partitioner, endpoints, shards.len()))
+        .map(|(id, _)| id)
+        .collect();
+    cross_matched.sort_unstable();
+    let mut raw_conflicted: Vec<VertexId> = award.into_keys().collect();
+    raw_conflicted.sort_unstable();
+    Arbitration {
+        view: Arc::new(ShardedView {
+            shards,
+            cross_matched,
+            conflicted: raw_conflicted,
+            arbitrated: Arc::new(ArbitratedMatching {
+                matching,
+                evicted,
+                repaired,
+                by_vertex,
+                conflicted,
+                report,
+            }),
+        }),
+        evicted: evicted_set,
+        repairs,
+    }
+}
+
+impl Arbitration {
+    /// Advances the state to the shard snapshots `next` and the shards'
+    /// current live edges, redoing only what changed since `self.view`;
+    /// `routed` names what the updates routed since then touched.  The
+    /// result equals [`arbitrate`] over the same state, bit for bit.
+    ///
+    /// 1. **Delta**: a merge of each changed shard's previous and current
+    ///    sorted id arrays gives the matched edges that left and entered;
+    ///    their endpoints are the vertices whose covers changed.
+    /// 2. **Raw accounting** moves by that delta.
+    /// 3. **Award and evict** are redone for the matched edges covering a
+    ///    changed vertex — the only edges whose outcome can move.
+    /// 4. **Repair** is rerun over a region grown to closure from the
+    ///    vertices of step 3 whose cover moved or is freed, the freed
+    ///    endpoints of routed inserts, and the old components of removed
+    ///    or deleted candidates: every candidate sharing a vertex no kept
+    ///    edge covers joins, and so does the whole old component of any
+    ///    candidate that joins.  The greedy walks the region in
+    ///    `(owner shard, edge id)` order, as the full pass would.
+    fn advance(
+        &mut self,
+        next: Vec<Arc<MatchingSnapshot>>,
+        routed: &Routed,
+        services: &[EngineService],
+        partitioner: &dyn Partitioner,
+    ) {
+        let prev = Arc::clone(&self.view);
+        let num_shards = next.len();
+        if prev.shards.iter().all(|s| s.is_empty()) || self.repairs.giant.is_some() {
+            // Nothing to carry forward (the first drain after a bulk load),
+            // or a giant repair component the drain would rerun anyway: the
+            // full pass is the cheaper way to the same state.
+            *self = arbitrate(next, services, partitioner, self.repairs.giant);
+            return;
+        }
+
+        // 1. Delta.
+        let mut removed: Vec<(EdgeId, &[VertexId])> = Vec::new();
+        let mut added: Vec<(EdgeId, &[VertexId])> = Vec::new();
+        for (old, new) in prev.shards.iter().zip(&next) {
+            if !Arc::ptr_eq(old, new) {
+                new.delta_since(old, &mut removed, &mut added);
+            }
+        }
+        if removed.is_empty()
+            && added.is_empty()
+            && routed.vertices.is_empty()
+            && routed.deleted.is_empty()
+        {
+            // Only the snapshots' counters can have moved.
+            self.view = Arc::new(ShardedView {
+                shards: next,
+                cross_matched: prev.cross_matched.clone(),
+                conflicted: prev.conflicted.clone(),
+                arbitrated: Arc::clone(&prev.arbitrated),
+            });
+            return;
+        }
+        let mut touched: Vec<VertexId> = removed
+            .iter()
+            .chain(&added)
+            .flat_map(|&(_, endpoints)| endpoints.iter().copied())
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+
+        // 2. Raw accounting.
+        let crossing = |delta: &[(EdgeId, &[VertexId])]| {
+            let mut ids: Vec<EdgeId> = delta
+                .iter()
+                .filter(|(_, endpoints)| spans_shards(partitioner, endpoints, num_shards))
+                .map(|&(id, _)| id)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        let cross_matched =
+            patch_sorted(&prev.cross_matched, &crossing(&removed), &crossing(&added));
+        let (mut raw_out, mut raw_in) = (Vec::new(), Vec::new());
+        for &v in &touched {
+            let was = prev.conflicted.binary_search(&v).is_ok();
+            let now = next.iter().filter(|s| s.is_matched(v)).count() > 1;
+            if was && !now {
+                raw_out.push(v);
+            } else if now && !was {
+                raw_in.push(v);
+            }
+        }
+        let raw_conflicted = patch_sorted(&prev.conflicted, &raw_out, &raw_in);
+
+        // 3. Award and evict.  The region is every vertex whose cover can
+        // have moved: the changed vertices and the endpoints of the edges
+        // re-judged for covering one.
+        let mut rejudged: FxHashMap<EdgeId, (usize, &[VertexId])> = FxHashMap::default();
+        for &v in &touched {
+            for (k, snap) in next.iter().enumerate() {
+                if let Some(id) = snap.matched_edge_of(v) {
+                    let endpoints = snap
+                        .matched_endpoints(id)
+                        .expect("covering edges are matched");
+                    rejudged.insert(id, (k, endpoints));
+                }
+            }
+        }
+        let mut region = touched;
+        region.extend(
+            rejudged
+                .values()
+                .flat_map(|&(_, endpoints)| endpoints.iter().copied()),
+        );
+        region.sort_unstable();
+        region.dedup();
+        let covered_before: Vec<Cover> = region
+            .iter()
+            .map(|&v| cover_of(&prev.shards, &self.evicted, v))
+            .collect();
+        let (mut evicted_out, mut evicted_in) = (Vec::new(), Vec::new());
+        for &(id, _) in &removed {
+            if self.evicted.remove(&id) {
+                evicted_out.push(id);
+            }
+        }
+        for (&id, &(k, endpoints)) in &rejudged {
+            let loses = endpoints
+                .iter()
+                .any(|&u| next[..k].iter().any(|s| s.is_matched(u)));
+            if loses {
+                if self.evicted.insert(id) {
+                    evicted_in.push(id);
+                }
+            } else if self.evicted.remove(&id) {
+                evicted_out.push(id);
+            }
+        }
+        evicted_out.sort_unstable();
+        evicted_in.sort_unstable();
+        let evicted = patch_sorted(&prev.arbitrated.evicted, &evicted_out, &evicted_in);
+        let cover = |v: VertexId| cover_of(&next, &self.evicted, v);
+
+        // 4. Repair.  Retire the components a removed or deleted edge was a
+        // candidate of, then grow the region to closure from the retired
+        // seeds and every vertex whose cover changed or is freed.  A vertex
+        // kept-covered (or uncovered) before and after changes no candidate;
+        // of the routed endpoints only the freed ones can seed a new
+        // candidate (an insert with no freed endpoint is none).
+        let mut retired: Vec<RepairComponent> = removed
+            .iter()
+            .map(|&(id, _)| id)
+            .chain(routed.deleted.iter().copied())
+            .filter_map(|id| self.repairs.take_of(id))
+            .collect();
+        let mut frontier: Vec<VertexId> = region
+            .iter()
+            .zip(&covered_before)
+            .filter(|&(&v, &before)| {
+                let now = cover(v);
+                now != before || now == Cover::Freed
+            })
+            .map(|(&v, _)| v)
+            .collect();
+        frontier.extend(
+            routed
+                .vertices
+                .iter()
+                .copied()
+                .filter(|&v| cover(v) == Cover::Freed),
+        );
+        frontier.extend(retired.iter().flat_map(|c| c.seeds.iter().copied()));
+        let mut expanded: FxHashSet<VertexId> = FxHashSet::default();
+        let mut in_region: FxHashSet<EdgeId> = FxHashSet::default();
+        let mut candidates: Vec<Candidate> = Vec::new();
+        let mut seeds: Vec<VertexId> = Vec::new();
+        loop {
+            frontier.retain(|&v| expanded.insert(v));
+            if frontier.is_empty() {
+                break;
+            }
+            let wave = std::mem::take(&mut frontier);
+            seeds.extend(wave.iter().copied().filter(|&v| cover(v) == Cover::Freed));
+            // The edges that matter: old candidates, whose components retire,
+            // and edges with a freed endpoint, the region's candidates.
+            let component_of = &self.repairs.component_of;
+            let relevant = |id: EdgeId, endpoints: &[VertexId]| {
+                component_of.contains_key(&id)
+                    || endpoints.iter().any(|&u| cover(u) == Cover::Freed)
+            };
+            let per_shard =
+                scan_shards(services, &wave, |s| s.incident_edges_where(&wave, relevant));
+            for (k, edges) in per_shard.into_iter().enumerate() {
+                for (id, endpoints) in edges {
+                    if let Some(component) = self.repairs.take_of(id) {
+                        frontier.extend_from_slice(&component.seeds);
+                        retired.push(component);
+                    }
+                    if in_region.contains(&id)
+                        || !endpoints.iter().any(|&u| cover(u) == Cover::Freed)
+                    {
+                        continue;
+                    }
+                    in_region.insert(id);
+                    frontier.extend(
+                        endpoints
+                            .iter()
+                            .copied()
+                            .filter(|&u| cover(u) != Cover::Kept),
+                    );
+                    candidates.push((k, id, endpoints));
+                }
+            }
+        }
+        candidates.sort_unstable_by_key(|&(k, id, _)| (k, id));
+        let mut claimed: FxHashSet<VertexId> = FxHashSet::default();
+        let accepted: Vec<bool> = candidates
+            .iter()
+            .map(|(_, _, endpoints)| {
+                let free = endpoints
+                    .iter()
+                    .all(|&v| cover(v) != Cover::Kept && !claimed.contains(&v));
+                if free {
+                    claimed.extend(endpoints.iter().copied());
+                }
+                free
+            })
+            .collect();
+        seeds.sort_unstable();
+        let total = self.repairs.candidates + candidates.len();
+        let num_vertices = next[0].num_vertices();
+        let Some(components) =
+            split_components(seeds, candidates, &accepted, total, num_vertices, |v| {
+                cover(v) != Cover::Kept
+            })
+        else {
+            // The region grew a giant component: from here on, full passes.
+            *self = arbitrate(next, services, partitioner, None);
+            return;
+        };
+
+        // The arbitrated matching moves by the edges whose award or repair
+        // outcome was redone.
+        let ids_of = |components: &[RepairComponent]| {
+            let mut ids: Vec<EdgeId> = components
+                .iter()
+                .flat_map(|c| c.repaired.iter().map(|&(id, _)| id))
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        let (repaired_out, repaired_in) = (ids_of(&retired), ids_of(&components));
+        let repaired = patch_sorted(&prev.arbitrated.repaired, &repaired_out, &repaired_in);
+        fn ends_of(components: &[RepairComponent]) -> FxHashMap<EdgeId, &[VertexId]> {
+            components
+                .iter()
+                .flat_map(|c| c.repaired.iter().map(|(id, ends)| (*id, &ends[..])))
+                .collect()
+        }
+        let (was_repaired, now_repaired) = (ends_of(&retired), ends_of(&components));
+        let removed_ids: FxHashSet<EdgeId> = removed.iter().map(|&(id, _)| id).collect();
+        let mut changed: Vec<EdgeId> = removed
+            .iter()
+            .map(|&(id, _)| id)
+            .chain(rejudged.keys().copied())
+            .chain(repaired_out.iter().copied())
+            .chain(repaired_in.iter().copied())
+            .collect();
+        changed.sort_unstable();
+        changed.dedup();
+        let mut by_vertex = prev.arbitrated.by_vertex.clone();
+        let (mut matching_out, mut matching_in) = (Vec::new(), Vec::new());
+        let mut entering: Vec<(EdgeId, &[VertexId])> = Vec::new();
+        for &id in &changed {
+            let old_in = prev.arbitrated.matching.binary_search(&id).is_ok();
+            let kept_now = match rejudged.get(&id) {
+                Some(_) => !self.evicted.contains(&id),
+                None => old_in && !removed_ids.contains(&id) && !was_repaired.contains_key(&id),
+            };
+            let new_in = kept_now || now_repaired.contains_key(&id);
+            if old_in {
+                let ends = was_repaired.get(&id).copied().unwrap_or_else(|| {
+                    prev.shards
+                        .iter()
+                        .find_map(|s| s.matched_endpoints(id))
+                        .expect("kept edges were matched")
+                });
+                for v in ends {
+                    if by_vertex.get(v) == Some(&id) {
+                        by_vertex.remove(v);
+                    }
+                }
+                if !new_in {
+                    matching_out.push(id);
+                }
+            } else if new_in {
+                matching_in.push(id);
+            }
+            if new_in {
+                let ends = match now_repaired.get(&id) {
+                    Some(&ends) => ends,
+                    None => rejudged[&id].1,
+                };
+                entering.push((id, ends));
+            }
+        }
+        for (id, ends) in entering {
+            for &v in ends {
+                by_vertex.insert(v, id);
+            }
+        }
+        let matching = patch_sorted(&prev.arbitrated.matching, &matching_out, &matching_in);
+        self.repairs.insert(components);
+
+        let report = ArbitrationReport {
+            stats: ArbitrationStats {
+                conflicted_vertices: raw_conflicted.len(),
+                evicted_edges: evicted.len(),
+                freed_vertices: self.repairs.freed,
+                repair_candidates: self.repairs.candidates,
+                repaired_edges: repaired.len(),
+            },
+            pre_size: next.iter().map(|s| s.size()).sum(),
+            post_size: matching.len(),
+        };
+        self.view = Arc::new(ShardedView {
+            shards: next,
+            cross_matched,
+            conflicted: raw_conflicted,
+            arbitrated: Arc::new(ArbitratedMatching {
+                matching,
+                evicted,
+                repaired,
+                by_vertex,
+                // Kept edges never share a vertex — the award rule gives each
+                // vertex to one shard's edge — so this stays as the full pass
+                // built it: empty.
+                conflicted: prev.arbitrated.conflicted.clone(),
+                report,
+            }),
+        });
     }
 }
 

@@ -252,12 +252,12 @@ fn matchings_are_identical_at_1_2_and_8_threads() {
     // order-preserving or associative, so for a fixed seed the per-batch
     // matchings must be bit-identical at any worker count.
     //
-    // The standard conformance workloads sit below the sequential-fallback
-    // thresholds of the parallel primitives (2^10–2^12 elements), so they
-    // alone would pass vacuously; the large workload pushes batches of 4096
-    // updates through the engines so Luby (>2048 edges), the parallel
-    // dictionary (>2^10), and the compaction/prefix-sum paths (>2^11/2^12)
-    // genuinely execute on the pool at every thread count.
+    // The one step an engine runs on the pool is Luby's priority map, and
+    // only while more than 2048 candidate edges are alive.  The standard
+    // conformance workloads stay below that cutoff, so they alone would
+    // pass vacuously; the large workload pushes batches of 4096 updates
+    // through the engines so the priority map genuinely executes on the
+    // pool at every thread count.
     let mut workloads = conformance_workloads();
     workloads.push(streams::insert_then_teardown(
         4096,

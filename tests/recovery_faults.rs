@@ -764,3 +764,40 @@ fn checkpoint_files_roundtrip_through_disk() {
     .unwrap();
     assert_eq!(recovered.save_state(), service.save_state());
 }
+
+// ---------------------------------------------------------------------------
+// A restored engine reports the same work as the live one
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_restored_engine_reports_the_same_work_and_state_as_the_live_one() {
+    // Seeds whose streams made a restored parallel engine charge different
+    // work than its live twin while the kernel demoted and lifted nodes in
+    // hash-set order: a restored engine's sets have a different insertion
+    // history.  Matchings never differed, only `work`.
+    for s in [12_000_036u64, 20_000_060] {
+        let workload = streams::random_churn(2000, 3, 400, 400, 64, 0.5, s);
+        let builder = EngineBuilder::new(workload.num_vertices)
+            .rank(3)
+            .seed(s * 31 + 7);
+        let mut live = engine::build(EngineKind::Parallel, &builder);
+        let save_at = 200;
+        for batch in &workload.batches[..save_at] {
+            live.apply_batch(batch).unwrap();
+        }
+        let mut restored = engine::build(EngineKind::Parallel, &builder);
+        restored.restore_state(&live.save_state().unwrap()).unwrap();
+        for (i, batch) in workload.batches[save_at..].iter().enumerate() {
+            let expected = live.apply_batch(batch).unwrap();
+            let actual = restored.apply_batch(batch).unwrap();
+            assert_eq!(
+                actual,
+                expected,
+                "seed {s}: batch {} after the restore",
+                i + 1
+            );
+        }
+        // The whole blob, cost line included.
+        assert_eq!(restored.save_state(), live.save_state(), "seed {s}");
+    }
+}
