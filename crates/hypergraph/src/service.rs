@@ -1455,20 +1455,7 @@ impl EngineService {
     /// global candidate order is exactly the `(owner shard, edge id)`
     /// priority rule).
     pub(crate) fn repair_candidates(&self, freed: &[VertexId]) -> Vec<(EdgeId, Box<[VertexId]>)> {
-        let inner = self.inner.lock().expect("service commit lock poisoned");
-        let mut seen: FxHashSet<EdgeId> = FxHashSet::default();
-        let mut out = Vec::new();
-        for &v in freed {
-            for id in inner.mirror.incident_edges_unordered(v) {
-                if seen.insert(id) {
-                    let edge = inner
-                        .mirror
-                        .edge(id)
-                        .expect("incident edges are live in the mirror graph");
-                    out.push((id, edge.vertices().into()));
-                }
-            }
-        }
+        let mut out = self.incident_edges_where(freed, |_, _| true);
         out.sort_unstable_by_key(|&(id, _)| id);
         out
     }
@@ -1476,7 +1463,8 @@ impl EngineService {
     /// The live committed edges incident to any vertex in `vertices` that
     /// `keep` accepts, each once, with their endpoint sets, in no particular
     /// order.  The incremental boundary arbitration scans with this: `keep`
-    /// runs under the commit lock, and only the edges it keeps are copied.
+    /// runs under the commit lock, once per edge, and only the edges it
+    /// keeps are copied.
     pub(crate) fn incident_edges_where(
         &self,
         vertices: &[VertexId],
@@ -1487,12 +1475,15 @@ impl EngineService {
         let mut out = Vec::new();
         for &v in vertices {
             for id in inner.mirror.incident_edges_unordered(v) {
+                if !seen.insert(id) {
+                    continue;
+                }
                 let endpoints = inner
                     .mirror
                     .edge(id)
                     .expect("incident edges are live in the mirror graph")
                     .vertices();
-                if keep(id, endpoints) && seen.insert(id) {
+                if keep(id, endpoints) {
                     out.push((id, endpoints.into()));
                 }
             }

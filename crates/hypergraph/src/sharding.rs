@@ -63,14 +63,17 @@
 //!   that such a vertex, a freed endpoint of a routed insert, or a routed
 //!   deletion reaches.  The hashing is proportional to the batch, the
 //!   matching delta and the components they reach, on top of a few flat
-//!   O(M) copies and merges for `M` matched edges; the
-//!   result equals the from-scratch pass bit for bit (a differential suite
-//!   checks every drain).  On the benchmark's wire-2shard workload (2
-//!   shards, 2k live edges, batches of 32) this cut a lossy drain from about
-//!   540 µs to about 250 µs (`sharding.drain_lossy_ns`, 2 shared vCPUs).
-//!   Dense boundaries defeat it: when one repair component holds most
-//!   candidates (at 200k live edges over 2 hash shards, nearly all of about
-//!   100k), drains take the full pass instead.
+//!   O(M) copies and merges for `M` matched edges and one O(n) array for
+//!   `n` vertices; the result equals the from-scratch pass bit for bit (a
+//!   differential suite checks every drain).  A drain from an empty
+//!   matching (a bulk load) takes the full pass instead.  On the
+//!   benchmark's wire-2shard workload (2 shards, 2k live edges, batches of
+//!   32) this cut a lossy drain from about 550 µs to about 230 µs
+//!   (`sharding.drain_lossy_ns`, 2 shared vCPUs).  Dense boundaries defeat
+//!   it: at 200k live edges over 2 hash shards one repair component holds
+//!   nearly all of about 100k candidates, nearly every drain reruns it, and
+//!   that costs about three times the full pass (170–280 ms against 60–80 ms a
+//!   drain).
 //! * **Journal and replay** — the sharded journal is the shard-tagged framing
 //!   of [`crate::io`] (`@ <shard>` blocks): per-shard journals in shard order,
 //!   each block tagged with its owner.  [`ShardedService::replay`] routes each
@@ -515,9 +518,9 @@ impl ArbitratedMatching {
 /// matching were derived from exactly those snapshots.  Per-shard queries
 /// delegate to the O(1)/O(log) queries of the underlying snapshots.  At 2k
 /// live edges over 2 shards a read (one snapshot plus 64 arbitrated
-/// lookups) costs about 0.75 µs, against about 0.95 µs through one
+/// lookups) costs about 0.64 µs, against about 0.82 µs through one
 /// service's [`EngineService::snapshot`] (the benchmark's wire-2shard and
-/// serve-2k `read_p50_ns` on 2 shared vCPUs; it cost about 145 µs when every
+/// serve-2k `read_p50_ns` on 2 shared vCPUs; it cost about 130 µs when every
 /// read re-derived the cross-shard accounting).
 #[derive(Debug, Clone)]
 pub struct ShardedSnapshot {
@@ -898,7 +901,7 @@ impl ShardedService {
         router: Router,
         num_vertices: usize,
     ) -> Self {
-        let arbitration = arbitrate(snapshots(&shards), &shards, partitioner.as_ref(), None);
+        let arbitration = arbitrate(snapshots(&shards), &shards, partitioner.as_ref());
         let published = Arc::clone(&arbitration.view);
         ShardedService {
             shards,
@@ -1533,7 +1536,6 @@ impl ShardedService {
             snapshots(&self.shards),
             &self.shards,
             self.partitioner.as_ref(),
-            None,
         )
         .view
         .arbitrated
@@ -1548,7 +1550,6 @@ impl ShardedService {
             snapshots(&self.shards),
             &self.shards,
             self.partitioner.as_ref(),
-            None,
         );
         *self.lock_published() = Arc::clone(&arbitration.view);
         *self.lock_arbitration() = arbitration;
@@ -1675,24 +1676,6 @@ struct ShardedView {
 /// A repair candidate: its owner shard, id and endpoints.
 type Candidate = (usize, EdgeId, Box<[VertexId]>);
 
-/// Below this many query vertices the per-shard incidence scans run on the
-/// caller's thread: handing them to the pool costs more than they take.
-const PAR_SCAN_MIN_VERTICES: usize = 1024;
-
-/// `scan` over every shard, indexed by shard: on the pool when it queries at
-/// least [`PAR_SCAN_MIN_VERTICES`] vertices, in turn otherwise.
-fn scan_shards<T: Send>(
-    services: &[EngineService],
-    vertices: &[VertexId],
-    scan: impl Fn(&EngineService) -> T + Sync,
-) -> Vec<T> {
-    if vertices.len() < PAR_SCAN_MIN_VERTICES {
-        services.iter().map(scan).collect()
-    } else {
-        services.par_iter().map(&scan).collect()
-    }
-}
-
 /// Whether `endpoints` (sorted, so the first is the minimum) span shards:
 /// the router's cross-shard test.
 fn spans_shards(partitioner: &dyn Partitioner, endpoints: &[VertexId], num_shards: usize) -> bool {
@@ -1769,28 +1752,17 @@ struct RepairComponent {
     repaired: Vec<(EdgeId, Box<[VertexId]>)>,
 }
 
-/// A component of at least this many candidates that holds more than half
-/// of all candidates is *giant*: nearly every change reaches it, and
-/// rerunning it costs about as much as the full pass, so while one exists
-/// drains run the full pass instead.  Dense boundaries produce one: at 200k
-/// live edges over 2 hash shards, one component holds nearly all of about
-/// 100k candidates.  Smaller components rerun cheaply whatever their share.
-const GIANT_COMPONENT_MIN: usize = 1024;
-
 /// Splits a closed set of candidates, in priority order, and their seeds
 /// into connected components, linking through the vertices `links`
 /// accepts.  `accepted[i]` says whether the greedy took `candidates[i]`.
-/// Returns `None` instead when one component is giant next to `total`
-/// candidates (see [`GIANT_COMPONENT_MIN`]).  Vertices are below
-/// `num_vertices`.
+/// Vertices are below `num_vertices`.
 fn split_components(
     seeds: Vec<VertexId>,
     candidates: Vec<Candidate>,
     accepted: &[bool],
-    total: usize,
     num_vertices: usize,
     links: impl Fn(VertexId) -> bool,
-) -> Option<Vec<RepairComponent>> {
+) -> Vec<RepairComponent> {
     fn find(parent: &mut [usize], mut x: usize) -> usize {
         while parent[x] != x {
             parent[x] = parent[parent[x]];
@@ -1821,16 +1793,6 @@ fn split_components(
         }
     }
     let roots: Vec<usize> = (0..parent.len()).map(|x| find(&mut parent, x)).collect();
-    let mut size = vec![0usize; roots.len()];
-    for &root in &roots[..n] {
-        size[root] += 1;
-    }
-    if size
-        .iter()
-        .any(|&s| s >= GIANT_COMPONENT_MIN && 2 * s > total)
-    {
-        return None;
-    }
     let mut slot_of_root = vec![usize::MAX; roots.len()];
     let mut components: Vec<RepairComponent> = Vec::new();
     let slots: Vec<usize> = roots
@@ -1853,7 +1815,7 @@ fn split_components(
     for (s, v) in seeds.into_iter().enumerate() {
         components[slots[n + s]].seeds.push(v);
     }
-    Some(components)
+    components
 }
 
 /// The repair components, indexed by candidate, with the report's running
@@ -1869,10 +1831,6 @@ struct RepairIndex {
     freed: usize,
     /// Candidates across components: the report's `repair_candidates`.
     candidates: usize,
-    /// When the last full pass found (or assumed) a giant component, which
-    /// it left unindexed, the candidate count it found it at: the next drain
-    /// runs the full pass again.
-    giant: Option<usize>,
 }
 
 impl RepairIndex {
@@ -1925,9 +1883,9 @@ fn snapshots(services: &[EngineService]) -> Vec<Arc<MatchingSnapshot>> {
 /// One boundary-arbitration pass from scratch over the shard snapshots
 /// `shards` and the shards' committed live edges — a pure, deterministic
 /// function of them (the shard engines are never touched, let alone
-/// mutated).  It
-/// builds the state at construction, replay and recovery, and it is the
-/// oracle [`Arbitration::advance`] is tested against.
+/// mutated).  It builds the state at construction, replay and recovery
+/// and on the first drain after a bulk load, and it is the oracle
+/// [`Arbitration::advance`] is tested against.
 ///
 /// 1. **Award**: count, per vertex, how many shards cover it; every
 ///    vertex covered more than once is awarded to the covering edge with
@@ -1949,7 +1907,6 @@ fn arbitrate(
     shards: Vec<Arc<MatchingSnapshot>>,
     services: &[EngineService],
     partitioner: &dyn Partitioner,
-    giant: Option<usize>,
 ) -> Arbitration {
     let pre_size: usize = shards.iter().map(|s| s.size()).sum();
 
@@ -2017,10 +1974,13 @@ fn arbitrate(
 
     // Repair wave.  `by_vertex` doubles as the claimed set; shard-major
     // over id-sorted lists is the (owner shard, edge id) priority order.
-    let candidates: Vec<Candidate> = scan_shards(services, &freed, |s| s.repair_candidates(&freed))
-        .into_iter()
+    let candidates: Vec<Candidate> = services
+        .iter()
         .enumerate()
-        .flat_map(|(k, edges)| edges.into_iter().map(move |(id, ends)| (k, id, ends)))
+        .flat_map(|(k, s)| {
+            let edges = s.repair_candidates(&freed);
+            edges.into_iter().map(move |(id, ends)| (k, id, ends))
+        })
         .collect();
     let mut repaired: Vec<EdgeId> = Vec::new();
     let mut accepted = vec![false; candidates.len()];
@@ -2057,24 +2017,13 @@ fn arbitrate(
 
     let evicted_set: FxHashSet<EdgeId> = evicted.iter().copied().collect();
     let mut repairs = RepairIndex::default();
-    let total = candidates.len();
-    // Finding a giant component costs more than the rest of the pass, so
-    // one found before is assumed to persist until the candidates halve.
-    let assumed = giant.filter(|&found_at| 2 * total > found_at);
-    let components = match assumed {
-        Some(_) => None,
-        None => split_components(freed, candidates, &accepted, total, num_vertices, |v| {
-            !kept_vertex[v.index()]
-        }),
-    };
-    match components {
-        Some(components) => repairs.insert(components),
-        None => {
-            repairs.giant = Some(assumed.unwrap_or(total));
-            repairs.freed = stats.freed_vertices;
-            repairs.candidates = stats.repair_candidates;
-        }
-    }
+    repairs.insert(split_components(
+        freed,
+        candidates,
+        &accepted,
+        num_vertices,
+        |v| !kept_vertex[v.index()],
+    ));
     let mut cross_matched: Vec<EdgeId> = shards
         .iter()
         .flat_map(|s| s.matched_edges())
@@ -2131,11 +2080,11 @@ impl Arbitration {
     ) {
         let prev = Arc::clone(&self.view);
         let num_shards = next.len();
-        if prev.shards.iter().all(|s| s.is_empty()) || self.repairs.giant.is_some() {
-            // Nothing to carry forward (the first drain after a bulk load),
-            // or a giant repair component the drain would rerun anyway: the
-            // full pass is the cheaper way to the same state.
-            *self = arbitrate(next, services, partitioner, self.repairs.giant);
+        if prev.shards.iter().all(|s| s.is_empty()) {
+            // Nothing to carry forward (the first drain after a bulk load):
+            // every matched vertex changed, and the full pass's flat walks
+            // build the same state for less than redoing each one.
+            *self = arbitrate(next, services, partitioner);
             return;
         }
 
@@ -2289,8 +2238,10 @@ impl Arbitration {
                 component_of.contains_key(&id)
                     || endpoints.iter().any(|&u| cover(u) == Cover::Freed)
             };
-            let per_shard =
-                scan_shards(services, &wave, |s| s.incident_edges_where(&wave, relevant));
+            let per_shard: Vec<_> = services
+                .iter()
+                .map(|s| s.incident_edges_where(&wave, relevant))
+                .collect();
             for (k, edges) in per_shard.into_iter().enumerate() {
                 for (id, endpoints) in edges {
                     if let Some(component) = self.repairs.take_of(id) {
@@ -2328,17 +2279,10 @@ impl Arbitration {
             })
             .collect();
         seeds.sort_unstable();
-        let total = self.repairs.candidates + candidates.len();
         let num_vertices = next[0].num_vertices();
-        let Some(components) =
-            split_components(seeds, candidates, &accepted, total, num_vertices, |v| {
-                cover(v) != Cover::Kept
-            })
-        else {
-            // The region grew a giant component: from here on, full passes.
-            *self = arbitrate(next, services, partitioner, None);
-            return;
-        };
+        let components = split_components(seeds, candidates, &accepted, num_vertices, |v| {
+            cover(v) != Cover::Kept
+        });
 
         // The arbitrated matching moves by the edges whose award or repair
         // outcome was redone.
@@ -2372,6 +2316,9 @@ impl Arbitration {
         let mut by_vertex = prev.arbitrated.by_vertex.clone();
         let (mut matching_out, mut matching_in) = (Vec::new(), Vec::new());
         let mut entering: Vec<(EdgeId, &[VertexId])> = Vec::new();
+        // The endpoints of the redone edges that were in the matching: their
+        // covers are recounted below.
+        let mut vacated: Vec<VertexId> = Vec::new();
         for &id in &changed {
             let old_in = prev.arbitrated.matching.binary_search(&id).is_ok();
             let kept_now = match rejudged.get(&id) {
@@ -2391,6 +2338,7 @@ impl Arbitration {
                         by_vertex.remove(v);
                     }
                 }
+                vacated.extend_from_slice(ends);
                 if !new_in {
                     matching_out.push(id);
                 }
@@ -2405,11 +2353,28 @@ impl Arbitration {
                 entering.push((id, ends));
             }
         }
+        // A vertex stays conflicted while no redone edge vacated it, and
+        // becomes conflicted when an entering edge finds it taken — as in the
+        // full pass, recorded rather than asserted away.
+        vacated.sort_unstable();
+        let mut conflicted: Vec<VertexId> = prev
+            .arbitrated
+            .conflicted
+            .iter()
+            .copied()
+            .filter(|v| vacated.binary_search(v).is_err())
+            .collect();
         for (id, ends) in entering {
             for &v in ends {
-                by_vertex.insert(v, id);
+                if let Some(holder) = by_vertex.insert(v, id) {
+                    if holder != id {
+                        conflicted.push(v);
+                    }
+                }
             }
         }
+        conflicted.sort_unstable();
+        conflicted.dedup();
         let matching = patch_sorted(&prev.arbitrated.matching, &matching_out, &matching_in);
         self.repairs.insert(components);
 
@@ -2433,10 +2398,7 @@ impl Arbitration {
                 evicted,
                 repaired,
                 by_vertex,
-                // Kept edges never share a vertex — the award rule gives each
-                // vertex to one shard's edge — so this stays as the full pass
-                // built it: empty.
-                conflicted: prev.arbitrated.conflicted.clone(),
+                conflicted,
                 report,
             }),
         });

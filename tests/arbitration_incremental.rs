@@ -282,8 +282,8 @@ fn incremental_arbitration_tracks_hyperedges_at_scale() {
 fn incremental_arbitration_survives_a_giant_repair_component() {
     // Two edges per vertex over 2 hash shards: most edges cross shards,
     // evictions free a large share of the vertices, and the repair
-    // candidates link into one component holding most of them.  Drains then
-    // take the full pass, and must still publish exactly its result.
+    // candidates link into one component holding most of them, which nearly
+    // every drain reaches and reruns.
     let workload = streams::random_churn(2000, 3, 4000, 8, 64, 0.5, 5);
     let builder = EngineBuilder::new(workload.num_vertices).rank(3).seed(8);
     let service = ShardedService::new(build_shards(EngineKind::Parallel, &builder, 2));
@@ -291,6 +291,6 @@ fn incremental_arbitration_survives_a_giant_repair_component() {
     let stats = service.snapshot().arbitrated_matching().report().stats;
     assert!(
         stats.repair_candidates > 1024,
-        "the workload must reach the giant-component regime"
+        "the workload must reach a repair wave of over a thousand candidates"
     );
 }
