@@ -30,7 +30,7 @@ use pdmm_hypergraph::engine::{
 use pdmm_hypergraph::matching::MatchingDelta;
 use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};
 use pdmm_primitives::cost_model::CostTracker;
-use pdmm_static::luby::luby_maximal_matching;
+use pdmm_static::luby::{luby_maximal_matching, luby_maximal_matching_by_ref};
 use rustc_hash::FxHashSet;
 
 /// Parallel dynamic maximal matching for rank-`r` hypergraphs
@@ -193,11 +193,11 @@ impl BatchKernel for ParallelDynamicMatching {
         let mut unmatched_deletions: Vec<EdgeId> = Vec::new();
         let mut matched_deletions: Vec<EdgeId> = Vec::new();
         let mut temp_deleted_deletions: Vec<EdgeId> = Vec::new();
-        let mut insertions: Vec<HyperEdge> = Vec::new();
+        let mut insertions: Vec<&HyperEdge> = Vec::new();
         for update in updates {
             match update {
                 Update::Insert(edge) => {
-                    insertions.push(edge.clone());
+                    insertions.push(edge);
                 }
                 Update::Delete(id) => {
                     let e = self
@@ -262,8 +262,8 @@ impl BatchKernel for ParallelDynamicMatching {
         );
 
         // Group 3: insertions — adversary insertions plus algorithm re-insertions.
-        insertions.append(&mut pending_reinsertions);
-        self.process_insertions(insertions);
+        insertions.extend(&pending_reinsertions);
+        self.process_insertions(&insertions);
 
         // Optional ablation: also run the rising pass after insertions.
         if self.state.config.settle_after_insert {
@@ -272,7 +272,7 @@ impl BatchKernel for ParallelDynamicMatching {
                 process_level(&mut self.state, level, &mut extra_pending);
             }
             if !extra_pending.is_empty() {
-                self.process_insertions(extra_pending);
+                self.process_insertions(&extra_pending.iter().collect::<Vec<_>>());
             }
         }
 
@@ -304,7 +304,7 @@ impl ParallelDynamicMatching {
     /// §3.3.3: run the static parallel matcher over the inserted hyperedges whose
     /// endpoints are all free, place the newly matched ones (and their nodes) at
     /// level 0, and register every inserted hyperedge with its owner.
-    fn process_insertions(&mut self, edges: Vec<HyperEdge>) {
+    fn process_insertions(&mut self, edges: &[&HyperEdge]) {
         if edges.is_empty() {
             return;
         }
@@ -313,18 +313,19 @@ impl ParallelDynamicMatching {
             .cost
             .work(edges.iter().map(|e| e.rank() as u64).sum::<u64>());
 
-        let free: Vec<HyperEdge> = edges
+        let free: Vec<&HyperEdge> = edges
             .iter()
+            .copied()
             .filter(|e| {
                 e.vertices()
                     .iter()
                     .all(|&v| !self.state.is_matched_vertex(v))
             })
-            .cloned()
             .collect();
         let mut newly_matched: FxHashSet<EdgeId> = FxHashSet::default();
         if !free.is_empty() {
-            let result = luby_maximal_matching(&free, &mut self.state.rng, Some(&self.state.cost));
+            let result =
+                luby_maximal_matching_by_ref(free, &mut self.state.rng, Some(&self.state.cost));
             self.state.metrics.luby_iterations += result.iterations as u64;
             newly_matched.extend(result.edges);
         }
@@ -347,14 +348,17 @@ impl ParallelDynamicMatching {
     fn rebuild(&mut self) {
         let needed = self.state.num_vertices() as u64 + self.state.updates_since_rebuild;
         let new_params = self.state.params.doubled(needed);
-        let all_edges: Vec<HyperEdge> = self
-            .state
-            .edges
-            .keys()
-            .copied()
-            .collect::<Vec<_>>()
+        // The delta tracker survives the rebuild: the old matching leaves it
+        // here, and edges the rebuild re-matches below cancel out again.
+        let mut delta = std::mem::take(&mut self.state.delta);
+        let all_edges: Vec<HyperEdge> = std::mem::take(&mut self.state.edges)
             .into_iter()
-            .map(|id| HyperEdge::new(id, self.state.edges[&id].vertices.to_vec()))
+            .map(|(id, e)| {
+                if e.matched {
+                    delta.unmatched(id, &e.vertices);
+                }
+                HyperEdge::new(id, e.vertices.into_vec())
+            })
             .collect();
         let num_vertices = self.state.num_vertices();
         let config = self.state.config.clone();
@@ -362,27 +366,13 @@ impl ParallelDynamicMatching {
         let rng = self.state.rng.clone();
         let cost = self.state.cost.clone();
         let metrics = self.state.metrics.clone();
-        // The delta tracker survives too: the old matching leaves it here, and
-        // edges the rebuild re-matches below cancel out again.
-        let mut delta = std::mem::take(&mut self.state.delta);
-        for (id, e) in &self.state.edges {
-            if e.matched {
-                delta.unmatched(*id, &e.vertices);
-            }
-        }
 
-        let mut fresh = MatcherState::new(num_vertices, config);
-        fresh.params = new_params;
+        let mut fresh = MatcherState::with_params(num_vertices, config, new_params);
         fresh.rng = rng;
         fresh.cost = cost;
         fresh.metrics = metrics;
         fresh.delta = delta;
         fresh.metrics.ensure_level(fresh.params.num_levels);
-        // Vertex and S-level tables must match the (possibly larger) level count.
-        for v in &mut fresh.vertices {
-            v.unowned = vec![FxHashSet::default(); fresh.params.num_levels + 1];
-        }
-        fresh.s_levels = vec![FxHashSet::default(); fresh.params.num_levels + 1];
         self.state = fresh;
 
         self.state.cost.round();

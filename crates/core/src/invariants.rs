@@ -188,92 +188,96 @@ fn check_temp_deleted(state: &MatcherState) -> Result<(), String> {
     Ok(())
 }
 
-/// The `O(v)` / `A(v, ℓ)` tables agree exactly with the edge records.
+/// The `O(v)` / `A(v, ℓ)` buckets agree exactly with the edge records: every
+/// bucket entry names a live, visible edge whose stored slot, owner and level
+/// put it there, and every incidence of such an edge sits at its stored slot.
+/// Together these put each incidence in exactly one bucket, exactly once.
 fn check_structures(state: &MatcherState) -> Result<(), String> {
-    // Every live, non-temp-deleted edge appears exactly where it should.
-    // (Temp-deleted edges must appear nowhere; the per-vertex pass below
-    // checks that as it looks up every referenced edge.)
-    for (id, e) in &state.edges {
-        if e.temp_deleted {
-            continue;
-        }
-        for &v in e.vertices.iter() {
-            let vs = &state.vertices[v.index()];
-            if v == e.owner {
-                if !vs.owned.contains(id) {
-                    return Err(format!("edge {id} missing from O({v})"));
-                }
-            } else {
-                if !vs.unowned[e.level].contains(id) {
-                    return Err(format!("edge {id} missing from A({v}, {})", e.level));
-                }
-                if vs.owned.contains(id) {
-                    return Err(format!("edge {id} wrongly present in O({v})"));
-                }
-            }
-        }
-    }
-    // No vertex structure references a dead or out-of-place edge.
-    let mut referenced: FxHashSet<(usize, EdgeId)> = FxHashSet::default();
     for (i, vs) in state.vertices.iter().enumerate() {
-        for id in &vs.owned {
-            referenced.insert((i, *id));
-            match state.edges.get(id) {
-                None => return Err(format!("O(v{i}) references dead edge {id}")),
-                Some(e) if e.temp_deleted => {
-                    return Err(format!("temp-deleted edge {id} still referenced by v{i}"))
+        let v = VertexId(i as u32);
+        let buckets = std::iter::once((None, &vs.owned))
+            .chain(vs.unowned.iter().enumerate().map(|(l, b)| (Some(l), b)));
+        for (level, bucket) in buckets {
+            let name = match level {
+                None => format!("O(v{i})"),
+                Some(l) => format!("A(v{i}, {l})"),
+            };
+            for (slot, id) in bucket.iter().enumerate() {
+                let Some(e) = state.edges.get(id) else {
+                    return Err(format!("{name} references dead edge {id}"));
+                };
+                if e.temp_deleted {
+                    return Err(format!("temp-deleted edge {id} still referenced by v{i}"));
                 }
-                Some(e) if e.owner != VertexId(i as u32) => {
-                    return Err(format!("O(v{i}) contains edge {id} owned by {}", e.owner))
-                }
-                _ => {}
-            }
-        }
-        for (level, bucket) in vs.unowned.iter().enumerate() {
-            for id in bucket {
-                referenced.insert((i, *id));
-                match state.edges.get(id) {
-                    None => return Err(format!("A(v{i}, {level}) references dead edge {id}")),
-                    Some(e) if e.temp_deleted => {
-                        return Err(format!("temp-deleted edge {id} still referenced by v{i}"))
+                let Some(pos) = e.vertices.iter().position(|&w| w == v) else {
+                    return Err(format!("{name} contains edge {id} not incident on v{i}"));
+                };
+                match level {
+                    None if e.owner != v => {
+                        return Err(format!("{name} contains edge {id} owned by {}", e.owner));
                     }
-                    Some(e) if e.level != level => {
+                    Some(_) if e.owner == v => {
+                        return Err(format!("edge {id} wrongly present in {name}: v{i} owns it"));
+                    }
+                    Some(l) if e.level != l => {
                         return Err(format!(
-                            "A(v{i}, {level}) contains edge {id} whose level is {}",
+                            "{name} contains edge {id} whose level is {}",
                             e.level
-                        ))
-                    }
-                    Some(e) if !e.vertices.contains(&VertexId(i as u32)) => {
-                        return Err(format!(
-                            "A(v{i}, {level}) contains edge {id} not incident on v{i}"
-                        ))
+                        ));
                     }
                     _ => {}
                 }
+                if e.slots[pos] as usize != slot {
+                    return Err(format!(
+                        "edge {id} sits at slot {slot} of {name} but records slot {}",
+                        e.slots[pos]
+                    ));
+                }
             }
         }
     }
-    // Conversely, every incidence of a live edge is referenced exactly once.
     for (id, e) in &state.edges {
         if e.temp_deleted {
             continue;
         }
-        for &v in e.vertices.iter() {
-            if !referenced.contains(&(v.index(), *id)) {
-                return Err(format!("incidence ({v}, {id}) is not indexed anywhere"));
+        for (&v, &slot) in e.vertices.iter().zip(e.slots.iter()) {
+            let bucket = state.vertices[v.index()].bucket(v == e.owner, e.level);
+            if bucket.get(slot as usize) != Some(id) {
+                return Err(format!(
+                    "incidence ({v}, {id}) is not at its slot {slot} of {}",
+                    if v == e.owner {
+                        format!("O({v})")
+                    } else {
+                        format!("A({v}, {})", e.level)
+                    }
+                ));
             }
         }
     }
     Ok(())
 }
 
-/// The `S_ℓ` sets agree with the definition of §3.2.3 (requires `flush_dirty` to
-/// have run, which [`crate::ParallelDynamicMatching::verify_invariants`] ensures).
+/// The `S_ℓ` sets agree with the definition of §3.2.3, and each vertex's
+/// `s_mask` with the sets (requires `flush_dirty` to have run, which
+/// [`crate::ParallelDynamicMatching::verify_invariants`] ensures).
 fn check_s_levels(state: &MatcherState) -> Result<(), String> {
-    for level in 0..=state.num_levels() {
-        let threshold = state.params.alpha_pow(level);
-        for i in 0..state.num_vertices() {
-            let v = VertexId(i as u32);
+    if !state.dirty.is_empty() {
+        return Err(format!(
+            "{} vertices are still dirty after a flush",
+            state.dirty.len()
+        ));
+    }
+    let mut members = 0;
+    for (i, vs) in state.vertices.iter().enumerate() {
+        let v = VertexId(i as u32);
+        if vs.dirty {
+            return Err(format!("v{i} is flagged dirty but not listed"));
+        }
+        if vs.s_mask >> state.num_levels() > 1 {
+            return Err(format!("s_mask of v{i} has bits above level L"));
+        }
+        for level in 0..=state.num_levels() {
+            let threshold = state.params.alpha_pow(level);
             let should =
                 (state.level_of(v) as i64) < level as i64 && state.o_tilde(v, level) >= threshold;
             let is = state.s_levels[level].contains(&v);
@@ -285,7 +289,19 @@ fn check_s_levels(state: &MatcherState) -> Result<(), String> {
                     state.o_tilde(v, level)
                 ));
             }
+            if (vs.s_mask >> level & 1 == 1) != is {
+                return Err(format!(
+                    "s_mask bit {level} of {v} disagrees with S_{level} (member: {is})"
+                ));
+            }
         }
+        members += vs.s_mask.count_ones() as usize;
+    }
+    let stored: usize = state.s_levels.iter().map(FxHashSet::len).sum();
+    if stored != members {
+        return Err(format!(
+            "S_ℓ sets hold {stored} entries for {members} mask bits"
+        ));
     }
     Ok(())
 }
@@ -395,9 +411,10 @@ mod tests {
             s
         };
         let mut in_owned = parked();
-        in_owned.vertices[2].owned.insert(EdgeId(1));
+        in_owned.vertices[2].owned.push(EdgeId(1));
         let mut in_bucket = parked();
-        in_bucket.vertices[3].unowned[1].insert(EdgeId(2));
+        in_bucket.vertices[3].unowned.resize(2, Vec::new());
+        in_bucket.vertices[3].unowned[1].push(EdgeId(2));
         for (s, expected) in [
             (in_owned, "temp-deleted edge e1 still referenced by v2"),
             (in_bucket, "temp-deleted edge e2 still referenced by v3"),

@@ -29,11 +29,9 @@ use crate::state::{EdgeState, MatcherState};
 use pdmm_hypergraph::engine::{
     read_state_header, read_state_rng, write_state_header, write_state_rng, StateError, StateParser,
 };
-use pdmm_hypergraph::matching::DeltaTracker;
 use pdmm_hypergraph::types::{EdgeId, VertexId};
 use pdmm_primitives::cost_model::CostTracker;
 use pdmm_primitives::random::RandomSource;
-use rustc_hash::FxHashSet;
 
 /// Engine name recorded in (and demanded of) parallel-engine blobs.
 pub(crate) const ENGINE_NAME: &str = "parallel-dynamic";
@@ -205,18 +203,7 @@ pub(crate) fn restore(state: &mut MatcherState, blob: &str) -> Result<(), StateE
             num_levels
         )));
     }
-    state.params = params;
-    for vs in &mut state.vertices {
-        vs.level = -1;
-        vs.matched_edge = None;
-        vs.owned.clear();
-        vs.unowned = vec![FxHashSet::default(); num_levels + 1];
-    }
-    state.s_levels = vec![FxHashSet::default(); num_levels + 1];
-    state.edges.clear();
-    state.dirty.clear();
-    state.undecided.clear();
-    state.delta = DeltaTracker::default();
+    *state = MatcherState::with_params(state.num_vertices(), state.config.clone(), params);
 
     // Edge table.
     let edge_count: usize = {
@@ -285,19 +272,14 @@ pub(crate) fn restore(state: &mut MatcherState, blob: &str) -> Result<(), StateE
         if let Some(r) = responsible {
             temp_deleted.push((id, r));
         }
-        state.edges.insert(
-            id,
-            EdgeState {
-                vertices: vertices.into_boxed_slice(),
-                level,
-                owner,
-                matched: is_matched,
-                temp_deleted: is_temp,
-                responsible,
-                bucket: Vec::new(),
-                d_deleted_count,
-            },
-        );
+        let mut edge = EdgeState::new(&vertices);
+        edge.level = level;
+        edge.owner = owner;
+        edge.matched = is_matched;
+        edge.temp_deleted = is_temp;
+        edge.responsible = responsible;
+        edge.d_deleted_count = d_deleted_count;
+        state.edges.insert(id, edge);
     }
     p.finish()?;
 

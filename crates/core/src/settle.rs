@@ -60,20 +60,21 @@ fn step1_resolve_undecided(state: &mut MatcherState, level: usize) {
     state.cost.work(undecided_here.len() as u64);
 
     // U_free: hyperedges owned by an undecided node at this level, all of whose
-    // endpoints are currently unmatched.
-    let mut seen: FxHashSet<EdgeId> = FxHashSet::default();
+    // endpoints are currently unmatched.  (Owned sets are disjoint.)
     let mut u_free: Vec<HyperEdge> = Vec::new();
     for &v in &undecided_here {
         for &eid in &state.vertices[v.index()].owned {
-            if !seen.insert(eid) {
-                continue;
-            }
             let e = &state.edges[&eid];
             if !e.matched && e.vertices.iter().all(|&w| !state.is_matched_vertex(w)) {
                 u_free.push(HyperEdge::new(eid, e.vertices.to_vec()));
             }
         }
     }
+    // Canonical order: Luby lists its matches in input order, and the
+    // matches below lower their endpoints one edge at a time, which can hand
+    // an edge to a neighbour that is matched later and charges it there.
+    // Bucket order is history-dependent, so it must not decide that order.
+    u_free.sort_unstable_by_key(|e| e.id);
     state
         .cost
         .work(u_free.iter().map(|e| e.rank() as u64).sum::<u64>());
@@ -359,13 +360,13 @@ pub(crate) fn release_bucket_and_remove(
             .unwrap_or(false);
         if still_ours {
             let st = state.remove_edge_completely(tid);
-            pending_reinsertions.push(HyperEdge::new(tid, st.vertices.to_vec()));
+            pending_reinsertions.push(HyperEdge::new(tid, st.vertices.into_vec()));
             state.metrics.reinsertions += 1;
         }
     }
     let st = state.remove_edge_completely(edge_id);
     if reinsert_self {
-        pending_reinsertions.push(HyperEdge::new(edge_id, st.vertices.to_vec()));
+        pending_reinsertions.push(HyperEdge::new(edge_id, st.vertices.into_vec()));
         state.metrics.reinsertions += 1;
     }
 }

@@ -11,6 +11,23 @@
 //!   `ℓ(v) < ℓ` and `õ_{v,ℓ} ≥ α^ℓ`), which the sequential algorithms do not need
 //!   but the parallel `grand-random-settle` uses to seed its working set `B`.
 //!
+//! The paper treats each change to `O(v)`, `A(v, ℓ)` and `S_ℓ` as O(1)
+//! dictionary work; the layout keeps it O(1) without hashing:
+//!
+//! * `O(v)` and each `A(v, ℓ)` are plain vectors ("buckets").  Every edge
+//!   records, per endpoint, its position in the bucket that holds it
+//!   ([`EdgeState::slots`]), so removing it is a `swap_remove` plus a fix of
+//!   the slot of the edge that moved into the hole.  A vertex grows its
+//!   `A(v, ·)` table only up to the highest level an unowned edge has reached,
+//!   so an isolated vertex holds no bucket at all.
+//! * `S_ℓ` membership is cached per vertex as a bit mask, so refreshing a
+//!   vertex costs O(L) arithmetic and touches the `S_ℓ` sets only where a bit
+//!   flips.  Stale vertices wait on a dirty list, each at most once.
+//!
+//! Bucket order is history-dependent and never canonical; every reader that
+//! could let it leak into a decision or a charge sorts first (see the callers
+//! in `settle`).
+//!
 //! It also implements the two primitive procedures of §3.2.4 — `set-owner`
 //! (folded into [`MatcherState::reindex_edge`]) and `set-level`
 //! ([`MatcherState::set_vertex_level`]) — with the bookkeeping of Claims 3.3/3.4:
@@ -30,28 +47,58 @@ use rustc_hash::{FxHashMap, FxHashSet};
 pub(crate) struct VertexState {
     /// `ℓ(v)`: `-1` iff the vertex is unmatched and settled at the bottom.
     pub level: i32,
+    /// Whether the vertex is on [`MatcherState::dirty`].
+    pub dirty: bool,
     /// `M(v)`: the matched edge covering this vertex, if any.
     pub matched_edge: Option<EdgeId>,
-    /// `O(v)`: edges owned by this vertex.
-    pub owned: FxHashSet<EdgeId>,
-    /// `A(v, ℓ)`: incident edges not owned by `v`, bucketed by their level.
-    pub unowned: Vec<FxHashSet<EdgeId>>,
+    /// `O(v)`: edges owned by this vertex, in no particular order.
+    pub owned: Vec<EdgeId>,
+    /// `A(v, ℓ)`: incident edges not owned by `v`, bucketed by their level, in
+    /// no particular order.  Holds buckets only up to the highest level an
+    /// edge has reached here; a missing bucket is empty.
+    pub unowned: Vec<Vec<EdgeId>>,
+    /// Bit `ℓ` is set iff `v ∈ S_ℓ`: the vertex's row of `s_levels`, as of
+    /// its last refresh.
+    pub s_mask: u64,
 }
 
 impl VertexState {
-    fn new(num_levels: usize) -> Self {
+    fn new() -> Self {
         VertexState {
             level: -1,
+            dirty: false,
             matched_edge: None,
-            owned: FxHashSet::default(),
-            unowned: vec![FxHashSet::default(); num_levels + 1],
+            owned: Vec::new(),
+            unowned: Vec::new(),
+            s_mask: 0,
         }
     }
 
     /// Total number of live, non-temporarily-deleted incident edges.
     #[allow(dead_code)] // exercised by unit and integration tests
     pub fn degree(&self) -> usize {
-        self.owned.len() + self.unowned.iter().map(FxHashSet::len).sum::<usize>()
+        self.owned.len() + self.unowned.iter().map(Vec::len).sum::<usize>()
+    }
+
+    /// The bucket an incident edge at `level` sits in: `O(v)` if `v` owns it,
+    /// `A(v, level)` otherwise.
+    pub fn bucket(&self, owns: bool, level: usize) -> &[EdgeId] {
+        if owns {
+            &self.owned
+        } else {
+            self.unowned.get(level).map_or(&[], Vec::as_slice)
+        }
+    }
+
+    fn bucket_mut(&mut self, owns: bool, level: usize) -> &mut Vec<EdgeId> {
+        if owns {
+            &mut self.owned
+        } else {
+            if self.unowned.len() <= level {
+                self.unowned.resize_with(level + 1, Vec::new);
+            }
+            &mut self.unowned[level]
+        }
     }
 }
 
@@ -60,6 +107,10 @@ impl VertexState {
 pub(crate) struct EdgeState {
     /// The endpoints of the hyperedge (sorted, deduplicated).
     pub vertices: Box<[VertexId]>,
+    /// `slots[i]`: this edge's position in the bucket of `vertices[i]` that
+    /// holds it (`O(v)` for the owner, `A(v, ℓ(e))` for the others).
+    /// Meaningless while the edge is temporarily deleted.
+    pub slots: Box<[u32]>,
     /// `ℓ(e)`.
     pub level: usize,
     /// `O(e)`: the owning endpoint.
@@ -78,11 +129,13 @@ pub(crate) struct EdgeState {
 }
 
 impl EdgeState {
-    fn new(edge: &HyperEdge) -> Self {
+    /// A fresh, unmatched edge at level 0 over sorted, deduplicated `vertices`.
+    pub fn new(vertices: &[VertexId]) -> Self {
         EdgeState {
-            vertices: edge.vertices().to_vec().into_boxed_slice(),
+            vertices: vertices.into(),
+            slots: vec![0; vertices.len()].into_boxed_slice(),
             level: 0,
-            owner: edge.vertices()[0],
+            owner: vertices[0],
             matched: false,
             temp_deleted: false,
             responsible: None,
@@ -98,6 +151,10 @@ impl EdgeState {
     }
 }
 
+/// An edge whose slot at `vertex` changed to `slot` because a removal
+/// swapped it into the hole.
+type SlotFix = (EdgeId, VertexId, u32);
+
 /// The complete mutable state of the dynamic matching algorithm.
 #[derive(Debug)]
 pub(crate) struct MatcherState {
@@ -107,8 +164,9 @@ pub(crate) struct MatcherState {
     pub edges: FxHashMap<EdgeId, EdgeState>,
     /// `S_ℓ` for `ℓ ∈ 0..=L`.
     pub s_levels: Vec<FxHashSet<VertexId>>,
-    /// Vertices whose `S_ℓ` memberships are stale and need refreshing.
-    pub dirty: FxHashSet<VertexId>,
+    /// Vertices whose `S_ℓ` memberships are stale and need refreshing, each
+    /// listed once (its [`VertexState::dirty`] flag is set while listed).
+    pub dirty: Vec<VertexId>,
     /// Unmatched vertices at level `≥ 0` that still await a decision in the
     /// current level sweep (§3.3.2 "undecided nodes").
     pub undecided: FxHashSet<VertexId>,
@@ -121,6 +179,14 @@ pub(crate) struct MatcherState {
     pub matched_count: usize,
     /// The matching's net change since the engine last handed it out.
     pub delta: DeltaTracker,
+    /// Scratch: the slot fixes of one removal.
+    fixes: Vec<SlotFix>,
+    /// Scratch: the new slots of one re-indexed edge, by endpoint index.
+    moved: Vec<(usize, u32)>,
+    /// Scratch: the edges `set_vertex_level` re-indexes.
+    affected: Vec<EdgeId>,
+    /// Scratch: the endpoints of the edge `match_edge` matches.
+    endpoints: Vec<VertexId>,
 }
 
 impl MatcherState {
@@ -129,23 +195,35 @@ impl MatcherState {
         let initial_bound =
             2 * (num_vertices as u64 + config.initial_update_capacity as u64).max(8);
         let params = LevelingParams::new(config.max_rank, initial_bound);
+        Self::with_params(num_vertices, config, params)
+    }
+
+    /// Creates the state for an empty hypergraph under explicit leveling
+    /// parameters (the doubling rebuild's fresh start).
+    pub fn with_params(num_vertices: usize, config: Config, params: LevelingParams) -> Self {
         let num_levels = params.num_levels;
+        assert!(
+            num_levels < u64::BITS as usize,
+            "{num_levels} levels overflow the S_ℓ mask"
+        );
         MatcherState {
             rng: RandomSource::from_seed(config.seed),
             config,
             params,
-            vertices: (0..num_vertices)
-                .map(|_| VertexState::new(num_levels))
-                .collect(),
+            vertices: vec![VertexState::new(); num_vertices],
             edges: FxHashMap::default(),
             s_levels: vec![FxHashSet::default(); num_levels + 1],
-            dirty: FxHashSet::default(),
+            dirty: Vec::new(),
             undecided: FxHashSet::default(),
             cost: CostTracker::new(),
             metrics: Metrics::new(num_levels),
             updates_since_rebuild: 0,
             matched_count: 0,
             delta: DeltaTracker::default(),
+            fixes: Vec::new(),
+            moved: Vec::new(),
+            affected: Vec::new(),
+            endpoints: Vec::new(),
         }
     }
 
@@ -210,9 +288,8 @@ impl MatcherState {
     }
 
     /// Marks `v` as needing an `S_ℓ` membership refresh.
-    #[allow(dead_code)] // convenience wrapper kept for external callers and tests
     pub fn mark_dirty(&mut self, v: VertexId) {
-        self.dirty.insert(v);
+        mark(&mut self.vertices, &mut self.dirty, v);
     }
 
     /// Refreshes the `S_ℓ` memberships of all dirty vertices (one parallel round,
@@ -221,38 +298,52 @@ impl MatcherState {
         if self.dirty.is_empty() {
             return;
         }
-        let dirty: Vec<VertexId> = self.dirty.drain().collect();
         self.cost.round();
         self.cost
-            .work(dirty.len() as u64 * (self.params.num_levels as u64 + 1));
-        for v in dirty {
+            .work(self.dirty.len() as u64 * (self.params.num_levels as u64 + 1));
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for &v in &dirty {
+            self.vertices[v.index()].dirty = false;
             self.refresh_s_membership(v);
         }
+        dirty.clear();
+        self.dirty = dirty;
     }
 
-    /// Recomputes `v`'s membership in every `S_ℓ`.
+    /// The `S_ℓ` memberships `v` should have: bit `ℓ` is set iff
+    /// `ℓ(v) < ℓ` and `õ_{v,ℓ} ≥ α^ℓ`.
+    fn s_mask_of(&self, v: VertexId) -> u64 {
+        let vs = &self.vertices[v.index()];
+        let from = vs.level.max(0) as usize;
+        // Running õ value, accumulated level by level: at the top of the
+        // loop it equals õ_{v,l}, because A(v, l-1) was added on the way in.
+        let mut running = vs.owned.len() as u64;
+        let mut mask = 0u64;
+        for l in 0..=self.params.num_levels {
+            if (l as i32) > vs.level && running >= self.params.alpha_pow(l) {
+                mask |= 1 << l;
+            }
+            if l >= from {
+                running += vs.unowned.get(l).map_or(0, Vec::len) as u64;
+            }
+        }
+        mask
+    }
+
+    /// Recomputes `v`'s membership in every `S_ℓ`, touching only the sets
+    /// whose bit flips.
     fn refresh_s_membership(&mut self, v: VertexId) {
-        let num_levels = self.params.num_levels;
-        let vs_level = self.vertices[v.index()].level;
-        let from = vs_level.max(0) as usize;
-        // Running õ value, accumulated level by level.
-        let mut running = self.vertices[v.index()].owned.len() as u64;
-        // Levels ≤ ℓ(v) can never contain v.
-        for l in 0..=num_levels {
-            let member = if (l as i32) <= vs_level {
-                false
-            } else {
-                // running currently equals õ_{v,l} because we add A(v, l-1) as we
-                // pass each level boundary below.
-                running >= self.params.alpha_pow(l)
-            };
-            if member {
+        let mask = self.s_mask_of(v);
+        let vs = &mut self.vertices[v.index()];
+        let mut flipped = vs.s_mask ^ mask;
+        vs.s_mask = mask;
+        while flipped != 0 {
+            let l = flipped.trailing_zeros() as usize;
+            flipped &= flipped - 1;
+            if mask >> l & 1 == 1 {
                 self.s_levels[l].insert(v);
             } else {
                 self.s_levels[l].remove(&v);
-            }
-            if l >= from && l < self.vertices[v.index()].unowned.len() {
-                running += self.vertices[v.index()].unowned[l].len() as u64;
             }
         }
     }
@@ -264,45 +355,24 @@ impl MatcherState {
     /// Adds a (live, non-temporarily-deleted) edge to its endpoints' structures,
     /// using its stored owner and level.
     pub fn add_edge_to_structures(&mut self, id: EdgeId) {
-        // Borrow the endpoints in place: `edges` is disjoint from the
-        // `vertices` and `dirty` fields mutated below.
-        let e = &self.edges[&id];
+        let e = self.edges.get_mut(&id).expect("edge exists");
         debug_assert!(!e.temp_deleted, "temp-deleted edges stay out of structures");
-        let (verts, owner, level) = (&e.vertices, e.owner, e.level);
-        self.cost.work(verts.len() as u64);
-        for &v in verts.iter() {
-            let vs = &mut self.vertices[v.index()];
-            if v == owner {
-                vs.owned.insert(id);
-            } else {
-                vs.unowned[level].insert(id);
-            }
-            self.dirty.insert(v);
-        }
+        self.cost.work(e.vertices.len() as u64);
+        attach(&mut self.vertices, &mut self.dirty, id, e);
     }
 
     /// Removes an edge from its endpoints' structures (stored owner and level must
     /// still describe where it currently sits).
     pub fn remove_edge_from_structures(&mut self, id: EdgeId) {
         let e = &self.edges[&id];
-        let (verts, owner, level) = (&e.vertices, e.owner, e.level);
-        self.cost.work(verts.len() as u64);
-        for &v in verts.iter() {
-            let vs = &mut self.vertices[v.index()];
-            if v == owner {
-                vs.owned.remove(&id);
-            } else {
-                vs.unowned[level].remove(&id);
-            }
-            self.dirty.insert(v);
-        }
+        self.cost.work(e.vertices.len() as u64);
+        detach(&mut self.vertices, &mut self.dirty, &mut self.fixes, id, e);
+        apply_fixes(&mut self.edges, &mut self.fixes);
     }
 
-    /// Recomputes the owner (and, for unmatched edges, the level) of an edge from
-    /// its endpoints' current levels.  The edge must *not* currently be registered
-    /// in any vertex structure.
-    fn recompute_owner_and_level(&mut self, id: EdgeId) {
-        let verts = &self.edges[&id].vertices;
+    /// The owner and level the leveling rules give an edge over `verts`: the
+    /// first endpoint at the maximum endpoint level, and that level.
+    fn owner_and_level(&self, verts: &[VertexId]) -> (VertexId, i32) {
         let mut best_v = verts[0];
         let mut best_level = self.vertices[best_v.index()].level;
         for &v in verts.iter().skip(1) {
@@ -312,21 +382,51 @@ impl MatcherState {
                 best_v = v;
             }
         }
-        let e = self.edges.get_mut(&id).expect("edge exists");
-        e.owner = best_v;
-        if !e.matched {
-            // Invariant 3.1(3): unmatched edges sit at the maximum endpoint level
-            // (clamped into `0..=L`).
-            e.level = best_level.max(0) as usize;
-        }
+        (best_v, best_level)
     }
 
-    /// `set-owner`/re-index: removes the edge from the structures, recomputes its
-    /// owner and level, and re-adds it (§3.2.4, Claim 3.3).
+    /// `set-owner`/re-index (§3.2.4, Claim 3.3): recomputes the edge's owner
+    /// and, for an unmatched edge, its level from its endpoints' current
+    /// levels, and moves each incidence whose bucket that changes.  It is
+    /// charged as a full removal and re-insertion, and every endpoint is
+    /// marked dirty.
     pub fn reindex_edge(&mut self, id: EdgeId) {
-        self.remove_edge_from_structures(id);
-        self.recompute_owner_and_level(id);
-        self.add_edge_to_structures(id);
+        let e = &self.edges[&id];
+        let (owner, max_level) = self.owner_and_level(&e.vertices);
+        // Invariant 3.1(3): unmatched edges sit at the maximum endpoint level
+        // (clamped into `0..=L`); matched edges keep theirs.
+        let level = if e.matched {
+            e.level
+        } else {
+            max_level.max(0) as usize
+        };
+        self.cost.work(2 * e.vertices.len() as u64);
+        let mut moved = std::mem::take(&mut self.moved);
+        for (i, (&v, &slot)) in e.vertices.iter().zip(e.slots.iter()).enumerate() {
+            mark(&mut self.vertices, &mut self.dirty, v);
+            let (owned_before, owned_after) = (v == e.owner, v == owner);
+            if owned_before == owned_after && (owned_after || e.level == level) {
+                continue;
+            }
+            let vs = &mut self.vertices[v.index()];
+            let from = if owned_before {
+                &mut vs.owned
+            } else {
+                &mut vs.unowned[e.level]
+            };
+            take_slot(from, slot, id, v, &mut self.fixes);
+            let to = vs.bucket_mut(owned_after, level);
+            moved.push((i, to.len() as u32));
+            to.push(id);
+        }
+        let e = self.edges.get_mut(&id).expect("edge exists");
+        e.owner = owner;
+        e.level = level;
+        for (i, slot) in moved.drain(..) {
+            e.slots[i] = slot;
+        }
+        self.moved = moved;
+        apply_fixes(&mut self.edges, &mut self.fixes);
     }
 
     /// `set-level(v, ℓ)` (§3.2.4, Claim 3.4): sets `ℓ(v) = ℓ` and re-indexes the
@@ -338,21 +438,25 @@ impl MatcherState {
             return;
         }
         debug_assert!(new_level >= -1 && new_level <= self.params.num_levels as i32);
-        let mut affected: Vec<EdgeId> = self.vertices[v.index()].owned.iter().copied().collect();
+        let mut affected = std::mem::take(&mut self.affected);
+        let vs = &self.vertices[v.index()];
+        affected.extend_from_slice(&vs.owned);
         if new_level > old_level {
             let from = old_level.max(0) as usize;
-            let to = (new_level as usize).min(self.vertices[v.index()].unowned.len());
+            let to = (new_level as usize).min(vs.unowned.len());
             for l in from..to {
-                affected.extend(self.vertices[v.index()].unowned[l].iter().copied());
+                affected.extend_from_slice(&vs.unowned[l]);
             }
         }
         self.cost
             .work(affected.len() as u64 + self.params.num_levels as u64);
         self.vertices[v.index()].level = new_level;
-        self.dirty.insert(v);
-        for id in affected {
+        self.mark_dirty(v);
+        for &id in &affected {
             self.reindex_edge(id);
         }
+        affected.clear();
+        self.affected = affected;
     }
 
     // ------------------------------------------------------------------
@@ -363,8 +467,9 @@ impl MatcherState {
     /// records `M(v)` pointers, and re-indexes the edge.  Every endpoint must be
     /// unmatched when this is called (kicked-out edges are handled by the caller).
     pub fn match_edge(&mut self, id: EdgeId, level: usize) {
-        let verts = self.edges[&id].vertices.clone();
-        for &v in verts.iter() {
+        let mut verts = std::mem::take(&mut self.endpoints);
+        verts.extend_from_slice(&self.edges[&id].vertices);
+        for &v in &verts {
             debug_assert!(
                 self.vertices[v.index()].matched_edge.is_none(),
                 "endpoint {v} must be unmatched before matching {id}"
@@ -376,39 +481,35 @@ impl MatcherState {
             e.matched = true;
             e.level = level;
         }
-        for &v in verts.iter() {
+        for &v in &verts {
             self.vertices[v.index()].matched_edge = Some(id);
             self.undecided.remove(&v);
-            self.dirty.insert(v);
+            self.mark_dirty(v);
         }
         self.reindex_edge(id);
         self.cost.work(verts.len() as u64);
         self.matched_count += 1;
         self.delta.matched(id, &verts);
+        verts.clear();
+        self.endpoints = verts;
     }
 
     /// Removes edge `id` from the matching, leaving endpoint levels untouched.
     /// Endpoints become undecided (they keep their levels until the level sweep
-    /// reaches them).  Returns the endpoints that became undecided.
-    pub fn unmatch_edge(&mut self, id: EdgeId) -> Vec<VertexId> {
-        let verts = self.edges[&id].vertices.clone();
-        {
-            let e = self.edges.get_mut(&id).expect("edge exists");
-            debug_assert!(e.matched, "unmatch_edge requires a matched edge");
-            e.matched = false;
-        }
-        let mut exposed = Vec::with_capacity(verts.len());
-        for &v in verts.iter() {
+    /// reaches them).
+    pub fn unmatch_edge(&mut self, id: EdgeId) {
+        let e = self.edges.get_mut(&id).expect("edge exists");
+        debug_assert!(e.matched, "unmatch_edge requires a matched edge");
+        e.matched = false;
+        for &v in e.vertices.iter() {
             debug_assert_eq!(self.vertices[v.index()].matched_edge, Some(id));
             self.vertices[v.index()].matched_edge = None;
             self.undecided.insert(v);
-            self.dirty.insert(v);
-            exposed.push(v);
+            mark(&mut self.vertices, &mut self.dirty, v);
         }
-        self.cost.work(verts.len() as u64);
+        self.cost.work(e.vertices.len() as u64);
         self.matched_count -= 1;
-        self.delta.unmatched(id, &verts);
-        exposed
+        self.delta.unmatched(id, &e.vertices);
     }
 
     /// Temporarily deletes edge `id`, making matched edge `responsible` responsible
@@ -438,23 +539,28 @@ impl MatcherState {
     /// Registers a brand-new edge (from an insertion) with the given matched flag
     /// and level, and adds it to the structures.  The owner/level of unmatched
     /// edges is recomputed from the endpoints.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edge's rank exceeds the configured maximum rank.
+    /// Validation rejects such edges upstream, so this never fires on the
+    /// serve path.
     pub fn register_edge(&mut self, edge: &HyperEdge, matched: bool, level: usize) {
         debug_assert!(
             !self.edges.contains_key(&edge.id),
             "edge {} already registered",
             edge.id
         );
-        debug_assert!(
+        assert!(
             edge.rank() <= self.config.max_rank,
             "edge {} has rank {} > configured max rank {}",
             edge.id,
             edge.rank(),
             self.config.max_rank
         );
-        let mut state = EdgeState::new(edge);
+        let mut state = EdgeState::new(edge.vertices());
         state.matched = matched;
         state.level = level;
-        self.edges.insert(edge.id, state);
         if matched {
             for &v in edge.vertices() {
                 debug_assert!(self.vertices[v.index()].matched_edge.is_none());
@@ -465,9 +571,15 @@ impl MatcherState {
             self.matched_count += 1;
             self.delta.matched(edge.id, edge.vertices());
         }
-        self.recompute_owner_and_level(edge.id);
-        self.add_edge_to_structures(edge.id);
-        self.cost.work(edge.rank() as u64);
+        let (owner, max_level) = self.owner_and_level(edge.vertices());
+        state.owner = owner;
+        if !matched {
+            state.level = max_level.max(0) as usize;
+        }
+        // One unit per endpoint to index the edge, one to register it.
+        self.cost.work(2 * edge.rank() as u64);
+        attach(&mut self.vertices, &mut self.dirty, edge.id, &mut state);
+        self.edges.insert(edge.id, state);
     }
 
     /// Removes an edge from the state entirely (it is gone from the graph), and
@@ -475,23 +587,102 @@ impl MatcherState {
     /// removed from their responsible edge's bucket here (the bucket is scrubbed
     /// lazily when it is consumed); the caller updates metrics.
     pub fn remove_edge_completely(&mut self, id: EdgeId) -> EdgeState {
-        let temp_deleted = self.edges[&id].temp_deleted;
-        if !temp_deleted {
-            self.remove_edge_from_structures(id);
+        let e = self.edges.remove(&id).expect("edge exists");
+        if !e.temp_deleted {
+            self.cost.work(e.vertices.len() as u64);
+            detach(&mut self.vertices, &mut self.dirty, &mut self.fixes, id, &e);
+            apply_fixes(&mut self.edges, &mut self.fixes);
         }
-        self.edges.remove(&id).expect("edge exists")
+        e
     }
 
     /// The prospective ownership set `Õ_{v,ℓ}`: every edge `v` would own if raised
     /// to level `ℓ` — its owned edges plus `A(v, ℓ')` for `ℓ(v) ≤ ℓ' < ℓ`.
-    pub fn prospective_owned(&self, v: VertexId, level: usize) -> Vec<EdgeId> {
+    pub fn prospective_owned(
+        &self,
+        v: VertexId,
+        level: usize,
+    ) -> impl Iterator<Item = EdgeId> + '_ {
         let vs = &self.vertices[v.index()];
-        let from = vs.level.max(0) as usize;
-        let mut out: Vec<EdgeId> = vs.owned.iter().copied().collect();
-        for l in from..level.min(vs.unowned.len()) {
-            out.extend(vs.unowned[l].iter().copied());
-        }
-        out
+        let to = level.min(vs.unowned.len());
+        let from = (vs.level.max(0) as usize).min(to);
+        vs.owned
+            .iter()
+            .chain(vs.unowned[from..to].iter().flatten())
+            .copied()
+    }
+}
+
+/// Puts `v` on the dirty list unless it is already there.
+fn mark(vertices: &mut [VertexState], dirty: &mut Vec<VertexId>, v: VertexId) {
+    let vs = &mut vertices[v.index()];
+    if !vs.dirty {
+        vs.dirty = true;
+        dirty.push(v);
+    }
+}
+
+/// Appends edge `id`'s incidences to the buckets its owner and level name,
+/// recording each slot in `e`, and marks every endpoint dirty.
+fn attach(vertices: &mut [VertexState], dirty: &mut Vec<VertexId>, id: EdgeId, e: &mut EdgeState) {
+    let (owner, level) = (e.owner, e.level);
+    for (&v, slot) in e.vertices.iter().zip(e.slots.iter_mut()) {
+        let bucket = vertices[v.index()].bucket_mut(v == owner, level);
+        *slot = bucket.len() as u32;
+        bucket.push(id);
+        mark(vertices, dirty, v);
+    }
+}
+
+/// Swap-removes edge `id`'s incidences from the buckets its owner and level
+/// name and marks every endpoint dirty.  Each edge that moves into a hole is
+/// queued on `fixes`; [`apply_fixes`] records its new slot.
+fn detach(
+    vertices: &mut [VertexState],
+    dirty: &mut Vec<VertexId>,
+    fixes: &mut Vec<SlotFix>,
+    id: EdgeId,
+    e: &EdgeState,
+) {
+    for (&v, &slot) in e.vertices.iter().zip(e.slots.iter()) {
+        let vs = &mut vertices[v.index()];
+        let bucket = if v == e.owner {
+            &mut vs.owned
+        } else {
+            &mut vs.unowned[e.level]
+        };
+        take_slot(bucket, slot, id, v, fixes);
+        mark(vertices, dirty, v);
+    }
+}
+
+/// Swap-removes edge `id` from `slot` of `v`'s `bucket`, queueing the slot
+/// fix of the edge that moves into the hole.
+fn take_slot(
+    bucket: &mut Vec<EdgeId>,
+    slot: u32,
+    id: EdgeId,
+    v: VertexId,
+    fixes: &mut Vec<SlotFix>,
+) {
+    let slot = slot as usize;
+    debug_assert_eq!(bucket[slot], id, "edge {id} is not at its slot at {v}");
+    bucket.swap_remove(slot);
+    if let Some(&moved) = bucket.get(slot) {
+        fixes.push((moved, v, slot as u32));
+    }
+}
+
+/// Records the new slots of the edges [`take_slot`] moved.
+fn apply_fixes(edges: &mut FxHashMap<EdgeId, EdgeState>, fixes: &mut Vec<SlotFix>) {
+    for (id, v, slot) in fixes.drain(..) {
+        let e = edges.get_mut(&id).expect("bucketed edge exists");
+        let i = e
+            .vertices
+            .iter()
+            .position(|&w| w == v)
+            .expect("bucketed edge is incident");
+        e.slots[i] = slot;
     }
 }
 
@@ -614,8 +805,7 @@ mod tests {
         // The unmatched neighbour edge 1 now sits at level 2 (max endpoint level).
         assert_eq!(s.edges[&EdgeId(1)].level, 2);
 
-        let exposed = s.unmatch_edge(EdgeId(0));
-        assert_eq!(exposed.len(), 2);
+        s.unmatch_edge(EdgeId(0));
         assert!(!s.edges[&EdgeId(0)].matched);
         assert!(s.undecided.contains(&v(0)));
         assert!(s.undecided.contains(&v(1)));
@@ -644,8 +834,8 @@ mod tests {
         for i in 0..5u64 {
             s.register_edge(&edge(i, &[0, 1 + i as u32]), false, 0);
         }
-        let set = s.prospective_owned(v(0), 2);
-        assert_eq!(set.len() as u64, s.o_tilde(v(0), 2));
+        let count = s.prospective_owned(v(0), 2).count();
+        assert_eq!(count as u64, s.o_tilde(v(0), 2));
     }
 
     #[test]

@@ -47,7 +47,22 @@ pub fn luby_maximal_matching(
     rng: &mut RandomSource,
     cost: Option<&CostTracker>,
 ) -> StaticMatching {
-    let mut alive: Vec<&HyperEdge> = edges.iter().collect();
+    luby_maximal_matching_by_ref(edges.iter().collect(), rng, cost)
+}
+
+/// [`luby_maximal_matching`] over borrowed hyperedges, for callers that
+/// gather candidates from several places without copying them.  The vector
+/// becomes the working set of surviving edges.
+///
+/// The matched set depends only on the candidate set and the RNG position;
+/// [`StaticMatching::edges`] lists it by iteration, and within an iteration
+/// in input order.
+#[must_use]
+pub fn luby_maximal_matching_by_ref(
+    mut alive: Vec<&HyperEdge>,
+    rng: &mut RandomSource,
+    cost: Option<&CostTracker>,
+) -> StaticMatching {
     let mut matched: Vec<EdgeId> = Vec::new();
     let mut matched_vertices: FxHashMap<VertexId, ()> = FxHashMap::default();
     let mut iterations = 0usize;
@@ -129,12 +144,11 @@ pub fn luby_on_free_edges(
     rng: &mut RandomSource,
     cost: Option<&CostTracker>,
 ) -> StaticMatching {
-    let free: Vec<HyperEdge> = edges
+    let free: Vec<&HyperEdge> = edges
         .iter()
         .filter(|e| !e.vertices().iter().any(|&v| is_matched(v)))
-        .cloned()
         .collect();
-    luby_maximal_matching(&free, rng, cost)
+    luby_maximal_matching_by_ref(free, rng, cost)
 }
 
 #[cfg(test)]
