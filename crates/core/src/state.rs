@@ -179,10 +179,8 @@ pub(crate) struct MatcherState {
     pub matched_count: usize,
     /// The matching's net change since the engine last handed it out.
     pub delta: DeltaTracker,
-    /// Scratch: the slot fixes of one removal.
+    /// Scratch: the slot fixes of one removal or re-index.
     fixes: Vec<SlotFix>,
-    /// Scratch: the new slots of one re-indexed edge, by endpoint index.
-    moved: Vec<(usize, u32)>,
     /// Scratch: the edges `set_vertex_level` re-indexes.
     affected: Vec<EdgeId>,
     /// Scratch: the endpoints of the edge `match_edge` matches.
@@ -221,7 +219,6 @@ impl MatcherState {
             matched_count: 0,
             delta: DeltaTracker::default(),
             fixes: Vec::new(),
-            moved: Vec::new(),
             affected: Vec::new(),
             endpoints: Vec::new(),
         }
@@ -370,29 +367,14 @@ impl MatcherState {
         apply_fixes(&mut self.edges, &mut self.fixes);
     }
 
-    /// The owner and level the leveling rules give an edge over `verts`: the
-    /// first endpoint at the maximum endpoint level, and that level.
-    fn owner_and_level(&self, verts: &[VertexId]) -> (VertexId, i32) {
-        let mut best_v = verts[0];
-        let mut best_level = self.vertices[best_v.index()].level;
-        for &v in verts.iter().skip(1) {
-            let l = self.vertices[v.index()].level;
-            if l > best_level {
-                best_level = l;
-                best_v = v;
-            }
-        }
-        (best_v, best_level)
-    }
-
     /// `set-owner`/re-index (§3.2.4, Claim 3.3): recomputes the edge's owner
     /// and, for an unmatched edge, its level from its endpoints' current
     /// levels, and moves each incidence whose bucket that changes.  It is
     /// charged as a full removal and re-insertion, and every endpoint is
     /// marked dirty.
     pub fn reindex_edge(&mut self, id: EdgeId) {
-        let e = &self.edges[&id];
-        let (owner, max_level) = self.owner_and_level(&e.vertices);
+        let e = self.edges.get_mut(&id).expect("edge exists");
+        let (owner, max_level) = owner_and_level(&self.vertices, &e.vertices);
         // Invariant 3.1(3): unmatched edges sit at the maximum endpoint level
         // (clamped into `0..=L`); matched edges keep theirs.
         let level = if e.matched {
@@ -401,8 +383,7 @@ impl MatcherState {
             max_level.max(0) as usize
         };
         self.cost.work(2 * e.vertices.len() as u64);
-        let mut moved = std::mem::take(&mut self.moved);
-        for (i, (&v, &slot)) in e.vertices.iter().zip(e.slots.iter()).enumerate() {
+        for (&v, slot) in e.vertices.iter().zip(e.slots.iter_mut()) {
             mark(&mut self.vertices, &mut self.dirty, v);
             let (owned_before, owned_after) = (v == e.owner, v == owner);
             if owned_before == owned_after && (owned_after || e.level == level) {
@@ -414,18 +395,13 @@ impl MatcherState {
             } else {
                 &mut vs.unowned[e.level]
             };
-            take_slot(from, slot, id, v, &mut self.fixes);
+            take_slot(from, *slot, id, v, &mut self.fixes);
             let to = vs.bucket_mut(owned_after, level);
-            moved.push((i, to.len() as u32));
+            *slot = to.len() as u32;
             to.push(id);
         }
-        let e = self.edges.get_mut(&id).expect("edge exists");
         e.owner = owner;
         e.level = level;
-        for (i, slot) in moved.drain(..) {
-            e.slots[i] = slot;
-        }
-        self.moved = moved;
         apply_fixes(&mut self.edges, &mut self.fixes);
     }
 
@@ -571,7 +547,7 @@ impl MatcherState {
             self.matched_count += 1;
             self.delta.matched(edge.id, edge.vertices());
         }
-        let (owner, max_level) = self.owner_and_level(edge.vertices());
+        let (owner, max_level) = owner_and_level(&self.vertices, edge.vertices());
         state.owner = owner;
         if !matched {
             state.level = max_level.max(0) as usize;
@@ -611,6 +587,21 @@ impl MatcherState {
             .chain(vs.unowned[from..to].iter().flatten())
             .copied()
     }
+}
+
+/// The owner and level the leveling rules give an edge over `verts`: the
+/// first endpoint at the maximum endpoint level, and that level.
+fn owner_and_level(vertices: &[VertexState], verts: &[VertexId]) -> (VertexId, i32) {
+    let mut best_v = verts[0];
+    let mut best_level = vertices[best_v.index()].level;
+    for &v in verts.iter().skip(1) {
+        let l = vertices[v.index()].level;
+        if l > best_level {
+            best_level = l;
+            best_v = v;
+        }
+    }
+    (best_v, best_level)
 }
 
 /// Puts `v` on the dirty list unless it is already there.
@@ -711,6 +702,22 @@ mod tests {
         assert_eq!(s.level_of(v(0)), -1);
         assert!(!s.is_matched_vertex(v(0)));
         assert!(s.num_levels() >= 1);
+        // No vertex holds an A(v, ·) table before an edge reaches it.
+        assert!(s.vertices.iter().all(|vs| vs.unowned.is_empty()));
+    }
+
+    #[test]
+    fn removal_fixes_the_slot_of_the_edge_moved_into_the_hole() {
+        let mut s = fresh(4);
+        for i in 0..3u64 {
+            s.register_edge(&edge(i, &[0, 1 + i as u32]), false, 0);
+        }
+        assert_eq!(s.vertices[0].owned, [EdgeId(0), EdgeId(1), EdgeId(2)]);
+        s.remove_edge_completely(EdgeId(0));
+        // e2 moved from the last slot of O(v0) into e0's and records it.
+        assert_eq!(s.vertices[0].owned, [EdgeId(2), EdgeId(1)]);
+        assert_eq!(s.edges[&EdgeId(2)].slots[0], 0);
+        assert_eq!(s.edges[&EdgeId(1)].slots[0], 1);
     }
 
     #[test]
