@@ -10,8 +10,9 @@
 //!   edge (in fact on the matched edge responsible for it).
 //! * **Maximality** — every live, non-temporarily-deleted edge has a matched
 //!   endpoint, and matched edges are pairwise disjoint.
-//! * **Structure consistency** — the `O(v)` / `A(v,ℓ)` tables and the `S_ℓ` sets
-//!   agree exactly with the edge records.
+//! * **Structure consistency** — the `O(v)` / `A(v,ℓ)` buckets agree exactly
+//!   with the edge records and their stored slots, and the `S_ℓ` sets agree
+//!   with their definition and with every vertex's `s_mask`.
 
 use crate::state::MatcherState;
 use pdmm_hypergraph::types::{EdgeId, VertexId};

@@ -192,8 +192,8 @@ pub(crate) fn restore(state: &mut MatcherState, blob: &str) -> Result<(), StateE
     }
 
     // Re-derive the leveling parameters exactly as construction and the
-    // doubling rebuild do, then size the per-vertex and per-level structures
-    // for them (the fresh engine may have fewer levels than the blob).
+    // doubling rebuild do, then start from an empty state under them (the
+    // fresh engine may have fewer levels than the blob).
     let params = LevelingParams::new(state.config.max_rank, n_bound);
     let num_levels = params.num_levels;
     if metrics.per_level.len() < num_levels + 1 {
