@@ -70,11 +70,12 @@ fn step1_resolve_undecided(state: &mut MatcherState, level: usize) {
             }
         }
     }
-    // Canonical order: Luby lists its matches in input order, and the
-    // matches below lower their endpoints one edge at a time, which can hand
-    // an edge to a neighbour that is matched later and charges it there.
-    // Bucket order is history-dependent, so it must not decide that order.
-    u_free.sort_unstable_by_key(|e| e.id);
+    // The matches below lower their endpoints one edge at a time, which can
+    // hand an edge to a neighbour matched later and charge it there, so
+    // their order must be canonical.  It is, although `O(v)` order is not:
+    // Luby lists its matches by round and then in input order, the input is
+    // grouped by owner in sorted order, and two matched edges never share
+    // an owner.
     state
         .cost
         .work(u_free.iter().map(|e| e.rank() as u64).sum::<u64>());

@@ -24,9 +24,9 @@
 //!   vertex costs O(L) arithmetic and touches the `S_ℓ` sets only where a bit
 //!   flips.  Stale vertices wait on a dirty list, each at most once.
 //!
-//! Bucket order is history-dependent and never canonical; every reader that
-//! could let it leak into a decision or a charge sorts first (see the callers
-//! in `settle`).
+//! Bucket order is history-dependent and never canonical; a reader that
+//! could let it leak into a decision or a charge sorts first, or is shown
+//! not to depend on it (see the callers in `settle`).
 //!
 //! It also implements the two primitive procedures of §3.2.4 — `set-owner`
 //! (folded into [`MatcherState::reindex_edge`]) and `set-level`
