@@ -369,8 +369,8 @@ impl MatcherState {
 
     /// `set-owner`/re-index (§3.2.4, Claim 3.3): recomputes the edge's owner
     /// and, for an unmatched edge, its level from its endpoints' current
-    /// levels, and moves each incidence whose bucket that changes.  It is
-    /// charged as a full removal and re-insertion, and every endpoint is
+    /// levels, and moves each incidence whose bucket changes as a result.  It
+    /// is charged as a full removal and re-insertion, and every endpoint is
     /// marked dirty.
     pub fn reindex_edge(&mut self, id: EdgeId) {
         let e = self.edges.get_mut(&id).expect("edge exists");
