@@ -1,13 +1,16 @@
-//! Pins the parallel kernel's output bit for bit.
+//! Pins the parallel kernel's output bit for bit, and the two recompute
+//! engines' on the smaller streams.
 //!
-//! Each run drives `ParallelDynamicMatching` through a fixed stream and folds
-//! everything the kernel decides into one FNV-1a digest: every
+//! Each run drives one engine kind through a fixed stream and folds
+//! everything the engine decides into one FNV-1a digest: every
 //! [`BatchReport`]'s work, depth, matching size, matched deletions and
 //! rebuild flag, every `take_matching_delta()`, and the final full
-//! `save_state()` blob, `cost` line included.  The constants below were
-//! recorded with the kernel's original hash-set leveling state.  A change to
-//! the kernel's data layout must leave them untouched; only a change to the
-//! algorithm or its cost model may move them.
+//! `save_state()` blob, `cost` line included.  The parallel constants were
+//! recorded with the kernel's original hash-set leveling state, the
+//! recompute constants with the two engines' original separate
+//! implementations.  A change to an engine's data layout or code structure
+//! must leave them untouched; only a change to an algorithm or its cost
+//! model may move them.
 //!
 //! Every stream also runs at 2 threads (same digest) and as a twin restored
 //! from `save_state()` at the midpoint, which must reproduce the live run's
@@ -76,8 +79,8 @@ const FAMILIES: [&str; 4] = [
     "random_churn(500, 4, 300, 300, 16, 0.5)",
 ];
 
-/// Digests recorded for family `f` (row) and seed `k·1000003`, k = 1..3
-/// (column).
+/// Parallel-engine digests recorded for family `f` (row) and seed
+/// `k·1000003`, k = 1..3 (column).
 const GOLDEN: [[u64; 3]; 4] = [
     [
         0x8814_4a89_d347_8caf,
@@ -98,6 +101,38 @@ const GOLDEN: [[u64; 3]; 4] = [
         0xec68_851a_a731_b4f6,
         0x56a7_0bba_3bc4_c916,
         0x097b_c090_583b_a24f,
+    ],
+];
+
+/// [`EngineKind::RecomputeSequential`]'s digests for families 2 (row 0) and
+/// 3 (row 1), seeds as in [`GOLDEN`].  Families 0 and 1 are left to the
+/// parallel engine: a full recompute per batch makes them slow in a debug
+/// build.
+const RECOMPUTE_SEQUENTIAL_GOLDEN: [[u64; 3]; 2] = [
+    [
+        0xc2a7_8c79_f286_f276,
+        0xfebf_2807_2c32_bd78,
+        0xf55a_29fe_5057_2d76,
+    ],
+    [
+        0x45fe_ee38_3312_2aa5,
+        0x2016_f775_9f92_7661,
+        0xba4c_7da5_40d5_b8aa,
+    ],
+];
+
+/// [`EngineKind::StaticRecompute`]'s digests, laid out as
+/// [`RECOMPUTE_SEQUENTIAL_GOLDEN`].
+const STATIC_RECOMPUTE_GOLDEN: [[u64; 3]; 2] = [
+    [
+        0x524a_962b_f48e_5186,
+        0xe233_8bf3_5ec7_dc0e,
+        0xe6a8_b748_6997_c0d2,
+    ],
+    [
+        0x976f_3fa6_1472_ee24,
+        0x325c_89ac_a7b8_81d8,
+        0xc565_615e_22ea_528f,
     ],
 ];
 
@@ -129,8 +164,8 @@ struct Run {
     rebuilt: bool,
 }
 
-fn run(w: &Workload, s: u64, threads: usize) -> Run {
-    let mut engine = engine::build(EngineKind::Parallel, &builder(w, s, threads));
+fn run(kind: EngineKind, w: &Workload, s: u64, threads: usize) -> Run {
+    let mut engine = engine::build(kind, &builder(w, s, threads));
     let mid = w.batches.len() / 2;
     let mut full = Fnv::new();
     let mut rebuilt = drive(engine.as_mut(), &w.batches[..mid], &mut full);
@@ -157,8 +192,8 @@ fn run(w: &Workload, s: u64, threads: usize) -> Run {
 }
 
 /// A fresh engine restored from `blob`, driven through the tail.
-fn restored_tail(w: &Workload, s: u64, blob: &str) -> u64 {
-    let mut twin = engine::build(EngineKind::Parallel, &builder(w, s, 1));
+fn restored_tail(kind: EngineKind, w: &Workload, s: u64, blob: &str) -> u64 {
+    let mut twin = engine::build(kind, &builder(w, s, 1));
     twin.restore_state(blob).expect("own blob restores");
     // The restored matching is the twin's first delta; the live engine
     // handed those edges out batch by batch before the midpoint.
@@ -170,17 +205,17 @@ fn restored_tail(w: &Workload, s: u64, blob: &str) -> u64 {
     tail.0
 }
 
-fn check_family(family: usize) {
+fn check_family(kind: EngineKind, family: usize, golden: [u64; 3]) {
     let mut recorded = Vec::new();
     for k in 1..=3u64 {
         let s = k * 1_000_003;
         let w = stream(family, s);
-        let one = run(&w, s, 1);
-        let two = run(&w, s, 2);
-        let name = FAMILIES[family];
+        let one = run(kind, &w, s, 1);
+        let two = run(kind, &w, s, 2);
+        let name = format!("{kind} on {}", FAMILIES[family]);
         assert_eq!(one.full, two.full, "{name}, seed {s}: 1 vs 2 threads");
         assert_eq!(
-            restored_tail(&w, s, &one.midpoint_blob),
+            restored_tail(kind, &w, s, &one.midpoint_blob),
             one.tail,
             "{name}, seed {s}: restored twin's tail"
         );
@@ -190,28 +225,56 @@ fn check_family(family: usize) {
         recorded.push(one.full);
     }
     assert_eq!(
-        recorded, GOLDEN[family],
-        "{} digests moved: {recorded:#x?}",
+        recorded, golden,
+        "{kind} on {} digests moved: {recorded:#x?}",
         FAMILIES[family]
     );
 }
 
 #[test]
 fn random_churn_10k_rank_3() {
-    check_family(0);
+    check_family(EngineKind::Parallel, 0, GOLDEN[0]);
 }
 
 #[test]
 fn skewed_churn_10k_rank_2() {
-    check_family(1);
+    check_family(EngineKind::Parallel, 1, GOLDEN[1]);
 }
 
 #[test]
 fn random_churn_2k_rank_3() {
-    check_family(2);
+    check_family(EngineKind::Parallel, 2, GOLDEN[2]);
 }
 
 #[test]
 fn random_churn_500_rank_4_rebuilds() {
-    check_family(3);
+    check_family(EngineKind::Parallel, 3, GOLDEN[3]);
+}
+
+#[test]
+fn recompute_sequential_random_churn_2k_rank_3() {
+    check_family(
+        EngineKind::RecomputeSequential,
+        2,
+        RECOMPUTE_SEQUENTIAL_GOLDEN[0],
+    );
+}
+
+#[test]
+fn recompute_sequential_random_churn_500_rank_4() {
+    check_family(
+        EngineKind::RecomputeSequential,
+        3,
+        RECOMPUTE_SEQUENTIAL_GOLDEN[1],
+    );
+}
+
+#[test]
+fn static_recompute_random_churn_2k_rank_3() {
+    check_family(EngineKind::StaticRecompute, 2, STATIC_RECOMPUTE_GOLDEN[0]);
+}
+
+#[test]
+fn static_recompute_random_churn_500_rank_4() {
+    check_family(EngineKind::StaticRecompute, 3, STATIC_RECOMPUTE_GOLDEN[1]);
 }
