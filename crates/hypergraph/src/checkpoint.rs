@@ -391,7 +391,10 @@ impl Checkpoint {
                 p.corrupt("a checkpoint needs at least one shard"),
             ));
         }
-        let mut sections = Vec::with_capacity(shards);
+        // Grown as sections parse: the count is untrusted input, and a
+        // truncated document must fail on its missing section, not on an
+        // allocation sized by a bogus count.
+        let mut sections = Vec::new();
         for k in 0..shards {
             let tag: usize = {
                 let rest = p.tagged("@").map_err(structural)?;
@@ -803,6 +806,13 @@ mod tests {
             matches!(&err, CheckpointError::Corrupt { message, .. } if message.contains("shard")),
             "{err}"
         );
+        // A huge shard count is a missing section, not an allocation.
+        let huge = "pdmm-checkpoint v1\nengine toy\nvertices 4\nrank 2\n\
+                    shards 18446744073709551615\n";
+        assert!(matches!(
+            Checkpoint::parse(huge),
+            Err(CheckpointError::Corrupt { .. })
+        ));
     }
 
     #[test]
