@@ -1714,9 +1714,7 @@ impl EngineBuilder {
 /// delegates to the process-global pool.  Engines wrap each `apply_batch` in
 /// [`EnginePool::install`], which makes the bounded pool ambient for the
 /// batch.  Today one step beneath it runs on the pool: Luby's priority map,
-/// and only while more than 2,048 candidate edges are alive.  The parallel
-/// dictionary, prefix sums and compaction primitives are not called by any
-/// engine.
+/// and only while more than 2,048 candidate edges are alive.
 ///
 /// ```
 /// use pdmm_hypergraph::engine::{EngineBuilder, EnginePool};

@@ -1,33 +1,20 @@
 //! # pdmm-primitives
 //!
-//! PRAM-style parallel building blocks for the Parallel Dynamic Maximal Matching
-//! reproduction (Ghaffari & Trygub, SPAA 2024):
+//! Building blocks shared by every engine of the Parallel Dynamic Maximal
+//! Matching reproduction (Ghaffari & Trygub, SPAA 2024):
 //!
-//! * [`dictionary`] — the parallel dictionary of §2 (batch insert / erase / retrieve),
-//! * [`prefix_sum`] — parallel prefix sums used by Claim 3.3,
-//! * [`compaction`] / [`par_util`] — parallel filtering, grouping and deduplication,
 //! * [`random`] — deterministic splittable randomness (oblivious-adversary model),
-//! * [`cost_model`] — explicit work/depth (round) accounting,
-//! * [`shared_slice`] — disjoint-write parallel mutation substrate,
-//! * [`atomic_bitset`] — concurrent marking bitset.
+//! * [`cost_model`] — explicit work/depth (round) accounting.
 //!
-//! These modules are deliberately independent of the matching algorithm so that the
-//! substrates can be reused (and tested) in isolation.
+//! The paper's §2 parallel dictionary and the prefix sums of Claim 3.3 are
+//! PRAM bookkeeping; the kernel keeps that bookkeeping in dense per-vertex
+//! buckets and charges its cost through [`cost_model`] instead.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod atomic_bitset;
-pub mod compaction;
 pub mod cost_model;
-pub mod dictionary;
-pub mod par_util;
-pub mod prefix_sum;
 pub mod random;
-pub mod shared_slice;
 
-pub use atomic_bitset::AtomicBitset;
 pub use cost_model::{CostScope, CostSnapshot, CostTracker};
-pub use dictionary::{ParallelDictionary, ParallelSet};
 pub use random::{PhaseRandom, RandomSource};
-pub use shared_slice::SharedSlice;

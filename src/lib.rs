@@ -40,8 +40,8 @@
 //! * [`static_matching`] — the static parallel maximal matching of Theorem 2.2
 //!   plus the static-recompute engine adapter,
 //! * [`seq_dynamic`] — sequential dynamic baselines,
-//! * [`primitives`] — PRAM-style parallel building blocks (parallel dictionary,
-//!   prefix sums, cost model, …).
+//! * [`primitives`] — the work/depth cost model and deterministic
+//!   randomness every engine shares.
 //!
 //! ## Quick start
 //!

@@ -1,69 +1,12 @@
-//! Cross-crate substrate tests: the PRAM-style primitives, the static matcher and
-//! the hypergraph layer working together the way the core algorithm uses them.
+//! Cross-crate substrate tests: the static matcher, the `io` formats and the
+//! hypergraph layer working together the way the core algorithm uses them.
 
 use pdmm::hypergraph::generators;
 use pdmm::hypergraph::io;
 use pdmm::hypergraph::matching::verify_maximality;
 use pdmm::prelude::*;
-use pdmm::primitives::cost_model::CostTracker;
-use pdmm::primitives::dictionary::ParallelDictionary;
-use pdmm::primitives::prefix_sum;
 use pdmm::primitives::random::RandomSource;
 use pdmm::static_matching::luby::luby_maximal_matching;
-
-#[test]
-fn dictionary_tracks_incidence_like_the_algorithm_does() {
-    // Mimics how the core algorithm uses the parallel dictionary interface of
-    // §3.2.3: batch-insert all incidences of a graph, batch-erase the incidences of
-    // deleted edges, and retrieve what remains.
-    let edges = generators::gnm_graph(100, 400, 1, 0);
-    let cost = CostTracker::new();
-    let mut dict: ParallelDictionary<(u32, u64), ()> = ParallelDictionary::new();
-    let incidences: Vec<((u32, u64), ())> = edges
-        .iter()
-        .flat_map(|e| {
-            e.vertices()
-                .iter()
-                .map(|v| ((v.0, e.id.0), ()))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let total = incidences.len();
-    dict.insert_batch(incidences, Some(&cost));
-    assert_eq!(dict.len(), total);
-
-    let deleted: Vec<(u32, u64)> = edges
-        .iter()
-        .take(100)
-        .flat_map(|e| {
-            e.vertices()
-                .iter()
-                .map(|v| (v.0, e.id.0))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    dict.erase_batch(&deleted, Some(&cost));
-    assert_eq!(dict.len(), total - deleted.len());
-    assert!(cost.total_work() > 0);
-    assert_eq!(cost.total_depth(), 2);
-}
-
-#[test]
-fn prefix_sums_compute_o_tilde_style_cumulative_counts() {
-    // The õ_{v,ℓ} quantities are cumulative sums of per-level counts (Claim 3.3);
-    // check the prefix-sum substrate against a direct computation on real data.
-    let edges = generators::random_hypergraph(60, 300, 3, 5, 0);
-    let graph = DynamicHypergraph::from_edges(60, edges);
-    let degrees: Vec<u64> = (0..60u32)
-        .map(|v| graph.degree(VertexId(v)) as u64)
-        .collect();
-    let (prefix, total) = prefix_sum::exclusive_scan(&degrees);
-    assert_eq!(total, graph.total_incidence() as u64);
-    for v in 0..60usize {
-        let direct: u64 = degrees[..v].iter().sum();
-        assert_eq!(prefix[v], direct);
-    }
-}
 
 #[test]
 fn static_matcher_feeds_the_dynamic_one() {
