@@ -24,7 +24,7 @@ use crate::settle::{process_level, release_bucket_and_remove};
 use crate::state::MatcherState;
 use pdmm_hypergraph::engine::{
     run_batch_trusted, BatchError, BatchKernel, BatchReport, EngineBuilder, EngineMetrics,
-    EnginePool, KernelOutcome, MatchingEngine, MatchingIter, RepairError, StateError,
+    EnginePool, KernelOutcome, MatchingEngine, MatchingIter, StateError,
     UpdateCounters, ValidatedBatch,
 };
 use pdmm_hypergraph::matching::MatchingDelta;
@@ -453,39 +453,6 @@ impl MatchingEngine for ParallelDynamicMatching {
             depth: cost.depth,
             rebuilds: metrics.rebuilds,
         }
-    }
-
-    fn free_vertices(&self) -> Option<Vec<VertexId>> {
-        Some(
-            (0..self.state.num_vertices() as u32)
-                .map(VertexId)
-                .filter(|&v| !self.state.is_matched_vertex(v))
-                .collect(),
-        )
-    }
-
-    fn force_match(&mut self, id: EdgeId) -> Result<(), RepairError> {
-        let Some(edge) = self.state.edges.get(&id) else {
-            return Err(RepairError::UnknownEdge { id });
-        };
-        if edge.matched {
-            return Err(RepairError::AlreadyMatched { id });
-        }
-        if edge.temp_deleted {
-            // Parked in some matched edge's D(·) bucket (Invariant 3.2);
-            // matching it would orphan the bucket bookkeeping.
-            return Err(RepairError::Parked { id });
-        }
-        let vertices = edge.vertices.clone();
-        if let Some(&v) = vertices.iter().find(|&&v| self.state.is_matched_vertex(v)) {
-            return Err(RepairError::EndpointMatched { id, vertex: v });
-        }
-        // Same route grand-random-settle uses for a level-0 match: raise the
-        // endpoints, set M(v) pointers, re-index, then refresh S_ℓ sets.
-        self.state.match_edge(id, 0);
-        self.state.metrics.record_epoch_created(0, 0);
-        self.state.flush_dirty();
-        Ok(())
     }
 
     fn save_state(&self) -> Option<String> {

@@ -223,70 +223,6 @@ impl fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
-/// Why a repair-hook [`MatchingEngine::force_match`] call was refused.
-///
-/// The repair hook is the narrow write-half used by embedders (such as the
-/// sharded boundary-arbitration layer's tests) to graft a single validated
-/// edge into an engine's matching.  Every refusal is typed so callers can
-/// distinguish "this engine cannot do that" from "that edge is not eligible
-/// right now".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairError {
-    /// The engine does not implement the repair hook (the trait default).
-    Unsupported {
-        /// [`MatchingEngine::name`] of the refusing engine.
-        engine: &'static str,
-    },
-    /// The edge id is not live in the engine's view of the graph.
-    UnknownEdge {
-        /// The unknown id.
-        id: EdgeId,
-    },
-    /// The edge is already in the engine's matching.
-    AlreadyMatched {
-        /// The already-matched id.
-        id: EdgeId,
-    },
-    /// An endpoint of the edge is already covered by a matched edge, so
-    /// force-matching it would produce an invalid matching.
-    EndpointMatched {
-        /// The refused edge.
-        id: EdgeId,
-        /// The first already-covered endpoint.
-        vertex: VertexId,
-    },
-    /// The engine is holding the edge aside (the parallel engine's
-    /// temporarily-deleted `D(·)` parking of §3.3) and cannot force-match it
-    /// without breaking its internal invariants.
-    Parked {
-        /// The parked id.
-        id: EdgeId,
-    },
-}
-
-impl fmt::Display for RepairError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RepairError::Unsupported { engine } => {
-                write!(f, "engine `{engine}` does not support force-matching")
-            }
-            RepairError::UnknownEdge { id } => write!(f, "edge {id} is not live"),
-            RepairError::AlreadyMatched { id } => write!(f, "edge {id} is already matched"),
-            RepairError::EndpointMatched { id, vertex } => {
-                write!(f, "endpoint {vertex} of edge {id} is already matched")
-            }
-            RepairError::Parked { id } => {
-                write!(
-                    f,
-                    "edge {id} is temporarily deleted (parked) and cannot be matched"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for RepairError {}
-
 /// Line-oriented cursor over a state blob.
 ///
 /// Tracks 1-based line numbers so every parse failure names the offending
@@ -1076,40 +1012,6 @@ pub trait MatchingEngine {
 
     /// Uniform lifetime counters.
     fn metrics(&self) -> EngineMetrics;
-
-    /// Repair hook, read half: the engine's currently *free* (unmatched)
-    /// vertices, sorted ascending — or `None` for engines that do not expose
-    /// their free set (the default), in which case callers fall back to
-    /// recomputing it from a matching snapshot.
-    ///
-    /// All five in-tree engines implement this; the default exists so narrow
-    /// test engines keep compiling unchanged.
-    fn free_vertices(&self) -> Option<Vec<VertexId>> {
-        None
-    }
-
-    /// Repair hook, write half: grafts the live, currently-unmatched edge
-    /// `id` into the matching, provided every endpoint is free.
-    ///
-    /// This is the narrow mutation used by embedders (e.g. boundary-
-    /// arbitration tooling) to apply an externally validated repair without
-    /// re-running a batch.  Engines must keep all internal invariants intact:
-    /// after a successful call, [`MatchingEngine::verify`] still passes and
-    /// the edge shows up in [`MatchingEngine::matching`].
-    ///
-    /// # Errors
-    ///
-    /// [`RepairError::Unsupported`] for engines without the hook (the
-    /// default); otherwise a typed refusal naming exactly why `id` is not
-    /// eligible ([`RepairError::UnknownEdge`], [`RepairError::AlreadyMatched`],
-    /// [`RepairError::EndpointMatched`], or [`RepairError::Parked`]).  On
-    /// error the engine is untouched.
-    fn force_match(&mut self, id: EdgeId) -> Result<(), RepairError> {
-        let _ = id;
-        Err(RepairError::Unsupported {
-            engine: self.name(),
-        })
-    }
 
     /// Serializes the engine's complete dynamic state as a canonical text
     /// blob, or `None` for engines without state serialization (the default).

@@ -1421,33 +1421,6 @@ impl EngineService {
         (inserted, deleted)
     }
 
-    /// The engine's currently free (unmatched) vertices, sorted ascending —
-    /// through the engine's [`MatchingEngine::free_vertices`] repair hook
-    /// when it implements one, otherwise recomputed from the engine's
-    /// matching and the committed mirror graph.
-    ///
-    /// Reads the engine under the commit lock, so the answer reflects the
-    /// full committed state (not a possibly-throttled published snapshot).
-    #[must_use]
-    pub fn free_vertices(&self) -> Vec<VertexId> {
-        let inner = self.inner.lock().expect("service commit lock poisoned");
-        if let Some(free) = inner.engine.free_vertices() {
-            return free;
-        }
-        let mut covered: FxHashSet<VertexId> = FxHashSet::default();
-        for id in inner.engine.matching() {
-            let edge = inner
-                .mirror
-                .edge(id)
-                .expect("matched edges are live in the mirror graph");
-            covered.extend(edge.vertices().iter().copied());
-        }
-        (0..inner.engine.num_vertices() as u32)
-            .map(VertexId)
-            .filter(|v| !covered.contains(v))
-            .collect()
-    }
-
     /// Live committed edges incident to any vertex in `freed`, with their
     /// endpoint sets, deduplicated and **sorted ascending by edge id** — the
     /// deterministic per-shard candidate list the boundary-arbitration

@@ -14,11 +14,11 @@ use pdmm_hypergraph::engine::{
     read_state_counters, read_state_graph, read_state_header, read_state_rng, run_batch_trusted,
     write_state_counters, write_state_graph, write_state_header, write_state_rng, BatchError,
     BatchKernel, BatchReport, EngineBuilder, EngineMetrics, KernelOutcome, MatchingEngine,
-    MatchingIter, RepairError, StateError, StateParser, UpdateCounters, ValidatedBatch,
+    MatchingIter, StateError, StateParser, UpdateCounters, ValidatedBatch,
 };
 use pdmm_hypergraph::graph::DynamicHypergraph;
 use pdmm_hypergraph::matching::{verify_maximality, Matching, MatchingDelta};
-use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};
+use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update};
 use pdmm_primitives::cost_model::CostTracker;
 use pdmm_primitives::random::RandomSource;
 
@@ -163,36 +163,6 @@ impl MatchingEngine for RandomReplaceMatching {
     fn metrics(&self) -> EngineMetrics {
         let cost = self.cost.snapshot();
         self.counters.into_metrics(cost.work, cost.depth)
-    }
-
-    fn free_vertices(&self) -> Option<Vec<VertexId>> {
-        Some(
-            (0..self.graph.num_vertices() as u32)
-                .map(VertexId)
-                .filter(|&v| !self.matching.is_matched(v))
-                .collect(),
-        )
-    }
-
-    fn force_match(&mut self, id: EdgeId) -> Result<(), RepairError> {
-        // Deterministic by construction: the rng is not consulted, so a
-        // force-matched repair never perturbs future random draws.
-        let Some(edge) = self.graph.edge(id).cloned() else {
-            return Err(RepairError::UnknownEdge { id });
-        };
-        if self.matching.contains_edge(id) {
-            return Err(RepairError::AlreadyMatched { id });
-        }
-        if let Some(&v) = edge
-            .vertices()
-            .iter()
-            .find(|&&v| self.matching.is_matched(v))
-        {
-            return Err(RepairError::EndpointMatched { id, vertex: v });
-        }
-        self.cost.work(edge.rank() as u64);
-        self.matching.add(&edge);
-        Ok(())
     }
 
     fn save_state(&self) -> Option<String> {

@@ -15,12 +15,12 @@ use pdmm_hypergraph::engine::{
     read_state_counters, read_state_graph, read_state_header, read_state_rng, run_batch_trusted,
     write_state_counters, write_state_graph, write_state_header, write_state_rng, BatchError,
     BatchKernel, BatchReport, EngineBuilder, EngineMetrics, EnginePool, KernelOutcome,
-    MatchingEngine, MatchingIter, RepairError, StateError, StateParser, UpdateCounters,
+    MatchingEngine, MatchingIter, StateError, StateParser, UpdateCounters,
     ValidatedBatch,
 };
 use pdmm_hypergraph::graph::DynamicHypergraph;
 use pdmm_hypergraph::matching::{verify_maximality, DeltaTracker, MatchingDelta};
-use pdmm_hypergraph::types::{EdgeId, Update, VertexId};
+use pdmm_hypergraph::types::{EdgeId, Update};
 use pdmm_primitives::cost_model::CostTracker;
 use pdmm_primitives::random::RandomSource;
 use pdmm_static::luby::luby_maximal_matching;
@@ -79,17 +79,6 @@ impl RecomputeFromScratch {
     pub fn cost(&self) -> &CostTracker {
         &self.cost
     }
-
-    /// Vertices covered by the current matching (matched edges are always
-    /// live: the matching is recomputed over live edges every batch).
-    fn covered_vertices(&self) -> FxHashSet<VertexId> {
-        let mut covered = FxHashSet::default();
-        for id in &self.matching {
-            let edge = self.graph.edge(*id).expect("matched edges are live");
-            covered.extend(edge.vertices().iter().copied());
-        }
-        covered
-    }
 }
 
 impl MatchingEngine for RecomputeFromScratch {
@@ -135,38 +124,6 @@ impl MatchingEngine for RecomputeFromScratch {
     fn metrics(&self) -> EngineMetrics {
         let cost = self.cost.snapshot();
         self.counters.into_metrics(cost.work, cost.depth)
-    }
-
-    fn free_vertices(&self) -> Option<Vec<VertexId>> {
-        let covered = self.covered_vertices();
-        Some(
-            (0..self.graph.num_vertices() as u32)
-                .map(VertexId)
-                .filter(|v| !covered.contains(v))
-                .collect(),
-        )
-    }
-
-    fn force_match(&mut self, id: EdgeId) -> Result<(), RepairError> {
-        // The next batch recomputes from scratch anyway, so the graft only
-        // has to keep the current matching valid (restore_state re-validates
-        // exactly that: live ids, pairwise-disjoint endpoints).
-        if !self.graph.contains_edge(id) {
-            return Err(RepairError::UnknownEdge { id });
-        }
-        if self.matching.contains(&id) {
-            return Err(RepairError::AlreadyMatched { id });
-        }
-        let covered = self.covered_vertices();
-        let edge = self.graph.edge(id).expect("liveness checked above");
-        if let Some(&v) = edge.vertices().iter().find(|&&v| covered.contains(&v)) {
-            return Err(RepairError::EndpointMatched { id, vertex: v });
-        }
-        let rank = edge.rank() as u64;
-        self.cost.work(rank);
-        self.delta.matched(id, edge.vertices());
-        self.matching.push(id);
-        Ok(())
     }
 
     fn save_state(&self) -> Option<String> {

@@ -14,11 +14,11 @@ use pdmm_hypergraph::engine::{
     read_state_counters, read_state_graph, read_state_header, run_batch_trusted,
     write_state_counters, write_state_graph, write_state_header, BatchError, BatchKernel,
     BatchReport, EngineBuilder, EngineMetrics, KernelOutcome, MatchingEngine, MatchingIter,
-    RepairError, StateError, StateParser, UpdateCounters, ValidatedBatch,
+    StateError, StateParser, UpdateCounters, ValidatedBatch,
 };
 use pdmm_hypergraph::graph::DynamicHypergraph;
 use pdmm_hypergraph::matching::{verify_maximality, DeltaTracker, MatchingDelta};
-use pdmm_hypergraph::types::{EdgeId, Update, VertexId};
+use pdmm_hypergraph::types::{EdgeId, Update};
 use pdmm_primitives::cost_model::CostTracker;
 use rustc_hash::FxHashSet;
 
@@ -69,17 +69,6 @@ impl StaticRecompute {
     pub fn cost(&self) -> &CostTracker {
         &self.cost
     }
-
-    /// Vertices covered by the current matching (matched edges are always
-    /// live: the matching is recomputed over live edges every batch).
-    fn covered_vertices(&self) -> FxHashSet<VertexId> {
-        let mut covered = FxHashSet::default();
-        for id in &self.matching {
-            let edge = self.graph.edge(*id).expect("matched edges are live");
-            covered.extend(edge.vertices().iter().copied());
-        }
-        covered
-    }
 }
 
 impl MatchingEngine for StaticRecompute {
@@ -125,38 +114,6 @@ impl MatchingEngine for StaticRecompute {
     fn metrics(&self) -> EngineMetrics {
         let cost = self.cost.snapshot();
         self.counters.into_metrics(cost.work, cost.depth)
-    }
-
-    fn free_vertices(&self) -> Option<Vec<VertexId>> {
-        let covered = self.covered_vertices();
-        Some(
-            (0..self.graph.num_vertices() as u32)
-                .map(VertexId)
-                .filter(|v| !covered.contains(v))
-                .collect(),
-        )
-    }
-
-    fn force_match(&mut self, id: EdgeId) -> Result<(), RepairError> {
-        // The next batch recomputes from scratch anyway, so the graft only
-        // has to keep the current matching valid (restore_state re-validates
-        // exactly that: live ids, pairwise-disjoint endpoints).
-        if !self.graph.contains_edge(id) {
-            return Err(RepairError::UnknownEdge { id });
-        }
-        if self.matching.contains(&id) {
-            return Err(RepairError::AlreadyMatched { id });
-        }
-        let covered = self.covered_vertices();
-        let edge = self.graph.edge(id).expect("liveness checked above");
-        if let Some(&v) = edge.vertices().iter().find(|&&v| covered.contains(&v)) {
-            return Err(RepairError::EndpointMatched { id, vertex: v });
-        }
-        let rank = edge.rank() as u64;
-        self.cost.work(rank);
-        self.delta.matched(id, edge.vertices());
-        self.matching.push(id);
-        Ok(())
     }
 
     fn save_state(&self) -> Option<String> {

@@ -22,7 +22,7 @@
 pub use pdmm_hypergraph::engine::{
     run_batch_trusted, validation_checks, BatchError, BatchKernel, BatchLedger, BatchReport,
     EngineBuilder, EngineKind, EngineMetrics, EnginePool, IngestReport, KernelOutcome, LossyBatch,
-    MatchingEngine, MatchingIter, RejectedUpdate, RepairError, UpdateCheck, UpdateCounters,
+    MatchingEngine, MatchingIter, RejectedUpdate, UpdateCheck, UpdateCounters,
     ValidatedBatch, ValidationToken,
 };
 pub use pdmm_hypergraph::matching::{DeltaTracker, MatchingDelta};

@@ -15,12 +15,10 @@
 //!   torn journal) reproduce the arbitrated view bit-identically without
 //!   persisting it;
 //! * **router reconciliation**: rejected inserts and dropped poison
-//!   sub-batches leave no phantom owner/cross entries behind a drain;
-//! * **repair hooks**: every engine implements `free_vertices` /
-//!   `force_match` with the typed `RepairError` contract.
+//!   sub-batches leave no phantom owner/cross entries behind a drain.
 
 use pdmm::checkpoint::FaultSink;
-use pdmm::engine::{self, RepairError};
+use pdmm::engine;
 use pdmm::hypergraph::graph::DynamicHypergraph;
 use pdmm::hypergraph::io;
 use pdmm::hypergraph::sharding::RangePartitioner;
@@ -507,135 +505,4 @@ fn a_dropped_poison_sub_batch_is_reconciled_out_of_the_router() {
     assert_eq!(service.owner_of_edge(EdgeId(0)), None);
     assert_eq!(service.owner_of_edge(EdgeId(5)), Some(0));
     assert_eq!(service.snapshot().edge_ids(), vec![EdgeId(5)]);
-}
-
-// ---------------------------------------------------------------------------
-// Engine repair hooks
-// ---------------------------------------------------------------------------
-
-#[test]
-fn every_engine_implements_the_repair_hooks_with_typed_errors() {
-    for kind in EngineKind::ALL {
-        let builder = EngineBuilder::new(6).rank(2).seed(3);
-        let mut engine = engine::build(kind, &builder);
-        let pair = |id, a, b| Update::Insert(HyperEdge::pair(EdgeId(id), VertexId(a), VertexId(b)));
-        // Edges 0 and 1 are matched by every engine (disjoint, inserted
-        // free); edge 2 stays blocked (both endpoints already covered).
-        engine
-            .apply_batch(&[pair(0, 0, 1), pair(1, 2, 3), pair(2, 1, 2)])
-            .unwrap();
-        assert_eq!(engine.matching_size(), 2, "{kind}");
-
-        // free_vertices: every engine answers (no default None), sorted.
-        assert_eq!(
-            engine.free_vertices(),
-            Some(vec![VertexId(4), VertexId(5)]),
-            "{kind}"
-        );
-
-        // force_match error taxonomy.
-        assert_eq!(
-            engine.force_match(EdgeId(99)),
-            Err(RepairError::UnknownEdge { id: EdgeId(99) }),
-            "{kind}"
-        );
-        assert_eq!(
-            engine.force_match(EdgeId(0)),
-            Err(RepairError::AlreadyMatched { id: EdgeId(0) }),
-            "{kind}"
-        );
-        match engine.force_match(EdgeId(2)) {
-            Err(RepairError::EndpointMatched { id, vertex }) => {
-                assert_eq!(id, EdgeId(2), "{kind}");
-                assert!(vertex == VertexId(1) || vertex == VertexId(2), "{kind}");
-            }
-            other => panic!("{kind}: expected EndpointMatched, got {other:?}"),
-        }
-        // Errors never mutate: the matching and free set are unchanged.
-        assert_eq!(engine.matching_size(), 2, "{kind}");
-        assert_eq!(
-            engine.free_vertices(),
-            Some(vec![VertexId(4), VertexId(5)]),
-            "{kind}"
-        );
-    }
-}
-
-#[test]
-fn force_match_grafts_a_validated_edge_into_a_non_maximal_state() {
-    // Engines keep their matchings maximal after every batch, so the Ok path
-    // of `force_match` is only reachable from a state an embedder restored —
-    // exactly the contract: `restore_state` on the recompute engines accepts
-    // any *valid* matching (live, disjoint), maximal or not.  Drop one
-    // matched id from a saved blob and graft it back.
-    for kind in [EngineKind::RecomputeSequential, EngineKind::StaticRecompute] {
-        let builder = EngineBuilder::new(6).rank(2).seed(3);
-        let mut engine = engine::build(kind, &builder);
-        let pair = |id, a, b| Update::Insert(HyperEdge::pair(EdgeId(id), VertexId(a), VertexId(b)));
-        engine.apply_batch(&[pair(0, 0, 1), pair(1, 2, 3)]).unwrap();
-        let blob = engine.save_state().unwrap();
-
-        // Remove the last id from the "matching" line.
-        let tampered: String = blob
-            .lines()
-            .map(|line| {
-                if let Some(rest) = line.strip_prefix("matching") {
-                    let mut ids: Vec<&str> = rest.split_whitespace().collect();
-                    ids.pop();
-                    if ids.is_empty() {
-                        "matching".to_string()
-                    } else {
-                        format!("matching {}", ids.join(" "))
-                    }
-                } else {
-                    line.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        let mut restored = engine::build(kind, &builder);
-        restored.restore_state(&tampered).unwrap();
-        assert_eq!(restored.matching_size(), 1, "{kind}: non-maximal restore");
-
-        // The dropped edge has free endpoints again: force_match accepts it
-        // and the engine is back to the full matching.
-        let target = if restored.matching().any(|id| id == EdgeId(0)) {
-            EdgeId(1)
-        } else {
-            EdgeId(0)
-        };
-        restored.force_match(target).unwrap();
-        assert_eq!(restored.matching_size(), 2, "{kind}");
-        assert_eq!(
-            restored.force_match(target),
-            Err(RepairError::AlreadyMatched { id: target }),
-            "{kind}"
-        );
-        assert_eq!(
-            restored.free_vertices(),
-            Some(vec![VertexId(4), VertexId(5)]),
-            "{kind}"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Service-layer repair surface
-// ---------------------------------------------------------------------------
-
-#[test]
-fn service_free_vertices_reflects_the_committed_matching() {
-    let builder = EngineBuilder::new(6).rank(2).seed(9);
-    for kind in EngineKind::ALL {
-        let service = EngineService::new(engine::build(kind, &builder));
-        let pair = |id, a, b| Update::Insert(HyperEdge::pair(EdgeId(id), VertexId(a), VertexId(b)));
-        service.submit(UpdateBatch::new(vec![pair(0, 0, 1), pair(1, 2, 3)]).unwrap());
-        service.drain().unwrap();
-        assert_eq!(
-            service.free_vertices(),
-            vec![VertexId(4), VertexId(5)],
-            "{kind}"
-        );
-    }
 }

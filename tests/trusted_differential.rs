@@ -177,11 +177,11 @@ fn incremental_snapshot_survives_lossy_drains() {
         // skipped, the survivors commit, and the snapshot must track exactly
         // the survivors.  It also moves a matched edge, under its id, onto a
         // free vertex — the id can stay matched with other endpoints.
-        let moved = service.snapshot().edges().next().expect("a matched edge");
-        let spare = *service
-            .free_vertices()
-            .iter()
-            .find(|v| v.0 > 3)
+        let snapshot = service.snapshot();
+        let moved = snapshot.edges().next().expect("a matched edge");
+        let spare = (4..snapshot.num_vertices() as u32)
+            .map(VertexId)
+            .find(|&v| !snapshot.is_matched(v))
             .expect("a free vertex");
         let (dirty, rejected) = UpdateBatch::new_lossy(vec![
             pair(9_000, 0, 1),
