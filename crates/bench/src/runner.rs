@@ -4,8 +4,8 @@
 //! [`MatchingEngine`] through [`MatchingEngine::apply_batch`], accumulating the
 //! per-batch [`pdmm::engine::BatchReport`]s into [`RunStats`].  No
 //! engine-specific branching —
-//! the paper's algorithm, every baseline, and the static adapter are measured
-//! through identical code.
+//! the paper's algorithm and every baseline are measured through identical
+//! code.
 
 use pdmm::engine::{self, BatchError, EngineBuilder, EngineKind, MatchingEngine};
 use pdmm_hypergraph::streams::Workload;

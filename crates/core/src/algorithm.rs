@@ -24,8 +24,8 @@ use crate::settle::{process_level, release_bucket_and_remove};
 use crate::state::MatcherState;
 use pdmm_hypergraph::engine::{
     run_batch_trusted, BatchError, BatchKernel, BatchReport, EngineBuilder, EngineMetrics,
-    EnginePool, KernelOutcome, MatchingEngine, MatchingIter, StateError,
-    UpdateCounters, ValidatedBatch,
+    EnginePool, KernelOutcome, MatchingEngine, MatchingIter, StateError, UpdateCounters,
+    ValidatedBatch,
 };
 use pdmm_hypergraph::matching::MatchingDelta;
 use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};

@@ -3,9 +3,9 @@
 //! The experiments of the paper compare the parallel batch-dynamic algorithm
 //! against static and sequential baselines under *identical* update streams.  This
 //! module is the contract that makes that comparison honest: every implementation
-//! in the workspace — the paper's algorithm (`pdmm-core`), the three sequential
-//! baselines (`pdmm-seq-dynamic`), and the static-recompute adapter
-//! (`pdmm-static`) — is driven through the [`MatchingEngine`] trait and
+//! in the workspace — the paper's algorithm (`pdmm-core`), the two sequential
+//! repair baselines (`pdmm-seq-dynamic`), and the two recompute-from-scratch
+//! baselines (`pdmm-static`) — is driven through the [`MatchingEngine`] trait and
 //! configured through the [`EngineBuilder`], so the harness, the conformance
 //! tests, and user code all exercise exactly the same code paths.
 //!
@@ -823,9 +823,9 @@ impl fmt::Debug for MatchingIter<'_> {
 
 /// A fully dynamic maximal-matching engine driven by update batches.
 ///
-/// Implemented by the paper's parallel algorithm, all sequential baselines, and
-/// the static-recompute adapter; the bench runner, the conformance suite, and the
-/// examples are written against this trait only.
+/// Implemented by the paper's parallel algorithm and every baseline; the bench
+/// runner, the conformance suite, and the examples are written against this
+/// trait only.
 ///
 /// ```
 /// use pdmm::engine::{self, EngineBuilder, EngineKind};
@@ -1691,10 +1691,9 @@ pub enum EngineKind {
     NaiveSequential,
     /// Sequential repair with uniformly random replacement choices.
     RandomReplace,
-    /// Recompute with the parallel static matcher after every batch.
+    /// Recompute with the parallel static matcher (Luby) after every batch.
     RecomputeSequential,
-    /// Recompute with the sequential greedy scan after every batch
-    /// (the static adapter over `pdmm-static`).
+    /// Recompute with the sequential greedy scan after every batch.
     StaticRecompute,
 }
 

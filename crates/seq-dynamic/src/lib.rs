@@ -6,9 +6,10 @@
 //! * [`naive`] — the §3.1 strawman: one update at a time, greedy repair by scanning
 //!   the incidence lists of exposed endpoints;
 //! * [`random_replace`] — the same structure with uniformly random replacement
-//!   choices (the raw intuition behind random-settle, without a leveling scheme);
-//! * [`recompute`] — recompute a static maximal matching of the whole graph after
-//!   every batch (Theorem 2.2 used statically).
+//!   choices (the raw intuition behind random-settle, without a leveling scheme).
+//!
+//! The recompute-from-scratch baselines (Theorem 2.2 or the greedy scan used
+//! statically after every batch) are `pdmm-static`'s `Recompute` engine.
 //!
 //! The *leveled* sequential dynamic algorithm of \[BGS11\]/\[AS21\] is obtained by
 //! driving the paper's algorithm (`pdmm-core`) with single-update batches; the
@@ -26,8 +27,6 @@
 pub mod naive;
 mod persist;
 pub mod random_replace;
-pub mod recompute;
 
 pub use naive::NaiveDynamicMatching;
 pub use random_replace::RandomReplaceMatching;
-pub use recompute::RecomputeFromScratch;

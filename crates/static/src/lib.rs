@@ -5,10 +5,11 @@
 //!
 //! * [`luby`] — the parallel maximal matching of Theorem 2.2 (Luby's MIS on the
 //!   hyperedge conflict graph), used both inside the dynamic algorithm (insertion
-//!   handling, `process-level` Step 1) and as the recompute-from-scratch baseline;
+//!   handling, `process-level` Step 1) and as a recompute-from-scratch baseline;
 //! * [`greedy`] — the trivial sequential scan, the work-efficiency yardstick;
-//! * [`recompute`] — the [`StaticRecompute`] adapter exposing the greedy scan
-//!   through the workspace-wide `MatchingEngine` API.
+//! * [`recompute`] — the [`Recompute`] engine, which reruns either matcher over
+//!   the whole graph after every batch, behind the workspace-wide
+//!   `MatchingEngine` API.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -21,4 +22,4 @@ pub use greedy::greedy_maximal_matching;
 pub use luby::{
     luby_maximal_matching, luby_maximal_matching_by_ref, luby_on_free_edges, StaticMatching,
 };
-pub use recompute::StaticRecompute;
+pub use recompute::{GreedyMatcher, LubyMatcher, Recompute, StaticMatcher};

@@ -22,10 +22,11 @@
 pub use pdmm_hypergraph::engine::{
     run_batch_trusted, validation_checks, BatchError, BatchKernel, BatchLedger, BatchReport,
     EngineBuilder, EngineKind, EngineMetrics, EnginePool, IngestReport, KernelOutcome, LossyBatch,
-    MatchingEngine, MatchingIter, RejectedUpdate, UpdateCheck, UpdateCounters,
-    ValidatedBatch, ValidationToken,
+    MatchingEngine, MatchingIter, RejectedUpdate, UpdateCheck, UpdateCounters, ValidatedBatch,
+    ValidationToken,
 };
 pub use pdmm_hypergraph::matching::{DeltaTracker, MatchingDelta};
+use pdmm_static::{GreedyMatcher, LubyMatcher, Recompute};
 
 /// Constructs the engine of the given kind from a shared builder configuration.
 ///
@@ -53,12 +54,10 @@ pub fn build(kind: EngineKind, builder: &EngineBuilder) -> Box<dyn MatchingEngin
         EngineKind::RandomReplace => Box::new(
             pdmm_seq_dynamic::RandomReplaceMatching::from_builder(builder),
         ),
-        EngineKind::RecomputeSequential => Box::new(
-            pdmm_seq_dynamic::RecomputeFromScratch::from_builder(builder),
-        ),
-        EngineKind::StaticRecompute => {
-            Box::new(pdmm_static::StaticRecompute::from_builder(builder))
+        EngineKind::RecomputeSequential => {
+            Box::new(Recompute::<LubyMatcher>::from_builder(builder))
         }
+        EngineKind::StaticRecompute => Box::new(Recompute::<GreedyMatcher>::from_builder(builder)),
     }
 }
 

@@ -37,9 +37,9 @@
 //! * [`core`] ([`ParallelDynamicMatching`]) — the paper's algorithm,
 //! * [`hypergraph`] — the dynamic hypergraph substrate, workload generators,
 //!   update streams and matching verification,
-//! * [`static_matching`] — the static parallel maximal matching of Theorem 2.2
-//!   plus the static-recompute engine adapter,
-//! * [`seq_dynamic`] — sequential dynamic baselines,
+//! * [`static_matching`] — the static parallel maximal matching of Theorem 2.2,
+//!   the greedy scan, and the recompute-from-scratch engine over either,
+//! * [`seq_dynamic`] — sequential dynamic repair baselines,
 //! * [`primitives`] — the work/depth cost model and deterministic
 //!   randomness every engine shares.
 //!

@@ -1,8 +1,7 @@
 //! Cross-algorithm integration tests: every dynamic matcher in the workspace (the
-//! paper's parallel algorithm, all baselines, and the static-recompute adapter)
-//! processes the same oblivious update streams through the shared `MatchingEngine`
-//! trait, and each must maintain a valid maximal matching of the same evolving
-//! graph.  Matchings are allowed to differ (maximal matchings are not unique);
+//! paper's parallel algorithm and all four baselines) processes the same
+//! oblivious update streams through the shared `MatchingEngine` trait, and each
+//! must maintain a valid maximal matching of the same evolving graph.  Matchings are allowed to differ (maximal matchings are not unique);
 //! maximality, validity and the `1/r` approximation guarantee must not.
 
 use pdmm::engine;
