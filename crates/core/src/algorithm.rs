@@ -144,17 +144,6 @@ impl ParallelDynamicMatching {
         &self.state.metrics
     }
 
-    /// Every live hyperedge currently known to the algorithm, *including*
-    /// temporarily deleted ones (they are still part of the graph).
-    #[must_use]
-    pub fn live_edges(&self) -> Vec<HyperEdge> {
-        self.state
-            .edges
-            .iter()
-            .map(|(id, e)| HyperEdge::new(*id, e.vertices.to_vec()))
-            .collect()
-    }
-
     /// Number of temporarily deleted hyperedges currently parked in `D(·)` buckets.
     #[must_use]
     pub fn num_temp_deleted(&self) -> usize {
@@ -410,6 +399,17 @@ impl MatchingEngine for ParallelDynamicMatching {
     fn contains_edge(&self, id: EdgeId) -> bool {
         // Temporarily deleted edges are still live from the adversary's view.
         self.state.edges.contains_key(&id)
+    }
+
+    fn live_edges(&self) -> Vec<HyperEdge> {
+        let mut edges: Vec<HyperEdge> = self
+            .state
+            .edges
+            .iter()
+            .map(|(id, e)| HyperEdge::new(*id, e.vertices.to_vec()))
+            .collect();
+        edges.sort_unstable_by_key(|e| e.id);
+        edges
     }
 
     fn apply_batch_trusted(

@@ -5,17 +5,17 @@
 //! `O(history)`: every committed batch since the beginning of time must be
 //! re-applied.  A **checkpoint** caps that cost.  Taken at a drain boundary
 //! (the one point where the engine is between batches and the commit lock
-//! serializes everything), it captures the three things a service *is*:
+//! serializes everything), it captures the two things a service *is*:
 //!
 //! 1. the engine's canonical serialized state
-//!    ([`MatchingEngine::save_state`]),
-//! 2. the mirror graph (the adversary's ground truth, which snapshots resolve
-//!    endpoints through), and
-//! 3. the committed-batch counter plus how many journal blocks the checkpoint
+//!    ([`MatchingEngine::save_state`]), which holds the live graph, and
+//! 2. the committed-batch counter plus how many journal blocks the checkpoint
 //!    covers.
 //!
 //! Recovery is then **O(delta since the checkpoint)**: restore the engine
-//! state, skip the covered journal blocks, and replay only the tail —
+//! state, rebuild the service's graph from the engine's
+//! [`MatchingEngine::live_edges`], skip the covered journal blocks, and
+//! replay only the tail —
 //! [`EngineService::recover`](crate::service::EngineService::recover) and
 //! [`ShardedService::recover`](crate::sharding::ShardedService::recover).
 //! Because every engine's serialized state is a pure function of its logical
@@ -43,7 +43,7 @@
 //! A checkpoint is a line-oriented text document:
 //!
 //! ```text
-//! pdmm-checkpoint v1
+//! pdmm-checkpoint v2
 //! engine <name>
 //! vertices <n>
 //! rank <r>
@@ -51,8 +51,6 @@
 //! @ 0
 //! committed <batches>
 //! tailskip <journal blocks covered>
-//! edges <m>
-//! e <id> <v...>          (the mirror graph, sorted by id)
 //! state <lines>
 //! <engine state blob, verbatim>
 //! @ 1
@@ -61,7 +59,8 @@
 //!
 //! The header is the **fingerprint**: engine kind, vertex-space size, rank
 //! bound and shard count.  [`Checkpoint::parse`] rejects an unknown version
-//! line with [`CheckpointError::Version`], and recovery rejects a checkpoint
+//! line with [`CheckpointError::Version`] — including `v1`, whose shard
+//! sections also carried a copy of the graph — and recovery rejects a checkpoint
 //! whose fingerprint disagrees with the engines it was handed with
 //! [`CheckpointError::Fingerprint`] — a checkpoint from a previous run with a
 //! different configuration can never be silently restored into the wrong
@@ -147,15 +146,14 @@
 //! assert_eq!(recovered.snapshot().committed_batches(), 2);
 //! ```
 
-use crate::engine::{read_state_graph, BatchError, MatchingEngine, StateError, StateParser};
-use crate::graph::DynamicHypergraph;
+use crate::engine::{BatchError, MatchingEngine, StateError, StateParser};
 use crate::io::{self, ParseError};
 use crate::service::JournalSink;
 use std::fmt;
 use std::path::Path;
 
 /// First line of every checkpoint document.
-const VERSION_LINE: &str = "pdmm-checkpoint v1";
+const VERSION_LINE: &str = "pdmm-checkpoint v2";
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -317,16 +315,14 @@ impl Header {
     }
 }
 
-/// One shard's slice of a checkpoint: its counters, its mirror graph, and its
-/// engine's serialized state.
+/// One shard's slice of a checkpoint: its counters and its engine's
+/// serialized state.
 pub(crate) struct ShardSection {
     /// Batches committed on this shard when the checkpoint was taken.
     pub(crate) committed: u64,
     /// Complete journal blocks at the head of this shard's surviving journal
     /// that the checkpoint already covers (recovery skips them).
     pub(crate) tail_skip: u64,
-    /// The shard's mirror graph at the checkpoint.
-    pub(crate) mirror: DynamicHypergraph,
     /// The shard engine's canonical serialized state.
     pub(crate) state: String,
 }
@@ -362,7 +358,7 @@ impl Checkpoint {
     ///
     /// [`CheckpointError::Version`] for an unknown version line,
     /// [`CheckpointError::Corrupt`] (with the offending line) for anything
-    /// structurally wrong — truncation, bad counts, an invalid mirror graph.
+    /// structurally wrong — truncation, bad counts, misnumbered sections.
     pub fn parse(text: &str) -> Result<Self, CheckpointError> {
         let mut p = StateParser::new(text);
         let first = p.next_line().map_err(|_| CheckpointError::Version {
@@ -413,7 +409,6 @@ impl Checkpoint {
                 let rest = p.tagged("tailskip").map_err(structural)?;
                 p.parse_token(rest, "tail-skip count").map_err(structural)?
             };
-            let mirror = read_state_graph(&mut p, num_vertices, max_rank).map_err(structural)?;
             let state_lines: usize = {
                 let rest = p.tagged("state").map_err(structural)?;
                 p.parse_token(rest, "state line count")
@@ -427,7 +422,6 @@ impl Checkpoint {
             sections.push(ShardSection {
                 committed,
                 tail_skip,
-                mirror,
                 state,
             });
         }
@@ -485,8 +479,6 @@ pub(crate) struct ShardParts {
     pub(crate) max_rank: usize,
     pub(crate) committed: u64,
     pub(crate) tail_skip: u64,
-    /// `write_state_graph` serialization of the shard's mirror.
-    pub(crate) mirror_text: String,
     /// The shard engine's canonical serialized state.
     pub(crate) state: String,
 }
@@ -536,7 +528,6 @@ pub(crate) fn render(parts: &[ShardParts]) -> Result<String, CheckpointError> {
         let _ = writeln!(out, "@ {k}");
         let _ = writeln!(out, "committed {}", part.committed);
         let _ = writeln!(out, "tailskip {}", part.tail_skip);
-        out.push_str(&part.mirror_text);
         let _ = writeln!(out, "state {}", part.state.lines().count());
         out.push_str(&part.state);
     }
@@ -793,21 +784,26 @@ mod tests {
             Checkpoint::parse(""),
             Err(CheckpointError::Version { .. })
         ));
-        let truncated = "pdmm-checkpoint v1\nengine toy\nvertices 4\n";
+        // The previous format, which also stored each shard's graph.
+        assert!(matches!(
+            Checkpoint::parse("pdmm-checkpoint v1\nengine toy\n"),
+            Err(CheckpointError::Version { found }) if found == "pdmm-checkpoint v1"
+        ));
+        let truncated = "pdmm-checkpoint v2\nengine toy\nvertices 4\n";
         assert!(matches!(
             Checkpoint::parse(truncated),
             Err(CheckpointError::Corrupt { .. })
         ));
         // Shard sections must be numbered densely from zero.
-        let missectioned = "pdmm-checkpoint v1\nengine toy\nvertices 4\nrank 2\nshards 1\n\
-                            @ 1\ncommitted 0\ntailskip 0\nedges 0\nstate 0\n";
+        let missectioned = "pdmm-checkpoint v2\nengine toy\nvertices 4\nrank 2\nshards 1\n\
+                            @ 1\ncommitted 0\ntailskip 0\nstate 0\n";
         let err = Checkpoint::parse(missectioned).unwrap_err();
         assert!(
             matches!(&err, CheckpointError::Corrupt { message, .. } if message.contains("shard")),
             "{err}"
         );
         // A huge shard count is a missing section, not an allocation.
-        let huge = "pdmm-checkpoint v1\nengine toy\nvertices 4\nrank 2\n\
+        let huge = "pdmm-checkpoint v2\nengine toy\nvertices 4\nrank 2\n\
                     shards 18446744073709551615\n";
         assert!(matches!(
             Checkpoint::parse(huge),
@@ -823,7 +819,6 @@ mod tests {
             max_rank: 2,
             committed: 3,
             tail_skip: 1,
-            mirror_text: "edges 1\ne 5 0 1\n".to_string(),
             state: "line one\nline two\n".to_string(),
         };
         let text = render(std::slice::from_ref(&parts)).unwrap();
@@ -835,7 +830,6 @@ mod tests {
         assert_eq!(doc.committed_batches(), 3);
         assert_eq!(doc.sections[0].tail_skip, 1);
         assert_eq!(doc.sections[0].state, "line one\nline two\n");
-        assert_eq!(doc.sections[0].mirror.num_edges(), 1);
     }
 
     #[test]
@@ -846,7 +840,6 @@ mod tests {
             max_rank: 2,
             committed: 0,
             tail_skip: 0,
-            mirror_text: "edges 0\n".to_string(),
             state: String::new(),
         };
         let err = render(&[part("a"), part("b")]).unwrap_err();
@@ -926,8 +919,8 @@ mod tests {
         let dir = std::env::temp_dir().join("pdmm_checkpoint_unit");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.txt");
-        store_checkpoint(&path, "pdmm-checkpoint v1\n").unwrap();
-        assert_eq!(load_checkpoint(&path).unwrap(), "pdmm-checkpoint v1\n");
+        store_checkpoint(&path, "pdmm-checkpoint v2\n").unwrap();
+        assert_eq!(load_checkpoint(&path).unwrap(), "pdmm-checkpoint v2\n");
         let missing = dir.join("does_not_exist.txt");
         assert!(matches!(
             load_checkpoint(&missing),

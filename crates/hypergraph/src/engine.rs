@@ -26,7 +26,7 @@
 //!   [`MatchingEngine::matching_ids`]).
 
 use crate::matching::MatchingDelta;
-use crate::types::{EdgeId, Update, UpdateBatch, VertexId};
+use crate::types::{EdgeId, HyperEdge, Update, UpdateBatch, VertexId};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -457,8 +457,7 @@ pub fn read_state_rng(p: &mut StateParser<'_>) -> Result<([u32; 16], usize), Sta
 /// `edges <count>` line followed by one `e <id> <endpoints…>` line per edge.
 pub fn write_state_graph(out: &mut String, graph: &crate::graph::DynamicHypergraph) {
     use std::fmt::Write as _;
-    let mut edges = graph.snapshot_edges();
-    edges.sort_unstable_by_key(|e| e.id);
+    let edges = graph.snapshot_edges();
     let _ = writeln!(out, "edges {}", edges.len());
     for e in &edges {
         let _ = write!(out, "e {}", e.id.0);
@@ -868,6 +867,12 @@ pub trait MatchingEngine {
     /// Whether an edge with this id is currently live (from the adversary's point
     /// of view — edges the algorithm has only *temporarily* deleted are live).
     fn contains_edge(&self, id: EdgeId) -> bool;
+
+    /// Every live edge, temporarily deleted ones included, in ascending id
+    /// order.  Recovery rebuilds the service's graph from this after
+    /// [`MatchingEngine::restore_state`], so a checkpoint stores each edge
+    /// once, inside the engine's state.
+    fn live_edges(&self) -> Vec<HyperEdge>;
 
     /// Validates `updates` against this engine's live state and mints the
     /// [`ValidatedBatch`] proof — the one legality pass of the batch.
@@ -1773,6 +1778,10 @@ pub(crate) mod toy {
 
         fn contains_edge(&self, id: EdgeId) -> bool {
             self.graph.contains_edge(id)
+        }
+
+        fn live_edges(&self) -> Vec<HyperEdge> {
+            self.graph.snapshot_edges()
         }
 
         fn apply_batch_trusted(

@@ -156,10 +156,13 @@ impl DynamicHypergraph {
         }
     }
 
-    /// All live edges as a vector of clones (useful for static algorithms).
+    /// All live edges as a vector of clones, in ascending id order (the
+    /// canonical order static matchers and state blobs scan them in).
     #[must_use]
     pub fn snapshot_edges(&self) -> Vec<HyperEdge> {
-        self.edges.values().cloned().collect()
+        let mut edges: Vec<HyperEdge> = self.edges.values().cloned().collect();
+        edges.sort_unstable_by_key(|e| e.id);
+        edges
     }
 
     /// Total number of (edge, endpoint) incidences, i.e. `Σ_e rank(e)`.
@@ -272,8 +275,6 @@ mod tests {
     fn from_edges_and_snapshot_roundtrip() {
         let edges = vec![pair(0, 0, 1), pair(1, 2, 3)];
         let g = DynamicHypergraph::from_edges(4, edges.clone());
-        let mut snap = g.snapshot_edges();
-        snap.sort_by_key(|e| e.id);
-        assert_eq!(snap, edges);
+        assert_eq!(g.snapshot_edges(), edges);
     }
 }

@@ -358,8 +358,7 @@ pub fn verify_maximality(graph: &DynamicHypergraph, ids: &[EdgeId]) -> Result<()
 /// whose endpoints are all free.  Used as a yardstick and in tests.
 #[must_use]
 pub fn greedy_maximal_matching(graph: &DynamicHypergraph) -> Vec<EdgeId> {
-    let mut edges = graph.snapshot_edges();
-    edges.sort_by_key(|e| e.id);
+    let edges = graph.snapshot_edges();
     let mut matched: FxHashSet<VertexId> = FxHashSet::default();
     let mut out = Vec::new();
     for edge in edges {

@@ -70,9 +70,7 @@
 //! ```
 
 use crate::checkpoint::{self, CheckpointError};
-use crate::engine::{
-    write_state_graph, BatchError, BatchReport, EngineMetrics, IngestReport, MatchingEngine,
-};
+use crate::engine::{BatchError, BatchReport, EngineMetrics, IngestReport, MatchingEngine};
 use crate::graph::DynamicHypergraph;
 use crate::io::{self, ParseError};
 use crate::matching::MatchingDelta;
@@ -797,10 +795,13 @@ impl std::error::Error for ReplayError {}
 /// the journal of committed batches.
 struct ServiceInner {
     engine: Box<dyn MatchingEngine + Send>,
-    /// Mirrors every committed batch: the checkpoint's graph section, and the
-    /// live-edge queries of the sharded router and arbitration's repair wave.
-    /// Snapshots never read it (matched endpoints come with the engine's
-    /// matching delta).
+    /// Mirrors every committed batch for the live-edge queries of the sharded
+    /// router and arbitration's repair wave, which need a vertex's incident
+    /// edges: the parallel engine keeps temporarily deleted edges only in
+    /// their `D(e)` bucket, under no vertex.  Checkpoints do not store it;
+    /// recovery rebuilds it from [`MatchingEngine::live_edges`].  Snapshots
+    /// never read it (matched endpoints come with the engine's matching
+    /// delta).
     mirror: DynamicHypergraph,
     /// Sink holding the committed batches in the [`crate::io`] update-stream
     /// format ([`MemoryJournal`] unless [`EngineService::with_journal`] swapped
@@ -1192,9 +1193,8 @@ impl EngineService {
     }
 
     /// Serializes a consistent checkpoint of the service at the current drain
-    /// boundary (see [`crate::checkpoint`]): the engine's canonical state, the
-    /// mirror graph, and the committed-batch counter, under one fingerprinted
-    /// header.  As a side effect, rotated journal segments — which the
+    /// boundary (see [`crate::checkpoint`]): the engine's canonical state and
+    /// the committed-batch counter, under one fingerprinted header.  As a side effect, rotated journal segments — which the
     /// checkpoint makes redundant — are deleted
     /// ([`JournalSink::truncate_rotated`]), and the checkpoint records how
     /// many blocks of the surviving journal it still covers.  Queued but
@@ -1226,15 +1226,12 @@ impl EngineService {
             })?;
         inner.journal.truncate_rotated();
         let tail_skip = io::journal_blocks(&inner.journal.contents()).len() as u64;
-        let mut mirror_text = String::new();
-        write_state_graph(&mut mirror_text, &inner.mirror);
         Ok(checkpoint::ShardParts {
             engine: inner.engine.name(),
             num_vertices: inner.engine.num_vertices(),
             max_rank: inner.engine.max_rank(),
             committed: inner.committed,
             tail_skip,
-            mirror_text,
             state,
         })
     }
@@ -1296,8 +1293,9 @@ impl EngineService {
     }
 
     /// Recovers one shard: validates the fingerprint, restores the engine
-    /// state and mirror, re-appends the retained journal blocks into the
-    /// fresh sink, and replays the tail past the checkpoint's coverage.
+    /// state, rebuilds the mirror from the engine's live edges, re-appends the
+    /// retained journal blocks into the fresh sink, and replays the tail past
+    /// the checkpoint's coverage.
     pub(crate) fn recover_shard(
         mut engine: Box<dyn MatchingEngine + Send>,
         header: &checkpoint::Header,
@@ -1313,7 +1311,7 @@ impl EngineService {
         engine
             .restore_state(&section.state)
             .map_err(CheckpointError::State)?;
-        let mut mirror = section.mirror;
+        let mut mirror = DynamicHypergraph::from_edges(engine.num_vertices(), engine.live_edges());
         let blocks = checkpoint::complete_blocks(journal)?;
         let skip = usize::try_from(section.tail_skip).unwrap_or(usize::MAX);
         if blocks.len() < skip {

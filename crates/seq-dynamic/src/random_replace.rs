@@ -137,6 +137,10 @@ impl MatchingEngine for RandomReplaceMatching {
         self.graph.contains_edge(id)
     }
 
+    fn live_edges(&self) -> Vec<HyperEdge> {
+        self.graph.snapshot_edges()
+    }
+
     fn apply_batch_trusted(
         &mut self,
         batch: ValidatedBatch<'_>,

@@ -178,6 +178,10 @@ impl<M: StaticMatcher> MatchingEngine for Recompute<M> {
         self.graph.contains_edge(id)
     }
 
+    fn live_edges(&self) -> Vec<HyperEdge> {
+        self.graph.snapshot_edges()
+    }
+
     fn apply_batch_trusted(
         &mut self,
         batch: ValidatedBatch<'_>,
@@ -284,10 +288,9 @@ impl<M: StaticMatcher> BatchKernel for Recompute<M> {
             }
         }
         self.cost.work(updates.len() as u64);
-        // Canonical input order keeps `self.matching` a pure function of the
-        // graph and the matcher's state.
-        let mut edges = self.graph.snapshot_edges();
-        edges.sort_unstable_by_key(|e| e.id);
+        // Canonical (ascending id) input order keeps `self.matching` a pure
+        // function of the graph and the matcher's state.
+        let edges = self.graph.snapshot_edges();
         self.matching = self.matcher.maximal_matching(&edges, &self.cost);
         self.delta.adopt(&self.matching, &self.graph);
         KernelOutcome {

@@ -12,7 +12,8 @@
 //!   survive;
 //! * a checkpoint from a differently-configured run (engine kind, vertex
 //!   space, rank, shard count, format version) is rejected with a typed
-//!   error, never silently restored;
+//!   error, never silently restored, and so is one whose engine state names
+//!   an edge the journal tail does not know;
 //! * taking a checkpoint truncates the journal segments it makes redundant.
 
 use pdmm::checkpoint::{CheckpointError, FaultSink};
@@ -456,8 +457,9 @@ fn a_checkpoint_from_another_configuration_is_rejected_with_a_typed_error() {
     .unwrap();
     assert_eq!(recovered.save_state(), service.save_state());
 
-    // An unknown version line is typed, not a parse panic.
-    let tampered = checkpoint.replacen("pdmm-checkpoint v1", "pdmm-checkpoint v2", 1);
+    // An unknown version line is typed, not a parse panic — and so is the
+    // previous format's, whose shard sections also stored the graph.
+    let tampered = checkpoint.replacen("pdmm-checkpoint v2", "pdmm-checkpoint v1", 1);
     let err = EngineService::recover(
         engine::build(EngineKind::Parallel, &builder),
         &tampered,
@@ -514,6 +516,57 @@ fn a_checkpoint_from_another_configuration_is_rejected_with_a_typed_error() {
         ),
         "{err}"
     );
+}
+
+#[test]
+fn a_renamed_edge_in_a_checkpoint_is_a_typed_error_on_every_engine() {
+    // A checkpoint stores each edge once, in the engine's state.  Rename one
+    // edge there and let the journal tail delete it under its real id:
+    // recovery must refuse with a typed error, never panic in the service's
+    // graph upkeep.
+    let workload = serve_workload();
+    let batches = nonempty_batches(&workload);
+    let mid = batches.len() / 2;
+    for kind in EngineKind::ALL {
+        let builder = builder_for(&workload, 7);
+        let service = EngineService::new(engine::build(kind, &builder));
+        for batch in &batches[..mid] {
+            service.submit(batch.clone());
+            service.drain().unwrap();
+        }
+        let checkpoint = service.checkpoint().unwrap();
+        let mut renamed = None;
+        let tampered: String = checkpoint
+            .lines()
+            .map(|line| match line.strip_prefix("e ") {
+                Some(rest) if renamed.is_none() => {
+                    let (id, tail) = rest.split_once(' ').expect("an edge line");
+                    let id: u64 = id.parse().expect("an edge id");
+                    renamed = Some(EdgeId(id));
+                    format!("e {} {tail}\n", 9_000_000 + id)
+                }
+                _ => format!("{line}\n"),
+            })
+            .collect();
+        let renamed = renamed.expect("the engine state lists a live edge");
+        service.submit(UpdateBatch::new(vec![Update::Delete(renamed)]).unwrap());
+        service.drain().unwrap();
+
+        let err = EngineService::recover(
+            engine::build(kind, &builder),
+            &tampered,
+            &service.journal(),
+            mem(),
+        )
+        .expect_err("the tail deletes an edge the restored state lacks");
+        assert!(
+            matches!(
+                err,
+                CheckpointError::State(_) | CheckpointError::Batch { .. }
+            ),
+            "{kind}: {err}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
