@@ -1,7 +1,8 @@
-//! Experiment driver: regenerates every table of `EXPERIMENTS.md`.
+//! Experiment driver: prints the table of every experiment (README,
+//! "Benchmarks and experiments").
 //!
 //! ```bash
-//! # Run the full suite (the sizes recorded in EXPERIMENTS.md):
+//! # Run the full suite at full sizes:
 //! cargo run --release -p pdmm-bench --bin experiments
 //!
 //! # Run a subset, or the reduced "quick" sizes:

@@ -1,10 +1,9 @@
-//! The experiment suite (E1–E10 of `DESIGN.md`, plus the serve-path E11 and
-//! the shard-scaling E12).
+//! The experiment suite (E1–E10, one per claim of the paper, plus the
+//! serve-path E11 and the shard-scaling E12).
 //!
 //! The paper is a theory paper — it has no empirical tables of its own — so each
-//! experiment here turns one of its stated claims into a measured series (see the
-//! per-experiment index in `DESIGN.md` and the recorded results in
-//! `EXPERIMENTS.md`).  Every experiment is a pure function of its parameters and a
+//! experiment here turns one of its stated claims into a measured series (README,
+//! "Benchmarks and experiments", says how to run them).  Every experiment is a pure function of its parameters and a
 //! seed, prints an aligned table, and also returns it as a string so the binary can
 //! collect them.
 //!
@@ -33,7 +32,7 @@ use std::time::Instant;
 pub enum Scale {
     /// Small sizes, a few seconds in total.
     Quick,
-    /// The sizes recorded in `EXPERIMENTS.md`.
+    /// The full sizes, the `experiments` binary's default.
     Full,
 }
 

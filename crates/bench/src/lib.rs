@@ -3,9 +3,9 @@
 //! Benchmark harness for the Parallel Dynamic Maximal Matching reproduction:
 //!
 //! * [`experiments`] — the E1–E12 experiment suite (one function per claim of
-//!   the paper, plus the serve-path E11 and shard-scaling E12; see the
-//!   per-experiment index in `DESIGN.md`); the `experiments` binary drives it
-//!   and its output is recorded in `EXPERIMENTS.md`;
+//!   the paper, plus the serve-path E11 and shard-scaling E12); the
+//!   `experiments` binary drives it and prints its tables (README,
+//!   "Benchmarks and experiments");
 //! * [`runner`] — the single engine-agnostic workload runner shared with the
 //!   criterion benches in `benches/` (every engine goes through
 //!   [`runner::run_workload`]; no per-engine code paths);

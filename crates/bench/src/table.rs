@@ -1,8 +1,8 @@
 //! Minimal aligned-column table rendering for the experiment output.
 //!
-//! The experiment binary prints plain-text tables (one per experiment) that are
-//! copied verbatim into `EXPERIMENTS.md`; this module keeps the formatting in one
-//! place so every experiment's output looks the same.
+//! The experiment binary prints plain-text tables (one per experiment); this
+//! module keeps the formatting in one place so every experiment's output looks
+//! the same.
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone)]
