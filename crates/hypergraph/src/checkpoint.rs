@@ -60,8 +60,8 @@
 //! The header is the **fingerprint**: engine kind, vertex-space size, rank
 //! bound and shard count.  [`Checkpoint::parse`] rejects an unknown version
 //! line with [`CheckpointError::Version`] — including `v1`, whose shard
-//! sections also carried a copy of the graph — and recovery rejects a checkpoint
-//! whose fingerprint disagrees with the engines it was handed with
+//! sections also carried a copy of the graph — and recovery rejects a
+//! checkpoint whose fingerprint disagrees with the engines it was handed with
 //! [`CheckpointError::Fingerprint`] — a checkpoint from a previous run with a
 //! different configuration can never be silently restored into the wrong
 //! topology.  The seed is deliberately **not** part of the fingerprint: the

@@ -1194,12 +1194,13 @@ impl EngineService {
 
     /// Serializes a consistent checkpoint of the service at the current drain
     /// boundary (see [`crate::checkpoint`]): the engine's canonical state and
-    /// the committed-batch counter, under one fingerprinted header.  As a side effect, rotated journal segments — which the
-    /// checkpoint makes redundant — are deleted
-    /// ([`JournalSink::truncate_rotated`]), and the checkpoint records how
-    /// many blocks of the surviving journal it still covers.  Queued but
-    /// uncommitted batches are *not* part of a checkpoint; they are not part
-    /// of the service's durable state until a drain commits them.
+    /// the committed-batch counter, under one fingerprinted header.  As a
+    /// side effect, rotated journal segments — which the checkpoint makes
+    /// redundant — are deleted ([`JournalSink::truncate_rotated`]), and the
+    /// checkpoint records how many blocks of the surviving journal it still
+    /// covers.  Queued but uncommitted batches are *not* part of a
+    /// checkpoint; they are not part of the service's durable state until a
+    /// drain commits them.
     ///
     /// Taking a checkpoint waits for any in-flight drain (it needs the commit
     /// lock), so it always observes a batch boundary.

@@ -30,11 +30,10 @@ use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update};
 use pdmm_primitives::cost_model::CostTracker;
 use pdmm_primitives::random::RandomSource;
 use rustc_hash::FxHashSet;
-use std::fmt;
 
 /// A static maximal matcher that [`Recompute`] reruns over the whole graph
 /// after every batch.
-pub trait StaticMatcher: fmt::Debug + Sized {
+pub trait StaticMatcher: Sized {
     /// The engine's [`MatchingEngine::name`].
     const NAME: &'static str;
 
@@ -109,7 +108,7 @@ impl StaticMatcher for LubyMatcher {
 /// The sequential greedy scan of §3.1: the matcher of
 /// `EngineKind::StaticRecompute`.  It is deterministic, so the builder's seed
 /// is unused and the blob holds no matcher state.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct GreedyMatcher;
 
 impl StaticMatcher for GreedyMatcher {
