@@ -1,14 +1,13 @@
-//! The per-connection protocol state machine, shared by both I/O models.
+//! The per-connection protocol state machine.
 //!
 //! [`ConnState`] is pure protocol: it consumes one received line at a time
 //! (already stripped of its newline) and occasionally produces a
 //! [`Response`] to send back.  It owns the batch being accumulated, the
 //! per-line context-free validation ledger, the 1-based line counter `ERR`
 //! messages refer to, the post-error poisoned mode, and the per-connection
-//! RETRY → SHED escalation.  It does no I/O at all, which is exactly what
-//! lets the threaded model (blocking reads, synchronous writes) and the
-//! reactor (non-blocking buffers, queued writes) speak a bit-identical
-//! protocol.
+//! RETRY → SHED escalation.  It does no I/O at all: the event loop owns the
+//! socket and its buffers, cuts lines out of what it reads, and queues the
+//! responses for writing.
 
 use super::protocol::Response;
 use super::server::Shared;

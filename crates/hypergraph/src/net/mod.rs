@@ -65,34 +65,26 @@
 //! [`ShardedService::try_submit`]: crate::sharding::ShardedService::try_submit
 //! [`ShardedService::drain_lossy`]: crate::sharding::ShardedService::drain_lossy
 //!
-//! # I/O models
+//! # I/O model
 //!
-//! The server runs one of two I/O models, selected by
-//! [`ServerConfig::io_model`]:
+//! The server is readiness-driven: the listener and every connection socket
+//! are non-blocking and registered with `epoll`, and one event-loop thread
+//! drives *all* connections through per-connection state machines
+//! (read-buffer → parse → admit → queued response → write-buffer).  Server
+//! memory and thread count are independent of the connection count, and a
+//! [`FairnessPolicy`] bounds how much service any one connection gets per
+//! wake — one firehose client cannot monopolize admission, and a client that
+//! stops draining its responses is disconnected (bounded write buffers),
+//! never blocks the loop.  `epoll` is Linux-only; elsewhere [`serve`] returns
+//! [`std::io::ErrorKind::Unsupported`].
 //!
-//! * [`IoModel::Reactor`] (the default) — readiness-driven I/O: every socket
-//!   is non-blocking and registered with `epoll`, and a small fixed number of
-//!   event-loop threads ([`ServerConfig::event_threads`], default 1) drives
-//!   *all* connections through per-connection state machines
-//!   (read-buffer → parse → admit → queued response → write-buffer).  Server
-//!   memory and thread count are independent of the connection count, and a
-//!   [`FairnessPolicy`] bounds how much service any one connection gets per
-//!   wake — one firehose client cannot monopolize admission, and a client
-//!   that stops draining its responses is disconnected (bounded write
-//!   buffers), never blocks the loop.
-//! * [`IoModel::Threaded`] — the original thread-per-connection model on the
-//!   in-tree work-stealing pool: `connection_threads` bounds how many
-//!   connections are served concurrently (excess connections queue on the
-//!   pool).  Kept for conformance pinning — the two models speak a
-//!   bit-identical protocol — and for platforms without `epoll`.
-//!
-//! Both models share the admission layer, the drainer, and the statistics: a
-//! background drainer thread ([`DrainMode::Background`]) turns queued batches
-//! into commits via [`ShardedService::drain_lossy`] — lossy on purpose:
-//! shedding whole batches makes the surviving stream self-inconsistent (a
-//! later deletion may reference a shed insert), and the lossy path converts
-//! exactly those into typed per-update rejections instead of poisoning a
-//! strict drain.  Deterministic tests use [`DrainMode::Manual`] and call
+//! Beside the event loop, a background drainer thread
+//! ([`DrainMode::Background`]) turns queued batches into commits via
+//! [`ShardedService::drain_lossy`] — lossy on purpose: shedding whole batches
+//! makes the surviving stream self-inconsistent (a later deletion may
+//! reference a shed insert), and the lossy path converts exactly those into
+//! typed per-update rejections instead of poisoning a strict drain.
+//! Deterministic tests use [`DrainMode::Manual`] and call
 //! [`ServerHandle::drain_now`] themselves.
 //!
 //! ```no_run
@@ -108,6 +100,9 @@
 //! println!("{} batches admitted, {} shed", stats.admitted, stats.shed);
 //! ```
 
+// Off Linux `serve` refuses to start, so the machinery it would run is dead.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code, unused_imports))]
+
 mod conn;
 mod protocol;
 #[cfg(target_os = "linux")]
@@ -116,6 +111,6 @@ mod server;
 
 pub use protocol::{frame_batch, Response};
 pub use server::{
-    serve, AdmissionPolicy, DisconnectReason, DrainMode, FairnessPolicy, IoModel, ServerConfig,
+    serve, AdmissionPolicy, DisconnectReason, DrainMode, FairnessPolicy, ServerConfig,
     ServerHandle, ServerStats,
 };

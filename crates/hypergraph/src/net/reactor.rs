@@ -1,14 +1,14 @@
-//! The readiness-driven reactor (Linux): all connections multiplexed onto a
-//! small fixed set of event-loop threads.
+//! The readiness-driven reactor (Linux): every connection multiplexed onto
+//! one event-loop thread.
 //!
-//! Every connection socket is non-blocking and registered with an `epoll`
-//! instance; each event-loop thread owns one instance plus the per-connection
-//! state machines of the connections assigned to it.  A wake services ready
-//! connections round-robin under the [`FairnessPolicy`] budgets: read up to
-//! the byte budget, feed complete lines through the shared
-//! [`ConnState`] protocol machine up to the batch budget, queue responses in
-//! a bounded write buffer, flush what the socket accepts, and re-register
-//! interest to match what the connection is waiting for.  `epoll` is used
+//! The listener and every connection socket are non-blocking and registered
+//! with one `epoll` instance, which the event-loop thread owns together with
+//! the per-connection state machines.  A wake services ready connections
+//! round-robin under the [`FairnessPolicy`] budgets: read up to the byte
+//! budget, feed complete lines through the [`ConnState`] protocol machine up
+//! to the batch budget, queue responses in a bounded write buffer, flush what
+//! the socket accepts, and re-register interest to match what the connection
+//! is waiting for.  `epoll` is used
 //! level-triggered, so kernel-side readiness re-reports itself; *user-space*
 //! pending work (complete lines already buffered when a budget ran out, or a
 //! connection unpaused by a drain) is tracked in an explicit backlog queue
@@ -16,9 +16,7 @@
 //!
 //! The syscall surface is three thin `extern "C"` declarations over the libc
 //! that `std` already links (`epoll_create1`/`epoll_ctl`/`epoll_wait`) — no
-//! new dependencies.  Thread 0 owns the listener; with more than one event
-//! thread, accepted sockets are handed to peers round-robin through small
-//! mutex-protected inboxes (picked up within one poll timeout).
+//! new dependencies.
 //!
 //! There is no waker fd: the loop polls with a 10 ms tick, and the tick is
 //! where cross-thread signals are observed — the stop flag, drain-generation
@@ -36,7 +34,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -187,8 +185,7 @@ struct Conn {
     /// Event mask currently registered with `epoll`.
     interest: u32,
     /// The client half-closed; any buffered trailing line is still processed
-    /// (matching the threaded model's `read_until` semantics) and queued
-    /// responses still flush before the server closes its side.
+    /// and queued responses still flush before the server closes its side.
     eof: bool,
     /// Pipelining limit hit: reads stay off until the next drain completes.
     paused: bool,
@@ -234,68 +231,38 @@ enum Verdict {
     Close(Option<DisconnectReason>),
 }
 
-/// Spawns the event-loop threads; thread 0 owns the (non-blocking) listener.
-pub(super) fn spawn_event_loops(
+/// Spawns the event-loop thread, which owns the (non-blocking) listener.
+pub(super) fn spawn_event_loop(
     shared: Arc<Shared>,
     listener: TcpListener,
-) -> std::io::Result<Vec<JoinHandle<()>>> {
+) -> std::io::Result<JoinHandle<()>> {
     listener.set_nonblocking(true)?;
-    let threads = shared.config.event_threads.max(1);
-    let inboxes: Vec<Arc<Mutex<VecDeque<TcpStream>>>> = (0..threads)
-        .map(|_| Arc::new(Mutex::new(VecDeque::new())))
-        .collect();
-    let mut listener_slot = Some(listener);
-    let mut handles = Vec::with_capacity(threads);
-    for index in 0..threads {
-        let epoll = sys::Epoll::new()?;
-        let listener = if index == 0 {
-            listener_slot.take()
-        } else {
-            None
-        };
-        if let Some(listener) = &listener {
-            epoll.add(listener.as_raw_fd(), sys::EPOLLIN, LISTENER_TOKEN)?;
-        }
-        let scratch_len = shared
-            .config
-            .fairness
-            .read_budget_bytes
-            .clamp(4096, 1 << 20);
-        let event_loop = EventLoop {
-            shared: Arc::clone(&shared),
-            epoll,
-            listener,
-            inbox: Arc::clone(&inboxes[index]),
-            peers: inboxes.clone(),
-            index,
-            accepted: 0,
-            conns: Vec::new(),
-            free: Vec::new(),
-            backlog: VecDeque::new(),
-            scratch: vec![0u8; scratch_len],
-        };
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("pdmm-net-loop{index}"))
-                .spawn(move || event_loop.run())?,
-        );
-    }
-    Ok(handles)
+    let epoll = sys::Epoll::new()?;
+    epoll.add(listener.as_raw_fd(), sys::EPOLLIN, LISTENER_TOKEN)?;
+    let scratch_len = shared
+        .config
+        .fairness
+        .read_budget_bytes
+        .clamp(4096, 1 << 20);
+    let event_loop = EventLoop {
+        shared,
+        epoll,
+        listener: Some(listener),
+        conns: Vec::new(),
+        free: Vec::new(),
+        backlog: VecDeque::new(),
+        scratch: vec![0u8; scratch_len],
+    };
+    std::thread::Builder::new()
+        .name("pdmm-net-loop".into())
+        .spawn(move || event_loop.run())
 }
 
 struct EventLoop {
     shared: Arc<Shared>,
     epoll: sys::Epoll,
-    /// Thread 0 only; dropped (closed) as soon as shutdown starts.
+    /// Dropped (closed) as soon as shutdown starts.
     listener: Option<TcpListener>,
-    /// Sockets handed to this loop by the accepting thread.
-    inbox: Arc<Mutex<VecDeque<TcpStream>>>,
-    /// Every loop's inbox, indexed by thread — the accepting thread deals
-    /// connections round-robin across these.
-    peers: Vec<Arc<Mutex<VecDeque<TcpStream>>>>,
-    index: usize,
-    /// Connections accepted so far (drives the round-robin deal).
-    accepted: u64,
     /// Slab of connections; the vector index is the `epoll` token.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -303,7 +270,7 @@ struct EventLoop {
     /// a fresh unpause) that kernel readiness alone would not re-report
     /// promptly.  Serviced round-robin, one backlog generation per wake.
     backlog: VecDeque<usize>,
-    /// Read scratch shared by every connection on this loop.
+    /// Read scratch shared by every connection.
     scratch: Vec<u8>,
 }
 
@@ -338,12 +305,11 @@ impl EventLoop {
             for event in &events[..ready] {
                 let token = event.token();
                 if token == LISTENER_TOKEN {
-                    self.accept_ready(grace_deadline.is_some());
+                    self.accept_ready();
                 } else {
                     self.enqueue(token as usize);
                 }
             }
-            self.drain_inbox(grace_deadline.is_some());
             // Service exactly the tokens enqueued so far: each serviced
             // connection may re-enqueue itself at the *back*, giving
             // round-robin progress instead of one connection spinning.
@@ -382,8 +348,9 @@ impl EventLoop {
         }
     }
 
-    /// Accepts everything currently pending on the listener.
-    fn accept_ready(&mut self, draining: bool) {
+    /// Accepts everything currently pending on the listener (none once
+    /// shutdown has closed it).
+    fn accept_ready(&mut self) {
         loop {
             let accepted = match &self.listener {
                 Some(listener) => listener.accept(),
@@ -391,23 +358,14 @@ impl EventLoop {
             };
             match accepted {
                 Ok((stream, _peer)) => {
-                    if draining || self.shared.stop.load(Ordering::Acquire) {
+                    if self.shared.stop.load(Ordering::Acquire) {
                         continue;
                     }
                     if !self.shared.try_accept_connection() {
                         self.shared.reject_connection(stream);
                         continue;
                     }
-                    let target = (self.accepted as usize) % self.peers.len();
-                    self.accepted += 1;
-                    if target == self.index {
-                        self.register(stream);
-                    } else {
-                        self.peers[target]
-                            .lock()
-                            .expect("reactor inbox")
-                            .push_back(stream);
-                    }
+                    self.register(stream);
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => return,
@@ -415,22 +373,7 @@ impl EventLoop {
         }
     }
 
-    /// Adopts connections the accepting thread dealt to this loop.
-    fn drain_inbox(&mut self, draining: bool) {
-        loop {
-            let stream = self.inbox.lock().expect("reactor inbox").pop_front();
-            match stream {
-                Some(stream) if draining => {
-                    drop(stream);
-                    self.shared.connection_closed();
-                }
-                Some(stream) => self.register(stream),
-                None => return,
-            }
-        }
-    }
-
-    /// Registers a freshly accepted socket with this loop.  The
+    /// Registers a freshly accepted socket with the loop.  The
     /// live-connection slot is already claimed; failure paths release it.
     fn register(&mut self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
@@ -594,8 +537,7 @@ impl EventLoop {
         }
 
         // A half-closed client's trailing unterminated line is still
-        // processed — exactly what the threaded model's `read_until` does at
-        // EOF (an `ERR` it provokes still goes out before the close).
+        // processed (an `ERR` it provokes still goes out before the close).
         if conn.eof
             && !conn.paused
             && !conn.has_complete_line()

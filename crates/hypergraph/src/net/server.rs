@@ -1,15 +1,13 @@
-//! Server assembly: configuration, shared state, statistics, the
-//! thread-per-connection I/O model, the background drainer, and the
-//! [`ServerHandle`] lifecycle shared by both I/O models.
+//! Server assembly: configuration, shared state, statistics, the background
+//! drainer, and the [`ServerHandle`] lifecycle around the event loop.
 
-use super::conn::ConnState;
 use crate::sharding::{ShardedIngestReport, ShardedService};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Admission policy and server configuration
@@ -49,9 +47,9 @@ impl Default for AdmissionPolicy {
     }
 }
 
-/// Per-connection service budgets of the reactor model: how much attention
-/// any single connection can claim before the event loop moves on, and how
-/// much memory it may pin.
+/// Per-connection service budgets of the event loop: how much attention any
+/// single connection can claim before the loop moves on, and how much memory
+/// it may pin.
 ///
 /// The budgets are what makes one firehose connection unable to monopolize
 /// admission: each event-loop wake services ready connections round-robin,
@@ -94,23 +92,6 @@ impl Default for FairnessPolicy {
     }
 }
 
-/// Which I/O model serves connections (see the module docs for the
-/// trade-off).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoModel {
-    /// Readiness-driven: non-blocking sockets multiplexed onto
-    /// [`ServerConfig::event_threads`] `epoll` event loops with
-    /// per-connection state machines and [`FairnessPolicy`] budgets.  The
-    /// default.  (On non-Linux targets, where there is no `epoll`, [`serve`]
-    /// silently falls back to [`IoModel::Threaded`].)
-    #[default]
-    Reactor,
-    /// One pool task per live connection with blocking reads and synchronous
-    /// writes; `connection_threads` bounds concurrent service.  The original
-    /// model, kept for conformance pinning and non-`epoll` platforms.
-    Threaded,
-}
-
 /// Who turns queued batches into commits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DrainMode {
@@ -130,29 +111,19 @@ pub enum DrainMode {
 pub struct ServerConfig {
     /// The admission policy.
     pub policy: AdmissionPolicy,
-    /// Per-connection fairness budgets (reactor model only).
+    /// Per-connection fairness budgets.
     pub fairness: FairnessPolicy,
-    /// Which I/O model serves connections.
-    pub io_model: IoModel,
-    /// Event-loop threads of the reactor model (default 1 — one loop serves
-    /// every connection; raise it to shard connections across loops).
-    pub event_threads: usize,
-    /// How many connections the threaded model serves concurrently (pool
-    /// workers dedicated to connection handling; further connections wait
-    /// their turn).  Ignored by the reactor.
-    pub connection_threads: usize,
     /// Who drains (see [`DrainMode`]).
     pub drain: DrainMode,
     /// Disconnect a connection that has shown no socket activity for this
     /// long ([`ServerStats::disconnected_idle`]).  `None` (the default)
     /// never reaps idle connections.
     pub idle_timeout: Option<Duration>,
-    /// How long a response write may stall before the connection is declared
-    /// slow and disconnected ([`ServerStats::disconnected_slow`]).  In the
-    /// threaded model this is the socket write timeout guarding the
-    /// previously unbounded blocking `write`; in the reactor it is the
-    /// maximum time a non-empty write buffer may sit without the client
-    /// accepting a single byte.
+    /// The event loop's write-stall limit: the longest a non-empty write
+    /// buffer may sit without the client accepting a single byte before the
+    /// connection is declared slow and disconnected
+    /// ([`ServerStats::disconnected_slow`]).  `None` never times a write out
+    /// (the bounded write buffer still applies).
     pub write_timeout: Option<Duration>,
 }
 
@@ -161,9 +132,6 @@ impl Default for ServerConfig {
         ServerConfig {
             policy: AdmissionPolicy::default(),
             fairness: FairnessPolicy::default(),
-            io_model: IoModel::default(),
-            event_threads: 1,
-            connection_threads: 4,
             drain: DrainMode::Background,
             idle_timeout: None,
             write_timeout: Some(Duration::from_secs(2)),
@@ -228,16 +196,15 @@ pub struct ServerStats {
     /// [`AdmissionPolicy::max_connections`] live connections already existed
     /// (the socket is told `ERR connection limit reached` and closed).
     pub rejected_connections: u64,
-    /// OS threads the server dedicates to serving (event loops or pool
-    /// workers, plus acceptor and drainer where applicable) — fixed at
-    /// startup, *independent of the connection count* under the reactor.
+    /// OS threads the server dedicates to serving: the event loop, plus the
+    /// drainer under [`DrainMode::Background`] — fixed at startup,
+    /// *independent of the connection count*.
     pub worker_threads: u64,
     /// Peak simultaneously live connections.
     pub peak_connections: u64,
     /// Peak total bytes of per-connection user-space buffering observed (a
-    /// memory proxy: exact buffer capacities under the reactor, a fixed
-    /// per-handler estimate under the threaded model — which additionally
-    /// pins a full thread stack per served connection).
+    /// memory proxy: the read and write buffer capacities of every live
+    /// connection, sampled on the event loop's tick).
     pub peak_buffer_bytes: u64,
 }
 
@@ -266,23 +233,19 @@ pub(super) struct AtomicStats {
 // Shared server state
 // ---------------------------------------------------------------------------
 
-/// State shared by the acceptor/event loops, the connection handlers, the
-/// drainer and the handle.
+/// State shared by the event loop, the drainer and the handle.
 pub(super) struct Shared {
     pub(super) service: Arc<ShardedService>,
     pub(super) config: ServerConfig,
     pub(super) stats: AtomicStats,
     pub(super) stop: AtomicBool,
     /// Completed-drain counter: bumped by every drain (background or
-    /// manual).  The reactor uses it to reset per-connection pipelining
+    /// manual).  The event loop uses it to reset per-connection pipelining
     /// windows — a paused connection resumes when the generation moves.
     pub(super) drain_gen: AtomicU64,
     /// Live-connection gauge backing `max_connections` and
     /// `peak_connections`.
     live_connections: AtomicU64,
-    /// Live per-connection buffer gauge backing `peak_buffer_bytes` in the
-    /// threaded model (the reactor measures real capacities per tick).
-    buffer_bytes: AtomicU64,
     /// Generation counter + condvar kicking the background drainer out of its
     /// timed wait as soon as a batch is admitted.
     wake: Mutex<u64>,
@@ -373,19 +336,6 @@ impl Shared {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Adjusts the live buffer gauge by `delta` bytes and records the peak
-    /// (threaded model; the reactor writes `peak_buffer_bytes` directly).
-    fn buffer_gauge_add(&self, delta: u64) {
-        let now = self.buffer_bytes.fetch_add(delta, Ordering::Relaxed) + delta;
-        self.stats
-            .peak_buffer_bytes
-            .fetch_max(now, Ordering::Relaxed);
-    }
-
-    fn buffer_gauge_sub(&self, delta: u64) {
-        self.buffer_bytes.fetch_sub(delta, Ordering::Relaxed);
-    }
-
     pub(super) fn record_peak_buffer_bytes(&self, total: u64) {
         self.stats
             .peak_buffer_bytes
@@ -402,8 +352,7 @@ impl Shared {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    event_loops: Vec<JoinHandle<()>>,
+    event_loop: Option<JoinHandle<()>>,
     drainer: Option<JoinHandle<()>>,
 }
 
@@ -465,8 +414,8 @@ impl ServerHandle {
         report
     }
 
-    /// Stops accepting, joins every connection handler and event loop,
-    /// drains whatever was admitted, and returns the final counters.
+    /// Stops accepting, joins the event loop, drains whatever was admitted,
+    /// and returns the final counters.
     /// Idempotent via `Drop` — calling this is just the version that hands
     /// the counters back.
     #[must_use = "the final counters are the server's summary; drop the handle to discard them"]
@@ -479,15 +428,8 @@ impl ServerHandle {
         if self.shared.stop.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Unblock the threaded acceptor: connect once so `accept` returns,
-        // then the loop observes `stop`.  (The reactor's event loops poll
-        // with a timeout and observe `stop` on their own.)  Handlers observe
-        // it at their next read timeout; the acceptor's scope joins them all.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for event_loop in self.event_loops.drain(..) {
+        // The event loop polls with a timeout and observes `stop` on its own.
+        if let Some(event_loop) = self.event_loop.take() {
             let _ = event_loop.join();
         }
         self.shared.kick_drainer();
@@ -509,7 +451,7 @@ impl Drop for ServerHandle {
 }
 
 // ---------------------------------------------------------------------------
-// serve(): bind and dispatch on the I/O model
+// serve(): bind, then start the event loop and the drainer
 // ---------------------------------------------------------------------------
 
 /// Binds `addr` and serves `service` over it until the returned handle is
@@ -518,77 +460,62 @@ impl Drop for ServerHandle {
 /// # Errors
 ///
 /// Returns the bind/spawn error if the listener or the server threads cannot
-/// be created.
+/// be created.  Off Linux, where there is no `epoll` for the event loop,
+/// always returns a [`std::io::ErrorKind::Unsupported`] error.
 pub fn serve(
     service: Arc<ShardedService>,
     addr: impl ToSocketAddrs,
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-
-    #[cfg(target_os = "linux")]
-    let io_model = config.io_model;
     #[cfg(not(target_os = "linux"))]
-    let io_model = IoModel::Threaded; // no epoll off Linux; same protocol
+    {
+        let _ = (service, addr, config);
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "pdmm::net serves through epoll, which only Linux has",
+        ));
+    }
+    #[cfg(target_os = "linux")]
+    {
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        let drain = config.drain;
+        let shared = Arc::new(Shared {
+            service,
+            config,
+            stats: AtomicStats::default(),
+            stop: AtomicBool::new(false),
+            drain_gen: AtomicU64::new(0),
+            live_connections: AtomicU64::new(0),
+            wake: Mutex::new(0),
+            wake_cv: Condvar::new(),
+        });
+        let drainer_threads = u64::from(drain == DrainMode::Background);
+        shared
+            .stats
+            .worker_threads
+            .store(1 + drainer_threads, Ordering::Relaxed);
+        let event_loop = super::reactor::spawn_event_loop(Arc::clone(&shared), listener)?;
 
-    let drain = config.drain;
-    let shared = Arc::new(Shared {
-        service,
-        config,
-        stats: AtomicStats::default(),
-        stop: AtomicBool::new(false),
-        drain_gen: AtomicU64::new(0),
-        live_connections: AtomicU64::new(0),
-        buffer_bytes: AtomicU64::new(0),
-        wake: Mutex::new(0),
-        wake_cv: Condvar::new(),
-    });
+        let drainer = match drain {
+            DrainMode::Background => {
+                let drain_shared = Arc::clone(&shared);
+                Some(
+                    std::thread::Builder::new()
+                        .name("pdmm-net-drain".into())
+                        .spawn(move || run_drainer(&drain_shared))?,
+                )
+            }
+            DrainMode::Manual => None,
+        };
 
-    let drainer_threads = u64::from(drain == DrainMode::Background);
-    let (acceptor, event_loops) = match io_model {
-        #[cfg(target_os = "linux")]
-        IoModel::Reactor => {
-            let event_threads = shared.config.event_threads.max(1) as u64;
-            shared
-                .stats
-                .worker_threads
-                .store(event_threads + drainer_threads, Ordering::Relaxed);
-            let loops = super::reactor::spawn_event_loops(Arc::clone(&shared), listener)?;
-            (None, loops)
-        }
-        #[cfg(not(target_os = "linux"))]
-        IoModel::Reactor => unreachable!("reactor is rewritten to threaded off Linux"),
-        IoModel::Threaded => {
-            let pool_threads = shared.config.connection_threads.max(1) as u64 + 1;
-            shared
-                .stats
-                .worker_threads
-                .store(pool_threads + 1 + drainer_threads, Ordering::Relaxed);
-            let acceptor = spawn_threaded_acceptor(Arc::clone(&shared), listener)?;
-            (Some(acceptor), Vec::new())
-        }
-    };
-
-    let drainer = match drain {
-        DrainMode::Background => {
-            let drain_shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("pdmm-net-drain".into())
-                    .spawn(move || run_drainer(&drain_shared))?,
-            )
-        }
-        DrainMode::Manual => None,
-    };
-
-    Ok(ServerHandle {
-        shared,
-        local_addr,
-        acceptor,
-        event_loops,
-        drainer,
-    })
+        Ok(ServerHandle {
+            shared,
+            local_addr,
+            event_loop: Some(event_loop),
+            drainer,
+        })
+    }
 }
 
 /// The background drainer: commit whatever is queued, then sleep until the
@@ -617,128 +544,4 @@ fn run_drainer(shared: &Shared) {
             seen = *generation;
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// The threaded I/O model
-// ---------------------------------------------------------------------------
-
-/// Spawns the thread-per-connection acceptor: one worker runs the accept
-/// loop itself (`pool.scope` executes its closure on the pool), the rest
-/// serve connections.
-fn spawn_threaded_acceptor(
-    shared: Arc<Shared>,
-    listener: TcpListener,
-) -> std::io::Result<JoinHandle<()>> {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(shared.config.connection_threads.max(1) + 1)
-        .build()
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
-    std::thread::Builder::new()
-        .name("pdmm-net-accept".into())
-        .spawn(move || {
-            let acceptor_shared = shared;
-            pool.scope(|scope| loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if acceptor_shared.stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        if !acceptor_shared.try_accept_connection() {
-                            acceptor_shared.reject_connection(stream);
-                            continue;
-                        }
-                        let shared = Arc::clone(&acceptor_shared);
-                        scope.spawn(move |_| handle_connection(stream, &shared));
-                    }
-                    Err(_) => {
-                        if acceptor_shared.stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                    }
-                }
-            });
-            // The scope joined every handler; dropping the pool joins its
-            // workers.
-        })
-}
-
-/// Fixed user-space buffering estimate per threaded handler (the `BufReader`
-/// capacity plus line/response scratch) feeding the `peak_buffer_bytes`
-/// proxy.
-const THREADED_HANDLER_BUFFER_ESTIMATE: u64 = 8 * 1024 + 512;
-
-/// Serves one connection to completion (EOF, I/O error, timeout-triggered
-/// disconnect, or server shutdown).
-///
-/// Never panics on wire input: lines arrive as raw bytes and go through
-/// `from_utf8_lossy`, parse errors become `ERR` responses, and an
-/// unterminated trailing batch is dropped.
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    shared.buffer_gauge_add(THREADED_HANDLER_BUFFER_ESTIMATE);
-    let _ = stream.set_nodelay(true);
-    // Timed reads let the handler observe shutdown (and reap idleness)
-    // while blocked; the write timeout is the slow-client guard — without
-    // it a client that stops reading mid-response wedges this handler in a
-    // blocking `write` forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let _ = stream.set_write_timeout(shared.config.write_timeout);
-    let mut disconnect: Option<DisconnectReason> = None;
-    if let Ok(read_half) = stream.try_clone() {
-        let mut reader = BufReader::new(read_half);
-        let mut writer = stream;
-        let mut state = ConnState::new();
-        let mut buf: Vec<u8> = Vec::new();
-        let mut response_line = String::new();
-        let mut last_activity = Instant::now();
-        'conn: loop {
-            buf.clear();
-            // A timed-out read keeps the partial line in `buf`; keep
-            // appending until the newline (or EOF) arrives.
-            let read = loop {
-                match reader.read_until(b'\n', &mut buf) {
-                    Ok(read) => break read,
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                        ) =>
-                    {
-                        if shared.stop.load(Ordering::Acquire) {
-                            break 'conn;
-                        }
-                        if let Some(idle) = shared.config.idle_timeout {
-                            if last_activity.elapsed() > idle {
-                                disconnect = Some(DisconnectReason::IdleTimeout);
-                                break 'conn;
-                            }
-                        }
-                    }
-                    Err(_) => break 'conn,
-                }
-            };
-            if read == 0 {
-                break; // EOF; an unterminated batch dies with the connection
-            }
-            last_activity = Instant::now();
-            state.lineno += 1;
-            let line = String::from_utf8_lossy(&buf);
-            if let Some(response) = state.process_line(line.trim(), shared) {
-                response_line.clear();
-                let _ =
-                    std::fmt::Write::write_fmt(&mut response_line, format_args!("{response}\n"));
-                if let Err(e) = writer.write_all(response_line.as_bytes()) {
-                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                        disconnect = Some(DisconnectReason::SlowClient);
-                    }
-                    break;
-                }
-            }
-        }
-    }
-    if let Some(reason) = disconnect {
-        shared.note_disconnect(reason);
-    }
-    shared.buffer_gauge_sub(THREADED_HANDLER_BUFFER_ESTIMATE);
-    shared.connection_closed();
 }

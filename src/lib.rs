@@ -181,8 +181,8 @@ pub mod prelude {
     pub use pdmm_hypergraph::graph::DynamicHypergraph;
     pub use pdmm_hypergraph::matching::{verify_maximality, verify_validity};
     pub use pdmm_hypergraph::net::{
-        serve, AdmissionPolicy, DrainMode, FairnessPolicy, IoModel, Response, ServerConfig,
-        ServerHandle, ServerStats,
+        serve, AdmissionPolicy, DrainMode, FairnessPolicy, Response, ServerConfig, ServerHandle,
+        ServerStats,
     };
     pub use pdmm_hypergraph::service::{EngineService, MatchingSnapshot};
     pub use pdmm_hypergraph::sharding::{

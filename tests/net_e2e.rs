@@ -1,9 +1,9 @@
 //! End-to-end tests of the TCP front-end: a live loopback server on every
-//! engine — under *both* I/O models — bit-identical to an offline
-//! [`ShardedService`] fed the same batches, plus the backpressure escalation
-//! (`RETRY` → `SHED`) pinned at a tiny queue capacity.
+//! engine, bit-identical to an offline [`ShardedService`] fed the same
+//! batches, plus the backpressure escalation (`RETRY` → `SHED`) pinned at a
+//! tiny queue capacity.
 
-use pdmm::net::{frame_batch, serve, AdmissionPolicy, DrainMode, IoModel, Response, ServerConfig};
+use pdmm::net::{frame_batch, serve, AdmissionPolicy, DrainMode, Response, ServerConfig};
 use pdmm::prelude::*;
 use pdmm::service::EngineService;
 use pdmm::sharding::HashPartitioner;
@@ -52,11 +52,10 @@ impl Client {
     }
 }
 
-/// Every engine kind, under *both* I/O models: drive a skewed-churn workload
-/// over a real socket into a 2-shard server, and assert the served snapshot
-/// is bit-identical to an offline `ShardedService` (same engines, same
-/// partitioner) fed the same batches directly — which pins
-/// reactor ≡ threaded ≡ offline transitively.
+/// Every engine kind: drive a skewed-churn workload over a real socket into
+/// a 2-shard server, and assert the served snapshot is bit-identical to an
+/// offline `ShardedService` (same engines, same partitioner) fed the same
+/// batches directly — served ≡ offline, journals included.
 #[test]
 fn served_snapshot_matches_offline_sharded_service_on_every_engine() {
     let workload = pdmm::hypergraph::streams::skewed_churn(96, 3, 60, 12, 16, 0.6, 2.0, 11);
@@ -68,52 +67,38 @@ fn served_snapshot_matches_offline_sharded_service_on_every_engine() {
         let _ = offline.drain_lossy();
         let twin = offline.snapshot();
 
-        for io_model in [IoModel::Reactor, IoModel::Threaded] {
-            let live = Arc::new(ShardedService::new(engines(kind, 2, workload.num_vertices)));
-            let config = ServerConfig {
-                io_model,
-                ..ServerConfig::default()
-            };
-            let handle = serve(Arc::clone(&live), "127.0.0.1:0", config).unwrap();
+        let live = Arc::new(ShardedService::new(engines(kind, 2, workload.num_vertices)));
+        let handle = serve(Arc::clone(&live), "127.0.0.1:0", ServerConfig::default()).unwrap();
 
-            let mut client = Client::connect(handle.local_addr());
-            for batch in &workload.batches {
-                let response = client.submit(batch);
-                match response {
-                    Response::Ok { updates, .. } => {
-                        assert_eq!(updates, batch.len(), "{kind:?}/{io_model:?}");
-                    }
-                    other => panic!(
-                        "{kind:?}/{io_model:?}: expected OK under default policy, got {other}"
-                    ),
-                }
+        let mut client = Client::connect(handle.local_addr());
+        for batch in &workload.batches {
+            let response = client.submit(batch);
+            match response {
+                Response::Ok { updates, .. } => assert_eq!(updates, batch.len(), "{kind:?}"),
+                other => panic!("{kind:?}: expected OK under default policy, got {other}"),
             }
-            drop(client);
-            let stats = handle.shutdown(); // joins handlers, drains everything admitted
-            assert_eq!(
-                stats.admitted,
-                workload.batches.len() as u64,
-                "{kind:?}/{io_model:?}"
-            );
-            assert_eq!(stats.protocol_errors, 0, "{kind:?}/{io_model:?}");
+        }
+        drop(client);
+        let stats = handle.shutdown(); // joins the event loop, drains everything admitted
+        assert_eq!(stats.admitted, workload.batches.len() as u64, "{kind:?}");
+        assert_eq!(stats.protocol_errors, 0, "{kind:?}");
 
-            let served = live.snapshot();
-            assert_eq!(served.edge_ids(), twin.edge_ids(), "{kind:?}/{io_model:?}");
-            assert_eq!(served.size(), twin.size(), "{kind:?}/{io_model:?}");
+        let served = live.snapshot();
+        assert_eq!(served.edge_ids(), twin.edge_ids(), "{kind:?}");
+        assert_eq!(served.size(), twin.size(), "{kind:?}");
+        assert_eq!(
+            served.committed_batches(),
+            twin.committed_batches(),
+            "{kind:?}"
+        );
+        // The journals replay both to the same state, so they must agree
+        // shard by shard.
+        for shard in 0..2 {
             assert_eq!(
-                served.committed_batches(),
-                twin.committed_batches(),
-                "{kind:?}/{io_model:?}"
+                live.shard_journal(shard),
+                offline.shard_journal(shard),
+                "{kind:?}"
             );
-            // The journals replay both to the same state, so they must agree
-            // shard by shard.
-            for shard in 0..2 {
-                assert_eq!(
-                    live.shard_journal(shard),
-                    offline.shard_journal(shard),
-                    "{kind:?}/{io_model:?}"
-                );
-            }
         }
     }
 }
@@ -124,12 +109,6 @@ fn served_snapshot_matches_offline_sharded_service_on_every_engine() {
 /// is SHED until a drain frees the queue again.
 #[test]
 fn backpressure_escalates_retry_then_shed_and_recovers() {
-    for io_model in [IoModel::Reactor, IoModel::Threaded] {
-        backpressure_escalation_under(io_model);
-    }
-}
-
-fn backpressure_escalation_under(io_model: IoModel) {
     let num_vertices = 32;
     let services = vec![EngineService::with_queue_capacity(
         pdmm::engine::build(
@@ -149,7 +128,6 @@ fn backpressure_escalation_under(io_model: IoModel) {
     };
     let config = ServerConfig {
         policy,
-        io_model,
         drain: DrainMode::Manual,
         ..ServerConfig::default()
     };

@@ -21,7 +21,6 @@ fn server(queue_capacity: usize) -> ServerHandle {
         Box::new(HashPartitioner),
     ));
     let config = ServerConfig {
-        connection_threads: 1,
         drain: DrainMode::Manual,
         ..ServerConfig::default()
     };
@@ -198,7 +197,6 @@ fn oversized_batch_is_a_protocol_error() {
             max_batch_updates: 3,
             ..Default::default()
         },
-        connection_threads: 1,
         drain: DrainMode::Manual,
         ..ServerConfig::default()
     };

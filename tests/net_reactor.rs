@@ -1,12 +1,12 @@
-//! Reactor-specific behavior of the TCP front-end: connection scale on a
-//! fixed thread count, per-client fairness budgets, the pipelining limit,
+//! Event-loop behavior of the TCP front-end: connection scale on a fixed
+//! thread count, per-client fairness budgets, the pipelining limit,
 //! slow-client and idle disconnects, connection-level admission, and
-//! garbage-resilience of the event loop.  (Bit-identical equivalence of
-//! reactor ≡ threaded ≡ offline on every engine lives in `net_e2e.rs`.)
+//! garbage-resilience of the event loop.  (Served ≡ offline on every engine
+//! lives in `net_e2e.rs`.)
 
 use pdmm::net::{
-    frame_batch, serve, AdmissionPolicy, DrainMode, FairnessPolicy, IoModel, Response,
-    ServerConfig, ServerHandle, ServerStats,
+    frame_batch, serve, AdmissionPolicy, DrainMode, FairnessPolicy, Response, ServerConfig,
+    ServerHandle, ServerStats,
 };
 use pdmm::prelude::*;
 use pdmm::sharding::ShardedService;
@@ -21,13 +21,6 @@ fn service(num_vertices: usize, shards: usize) -> Arc<ShardedService> {
         .map(|_| pdmm::engine::build(EngineKind::Parallel, &builder))
         .collect();
     Arc::new(ShardedService::new(engines))
-}
-
-fn reactor_config() -> ServerConfig {
-    ServerConfig {
-        io_model: IoModel::Reactor,
-        ..ServerConfig::default()
-    }
 }
 
 fn pair_batch(id: u64, num_vertices: u32) -> UpdateBatch {
@@ -74,7 +67,7 @@ fn wait_for_stats(handle: &ServerHandle, predicate: impl Fn(&ServerStats) -> boo
 #[test]
 fn byte_at_a_time_slow_sender_is_assembled_correctly() {
     let service = service(16, 2);
-    let handle = serve(Arc::clone(&service), "127.0.0.1:0", reactor_config()).unwrap();
+    let handle = serve(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let (mut stream, mut reader) = connect(&handle);
 
     // Three valid batches, one garbage batch: OK, OK, ERR, OK.
@@ -105,162 +98,151 @@ fn byte_at_a_time_slow_sender_is_assembled_correctly() {
     assert_eq!(service.snapshot().edge_ids(), vec![EdgeId(2)]);
 }
 
-/// The PR-6 bug: a client that stops reading mid-response used to wedge its
-/// pool task in a blocking `write` forever.  Under both models the server
-/// must instead disconnect the slow client (bounded write buffer in the
-/// reactor, write timeout in the threaded model) and keep serving others.
+/// A client that stops reading mid-response must not wedge the server: it is
+/// disconnected (bounded write buffer, write-stall limit) while the loop
+/// keeps serving everyone else.
 #[test]
 fn slow_reader_is_disconnected_not_wedged() {
-    for io_model in [IoModel::Reactor, IoModel::Threaded] {
-        let service = service(16, 1);
-        let config = ServerConfig {
-            io_model,
-            fairness: FairnessPolicy {
-                write_buffer_limit: 1024,
-                batch_budget: 1024,
-                ..FairnessPolicy::default()
-            },
-            write_timeout: Some(Duration::from_millis(100)),
-            ..ServerConfig::default()
-        };
-        let handle = serve(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
+    let service = service(16, 1);
+    let config = ServerConfig {
+        fairness: FairnessPolicy {
+            write_buffer_limit: 1024,
+            batch_budget: 1024,
+            ..FairnessPolicy::default()
+        },
+        write_timeout: Some(Duration::from_millis(100)),
+        ..ServerConfig::default()
+    };
+    let handle = serve(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
 
-        // The slow client floods cheap protocol errors (each garbage frame
-        // earns an ~40-byte ERR line) and never reads a single response, so
-        // kernel buffers fill and the server-side write stops making
-        // progress.
-        let mut slow = TcpStream::connect(handle.local_addr()).unwrap();
-        slow.set_write_timeout(Some(Duration::from_millis(50)))
-            .unwrap();
-        let garbage = "nonsense\n\n".repeat(512); // ~5 KiB, ~20 KiB of ERRs
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while Instant::now() < deadline {
-            if slow.write_all(garbage.as_bytes()).is_err() {
-                break; // server already dropped us
-            }
-            if handle.stats().disconnected_slow > 0 {
-                break;
-            }
+    // The slow client floods cheap protocol errors (each garbage frame earns
+    // an ~40-byte ERR line) and never reads a single response, so kernel
+    // buffers fill and the server-side write stops making progress.
+    let mut slow = TcpStream::connect(handle.local_addr()).unwrap();
+    slow.set_write_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    let garbage = "nonsense\n\n".repeat(512); // ~5 KiB, ~20 KiB of ERRs
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while Instant::now() < deadline {
+        if slow.write_all(garbage.as_bytes()).is_err() {
+            break; // server already dropped us
         }
-        let stats = wait_for_stats(&handle, |stats| stats.disconnected_slow > 0);
-        assert!(
-            stats.disconnected_slow >= 1,
-            "{io_model:?}: slow client was never disconnected: {stats:?}"
-        );
-
-        // The loop (or pool) is not wedged: a well-behaved client is served.
-        let (mut stream, mut reader) = connect(&handle);
-        let response = submit(&mut stream, &mut reader, &pair_batch(7, 16));
-        assert!(matches!(response, Response::Ok { .. }), "{io_model:?}");
-        drop((stream, reader, slow));
-        let _ = handle.shutdown();
+        if handle.stats().disconnected_slow > 0 {
+            break;
+        }
     }
+    let stats = wait_for_stats(&handle, |stats| stats.disconnected_slow > 0);
+    assert!(
+        stats.disconnected_slow >= 1,
+        "slow client was never disconnected: {stats:?}"
+    );
+
+    // The loop is not wedged: a well-behaved client is served.
+    let (mut stream, mut reader) = connect(&handle);
+    let response = submit(&mut stream, &mut reader, &pair_batch(7, 16));
+    assert!(matches!(response, Response::Ok { .. }));
+    drop((stream, reader, slow));
+    let _ = handle.shutdown();
 }
 
-/// Idle-connection reaping under both models: a connection that goes silent
-/// past `idle_timeout` is closed by the server and counted.
+/// Idle-connection reaping: a connection that goes silent past
+/// `idle_timeout` is closed by the server and counted.
 #[test]
 fn idle_connections_are_reaped() {
-    for io_model in [IoModel::Reactor, IoModel::Threaded] {
-        let service = service(16, 1);
-        let config = ServerConfig {
-            io_model,
-            idle_timeout: Some(Duration::from_millis(50)),
-            ..ServerConfig::default()
-        };
-        let handle = serve(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
-        let (mut stream, mut reader) = connect(&handle);
-        // Activity first, then silence: the timer must restart on traffic.
-        let response = submit(&mut stream, &mut reader, &pair_batch(1, 16));
-        assert!(matches!(response, Response::Ok { .. }), "{io_model:?}");
+    let service = service(16, 1);
+    let config = ServerConfig {
+        idle_timeout: Some(Duration::from_millis(50)),
+        ..ServerConfig::default()
+    };
+    let handle = serve(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
+    let (mut stream, mut reader) = connect(&handle);
+    // Activity first, then silence: the timer must restart on traffic.
+    let response = submit(&mut stream, &mut reader, &pair_batch(1, 16));
+    assert!(matches!(response, Response::Ok { .. }));
 
-        // The server closes its side once the idle timeout passes; the
-        // client observes EOF.
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut byte = [0u8; 1];
-        let read = stream.read(&mut byte);
-        assert!(
-            matches!(read, Ok(0)),
-            "{io_model:?}: expected EOF from idle reaping, got {read:?}"
-        );
-        let stats = wait_for_stats(&handle, |stats| stats.disconnected_idle > 0);
-        assert_eq!(stats.disconnected_idle, 1, "{io_model:?}");
-        drop((stream, reader));
-        let _ = handle.shutdown();
-    }
+    // The server closes its side once the idle timeout passes; the client
+    // observes EOF.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut byte = [0u8; 1];
+    let read = stream.read(&mut byte);
+    assert!(
+        matches!(read, Ok(0)),
+        "expected EOF from idle reaping, got {read:?}"
+    );
+    let stats = wait_for_stats(&handle, |stats| stats.disconnected_idle > 0);
+    assert_eq!(stats.disconnected_idle, 1);
+    drop((stream, reader));
+    let _ = handle.shutdown();
 }
 
-/// Connection-level admission under both models: past `max_connections` live
-/// connections, an accepted socket is told why and closed, and the slot
-/// frees up when a live connection leaves.
+/// Connection-level admission: past `max_connections` live connections, an
+/// accepted socket is told why and closed, and the slot frees up when a live
+/// connection leaves.
 #[test]
 fn connection_limit_rejects_at_accept_and_recovers() {
-    for io_model in [IoModel::Reactor, IoModel::Threaded] {
-        let service = service(16, 1);
-        let config = ServerConfig {
-            io_model,
-            policy: AdmissionPolicy {
-                max_connections: 2,
-                ..AdmissionPolicy::default()
-            },
-            ..ServerConfig::default()
-        };
-        let handle = serve(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
+    let service = service(16, 1);
+    let config = ServerConfig {
+        policy: AdmissionPolicy {
+            max_connections: 2,
+            ..AdmissionPolicy::default()
+        },
+        ..ServerConfig::default()
+    };
+    let handle = serve(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
 
-        let first = connect(&handle);
-        let second = connect(&handle);
-        // Both slots taken: the third connection is rejected with one typed
-        // line, then EOF.
-        let rejected = TcpStream::connect(handle.local_addr()).unwrap();
-        rejected
-            .set_read_timeout(Some(Duration::from_secs(5)))
+    let first = connect(&handle);
+    let second = connect(&handle);
+    // Both slots taken: the third connection is rejected with one typed line,
+    // then EOF.
+    let rejected = TcpStream::connect(handle.local_addr()).unwrap();
+    rejected
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut line = String::new();
+    BufReader::new(rejected.try_clone().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    assert_eq!(line.trim(), "ERR connection limit reached");
+    let stats = wait_for_stats(&handle, |stats| stats.rejected_connections > 0);
+    assert_eq!(stats.rejected_connections, 1);
+    assert_eq!(stats.connections, 2);
+
+    // Free one slot; a fresh connection is now admitted and served.
+    drop(first);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let served = loop {
+        let (mut stream, mut reader) = connect(&handle);
+        stream
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        stream
+            .write_all(frame_batch(&pair_batch(3, 16)).as_bytes())
             .unwrap();
         let mut line = String::new();
-        BufReader::new(rejected.try_clone().unwrap())
-            .read_line(&mut line)
-            .unwrap();
-        assert_eq!(line.trim(), "ERR connection limit reached", "{io_model:?}");
-        let stats = wait_for_stats(&handle, |stats| stats.rejected_connections > 0);
-        assert_eq!(stats.rejected_connections, 1, "{io_model:?}");
-        assert_eq!(stats.connections, 2, "{io_model:?}");
-
-        // Free one slot; a fresh connection is now admitted and served.
-        drop(first);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let served = loop {
-            let (mut stream, mut reader) = connect(&handle);
-            stream
-                .set_read_timeout(Some(Duration::from_millis(200)))
-                .unwrap();
-            stream
-                .write_all(frame_batch(&pair_batch(3, 16)).as_bytes())
-                .unwrap();
-            let mut line = String::new();
-            // A probe racing the server's close of `first` is itself
-            // rejected with the limit `ERR` — keep probing until one is
-            // admitted or the deadline passes.
-            if matches!(reader.read_line(&mut line), Ok(n) if n > 0)
-                && matches!(Response::parse(&line), Some(Response::Ok { .. }))
-            {
-                break true;
-            }
-            if Instant::now() >= deadline {
-                break false;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        };
-        assert!(served, "{io_model:?}: slot never freed after disconnect");
-        drop((second, rejected));
-        let _ = handle.shutdown();
-    }
+        // A probe racing the server's close of `first` is itself rejected
+        // with the limit `ERR` — keep probing until one is admitted or the
+        // deadline passes.
+        if matches!(reader.read_line(&mut line), Ok(n) if n > 0)
+            && matches!(Response::parse(&line), Some(Response::Ok { .. }))
+        {
+            break true;
+        }
+        if Instant::now() >= deadline {
+            break false;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(served, "slot never freed after disconnect");
+    drop((second, rejected));
+    let _ = handle.shutdown();
 }
 
 /// Connection scale: 256 concurrent, mostly idle connections served by one
-/// event-loop thread — every one gets its batch admitted, and the server's
+/// event-loop thread — every one gets its batch admitted, the server's
 /// thread count stays fixed (event loop + drainer), independent of the
-/// connection count.
+/// connection count, and the journal of the run replays bit-identically.
 #[test]
 fn many_mostly_idle_connections_on_one_event_thread() {
     let num_vertices = 1024;
@@ -280,8 +262,6 @@ fn many_mostly_idle_connections_on_one_event_thread() {
         Box::new(pdmm::sharding::HashPartitioner),
     ));
     let config = ServerConfig {
-        io_model: IoModel::Reactor,
-        event_threads: 1,
         policy: AdmissionPolicy {
             max_in_flight: 1024,
             ..AdmissionPolicy::default()
@@ -322,6 +302,21 @@ fn many_mostly_idle_connections_on_one_event_thread() {
     let stats = handle.shutdown();
     assert_eq!(stats.protocol_errors, 0);
     assert_eq!(service.snapshot().committed_batches(), 256);
+
+    // Replaying the served journal onto fresh engines reproduces the matched
+    // edges and the arbitrated matching exactly.
+    let engines = (0..2)
+        .map(|_| pdmm::engine::build(EngineKind::Parallel, &builder))
+        .collect();
+    let replayed = ShardedService::replay_with(
+        engines,
+        Box::new(pdmm::sharding::HashPartitioner),
+        &service.journal(),
+    )
+    .unwrap();
+    let (served, twin) = (service.snapshot(), replayed.snapshot());
+    assert_eq!(twin.edge_ids(), served.edge_ids());
+    assert_eq!(twin.arbitrated_matching(), served.arbitrated_matching());
 }
 
 /// The pipelining limit: with `max_pipeline = 1` and a manual drainer, a
@@ -332,7 +327,6 @@ fn many_mostly_idle_connections_on_one_event_thread() {
 fn pipelining_limit_paces_admissions_to_drains() {
     let service = service(16, 1);
     let config = ServerConfig {
-        io_model: IoModel::Reactor,
         fairness: FairnessPolicy {
             max_pipeline: 1,
             ..FairnessPolicy::default()
@@ -395,7 +389,6 @@ fn trickle_latency_stays_bounded_under_a_firehose() {
     let num_vertices = 4096;
     let service = service(num_vertices, 2);
     let config = ServerConfig {
-        io_model: IoModel::Reactor,
         policy: AdmissionPolicy {
             max_in_flight: usize::MAX,
             ..AdmissionPolicy::default()
@@ -477,7 +470,6 @@ fn trickle_latency_stays_bounded_under_a_firehose() {
 fn garbage_and_truncated_frames_never_panic_the_loop() {
     let service = service(64, 2);
     let config = ServerConfig {
-        io_model: IoModel::Reactor,
         fairness: FairnessPolicy {
             read_budget_bytes: 64,
             batch_budget: 2,
