@@ -1,6 +1,6 @@
 //! The wire protocol: typed response lines and batch framing.
 //!
-//! Kept deliberately tiny and I/O-free so both server I/O models, the load
+//! Kept deliberately tiny and I/O-free so the server, perfbench's load
 //! generator and protocol clients share one source of truth for what travels
 //! on the socket.
 

@@ -8,11 +8,11 @@
 //! budget, feed complete lines through the [`ConnState`] protocol machine up
 //! to the batch budget, queue responses in a bounded write buffer, flush what
 //! the socket accepts, and re-register interest to match what the connection
-//! is waiting for.  `epoll` is used
-//! level-triggered, so kernel-side readiness re-reports itself; *user-space*
-//! pending work (complete lines already buffered when a budget ran out, or a
-//! connection unpaused by a drain) is tracked in an explicit backlog queue
-//! that forces the next wake to poll with a zero timeout.
+//! is waiting for.  `epoll` is used level-triggered, so kernel-side readiness
+//! re-reports itself; *user-space* pending work (complete lines already
+//! buffered when a budget ran out, or a connection unpaused by a drain) is
+//! tracked in an explicit backlog queue that forces the next wake to poll
+//! with a zero timeout.
 //!
 //! The syscall surface is three thin `extern "C"` declarations over the libc
 //! that `std` already links (`epoll_create1`/`epoll_ctl`/`epoll_wait`) — no
