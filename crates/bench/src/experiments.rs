@@ -572,7 +572,11 @@ pub fn e11_serve_loop(scale: Scale) -> String {
 /// size of the globally valid matching the boundary-arbitration pass
 /// recovers from that union, and retained is arbitrated/matching — the
 /// matched-size fraction the award-evict-repair wave keeps (1.000 at one
-/// shard, where arbitration is a bit-identical no-op).
+/// shard, where arbitration is a bit-identical no-op).  The union holds
+/// matched edges of different shards that share a vertex, so retained
+/// measures how much the shards' matchings overlap; vs 1 shard is the quality
+/// figure, the arbitrated size over the same engine's 1-shard arbitrated size
+/// on the same stream.
 #[must_use]
 pub fn e12_shard_scaling(scale: Scale) -> String {
     use pdmm::sharding::ShardedService;
@@ -589,11 +593,14 @@ pub fn e12_shard_scaling(scale: Scale) -> String {
             "matching",
             "arbitrated",
             "retained",
+            "vs 1 shard",
         ],
     );
     let n = scale.div(1 << 13, 1 << 10);
     let w = streams::skewed_churn(n, 2, 2 * n, 16, n / 4, 0.6, 2.0, 77);
     for kind in EngineKind::ALL {
+        // The shard list starts at 1: that run is the engine's baseline.
+        let mut one_shard_size = None;
         for &shards in &[1usize, 2, 4, 8] {
             let builder = EngineBuilder::new(n).seed(5);
             let engines = (0..shards)
@@ -610,6 +617,7 @@ pub fn e12_shard_scaling(scale: Scale) -> String {
             let snap = service.snapshot();
             let arbitrated = snap.arbitrated_matching();
             let us_per_update = wall.as_secs_f64() * 1e6 / w.total_updates() as f64;
+            let baseline = *one_shard_size.get_or_insert(arbitrated.size());
             table.row(vec![
                 kind.to_string(),
                 shards.to_string(),
@@ -620,6 +628,7 @@ pub fn e12_shard_scaling(scale: Scale) -> String {
                 snap.size().to_string(),
                 arbitrated.size().to_string(),
                 f(arbitrated.report().retained(), 3),
+                f(arbitrated.size() as f64 / baseline.max(1) as f64, 3),
             ]);
         }
     }

@@ -15,7 +15,9 @@
 //!   torn journal) reproduce the arbitrated view bit-identically without
 //!   persisting it;
 //! * **router reconciliation**: rejected inserts and dropped poison
-//!   sub-batches leave no phantom owner/cross entries behind a drain.
+//!   sub-batches leave no phantom owner/cross entries behind a drain;
+//! * **retained floor**: on a sparse skewed stream the arbitrated matching
+//!   keeps at least 95% of the raw per-shard union's size.
 
 use pdmm::checkpoint::FaultSink;
 use pdmm::engine;
@@ -152,6 +154,59 @@ fn arbitrated_matching_is_valid_and_maximal_on_every_engine_and_shard_count() {
     // The workload must actually exercise arbitration, or this suite is
     // vacuous: across engines and multi-shard runs some conflicts must arise.
     assert!(conflicts_seen > 0, "workload never produced a conflict");
+}
+
+// ---------------------------------------------------------------------------
+// Retained floor
+// ---------------------------------------------------------------------------
+
+/// `retained` divides the arbitrated size by the raw per-shard union, which
+/// holds matched edges of different shards that share a vertex, so it
+/// measures how much the shards' matchings overlap.  The stream is sparse for
+/// its vertex space, as a realistic conflict rate is, and the floor holds at
+/// the shard counts below; denser streams or more shards can read lower
+/// without any loss of quality.
+#[test]
+fn arbitration_keeps_the_retained_floor_on_a_sparse_skewed_stream() {
+    let workload = streams::skewed_churn(8_192, 2, 300, 24, 24, 0.55, 2.0, 17);
+    for kind in EngineKind::ALL {
+        for shards in [1usize, 4] {
+            let builder = builder_for(&workload, 17);
+            let service = ShardedService::new(build_shards(kind, &builder, shards));
+            let mut conflicts = 0usize;
+            for chunk in workload.batches.chunks(32) {
+                for batch in chunk {
+                    service.submit(batch.clone());
+                }
+                let report = service
+                    .drain()
+                    .unwrap_or_else(|e| panic!("generated workload refused: {e}"));
+                conflicts += report.arbitration.stats.conflicted_vertices;
+            }
+            let snapshot = service.snapshot();
+            let arbitrated = snapshot.arbitrated_matching();
+            assert_eq!(
+                arbitrated.conflicted_vertices(),
+                &[] as &[VertexId],
+                "{kind} at {shards} shards"
+            );
+            let graph = global_graph(&service, workload.num_vertices);
+            verify_maximality(&graph, &arbitrated.edge_ids()).unwrap_or_else(|e| {
+                panic!("{kind} at {shards} shards: arbitrated matching fails audit: {e:?}")
+            });
+            if shards > 1 {
+                assert!(
+                    conflicts > 0,
+                    "{kind} at {shards} shards: no raw conflict, so the floor is vacuous"
+                );
+            }
+            let retained = arbitrated.report().retained();
+            assert!(
+                retained >= 0.95,
+                "{kind} at {shards} shards: retained {retained:.4} below the 0.95 floor"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

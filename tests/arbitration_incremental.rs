@@ -251,6 +251,26 @@ fn incremental_arbitration_survives_checkpoint_and_recovery() {
             )
             .unwrap();
             let label = format!("{kind} at {shards} shards, recovered");
+            // The recovered service is the pre-crash one, bit for bit: every
+            // shard's engine state and journal, the merged matching and the
+            // arbitrated view.
+            for k in 0..shards {
+                assert_eq!(
+                    recovered.shard_state(k),
+                    service.shard_state(k),
+                    "{label}: shard {k} state"
+                );
+                assert_eq!(
+                    recovered.shard_journal(k),
+                    service.shard_journal(k),
+                    "{label}: shard {k} journal"
+                );
+            }
+            assert_eq!(
+                recovered.snapshot().edge_ids(),
+                service.snapshot().edge_ids(),
+                "{label}"
+            );
             assert_eq!(
                 *recovered.snapshot().arbitrated_matching(),
                 *service.snapshot().arbitrated_matching(),
