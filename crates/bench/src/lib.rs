@@ -6,9 +6,9 @@
 //!   the paper, plus the serve-path E11 and shard-scaling E12); the
 //!   `experiments` binary drives it and prints its tables (README,
 //!   "Benchmarks and experiments");
-//! * [`runner`] — the single engine-agnostic workload runner shared with the
-//!   criterion benches in `benches/` (every engine goes through
-//!   [`runner::run_workload`]; no per-engine code paths);
+//! * [`runner`] — the single engine-agnostic workload runner the experiments
+//!   share (every engine goes through [`runner::run_workload`]; no per-engine
+//!   code paths);
 //! * [`table`] — plain-text table rendering.
 
 #![warn(missing_docs)]
@@ -19,4 +19,3 @@ pub mod runner;
 pub mod table;
 
 pub use experiments::{run_by_id, Scale, ALL_EXPERIMENTS};
-pub use runner::{run_kind, run_workload, RunStats};

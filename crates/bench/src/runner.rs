@@ -1,4 +1,4 @@
-//! Workload execution shared by the experiment binary and the criterion benches.
+//! Workload execution shared by the experiments.
 //!
 //! There is exactly one way to run a workload: [`run_workload`] drives *any*
 //! [`MatchingEngine`] through [`MatchingEngine::apply_batch`], accumulating the

@@ -1086,9 +1086,9 @@ static VALIDATION_CHECKS: AtomicU64 = AtomicU64::new(0);
 /// checked.  The counter is the observability hook behind the
 /// single-validation guarantee: the serve path
 /// ([`crate::service::EngineService::submit`] → `drain` or `drain_lossy`)
-/// performs **exactly one** check per offered update, which the hot-path test
-/// suite and the `hot_path` bench assert by differencing this counter around
-/// a run.
+/// performs **exactly one** check per offered update, which
+/// `tests/hot_path_validation.rs` asserts by differencing this counter around
+/// strict and lossy drains.
 ///
 /// The counter is global and monotone (relaxed atomics; reads may interleave
 /// with concurrent checks), so measure on a quiescent process or difference
@@ -1383,7 +1383,7 @@ impl BatchLedger {
     ) -> Result<UpdateCheck, BatchError> {
         // Every per-update legality decision in the workspace lands here, so
         // one relaxed bump gives an exact global check count — the hook the
-        // single-validation tests and the `hot_path` bench difference.
+        // single-validation tests difference.
         VALIDATION_CHECKS.fetch_add(1, AtomicOrdering::Relaxed);
         match update {
             Update::Insert(edge) => {
