@@ -34,11 +34,11 @@
 //!   journal preserves committed batch boundaries and every engine is
 //!   deterministic given (seed, batch sequence).
 //!
-//! Two serve-path variations: [`EngineService::drain_lossy`] drains in
-//! skip-and-report mode (dirty streams cannot poison a drain), and
-//! [`EngineService::with_snapshot_every`] throttles snapshot publishing for
-//! huge matchings under tiny batches.  To scale commits past this one
-//! engine's lock, shard the vertex space with [`crate::sharding`].
+//! Every committed batch publishes a snapshot, so readers advance batch by
+//! batch even inside a drain of many queued batches.
+//! [`EngineService::drain_lossy`] drains in skip-and-report mode (dirty
+//! streams cannot poison a drain).  To scale commits past this one engine's
+//! lock, shard the vertex space with [`crate::sharding`].
 //!
 //! ```
 //! use pdmm::engine::{self, EngineBuilder, EngineKind};
@@ -810,10 +810,6 @@ struct ServiceInner {
     /// Committed batch count (equals the journal's block count, minus any
     /// committed empty batches, which the format cannot represent).
     committed: u64,
-    /// `committed` value of the most recently published snapshot (snapshot
-    /// publishing may lag `committed` under [`EngineService::with_snapshot_every`];
-    /// the engine's delta tracker nets the changes in between).
-    published_at: u64,
 }
 
 /// A long-lived engine service: concurrent snapshot reads, a bounded
@@ -835,9 +831,6 @@ pub struct EngineService {
     space: Condvar,
     /// Bound on `queue` (batches).
     capacity: usize,
-    /// Publish a snapshot every this many committed batches (plus always at
-    /// the end of a drain).  Default 1: publish per commit.
-    snapshot_every: u64,
 }
 
 impl fmt::Debug for EngineService {
@@ -889,13 +882,11 @@ impl EngineService {
                 mirror,
                 journal: Box::new(MemoryJournal::new()),
                 committed: 0,
-                published_at: 0,
             }),
             published: Mutex::new(initial),
             queue: Mutex::new(VecDeque::new()),
             space: Condvar::new(),
             capacity,
-            snapshot_every: 1,
         }
     }
 
@@ -916,26 +907,6 @@ impl EngineService {
             );
             inner.journal = sink;
         }
-        self
-    }
-
-    /// Publishes a fresh snapshot only every `n` committed batches (and always
-    /// at the end of a drain), instead of after every commit.  A publish
-    /// copies the matching's flat arrays and vertex map, O(M) for a matching
-    /// of `M` edges, so with a 100k-edge matching under tiny batches the copy
-    /// can dominate the commit path; throttling trades snapshot freshness
-    /// *during* a drain for commit throughput (the engine nets the skipped
-    /// commits' changes into the next publish's delta).  Readers still only
-    /// ever observe committed prefixes — snapshots are captured strictly after
-    /// a batch commits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is 0.
-    #[must_use]
-    pub fn with_snapshot_every(mut self, n: u64) -> Self {
-        assert!(n >= 1, "snapshot period must be at least 1");
-        self.snapshot_every = n;
         self
     }
 
@@ -1021,21 +992,7 @@ impl EngineService {
         let mut guard = self.inner.lock().expect("service commit lock poisoned");
         let inner = &mut *guard;
         let mut reports = Vec::new();
-        loop {
-            let batch = {
-                let mut queue = self.lock_queue();
-                let popped = queue.pop_front();
-                if popped.is_some() {
-                    self.space.notify_all();
-                }
-                popped
-            };
-            let Some(batch) = batch else {
-                if inner.published_at != inner.committed {
-                    self.publish(inner);
-                }
-                return Ok(reports);
-            };
+        while let Some(batch) = self.pop_queued() {
             // Mint the proof (the serve path's only per-update legality
             // check), then discharge it: validation and kernel execution are
             // decoupled, so the kernel never re-hashes what was just checked.
@@ -1048,11 +1005,7 @@ impl EngineService {
                 Err(error) => {
                     // The offending batch is dropped whole: nothing of it was
                     // committed (validation is all-or-nothing and precedes the
-                    // kernel).  Publish whatever the snapshot throttle still
-                    // owes before reporting.
-                    if inner.published_at != inner.committed {
-                        self.publish(inner);
-                    }
+                    // kernel), and every earlier commit is already published.
                     return Err(ServiceError {
                         committed: reports.len(),
                         reports,
@@ -1064,11 +1017,10 @@ impl EngineService {
             inner.committed += 1;
             append_journal(inner.journal.as_mut(), &batch);
             inner.journal.commit();
-            if inner.committed.is_multiple_of(self.snapshot_every) {
-                self.publish(inner);
-            }
+            self.publish(inner);
             reports.push(report);
         }
+        Ok(reports)
     }
 
     /// Commits every queued batch in **skip-and-report** mode, so a dirty
@@ -1088,21 +1040,7 @@ impl EngineService {
         let mut guard = self.inner.lock().expect("service commit lock poisoned");
         let inner = &mut *guard;
         let mut reports = Vec::new();
-        loop {
-            let batch = {
-                let mut queue = self.lock_queue();
-                let popped = queue.pop_front();
-                if popped.is_some() {
-                    self.space.notify_all();
-                }
-                popped
-            };
-            let Some(batch) = batch else {
-                if inner.published_at != inner.committed {
-                    self.publish(inner);
-                }
-                return reports;
-            };
+        while let Some(batch) = self.pop_queued() {
             let lossy = inner.engine.validate_lossy(batch.into_updates());
             let report = inner
                 .engine
@@ -1114,15 +1052,14 @@ impl EngineService {
             inner.committed += 1;
             append_journal(inner.journal.as_mut(), lossy.survivors());
             inner.journal.commit();
-            if inner.committed.is_multiple_of(self.snapshot_every) {
-                self.publish(inner);
-            }
+            self.publish(inner);
             reports.push(IngestReport {
                 batch: report,
                 deduplicated: lossy.deduplicated,
                 rejected: lossy.rejected,
             });
         }
+        reports
     }
 
     /// Takes the engine's matching delta since the last publish, folds it
@@ -1141,7 +1078,6 @@ impl EngineService {
             next,
         );
         drop(previous);
-        inner.published_at = inner.committed;
     }
 
     /// The journal so far: every committed batch, in commit order, in the
@@ -1253,9 +1189,7 @@ impl EngineService {
     /// count it; the recovered `committed_batches` reflects journaled
     /// history.)
     ///
-    /// The recovered service keeps the default queue capacity and publishes
-    /// per commit; re-apply [`EngineService::with_snapshot_every`]-style
-    /// tuning as needed.
+    /// The recovered service keeps the default queue capacity.
     ///
     /// # Errors
     ///
@@ -1351,13 +1285,11 @@ impl EngineService {
                 mirror,
                 journal: sink,
                 committed,
-                published_at: committed,
             }),
             published: Mutex::new(initial),
             queue: Mutex::new(VecDeque::new()),
             space: Condvar::new(),
             capacity: DEFAULT_QUEUE_CAPACITY,
-            snapshot_every: 1,
         })
     }
 
@@ -1465,6 +1397,17 @@ impl EngineService {
 
     fn lock_queue(&self) -> MutexGuard<'_, VecDeque<UpdateBatch>> {
         self.queue.lock().expect("submission queue lock poisoned")
+    }
+
+    /// Pops the oldest queued batch, waking submitters blocked on a full
+    /// queue.
+    fn pop_queued(&self) -> Option<UpdateBatch> {
+        let mut queue = self.lock_queue();
+        let popped = queue.pop_front();
+        if popped.is_some() {
+            self.space.notify_all();
+        }
+        popped
     }
 
     /// Locks the submission queue and hands the guard out, so the sharded

@@ -866,8 +866,8 @@ impl ShardedService {
     }
 
     /// Builds the sharded layer over pre-configured per-shard services — the
-    /// hook for per-shard [`crate::service::JournalSink`]s, queue capacities
-    /// or snapshot throttles.  The services must be fresh (nothing committed).
+    /// hook for per-shard [`crate::service::JournalSink`]s and queue
+    /// capacities.  The services must be fresh (nothing committed).
     ///
     /// # Panics
     ///

@@ -1,5 +1,5 @@
-//! Serve-path satellite suite: journal sinks, lossy drains and snapshot
-//! throttling on `pdmm::service::EngineService`.
+//! Serve-path satellite suite: journal sinks, lossy drains and per-commit
+//! snapshot publishing on `pdmm::service::EngineService`.
 //!
 //! * **`drain_lossy`**: dirty streams (unknown deletions, conflicting ids
 //!   across batches) are skipped and reported instead of poisoning the drain;
@@ -8,9 +8,10 @@
 //! * **`FileJournal`**: the file-backed sink (flush-on-commit, size-based
 //!   rotation) produces byte-identical journal contents to the in-memory
 //!   sink, across rotation boundaries, and replays cleanly;
-//! * **`with_snapshot_every`**: a throttled service publishes snapshots only
-//!   at period boundaries (plus the end of each drain), and concurrent
-//!   readers still only ever observe committed prefixes, monotonically;
+//! * **per-commit publishing**: a drain of many queued batches publishes
+//!   after every commit, concurrent readers only ever observe committed
+//!   prefixes, monotonically, and a poison batch's error returns with every
+//!   earlier commit already visible;
 //! * **fault injection**: an injected I/O failure during `commit` surfaces
 //!   per the documented sink policy — a panic, not a silently diverging
 //!   journal — and leaves the on-disk segments parseable.
@@ -296,25 +297,22 @@ fn drain_error_carries_the_committed_reports() {
 }
 
 #[test]
-fn snapshot_throttling_still_only_exposes_committed_prefixes() {
+fn one_drain_of_many_batches_exposes_only_committed_prefixes() {
     let workload = serve_workload();
-    const EVERY: u64 = 4;
     let total = workload.batches.len() as u64;
 
-    // Ground truth: the expected matching after every committed prefix.
-    let expected: HashMap<u64, Vec<EdgeId>> = {
-        let twin = parallel_service(&workload, 29);
-        let mut by_prefix = HashMap::new();
-        by_prefix.insert(0u64, Vec::new());
-        for (i, batch) in workload.batches.iter().enumerate() {
-            twin.submit(batch.clone());
-            twin.drain().unwrap();
-            by_prefix.insert(i as u64 + 1, twin.snapshot().edge_ids());
-        }
-        by_prefix
-    };
+    // Ground truth: the expected matching after every committed prefix, from
+    // a twin drained one batch at a time.
+    let twin = parallel_service(&workload, 29);
+    let mut expected: HashMap<u64, Vec<EdgeId>> = HashMap::new();
+    expected.insert(0, Vec::new());
+    for (i, batch) in workload.batches.iter().enumerate() {
+        twin.submit(batch.clone());
+        twin.drain().unwrap();
+        expected.insert(i as u64 + 1, twin.snapshot().edge_ids());
+    }
 
-    let service = parallel_service(&workload, 29).with_snapshot_every(EVERY);
+    let service = parallel_service(&workload, 29);
     for batch in &workload.batches {
         service.submit(batch.clone());
     }
@@ -340,41 +338,32 @@ fn snapshot_throttling_still_only_exposes_committed_prefixes() {
     });
 
     for (committed, edge_ids) in observations {
-        assert!(
-            committed % EVERY == 0 || committed == total,
-            "observed a snapshot at {committed} batches, not a throttle boundary"
-        );
         assert_eq!(
             &edge_ids, &expected[&committed],
             "snapshot at {committed} batches is not that committed prefix"
         );
     }
-    // The end-of-drain publish always lands, even off-period.
+    // The last commit's publish lands before the drain returns.
     let last = service.snapshot();
     assert_eq!(last.committed_batches(), total);
     assert_eq!(&last.edge_ids(), &expected[&total]);
 
-    // The throttle changes when snapshots publish, not what commits: journal
-    // and final state equal the unthrottled twin's.
-    let twin = parallel_service(&workload, 29);
-    for batch in &workload.batches {
-        twin.submit(batch.clone());
-    }
-    twin.drain().unwrap();
+    // Draining many batches at once changes nothing that commits: journal
+    // and final state equal the one-batch-per-drain twin's.
     assert_eq!(service.journal(), twin.journal());
     assert_eq!(service.snapshot().edge_ids(), twin.snapshot().edge_ids());
 }
 
 #[test]
-fn snapshot_throttling_publishes_before_a_poison_error_returns() {
-    let service = parallel_service(&serve_workload(), 3).with_snapshot_every(1000);
+fn commits_before_a_poison_batch_are_visible_when_the_drain_errors() {
+    let service = parallel_service(&serve_workload(), 3);
     let pair = |id, a, b| Update::Insert(HyperEdge::pair(EdgeId(id), VertexId(a), VertexId(b)));
     service.submit(UpdateBatch::new(vec![pair(0, 0, 1)]).unwrap());
     service.submit(UpdateBatch::new(vec![Update::Delete(EdgeId(77))]).unwrap());
     service.submit(UpdateBatch::new(vec![pair(1, 2, 3)]).unwrap());
     let err = service.drain().unwrap_err();
     assert_eq!(err.committed, 1);
-    // The batch committed before the poison is visible despite the throttle.
+    // The batch committed before the poison is visible once the error returns.
     let snap = service.snapshot();
     assert_eq!(snap.committed_batches(), 1);
     assert_eq!(snap.edge_ids(), vec![EdgeId(0)]);
