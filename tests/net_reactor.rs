@@ -398,11 +398,15 @@ fn trickle_latency_stays_bounded_under_a_firehose() {
     let handle = serve(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let firehose_stream = TcpStream::connect(handle.local_addr()).unwrap();
+    // Kept to cut the firehose off at the end: a write blocked on the
+    // server's backlog would otherwise hold the join until that backlog
+    // drains.
+    let firehose_socket = firehose_stream.try_clone().unwrap();
     let firehose = {
-        let addr = handle.local_addr();
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut stream = firehose_stream;
             let mut reader = BufReader::new(stream.try_clone().unwrap());
             let reader_stop = Arc::clone(&stop);
             let drain = std::thread::spawn(move || {
@@ -451,6 +455,7 @@ fn trickle_latency_stays_bounded_under_a_firehose() {
         std::thread::sleep(Duration::from_millis(5));
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    let _ = firehose_socket.shutdown(std::net::Shutdown::Both);
     firehose.join().unwrap();
 
     latencies.sort();
