@@ -213,8 +213,7 @@ impl BatchKernel for ParallelDynamicMatching {
         // the deletion to the responsible epoch (its "uninterrupted duration").
         self.state.cost.round();
         for id in temp_deleted_deletions {
-            let responsible = self.state.edges[&id].responsible;
-            self.state.edges.remove(&id);
+            let responsible = self.state.remove_edge_completely(id).responsible;
             if let Some(resp) = responsible {
                 if let Some(resp_state) = self.state.edges.get_mut(&resp) {
                     resp_state.d_deleted_count += 1;
@@ -279,13 +278,16 @@ impl BatchKernel for ParallelDynamicMatching {
     }
 
     fn record_batch(&mut self, delta: &UpdateCounters) {
+        // Saturating: a restored blob may carry counters at `u64::MAX`.
         let metrics = &mut self.state.metrics;
-        metrics.batches += delta.batches;
-        metrics.updates += delta.updates;
-        metrics.insertions += delta.insertions;
-        metrics.deletions += delta.deletions;
-        metrics.matched_deletions += delta.matched_deletions;
-        metrics.rebuilds += delta.rebuilds;
+        metrics.batches = metrics.batches.saturating_add(delta.batches);
+        metrics.updates = metrics.updates.saturating_add(delta.updates);
+        metrics.insertions = metrics.insertions.saturating_add(delta.insertions);
+        metrics.deletions = metrics.deletions.saturating_add(delta.deletions);
+        metrics.matched_deletions = metrics
+            .matched_deletions
+            .saturating_add(delta.matched_deletions);
+        metrics.rebuilds = metrics.rebuilds.saturating_add(delta.rebuilds);
     }
 }
 
@@ -410,6 +412,14 @@ impl MatchingEngine for ParallelDynamicMatching {
             .collect();
         edges.sort_unstable_by_key(|e| e.id);
         edges
+    }
+
+    fn for_each_incident_edge(&self, v: VertexId, f: &mut dyn FnMut(EdgeId, &[VertexId])) {
+        let vertex = self.state.vertices.get(v.index()).into_iter();
+        let ids = vertex.flat_map(|vs| vs.unowned.iter().chain([&vs.owned, &vs.parked]));
+        for id in ids.flatten() {
+            f(*id, &self.state.edges[id].vertices);
+        }
     }
 
     fn apply_batch_trusted(

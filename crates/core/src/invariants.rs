@@ -10,9 +10,9 @@
 //!   edge (in fact on the matched edge responsible for it).
 //! * **Maximality** — every live, non-temporarily-deleted edge has a matched
 //!   endpoint, and matched edges are pairwise disjoint.
-//! * **Structure consistency** — the `O(v)` / `A(v,ℓ)` buckets agree exactly
-//!   with the edge records and their stored slots, and the `S_ℓ` sets agree
-//!   with their definition and with every vertex's `s_mask`.
+//! * **Structure consistency** — the `O(v)` / `A(v,ℓ)` and parked buckets
+//!   agree exactly with the edge records and their stored slots, and the
+//!   `S_ℓ` sets agree with their definition and with every vertex's `s_mask`.
 
 use crate::state::MatcherState;
 use pdmm_hypergraph::types::{EdgeId, VertexId};
@@ -192,10 +192,22 @@ fn check_temp_deleted(state: &MatcherState) -> Result<(), String> {
 /// The `O(v)` / `A(v, ℓ)` buckets agree exactly with the edge records: every
 /// bucket entry names a live, visible edge whose stored slot, owner and level
 /// put it there, and every incidence of such an edge sits at its stored slot.
+/// The parked buckets `P(v)` do the same for temporarily deleted edges.
 /// Together these put each incidence in exactly one bucket, exactly once.
 fn check_structures(state: &MatcherState) -> Result<(), String> {
     for (i, vs) in state.vertices.iter().enumerate() {
         let v = VertexId(i as u32);
+        for (slot, id) in vs.parked.iter().enumerate() {
+            let parked_here = state.edges.get(id).is_some_and(|e| {
+                let mut incidences = e.vertices.iter().zip(e.slots.iter());
+                e.temp_deleted && incidences.any(|(&w, &at)| w == v && at as usize == slot)
+            });
+            if !parked_here {
+                return Err(format!(
+                    "P(v{i}) holds {id} at slot {slot}, not a temp-deleted edge parked there"
+                ));
+            }
+        }
         let buckets = std::iter::once((None, &vs.owned))
             .chain(vs.unowned.iter().enumerate().map(|(l, b)| (Some(l), b)));
         for (level, bucket) in buckets {
@@ -238,15 +250,19 @@ fn check_structures(state: &MatcherState) -> Result<(), String> {
         }
     }
     for (id, e) in &state.edges {
-        if e.temp_deleted {
-            continue;
-        }
         for (&v, &slot) in e.vertices.iter().zip(e.slots.iter()) {
-            let bucket = state.vertices[v.index()].bucket(v == e.owner, e.level);
+            let vs = &state.vertices[v.index()];
+            let bucket = if e.temp_deleted {
+                &vs.parked
+            } else {
+                vs.bucket(v == e.owner, e.level)
+            };
             if bucket.get(slot as usize) != Some(id) {
                 return Err(format!(
                     "incidence ({v}, {id}) is not at its slot {slot} of {}",
-                    if v == e.owner {
+                    if e.temp_deleted {
+                        format!("P({v})")
+                    } else if v == e.owner {
                         format!("O({v})")
                     } else {
                         format!("A({v}, {})", e.level)
@@ -416,9 +432,14 @@ mod tests {
         let mut in_bucket = parked();
         in_bucket.vertices[3].unowned.resize(2, Vec::new());
         in_bucket.vertices[3].unowned[1].push(EdgeId(2));
+        // And the reverse: a parked entry dropped from its bucket.
+        let mut unparked = parked();
+        assert_eq!(unparked.vertices[3].parked, [EdgeId(2)]);
+        unparked.vertices[3].parked.clear();
         for (s, expected) in [
             (in_owned, "temp-deleted edge e1 still referenced by v2"),
             (in_bucket, "temp-deleted edge e2 still referenced by v3"),
+            (unparked, "incidence (v3, e2) is not at its slot 0 of P(v3)"),
         ] {
             assert_eq!(check_all(&s), Err(expected.to_string()));
         }

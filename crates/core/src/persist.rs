@@ -15,7 +15,8 @@
 //! * per-vertex state is not written either — at a batch boundary it is fully
 //!   determined by the edge table (Invariant 3.1: a vertex is at level `-1`
 //!   iff unmatched, a matched vertex sits at its matched edge's level, and the
-//!   owned/unowned sets mirror the stored edge owners and levels).
+//!   owned/unowned sets mirror the stored edge owners and levels, the parked
+//!   buckets the temporarily deleted flags).
 //!
 //! Restore rebuilds the structures through the same `MatcherState` procedures
 //! the algorithm itself uses and then runs the full §3.2 invariant check, so a
@@ -331,6 +332,7 @@ pub(crate) fn restore(state: &mut MatcherState, blob: &str) -> Result<(), StateE
             .expect("checked above")
             .bucket
             .push(id);
+        state.park(id);
     }
     state.flush_dirty();
     invariants::check_all(state).map_err(|msg| StateError::Corrupt {

@@ -20,6 +20,10 @@
 //!   the slot of the edge that moved into the hole.  A vertex grows its
 //!   `A(v, ·)` table only up to the highest level an unowned edge has reached,
 //!   so an isolated vertex holds no bucket at all.
+//! * A temporarily deleted edge sits in each endpoint's `parked` bucket
+//!   instead, with the same slots.  Only the engine's listing of a vertex's
+//!   live edges reads these buckets, so parking charges nothing and marks no
+//!   vertex dirty.
 //! * `S_ℓ` membership is cached per vertex as a bit mask, so refreshing a
 //!   vertex costs O(L) arithmetic and touches the `S_ℓ` sets only where a bit
 //!   flips.  Stale vertices wait on a dirty list, each at most once.
@@ -57,6 +61,9 @@ pub(crate) struct VertexState {
     /// no particular order.  Holds buckets only up to the highest level an
     /// edge has reached here; a missing bucket is empty.
     pub unowned: Vec<Vec<EdgeId>>,
+    /// Temporarily deleted incident edges, in no particular order: serving
+    /// bookkeeping outside the algorithm (see the module docs).
+    pub parked: Vec<EdgeId>,
     /// Bit `ℓ` is set iff `v ∈ S_ℓ`: the vertex's row of `s_levels`, as of
     /// its last refresh.
     pub s_mask: u64,
@@ -70,6 +77,7 @@ impl VertexState {
             matched_edge: None,
             owned: Vec::new(),
             unowned: Vec::new(),
+            parked: Vec::new(),
             s_mask: 0,
         }
     }
@@ -108,8 +116,9 @@ pub(crate) struct EdgeState {
     /// The endpoints of the hyperedge (sorted, deduplicated).
     pub vertices: Box<[VertexId]>,
     /// `slots[i]`: this edge's position in the bucket of `vertices[i]` that
-    /// holds it (`O(v)` for the owner, `A(v, ℓ(e))` for the others).
-    /// Meaningless while the edge is temporarily deleted.
+    /// holds it (`O(v)` for the owner, `A(v, ℓ(e))` for the others, and the
+    /// parked bucket of every endpoint while the edge is temporarily
+    /// deleted).
     pub slots: Box<[u32]>,
     /// `ℓ(e)`.
     pub level: usize,
@@ -508,8 +517,21 @@ impl MatcherState {
             .expect("responsible edge exists")
             .bucket
             .push(id);
+        self.park(id);
         self.metrics.temp_deletions += 1;
         self.cost.work(1);
+    }
+
+    /// Appends temporarily deleted edge `id` to its endpoints' parked
+    /// buckets.  Charges nothing and marks no vertex dirty.
+    pub fn park(&mut self, id: EdgeId) {
+        let e = self.edges.get_mut(&id).expect("edge exists");
+        debug_assert!(e.temp_deleted, "only temp-deleted edges are parked");
+        for (&v, slot) in e.vertices.iter().zip(e.slots.iter_mut()) {
+            let parked = &mut self.vertices[v.index()].parked;
+            *slot = parked.len() as u32;
+            parked.push(id);
+        }
     }
 
     /// Registers a brand-new edge (from an insertion) with the given matched flag
@@ -559,16 +581,22 @@ impl MatcherState {
     }
 
     /// Removes an edge from the state entirely (it is gone from the graph), and
-    /// returns its final [`EdgeState`].  Temporarily deleted edges are *not*
-    /// removed from their responsible edge's bucket here (the bucket is scrubbed
-    /// lazily when it is consumed); the caller updates metrics.
+    /// returns its final [`EdgeState`].  A temporarily deleted edge leaves its
+    /// parked buckets for free, but *not* its responsible edge's `D(·)` (that
+    /// bucket is scrubbed lazily when it is consumed); the caller updates
+    /// metrics.
     pub fn remove_edge_completely(&mut self, id: EdgeId) -> EdgeState {
         let e = self.edges.remove(&id).expect("edge exists");
-        if !e.temp_deleted {
+        if e.temp_deleted {
+            for (&v, &slot) in e.vertices.iter().zip(e.slots.iter()) {
+                let parked = &mut self.vertices[v.index()].parked;
+                take_slot(parked, slot, id, v, &mut self.fixes);
+            }
+        } else {
             self.cost.work(e.vertices.len() as u64);
             detach(&mut self.vertices, &mut self.dirty, &mut self.fixes, id, &e);
-            apply_fixes(&mut self.edges, &mut self.fixes);
         }
+        apply_fixes(&mut self.edges, &mut self.fixes);
         e
     }
 
@@ -830,9 +858,13 @@ mod tests {
         assert!(s.edges[&EdgeId(1)].temp_deleted);
         assert_eq!(s.edges[&EdgeId(1)].responsible, Some(EdgeId(0)));
         assert_eq!(s.edges[&EdgeId(0)].bucket, vec![EdgeId(1)]);
-        // The temp-deleted edge is out of every vertex structure.
+        // The temp-deleted edge is out of every vertex structure but parked.
         assert_eq!(s.vertices[2].degree(), 0);
+        assert_eq!(s.vertices[1].parked, [EdgeId(1)]);
+        assert_eq!(s.vertices[2].parked, [EdgeId(1)]);
         assert_eq!(s.metrics.temp_deletions, 1);
+        s.remove_edge_completely(EdgeId(1));
+        assert!(s.vertices.iter().all(|vs| vs.parked.is_empty()));
     }
 
     #[test]

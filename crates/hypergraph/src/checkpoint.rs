@@ -13,9 +13,9 @@
 //!    covers.
 //!
 //! Recovery is then **O(delta since the checkpoint)**: restore the engine
-//! state, rebuild the service's graph from the engine's
-//! [`MatchingEngine::live_edges`], skip the covered journal blocks, and
-//! replay only the tail —
+//! state, skip the covered journal blocks, and replay only the tail (a
+//! sharded service then rebuilds its router from each engine's
+//! [`MatchingEngine::live_edges`]) —
 //! [`EngineService::recover`](crate::service::EngineService::recover) and
 //! [`ShardedService::recover`](crate::sharding::ShardedService::recover).
 //! Because every engine's serialized state is a pure function of its logical

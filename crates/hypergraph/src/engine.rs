@@ -704,7 +704,8 @@ impl UpdateCounters {
     }
 
     /// Adds a per-batch delta (produced by the [`run_batch_trusted`]
-    /// scaffold) into these lifetime counters.
+    /// scaffold) into these lifetime counters, saturating at `u64::MAX`
+    /// (a restored state blob may carry counters that high).
     ///
     /// ```
     /// use pdmm_hypergraph::engine::UpdateCounters;
@@ -716,12 +717,14 @@ impl UpdateCounters {
     /// assert_eq!(lifetime.rebuilds, 1);
     /// ```
     pub fn merge(&mut self, delta: &UpdateCounters) {
-        self.batches += delta.batches;
-        self.updates += delta.updates;
-        self.insertions += delta.insertions;
-        self.deletions += delta.deletions;
-        self.matched_deletions += delta.matched_deletions;
-        self.rebuilds += delta.rebuilds;
+        self.batches = self.batches.saturating_add(delta.batches);
+        self.updates = self.updates.saturating_add(delta.updates);
+        self.insertions = self.insertions.saturating_add(delta.insertions);
+        self.deletions = self.deletions.saturating_add(delta.deletions);
+        self.matched_deletions = self
+            .matched_deletions
+            .saturating_add(delta.matched_deletions);
+        self.rebuilds = self.rebuilds.saturating_add(delta.rebuilds);
     }
 }
 
@@ -869,10 +872,16 @@ pub trait MatchingEngine {
     fn contains_edge(&self, id: EdgeId) -> bool;
 
     /// Every live edge, temporarily deleted ones included, in ascending id
-    /// order.  Recovery rebuilds the service's graph from this after
+    /// order.  Sharded recovery rebuilds its router from this after
     /// [`MatchingEngine::restore_state`], so a checkpoint stores each edge
     /// once, inside the engine's state.
     fn live_edges(&self) -> Vec<HyperEdge>;
+
+    /// Calls `f` once for every live edge at `v`, temporarily deleted ones
+    /// included, with its endpoints, in no particular order; never for a
+    /// vertex out of range.  Boundary arbitration's repair wave reads a
+    /// vertex's edges through this, so a service keeps no graph of its own.
+    fn for_each_incident_edge(&self, v: VertexId, f: &mut dyn FnMut(EdgeId, &[VertexId]));
 
     /// Validates `updates` against this engine's live state and mints the
     /// [`ValidatedBatch`] proof — the one legality pass of the batch.
@@ -1732,7 +1741,7 @@ impl fmt::Display for EngineKind {
 }
 
 /// The one test fixture engine, shared by the `engine` and `service` unit
-/// tests: mirror the graph, recompute greedily.  Enough to exercise the
+/// tests: keep the graph, recompute greedily.  Enough to exercise the
 /// trait's provided methods and the service without the real engines (which
 /// live in downstream crates).
 #[cfg(test)]
@@ -1782,6 +1791,10 @@ pub(crate) mod toy {
 
         fn live_edges(&self) -> Vec<HyperEdge> {
             self.graph.snapshot_edges()
+        }
+
+        fn for_each_incident_edge(&self, v: VertexId, f: &mut dyn FnMut(EdgeId, &[VertexId])) {
+            self.graph.for_each_incident_edge(v, f);
         }
 
         fn apply_batch_trusted(

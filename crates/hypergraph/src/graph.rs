@@ -89,13 +89,14 @@ impl DynamicHypergraph {
         ids
     }
 
-    /// Ids of the live edges incident on `v`, in no particular order and
-    /// without allocating — for callers that impose their own order.
-    pub(crate) fn incident_edges_unordered(
-        &self,
-        v: VertexId,
-    ) -> impl Iterator<Item = EdgeId> + '_ {
-        self.incidence.get(v.index()).into_iter().flatten().copied()
+    /// Calls `f` once for every live edge incident on `v`, with its
+    /// endpoints, in no particular order and without allocating; never for a
+    /// vertex out of range.  The graph-backed engines answer
+    /// `MatchingEngine::for_each_incident_edge` with this.
+    pub fn for_each_incident_edge(&self, v: VertexId, f: &mut dyn FnMut(EdgeId, &[VertexId])) {
+        for id in self.incidence.get(v.index()).into_iter().flatten() {
+            f(*id, self.edges[id].vertices());
+        }
     }
 
     /// Degree of `v`: number of live edges incident on it.

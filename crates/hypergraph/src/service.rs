@@ -71,7 +71,6 @@
 
 use crate::checkpoint::{self, CheckpointError};
 use crate::engine::{BatchError, BatchReport, EngineMetrics, IngestReport, MatchingEngine};
-use crate::graph::DynamicHypergraph;
 use crate::io::{self, ParseError};
 use crate::matching::MatchingDelta;
 use crate::types::{EdgeId, HyperEdge, Update, UpdateBatch, VertexId};
@@ -791,18 +790,13 @@ impl std::error::Error for ReplayError {}
 // The service
 // ---------------------------------------------------------------------------
 
-/// State guarded by the commit lock: the engine, its ground-truth mirror, and
-/// the journal of committed batches.
+/// State guarded by the commit lock: the engine and the journal of committed
+/// batches.  The engine holds the service's only copy of the graph: the
+/// sharded router and arbitration's repair wave read live edges from it
+/// ([`MatchingEngine::live_edges`],
+/// [`MatchingEngine::for_each_incident_edge`]).
 struct ServiceInner {
     engine: Box<dyn MatchingEngine + Send>,
-    /// Mirrors every committed batch for the live-edge queries of the sharded
-    /// router and arbitration's repair wave, which need a vertex's incident
-    /// edges: the parallel engine keeps temporarily deleted edges only in
-    /// their `D(e)` bucket, under no vertex.  Checkpoints do not store it;
-    /// recovery rebuilds it from [`MatchingEngine::live_edges`].  Snapshots
-    /// never read it (matched endpoints come with the engine's matching
-    /// delta).
-    mirror: DynamicHypergraph,
     /// Sink holding the committed batches in the [`crate::io`] update-stream
     /// format ([`MemoryJournal`] unless [`EngineService::with_journal`] swapped
     /// in another sink).
@@ -821,7 +815,7 @@ struct ServiceInner {
 /// [`EngineService::snapshot`] holds a lock only long enough to clone an `Arc`,
 /// even while a drain is mid-commit.
 pub struct EngineService {
-    /// The engine, mirror and journal, locked for the duration of a drain.
+    /// The engine and journal, locked for the duration of a drain.
     inner: Mutex<ServiceInner>,
     /// The most recent snapshot, swapped in after every committed batch.
     published: Mutex<Arc<MatchingSnapshot>>,
@@ -849,8 +843,8 @@ impl EngineService {
     ///
     /// # Panics
     ///
-    /// Panics if the engine has already applied batches: the service's mirror
-    /// and journal must observe the engine's whole history for snapshots and
+    /// Panics if the engine has already applied batches: the service's
+    /// journal must observe the engine's whole history for snapshots and
     /// replay to be faithful.
     #[must_use]
     pub fn new(engine: Box<dyn MatchingEngine + Send>) -> Self {
@@ -874,12 +868,10 @@ impl EngineService {
             0,
             "EngineService needs a fresh engine: it must observe the whole update history"
         );
-        let mirror = DynamicHypergraph::new(engine.num_vertices());
         let initial = Arc::new(first_snapshot(engine.as_mut(), 0));
         EngineService {
             inner: Mutex::new(ServiceInner {
                 engine,
-                mirror,
                 journal: Box::new(MemoryJournal::new()),
                 committed: 0,
             }),
@@ -1013,8 +1005,7 @@ impl EngineService {
                     });
                 }
             };
-            inner.mirror.apply_batch(&batch);
-            inner.committed += 1;
+            inner.committed = inner.committed.saturating_add(1);
             append_journal(inner.journal.as_mut(), &batch);
             inner.journal.commit();
             self.publish(inner);
@@ -1046,10 +1037,9 @@ impl EngineService {
                 .engine
                 .apply_batch_trusted(lossy.proof())
                 .expect("validated survivors cannot fail the trusted apply");
-            // The journal and mirror record what actually committed — the
-            // surviving subset — so replay stays bit-faithful.
-            inner.mirror.apply_batch(lossy.survivors());
-            inner.committed += 1;
+            // The journal records what actually committed — the surviving
+            // subset — so replay stays bit-faithful.
+            inner.committed = inner.committed.saturating_add(1);
             append_journal(inner.journal.as_mut(), lossy.survivors());
             inner.journal.commit();
             self.publish(inner);
@@ -1228,9 +1218,8 @@ impl EngineService {
     }
 
     /// Recovers one shard: validates the fingerprint, restores the engine
-    /// state, rebuilds the mirror from the engine's live edges, re-appends the
-    /// retained journal blocks into the fresh sink, and replays the tail past
-    /// the checkpoint's coverage.
+    /// state, re-appends the retained journal blocks into the fresh sink, and
+    /// replays the tail past the checkpoint's coverage.
     pub(crate) fn recover_shard(
         mut engine: Box<dyn MatchingEngine + Send>,
         header: &checkpoint::Header,
@@ -1246,7 +1235,6 @@ impl EngineService {
         engine
             .restore_state(&section.state)
             .map_err(CheckpointError::State)?;
-        let mut mirror = DynamicHypergraph::from_edges(engine.num_vertices(), engine.live_edges());
         let blocks = checkpoint::complete_blocks(journal)?;
         let skip = usize::try_from(section.tail_skip).unwrap_or(usize::MAX);
         if blocks.len() < skip {
@@ -1272,9 +1260,8 @@ impl EngineService {
                 engine
                     .apply_batch(batch)
                     .map_err(|error| CheckpointError::Batch { index, error })?;
-                mirror.apply_batch(batch);
             }
-            committed += 1;
+            committed = committed.saturating_add(1);
         }
         sink.commit();
         // The restored engine's first delta is its whole matching.
@@ -1282,7 +1269,6 @@ impl EngineService {
         Ok(EngineService {
             inner: Mutex::new(ServiceInner {
                 engine,
-                mirror,
                 journal: sink,
                 committed,
             }),
@@ -1307,26 +1293,25 @@ impl EngineService {
             .save_state()
     }
 
-    /// The live edges of the service's mirror graph (the committed ground
-    /// truth).  The sharded layer rebuilds its router from recovered shard
-    /// mirrors through this.
-    pub(crate) fn mirror_edges(&self) -> Vec<HyperEdge> {
+    /// The engine's committed live edges ([`MatchingEngine::live_edges`]).
+    /// The sharded layer rebuilds its router from recovered shards through
+    /// this.
+    pub(crate) fn live_edges(&self) -> Vec<HyperEdge> {
         self.inner
             .lock()
             .expect("service commit lock poisoned")
-            .mirror
-            .snapshot_edges()
+            .engine
+            .live_edges()
     }
 
-    /// Whether `id` is live in the committed mirror graph.  The sharded
-    /// router reconciles its ownership map against this after a drain, so
-    /// entries recorded at routing time for updates an engine later rejected
-    /// do not linger.
+    /// Whether `id` is live in the engine.  The sharded router reconciles its
+    /// ownership map against this after a drain, so entries recorded at
+    /// routing time for updates an engine later rejected do not linger.
     pub(crate) fn contains_live_edge(&self, id: EdgeId) -> bool {
         self.inner
             .lock()
             .expect("service commit lock poisoned")
-            .mirror
+            .engine
             .contains_edge(id)
     }
 
@@ -1378,19 +1363,13 @@ impl EngineService {
         let mut seen: FxHashSet<EdgeId> = FxHashSet::default();
         let mut out = Vec::new();
         for &v in vertices {
-            for id in inner.mirror.incident_edges_unordered(v) {
-                if !seen.insert(id) {
-                    continue;
-                }
-                let endpoints = inner
-                    .mirror
-                    .edge(id)
-                    .expect("incident edges are live in the mirror graph")
-                    .vertices();
-                if keep(id, endpoints) {
-                    out.push((id, endpoints.into()));
-                }
-            }
+            inner
+                .engine
+                .for_each_incident_edge(v, &mut |id, endpoints| {
+                    if seen.insert(id) && keep(id, endpoints) {
+                        out.push((id, endpoints.into()));
+                    }
+                });
         }
         out
     }

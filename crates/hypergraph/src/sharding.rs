@@ -647,15 +647,12 @@ impl ShardedSnapshot {
 // The sharded service
 // ---------------------------------------------------------------------------
 
-/// Routing state: which shard owns each routed-live edge, which of those
-/// edges are cross-shard, and what the routed batches touched since the
-/// arbitration last consumed it.
+/// Routing state: the route of each routed-live edge, and what the routed
+/// batches touched since the arbitration last consumed it.
 #[derive(Debug, Default)]
 struct Router {
-    /// Owner shard of every routed, not-yet-deleted edge.
-    owner: FxHashMap<EdgeId, u32>,
-    /// The routed-live edges whose endpoints span shards.
-    cross: FxHashSet<EdgeId>,
+    /// The route of every routed, not-yet-deleted edge.
+    routes: FxHashMap<EdgeId, Route>,
     /// What each routed batch touched, in ticket order.  A record outlives
     /// the drain that commits its batch only if that drain may have left
     /// part of the batch queued (see [`Router::routed_since`]).
@@ -665,6 +662,14 @@ struct Router {
     in_flight: Vec<u64>,
     /// The ticket the next routed batch gets.
     next_ticket: u64,
+}
+
+/// Where a routed-live edge went: its owner shard, and whether its endpoints
+/// span shards.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    shard: u32,
+    cross: bool,
 }
 
 /// What one routed batch touched, for the incremental arbitration: the
@@ -728,12 +733,9 @@ struct RoutePlan {
     order: Vec<u32>,
     /// Cross-shard routed updates (see [`RouteReport::cross_shard`]).
     cross_shard: usize,
-    /// Final per-id ownership this batch establishes (`Some(shard)`) or
-    /// removes (`None`), overlaying [`Router::owner`].
-    owner_overlay: FxHashMap<EdgeId, Option<u32>>,
-    /// Final per-id cross-shard flags this batch establishes, overlaying
-    /// [`Router::cross`].
-    cross_overlay: FxHashMap<EdgeId, bool>,
+    /// Final per-id route this batch establishes (`Some`) or removes
+    /// (`None`), overlaying [`Router::routes`].
+    overlay: FxHashMap<EdgeId, Option<Route>>,
     /// Endpoints of the batch's inserts, for [`Router::routed`].
     touched: Vec<VertexId>,
     /// Ids of the batch's deletions, for [`Router::routed`].
@@ -761,21 +763,14 @@ impl RoutePlan {
             vertices: self.touched,
             deleted: self.deleted,
         });
-        for (id, owner) in self.owner_overlay {
-            match owner {
-                Some(shard) => {
-                    router.owner.insert(id, shard);
+        for (id, route) in self.overlay {
+            match route {
+                Some(route) => {
+                    router.routes.insert(id, route);
                 }
                 None => {
-                    router.owner.remove(&id);
+                    router.routes.remove(&id);
                 }
-            }
-        }
-        for (id, cross) in self.cross_overlay {
-            if cross {
-                router.cross.insert(id);
-            } else {
-                router.cross.remove(&id);
             }
         }
         (report, self.per_shard, ticket)
@@ -948,14 +943,14 @@ impl ShardedService {
     /// shards.  Every drain then **reconciles** the map against what the
     /// engines actually accepted: entries for rejected inserts are dropped,
     /// and entries removed by deletions a failed drain never committed are
-    /// restored from the shard's committed mirror.  After a drain that
+    /// restored from the shard engine's live edges.  After a drain that
     /// leaves no queued batches, the map is therefore *exact* — `Some(k)`
     /// iff the edge is live on shard `k` — which is what lets the
     /// arbitration pass (and [`ShardedSnapshot::cross_shard_matched`]) work
     /// from exact rather than conservative boundary sets.
     #[must_use]
     pub fn owner_of_edge(&self, id: EdgeId) -> Option<usize> {
-        self.lock_router().owner.get(&id).map(|&s| s as usize)
+        self.lock_router().routes.get(&id).map(|r| r.shard as usize)
     }
 
     /// Whether routed-live edge `id` spans more than one shard.
@@ -963,11 +958,11 @@ impl ShardedService {
     /// Like [`ShardedService::owner_of_edge`], this is recorded at routing
     /// time and reconciled at every drain boundary: between a submit and the
     /// next drain the flag can still describe an in-flight (possibly
-    /// to-be-rejected) insert, but after a drain with nothing queued the
-    /// cross set names exactly the live edges whose endpoints span shards.
+    /// to-be-rejected) insert, but after a drain with nothing queued it holds
+    /// for exactly the live edges whose endpoints span shards.
     #[must_use]
     pub fn is_cross_shard(&self, id: EdgeId) -> bool {
-        self.lock_router().cross.contains(&id)
+        self.lock_router().routes.get(&id).is_some_and(|r| r.cross)
     }
 
     /// Total batches queued across shards (submitted, not yet committed).
@@ -995,8 +990,7 @@ impl ShardedService {
             per_shard: vec![Vec::new(); num_shards],
             order: Vec::with_capacity(batch.len()),
             cross_shard: 0,
-            owner_overlay: FxHashMap::default(),
-            cross_overlay: FxHashMap::default(),
+            overlay: FxHashMap::default(),
             touched: Vec::new(),
             deleted: Vec::new(),
         };
@@ -1004,9 +998,9 @@ impl ShardedService {
             let shard = match &update {
                 Update::Insert(edge) => {
                     plan.touched.extend_from_slice(edge.vertices());
-                    let holder = match plan.owner_overlay.get(&edge.id) {
+                    let holder = match plan.overlay.get(&edge.id) {
                         Some(overlaid) => *overlaid,
-                        None => router.owner.get(&edge.id).copied(),
+                        None => router.routes.get(&edge.id).copied(),
                     };
                     if let Some(holder) = holder {
                         // The id is already routed (live or queued) on a
@@ -1018,7 +1012,7 @@ impl ShardedService {
                         // shard, which would double-insert the id.
                         // Ownership cannot move without a deletion, so
                         // the overlay stays untouched.
-                        holder as usize
+                        holder.shard as usize
                     } else {
                         // Owner: the shard of the minimum endpoint
                         // (endpoints are stored sorted).  Deterministic,
@@ -1026,34 +1020,29 @@ impl ShardedService {
                         // shards.
                         let endpoints = edge.vertices();
                         let owner = self.partitioner.shard_of(endpoints[0], num_shards);
-                        plan.owner_overlay.insert(edge.id, Some(owner as u32));
-                        if spans_shards(self.partitioner.as_ref(), endpoints, num_shards) {
-                            plan.cross_overlay.insert(edge.id, true);
-                            plan.cross_shard += 1;
-                        }
+                        let cross = spans_shards(self.partitioner.as_ref(), endpoints, num_shards);
+                        plan.cross_shard += usize::from(cross);
+                        let route = Route {
+                            shard: owner as u32,
+                            cross,
+                        };
+                        plan.overlay.insert(edge.id, Some(route));
                         owner
                     }
                 }
                 Update::Delete(id) => {
                     plan.deleted.push(*id);
-                    let was_cross = match plan.cross_overlay.get(id) {
-                        Some(overlaid) => *overlaid,
-                        None => router.cross.contains(id),
+                    // Deletions go to the shard holding the edge, and count
+                    // as cross-shard when its route was.  An id the router
+                    // never saw inserted has no owner anywhere; shard 0
+                    // deterministically reports the same `UnknownDeletion`
+                    // a single service would.
+                    let route = match plan.overlay.insert(*id, None) {
+                        Some(overlaid) => overlaid,
+                        None => router.routes.get(id).copied(),
                     };
-                    if was_cross {
-                        plan.cross_shard += 1;
-                    }
-                    plan.cross_overlay.insert(*id, false);
-                    // Deletions go to the shard holding the edge.  An id
-                    // the router never saw inserted has no owner anywhere;
-                    // shard 0 deterministically reports the same
-                    // `UnknownDeletion` a single service would.
-                    let holder = match plan.owner_overlay.get(id) {
-                        Some(overlaid) => *overlaid,
-                        None => router.owner.get(id).copied(),
-                    };
-                    plan.owner_overlay.insert(*id, None);
-                    holder.map_or(0, |s| s as usize)
+                    plan.cross_shard += usize::from(route.is_some_and(|r| r.cross));
+                    route.map_or(0, |r| r.shard as usize)
                 }
             };
             plan.order.push(shard as u32);
@@ -1389,15 +1378,16 @@ impl ShardedService {
                 for update in &batch {
                     match update {
                         Update::Insert(edge) => {
-                            router.owner.insert(edge.id, shard as u32);
                             let partitioner = service.partitioner.as_ref();
-                            if spans_shards(partitioner, edge.vertices(), num_shards) {
-                                router.cross.insert(edge.id);
-                            }
+                            let cross = spans_shards(partitioner, edge.vertices(), num_shards);
+                            let route = Route {
+                                shard: shard as u32,
+                                cross,
+                            };
+                            router.routes.insert(edge.id, route);
                         }
                         Update::Delete(id) => {
-                            router.owner.remove(id);
-                            router.cross.remove(id);
+                            router.routes.remove(id);
                         }
                     }
                 }
@@ -1445,8 +1435,8 @@ impl ShardedService {
     /// for the recovered service's next life (the retained blocks are
     /// re-appended into it).
     ///
-    /// The router is rebuilt from the recovered shard mirrors: every live
-    /// edge is owned by the shard whose mirror holds it, with cross-shard
+    /// The router is rebuilt from the recovered engines' live edges: every
+    /// live edge is owned by the shard whose engine holds it, with cross-shard
     /// flags recomputed from the partitioner — the same semantics as
     /// [`ShardedService::replay_with`], including losing the phantom owner
     /// entries of engine-rejected inserts (those never reached any journal).
@@ -1499,11 +1489,13 @@ impl ShardedService {
         let num_shards = shards.len();
         let mut router = Router::default();
         for (k, shard) in shards.iter().enumerate() {
-            for edge in shard.mirror_edges() {
-                router.owner.insert(edge.id, k as u32);
-                if spans_shards(partitioner.as_ref(), edge.vertices(), num_shards) {
-                    router.cross.insert(edge.id);
-                }
+            for edge in shard.live_edges() {
+                let cross = spans_shards(partitioner.as_ref(), edge.vertices(), num_shards);
+                let route = Route {
+                    shard: k as u32,
+                    cross,
+                };
+                router.routes.insert(edge.id, route);
             }
         }
         // Derived state, recomputed rather than persisted: the recovered
@@ -1577,10 +1569,10 @@ impl ShardedService {
     }
 
     /// Reconciles the router against a lossy drain's skip-and-report outcome:
-    /// a rejected insert never reached its engine, so the owner/cross entries
-    /// recorded for it at routing time are dropped — unless the id is live on
-    /// the shard anyway (a rejected *re*-insert of a live id: the entry
-    /// describes the original, still-standing insert and must survive).
+    /// a rejected insert never reached its engine, so the route recorded for
+    /// it at routing time is dropped — unless the id is live on the shard
+    /// anyway (a rejected *re*-insert of a live id: the entry describes the
+    /// original, still-standing insert and must survive).
     fn reconcile_rejected(&self, per_shard: &[Vec<IngestReport>]) {
         let mut router = self.lock_router();
         for (k, reports) in per_shard.iter().enumerate() {
@@ -1592,48 +1584,40 @@ impl ShardedService {
                     let Update::Insert(edge) = &rejected.update else {
                         continue;
                     };
-                    if router.owner.get(&edge.id) == Some(&(k as u32))
+                    if router
+                        .routes
+                        .get(&edge.id)
+                        .is_some_and(|r| r.shard as usize == k)
                         && !self.shards[k].contains_live_edge(edge.id)
                     {
-                        router.owner.remove(&edge.id);
-                        router.cross.remove(&edge.id);
+                        router.routes.remove(&edge.id);
                     }
                 }
             }
         }
     }
 
-    /// Reconciles the router with shard `k`'s committed mirror after a strict
-    /// drain failed there: the poison sub-batch was dropped whole, so owner
-    /// entries its inserts recorded are removed and entries its deletions
-    /// removed are restored — except for ids named by still-queued updates
-    /// (the shard's later sub-batches), whose routing state is still in
-    /// flight and must not be touched.
+    /// Reconciles the router with shard `k`'s engine after a strict drain
+    /// failed there: the poison sub-batch was dropped whole, so routes its
+    /// inserts recorded are removed and routes its deletions removed are
+    /// restored — except for ids named by still-queued updates (the shard's
+    /// later sub-batches), whose routing state is still in flight and must
+    /// not be touched.
     fn resync_router_with_shard(&self, k: usize) {
-        let mirror = self.shards[k].mirror_edges();
-        let live: FxHashSet<EdgeId> = mirror.iter().map(|e| e.id).collect();
+        let edges = self.shards[k].live_edges();
+        let live: FxHashSet<EdgeId> = edges.iter().map(|e| e.id).collect();
         let (queued_inserts, queued_deletes) = self.shards[k].queued_update_ids();
         let num_shards = self.shards.len();
         let mut router = self.lock_router();
-        let stale: Vec<EdgeId> = router
-            .owner
-            .iter()
-            .filter(|&(id, &owner)| {
-                owner as usize == k && !live.contains(id) && !queued_inserts.contains(id)
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        for id in stale {
-            router.owner.remove(&id);
-            router.cross.remove(&id);
-        }
-        for edge in &mirror {
-            if router.owner.contains_key(&edge.id) || queued_deletes.contains(&edge.id) {
-                continue;
-            }
-            router.owner.insert(edge.id, k as u32);
-            if spans_shards(self.partitioner.as_ref(), edge.vertices(), num_shards) {
-                router.cross.insert(edge.id);
+        router.routes.retain(|id, route| {
+            route.shard as usize != k || live.contains(id) || queued_inserts.contains(id)
+        });
+        for edge in &edges {
+            if !queued_deletes.contains(&edge.id) {
+                router.routes.entry(edge.id).or_insert_with(|| Route {
+                    shard: k as u32,
+                    cross: spans_shards(self.partitioner.as_ref(), edge.vertices(), num_shards),
+                });
             }
         }
     }

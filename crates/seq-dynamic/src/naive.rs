@@ -17,7 +17,7 @@ use pdmm_hypergraph::engine::{
 };
 use pdmm_hypergraph::graph::DynamicHypergraph;
 use pdmm_hypergraph::matching::{verify_maximality, Matching, MatchingDelta};
-use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update};
+use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};
 use pdmm_primitives::cost_model::CostTracker;
 
 /// Naive one-update-at-a-time dynamic maximal matching.
@@ -144,6 +144,10 @@ impl MatchingEngine for NaiveDynamicMatching {
 
     fn live_edges(&self) -> Vec<HyperEdge> {
         self.graph.snapshot_edges()
+    }
+
+    fn for_each_incident_edge(&self, v: VertexId, f: &mut dyn FnMut(EdgeId, &[VertexId])) {
+        self.graph.for_each_incident_edge(v, f);
     }
 
     fn apply_batch_trusted(

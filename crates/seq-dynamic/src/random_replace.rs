@@ -18,7 +18,7 @@ use pdmm_hypergraph::engine::{
 };
 use pdmm_hypergraph::graph::DynamicHypergraph;
 use pdmm_hypergraph::matching::{verify_maximality, Matching, MatchingDelta};
-use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update};
+use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};
 use pdmm_primitives::cost_model::CostTracker;
 use pdmm_primitives::random::RandomSource;
 
@@ -139,6 +139,10 @@ impl MatchingEngine for RandomReplaceMatching {
 
     fn live_edges(&self) -> Vec<HyperEdge> {
         self.graph.snapshot_edges()
+    }
+
+    fn for_each_incident_edge(&self, v: VertexId, f: &mut dyn FnMut(EdgeId, &[VertexId])) {
+        self.graph.for_each_incident_edge(v, f);
     }
 
     fn apply_batch_trusted(

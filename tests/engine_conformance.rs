@@ -10,7 +10,9 @@
 //! * invalid batches are rejected with the *same* typed [`BatchError`] by every
 //!   engine, atomically (no partial application),
 //! * zero-copy queries, collected ids, and reported sizes are mutually
-//!   consistent, and `verify()` passes at every step.
+//!   consistent, and `verify()` passes at every step,
+//! * every engine, and its restored twin, lists exactly the live edges at
+//!   each vertex.
 
 use pdmm::engine::{self, BatchError, MatchingEngine};
 use pdmm::hypergraph::streams::{self, Workload};
@@ -366,6 +368,67 @@ fn zero_copy_iterator_collected_ids_and_size_agree() {
             "{} reports a dead matched edge",
             engine.name()
         );
+    }
+}
+
+/// The edges `engine` lists at `v`, with their endpoints, sorted.
+fn listed_at(engine: &dyn MatchingEngine, v: VertexId) -> Vec<(EdgeId, Vec<VertexId>)> {
+    let mut listed = Vec::new();
+    engine.for_each_incident_edge(v, &mut |id, endpoints| {
+        listed.push((id, endpoints.to_vec()))
+    });
+    listed.sort_unstable();
+    listed
+}
+
+#[test]
+fn every_engine_lists_the_live_edges_at_each_vertex() {
+    // At m/n = 5 the parallel engine temporarily deletes hundreds of edges,
+    // which leave every O(v) and A(v, ·) bucket but stay live.
+    let w = streams::random_churn(200, 3, 1_000, 50, 32, 0.5, 1);
+    let builder = EngineBuilder::new(w.num_vertices).rank(3).seed(5);
+    let mut parallel = ParallelDynamicMatching::from_builder(&builder);
+    let most_parked = w
+        .batches
+        .iter()
+        .map(|batch| {
+            parallel.apply_batch(batch).unwrap();
+            parallel.num_temp_deleted()
+        })
+        .max();
+    assert!(
+        most_parked > Some(100),
+        "{most_parked:?} temp-deleted edges"
+    );
+
+    for kind in EngineKind::ALL {
+        let mut engine = engine::build(kind, &builder);
+        let mut truth = DynamicHypergraph::new(w.num_vertices);
+        for (i, batch) in w.batches.iter().enumerate() {
+            truth.apply_batch(batch);
+            engine.apply_batch(batch).unwrap();
+            let mut twin = engine::build(kind, &builder);
+            twin.restore_state(&engine.save_state().unwrap()).unwrap();
+            for v in (0..w.num_vertices as u32).map(VertexId) {
+                let expected: Vec<(EdgeId, Vec<VertexId>)> = truth
+                    .incident_edges(v)
+                    .into_iter()
+                    .map(|id| (id, truth.edge(id).unwrap().vertices().to_vec()))
+                    .collect();
+                assert_eq!(
+                    listed_at(engine.as_ref(), v),
+                    expected,
+                    "{kind}, batch {i}, {v}"
+                );
+                assert_eq!(
+                    listed_at(twin.as_ref(), v),
+                    expected,
+                    "restored {kind}, batch {i}, {v}"
+                );
+            }
+        }
+        let outside = VertexId(w.num_vertices as u32);
+        assert!(listed_at(engine.as_ref(), outside).is_empty(), "{kind}");
     }
 }
 

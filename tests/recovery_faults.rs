@@ -14,7 +14,9 @@
 //!   space, rank, shard count, format version) is rejected with a typed
 //!   error, never silently restored, and so is one whose engine state names
 //!   an edge the journal tail does not know;
-//! * taking a checkpoint truncates the journal segments it makes redundant.
+//! * taking a checkpoint truncates the journal segments it makes redundant;
+//! * counters restored at `u64::MAX` saturate on the next batch instead of
+//!   overflowing.
 
 use pdmm::checkpoint::{CheckpointError, FaultSink};
 use pdmm::engine;
@@ -853,4 +855,75 @@ fn a_restored_engine_reports_the_same_work_and_state_as_the_live_one() {
         // The whole blob, cost line included.
         assert_eq!(restored.save_state(), live.save_state(), "seed {s}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Counters restored at u64::MAX
+// ---------------------------------------------------------------------------
+
+/// `text` with the given whitespace-separated fields of its `tag` line (field
+/// 0 is the tag) set to `u64::MAX`.
+fn saturate(text: &str, tag: &str, fields: &[usize]) -> String {
+    let max = u64::MAX.to_string();
+    let mut out = String::new();
+    for line in text.lines() {
+        let mut tokens: Vec<&str> = line.split(' ').collect();
+        if tokens[0] == tag {
+            for &i in fields {
+                tokens[i] = &max;
+            }
+        }
+        out.push_str(&tokens.join(" "));
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn counters_restored_at_u64_max_saturate_instead_of_overflowing() {
+    let workload = serve_workload();
+    let batches = nonempty_batches(&workload);
+    let builder = builder_for(&workload, 3);
+    let mut rng = 5u64;
+    let next = continuation_batches(workload.num_vertices, 2, &mut rng);
+    for kind in EngineKind::ALL {
+        let mut live = engine::build(kind, &builder);
+        live.apply_all(&batches[..4]).unwrap();
+        // The uniform counters: batches, updates, insertions, deletions,
+        // matched deletions and rebuilds.
+        let blob = match kind {
+            EngineKind::Parallel => {
+                saturate(&live.save_state().unwrap(), "metrics", &[1, 2, 3, 4, 5, 13])
+            }
+            _ => saturate(&live.save_state().unwrap(), "counters", &[1, 2, 3, 4, 5, 6]),
+        };
+        let mut restored = engine::build(kind, &builder);
+        restored.restore_state(&blob).unwrap();
+        restored.apply_batch(&next[0]).unwrap();
+        let m = restored.metrics();
+        let counters = [m.batches, m.updates, m.insertions, m.deletions];
+        assert_eq!(counters, [u64::MAX; 4], "{kind}");
+        assert_eq!([m.matched_deletions, m.rebuilds], [u64::MAX; 2], "{kind}");
+    }
+
+    // The service's committed count saturates too: in tail replay and in
+    // the next drain.
+    let service = EngineService::new(engine::build(EngineKind::Parallel, &builder));
+    service.submit(batches[0].clone());
+    service.drain().unwrap();
+    let checkpoint = saturate(&service.checkpoint().unwrap(), "committed", &[1]);
+    service.submit(batches[1].clone());
+    service.drain().unwrap();
+    let recovered = EngineService::recover(
+        engine::build(EngineKind::Parallel, &builder),
+        &checkpoint,
+        &service.journal(),
+        mem(),
+    )
+    .unwrap();
+    assert_eq!(recovered.snapshot().committed_batches(), u64::MAX);
+    recovered.submit(next[1].clone());
+    recovered.drain().unwrap();
+    assert_eq!(recovered.snapshot().committed_batches(), u64::MAX);
+    assert_eq!(recovered.snapshot().metrics().batches, 3);
 }
