@@ -632,8 +632,9 @@ impl EngineMetrics {
         }
     }
 
-    /// Field-wise sum — the inverse of [`EngineMetrics::since`], for
-    /// accumulating per-batch deltas back into totals.
+    /// Field-wise sum, saturating at `u64::MAX` (a restored state blob may
+    /// carry counters that high) — the inverse of [`EngineMetrics::since`],
+    /// for accumulating per-batch deltas back into totals.
     ///
     /// ```
     /// use pdmm_hypergraph::engine::EngineMetrics;
@@ -644,14 +645,16 @@ impl EngineMetrics {
     /// assert_eq!(total.work, 45);
     /// ```
     pub fn merge(&mut self, delta: &EngineMetrics) {
-        self.batches += delta.batches;
-        self.updates += delta.updates;
-        self.insertions += delta.insertions;
-        self.deletions += delta.deletions;
-        self.matched_deletions += delta.matched_deletions;
-        self.work += delta.work;
-        self.depth += delta.depth;
-        self.rebuilds += delta.rebuilds;
+        self.batches = self.batches.saturating_add(delta.batches);
+        self.updates = self.updates.saturating_add(delta.updates);
+        self.insertions = self.insertions.saturating_add(delta.insertions);
+        self.deletions = self.deletions.saturating_add(delta.deletions);
+        self.matched_deletions = self
+            .matched_deletions
+            .saturating_add(delta.matched_deletions);
+        self.work = self.work.saturating_add(delta.work);
+        self.depth = self.depth.saturating_add(delta.depth);
+        self.rebuilds = self.rebuilds.saturating_add(delta.rebuilds);
     }
 }
 

@@ -4,7 +4,7 @@
 //! synthetic workloads that exercise its update model: uniform random (Erdős–Rényi
 //! style) graphs, power-law (Chung–Lu) graphs whose hub vertices stress the leveling
 //! scheme, random rank-`r` hypergraphs for the `poly(r)` scaling claims, and a few
-//! structured graphs (paths, grids, stars, bipartite) used in unit tests and the
+//! structured graphs (paths, stars, complete graphs) used in unit tests and the
 //! quality experiment.
 //!
 //! All generators are deterministic functions of an explicit seed, independent from
@@ -95,30 +95,6 @@ pub fn chung_lu_graph(n: usize, m: usize, beta: f64, seed: u64, first_id: u64) -
     out
 }
 
-/// Random bipartite graph between vertex sets `0..n_left` and `n_left..n_left+n_right`.
-#[must_use]
-pub fn bipartite_random(
-    n_left: usize,
-    n_right: usize,
-    m: usize,
-    seed: u64,
-    first_id: u64,
-) -> Vec<HyperEdge> {
-    assert!(n_left >= 1 && n_right >= 1);
-    let mut rng = rng_from(seed);
-    let mut out = Vec::with_capacity(m);
-    for i in 0..m {
-        let a = rng.gen_range(0..n_left as u32);
-        let b = n_left as u32 + rng.gen_range(0..n_right as u32);
-        out.push(HyperEdge::pair(
-            EdgeId(first_id + i as u64),
-            VertexId(a),
-            VertexId(b),
-        ));
-    }
-    out
-}
-
 /// Path graph `0 - 1 - … - (n-1)`.
 #[must_use]
 pub fn path_graph(n: usize, first_id: u64) -> Vec<HyperEdge> {
@@ -131,27 +107,6 @@ pub fn path_graph(n: usize, first_id: u64) -> Vec<HyperEdge> {
             )
         })
         .collect()
-}
-
-/// Two-dimensional grid graph with `rows × cols` vertices.
-#[must_use]
-pub fn grid_graph(rows: usize, cols: usize, first_id: u64) -> Vec<HyperEdge> {
-    let mut out = Vec::new();
-    let id = |r: usize, c: usize| VertexId((r * cols + c) as u32);
-    let mut next = first_id;
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                out.push(HyperEdge::pair(EdgeId(next), id(r, c), id(r, c + 1)));
-                next += 1;
-            }
-            if r + 1 < rows {
-                out.push(HyperEdge::pair(EdgeId(next), id(r, c), id(r + 1, c)));
-                next += 1;
-            }
-        }
-    }
-    out
 }
 
 /// Star graph: vertex 0 connected to each of `1..n`.
@@ -177,28 +132,6 @@ pub fn complete_graph(n: usize, first_id: u64) -> Vec<HyperEdge> {
         for b in (a + 1)..n as u32 {
             out.push(HyperEdge::pair(EdgeId(next), VertexId(a), VertexId(b)));
             next += 1;
-        }
-    }
-    out
-}
-
-/// Disjoint union of `k` cliques of size `clique_size` (useful for level-scheme
-/// stress tests: every clique supports exactly ⌊size/2⌋ matched edges).
-#[must_use]
-pub fn clique_clusters(k: usize, clique_size: usize, first_id: u64) -> Vec<HyperEdge> {
-    let mut out = Vec::new();
-    let mut next = first_id;
-    for c in 0..k {
-        let base = (c * clique_size) as u32;
-        for a in 0..clique_size as u32 {
-            for b in (a + 1)..clique_size as u32 {
-                out.push(HyperEdge::pair(
-                    EdgeId(next),
-                    VertexId(base + a),
-                    VertexId(base + b),
-                ));
-                next += 1;
-            }
         }
     }
     out
@@ -257,24 +190,10 @@ mod tests {
     }
 
     #[test]
-    fn bipartite_edges_cross_sides() {
-        let edges = bipartite_random(10, 20, 100, 5, 0);
-        assert_eq!(edges.len(), 100);
-        for e in &edges {
-            let vs = e.vertices();
-            assert_eq!(vs.len(), 2);
-            assert!(vs[0].0 < 10);
-            assert!(vs[1].0 >= 10 && vs[1].0 < 30);
-        }
-    }
-
-    #[test]
     fn structured_graphs_have_expected_sizes() {
         assert_eq!(path_graph(5, 0).len(), 4);
-        assert_eq!(grid_graph(3, 4, 0).len(), 3 * 3 + 2 * 4);
         assert_eq!(star_graph(6, 0).len(), 5);
         assert_eq!(complete_graph(6, 0).len(), 15);
-        assert_eq!(clique_clusters(3, 4, 0).len(), 3 * 6);
     }
 
     #[test]

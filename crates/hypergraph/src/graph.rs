@@ -166,12 +166,6 @@ impl DynamicHypergraph {
         edges
     }
 
-    /// Total number of (edge, endpoint) incidences, i.e. `Σ_e rank(e)`.
-    #[must_use]
-    pub fn total_incidence(&self) -> usize {
-        self.edges.values().map(HyperEdge::rank).sum()
-    }
-
     /// Builds a graph from a vertex count and an edge list.
     #[must_use]
     pub fn from_edges(num_vertices: usize, edges: Vec<HyperEdge>) -> Self {
@@ -215,7 +209,6 @@ mod tests {
         assert_eq!(g.max_rank_seen(), 3);
         assert!(g.contains_edge(EdgeId(0)));
         assert_eq!(g.edge(EdgeId(1)).unwrap().rank(), 3);
-        assert_eq!(g.total_incidence(), 5);
         let mut inc = g.incident_edges(v(1));
         inc.sort_unstable();
         assert_eq!(inc, vec![EdgeId(0), EdgeId(1)]);

@@ -27,10 +27,9 @@
 //!   [`sharding::ShardedService`], with typed admission control
 //!   (`OK`/`RETRY`/`SHED`/`ERR`) instead of blocking under overload,
 //! * [`checkpoint`] — checkpointed durability: fingerprinted drain-boundary
-//!   checkpoints, journal-segment truncation, `O(delta)` recovery from
+//!   checkpoints over an append-only journal, `O(delta)` recovery from
 //!   checkpoint + journal tail, and the fault-injecting
-//!   [`checkpoint::FaultSink`] for crash testing,
-//! * [`stats`] — structural statistics for the experiment tables.
+//!   [`checkpoint::FaultSink`] for crash testing.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -44,7 +43,6 @@ pub mod matching;
 pub mod net;
 pub mod service;
 pub mod sharding;
-pub mod stats;
 pub mod streams;
 pub mod types;
 

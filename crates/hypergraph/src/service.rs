@@ -28,11 +28,13 @@
 //! * **persistence and replay** — every committed batch is journaled in the
 //!   [`crate::io`] update-stream format ([`EngineService::journal`]) through a
 //!   pluggable [`JournalSink`] (in-memory by default, [`FileJournal`] for an
-//!   append-only rotated file), and [`EngineService::replay`] rebuilds a
-//!   service from a journal on a fresh engine.  With the same engine kind and
-//!   seed, replay reproduces the exact matching, bit for bit, because the
-//!   journal preserves committed batch boundaries and every engine is
-//!   deterministic given (seed, batch sequence).
+//!   append-only file synced on every commit), and [`EngineService::replay`]
+//!   rebuilds a service from a journal on a fresh engine.  With the same
+//!   engine kind and seed, replay reproduces the exact matching, bit for bit,
+//!   because the journal preserves committed batch boundaries and every
+//!   engine is deterministic given (seed, batch sequence).  A checkpoint
+//!   ([`EngineService::checkpoint`]) caps recovery's replay work; it deletes
+//!   no journal history.
 //!
 //! Every committed batch publishes a snapshot, so readers advance batch by
 //! batch even inside a drain of many queued batches.
@@ -78,7 +80,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -96,10 +98,10 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 /// appended as one block in the [`crate::io`] update-stream format, and
 /// [`EngineService::replay`] rebuilds bit-identical state from the
 /// concatenation of those blocks.  The default sink is [`MemoryJournal`] (the
-/// pre-sink behavior: the journal lives in a `String` until the caller writes
-/// it out); [`FileJournal`] appends to disk with a flush-on-commit policy and
-/// simple size-based rotation.  A sharded service gives each shard its own
-/// sink, so per-shard journals can land in per-shard files.
+/// journal lives in a `String` until the caller writes it out);
+/// [`FileJournal`] appends to one file and syncs it on every commit.  A
+/// sharded service gives each shard its own sink, so per-shard journals can
+/// land in per-shard files.  A journal only grows: no sink deletes history.
 ///
 /// Sinks are infallible from the service's point of view: a sink that cannot
 /// persist the journal **panics** (see [`FileJournal`]) — losing the recovery
@@ -114,26 +116,13 @@ pub trait JournalSink: Send {
     fn append_block(&mut self, block: &str);
 
     /// Commit barrier, called once per committed batch after any append.  A
-    /// durable sink pushes buffered bytes to storage here (the flush-on-commit
-    /// policy point); the in-memory sink does nothing.
+    /// durable sink syncs the appended bytes to storage here; the in-memory
+    /// sink does nothing.
     fn commit(&mut self);
 
     /// The full journal so far — every appended block in order, in the
-    /// [`crate::io`] update-stream format (rotated segments included).
+    /// [`crate::io`] update-stream format.
     fn contents(&self) -> String;
-
-    /// Deletes history that a checkpoint has made redundant: every **rotated**
-    /// segment (never the active one — it is the open file).  Returns how many
-    /// segments were dropped.  Sinks without rotation (the default) have
-    /// nothing to truncate and return 0.
-    ///
-    /// Only called at a drain boundary under the commit lock, immediately
-    /// before a checkpoint records how many surviving blocks it covers — after
-    /// truncation, [`JournalSink::contents`] alone is no longer the full
-    /// history.
-    fn truncate_rotated(&mut self) -> usize {
-        0
-    }
 }
 
 /// The default in-memory journal sink: blocks accumulate in one `String`.
@@ -165,14 +154,12 @@ impl JournalSink for MemoryJournal {
     }
 }
 
-/// A file-backed journal sink: append-only, flushed to storage on every commit
-/// by default, with optional size-based rotation.
+/// A file-backed journal sink: one append-only file, synced to storage on
+/// every commit.
 ///
-/// Rotation: when the active file holds at least `rotate_at` bytes, it is
-/// renamed to `<path>.<seq>` (`seq` counting up from 1) and a fresh active
-/// file is started — blocks never span segments.  [`JournalSink::contents`]
-/// reads the rotated segments and the active file back in order, so replay
-/// works unchanged across rotations.
+/// Nothing deletes or rewrites a committed block, so the file holds the
+/// service's whole history and every checkpoint ever stored stays
+/// recoverable from it (see [`crate::checkpoint`]).
 ///
 /// # Panics
 ///
@@ -181,42 +168,26 @@ impl JournalSink for MemoryJournal {
 /// silently diverges from reality would be worse than one that crashes.
 #[derive(Debug)]
 pub struct FileJournal {
-    /// Path of the active segment; rotated segments are `<path>.<seq>`.
+    /// Path of the journal file.
     path: PathBuf,
-    /// The open active segment.
+    /// The open journal file.
     file: File,
-    /// Bytes written to the active segment so far.
-    active_bytes: u64,
-    /// Rotation threshold in bytes (`None`: never rotate).
-    rotate_at: Option<u64>,
-    /// Number of rotated segments (`<path>.1` … `<path>.<segments>`).
-    segments: usize,
-    /// Whether [`JournalSink::commit`] syncs to storage (default `true`).
-    flush_on_commit: bool,
+    /// Whether a block was appended yet (later blocks need a separator).
+    appended: bool,
     /// Whether bytes were appended since the last sync.
     dirty: bool,
 }
 
 impl FileJournal {
-    /// Creates (truncating) the journal file at `path`, removing any rotated
-    /// segments (`<path>.1`, `<path>.2`, …) a previous journal left behind —
-    /// the on-disk state must reflect only this journal's history, or a
-    /// restart reading the segment files back would replay stale batches.
+    /// Creates (truncating) the journal file at `path`: the file must hold
+    /// only this journal's history, or a restart reading it back would replay
+    /// stale batches.
     ///
     /// # Errors
     ///
-    /// Returns the error of creating the file or clearing old segments.
+    /// Returns the error of creating the file.
     pub fn create(path: impl Into<PathBuf>) -> std::io::Result<Self> {
         let path = path.into();
-        for seq in 1.. {
-            let mut name = path.clone().into_os_string();
-            name.push(format!(".{seq}"));
-            match std::fs::remove_file(PathBuf::from(name)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
-                Err(e) => return Err(e),
-            }
-        }
         let file = OpenOptions::new()
             .create(true)
             .write(true)
@@ -225,68 +196,41 @@ impl FileJournal {
         Ok(FileJournal {
             path,
             file,
-            active_bytes: 0,
-            rotate_at: None,
-            segments: 0,
-            flush_on_commit: true,
+            appended: false,
             dirty: false,
         })
     }
 
-    /// Rotates the active file into a numbered segment once it holds at least
-    /// `bytes` bytes (minimum 1).
-    #[must_use]
-    pub fn with_rotate_at(mut self, bytes: u64) -> Self {
-        assert!(bytes >= 1, "rotation threshold must be at least 1 byte");
-        self.rotate_at = Some(bytes);
-        self
+    /// Reads the surviving journal at `path` back after a crash, exactly as
+    /// [`JournalSink::contents`] would, **without** opening it for writing.
+    /// This is the post-crash read: salvage first, then hand the text to
+    /// [`EngineService::recover`] together with a *fresh* journal (a
+    /// [`FileJournal::create`] at the same path truncates, so create it only
+    /// after salvaging).
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of reading the file.
+    pub fn salvage(path: impl AsRef<Path>) -> std::io::Result<String> {
+        std::fs::read_to_string(path)
+    }
+}
+
+impl JournalSink for FileJournal {
+    fn append_block(&mut self, block: &str) {
+        let mut buf = String::with_capacity(block.len() + 1);
+        if self.appended {
+            buf.push('\n');
+        }
+        buf.push_str(block);
+        self.file
+            .write_all(buf.as_bytes())
+            .unwrap_or_else(|e| panic!("journal append {}: {e}", self.path.display()));
+        self.appended = true;
+        self.dirty = true;
     }
 
-    /// Enables or disables the sync-to-storage barrier on every committed
-    /// batch (enabled by default; disabling trades durability for commit
-    /// throughput — the OS still sees every write immediately).
-    #[must_use]
-    pub fn with_flush_on_commit(mut self, enabled: bool) -> Self {
-        self.flush_on_commit = enabled;
-        self
-    }
-
-    /// How many rotated segments exist (`<path>.1` … `<path>.<n>`).
-    #[must_use]
-    pub fn segments(&self) -> usize {
-        self.segments
-    }
-
-    /// Path of rotated segment `seq` (1-based).
-    fn segment_path(&self, seq: usize) -> PathBuf {
-        let mut name = self.path.clone().into_os_string();
-        name.push(format!(".{seq}"));
-        PathBuf::from(name)
-    }
-
-    /// Moves the active file to the next numbered segment and starts a fresh
-    /// active file.
-    fn rotate(&mut self) {
-        self.sync();
-        self.segments += 1;
-        let segment = self.segment_path(self.segments);
-        std::fs::rename(&self.path, &segment).unwrap_or_else(|e| {
-            panic!(
-                "journal rotation {} -> {}: {e}",
-                self.path.display(),
-                segment.display()
-            )
-        });
-        self.file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&self.path)
-            .unwrap_or_else(|e| panic!("journal segment {}: {e}", self.path.display()));
-        self.active_bytes = 0;
-    }
-
-    fn sync(&mut self) {
+    fn commit(&mut self) {
         if self.dirty {
             self.file
                 .sync_data()
@@ -295,104 +239,9 @@ impl FileJournal {
         }
     }
 
-    fn read_segment(path: &Path) -> String {
-        let mut text = String::new();
-        File::open(path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .unwrap_or_else(|e| panic!("journal read {}: {e}", path.display()));
-        text
-    }
-
-    /// Reads the surviving journal at `path` back after a crash — rotated
-    /// segments (`<path>.1`, `<path>.2`, …) then the active file, concatenated
-    /// exactly as [`JournalSink::contents`] would — **without** opening
-    /// anything for writing.  This is the post-crash read: salvage first, then
-    /// hand the text to
-    /// [`EngineService::recover`] together with a *fresh* journal (a
-    /// [`FileJournal::create`] at the same path truncates, so create it only
-    /// after salvaging).
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of reading the active file; a missing rotated segment
-    /// simply ends the segment scan.
-    pub fn salvage(path: impl AsRef<Path>) -> std::io::Result<String> {
-        let path = path.as_ref();
-        let mut out = String::new();
-        for seq in 1.. {
-            let mut name = path.to_path_buf().into_os_string();
-            name.push(format!(".{seq}"));
-            match std::fs::read_to_string(PathBuf::from(name)) {
-                Ok(segment) => {
-                    if !out.is_empty() && !segment.is_empty() {
-                        out.push('\n');
-                    }
-                    out.push_str(&segment);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
-                Err(e) => return Err(e),
-            }
-        }
-        let active = std::fs::read_to_string(path)?;
-        if !out.is_empty() && !active.is_empty() {
-            out.push('\n');
-        }
-        out.push_str(&active);
-        Ok(out)
-    }
-}
-
-impl JournalSink for FileJournal {
-    fn append_block(&mut self, block: &str) {
-        if let Some(limit) = self.rotate_at {
-            if self.active_bytes >= limit {
-                self.rotate();
-            }
-        }
-        let mut buf = String::with_capacity(block.len() + 1);
-        if self.active_bytes > 0 {
-            buf.push('\n');
-        }
-        buf.push_str(block);
-        self.file
-            .write_all(buf.as_bytes())
-            .unwrap_or_else(|e| panic!("journal append {}: {e}", self.path.display()));
-        self.active_bytes += buf.len() as u64;
-        self.dirty = true;
-    }
-
-    fn commit(&mut self) {
-        if self.flush_on_commit {
-            self.sync();
-        }
-    }
-
     fn contents(&self) -> String {
-        let mut out = String::new();
-        for seq in 1..=self.segments {
-            let segment = Self::read_segment(&self.segment_path(seq));
-            if !out.is_empty() && !segment.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&segment);
-        }
-        let active = Self::read_segment(&self.path);
-        if !out.is_empty() && !active.is_empty() {
-            out.push('\n');
-        }
-        out.push_str(&active);
-        out
-    }
-
-    fn truncate_rotated(&mut self) -> usize {
-        let dropped = self.segments;
-        for seq in 1..=self.segments {
-            let segment = self.segment_path(seq);
-            std::fs::remove_file(&segment)
-                .unwrap_or_else(|e| panic!("journal truncate {}: {e}", segment.display()));
-        }
-        self.segments = 0;
-        dropped
+        Self::salvage(&self.path)
+            .unwrap_or_else(|e| panic!("journal read {}: {e}", self.path.display()))
     }
 }
 
@@ -883,7 +732,7 @@ impl EngineService {
     }
 
     /// Replaces the journal sink (default: [`MemoryJournal`]) — e.g. with a
-    /// [`FileJournal`] for a durable, rotated on-disk journal.
+    /// [`FileJournal`] for a durable on-disk journal.
     ///
     /// # Panics
     ///
@@ -912,16 +761,6 @@ impl EngineService {
     #[must_use]
     pub fn queue_len(&self) -> usize {
         self.lock_queue().len()
-    }
-
-    /// Free submission-queue slots right now (`capacity - queue_len`).  The
-    /// admission-control side of the serve stack reads this to decide between
-    /// accepting, asking the client to retry, and shedding — by the time the
-    /// caller acts the depth may have changed, so treat it as a hint, not a
-    /// reservation (use [`EngineService::try_submit`] for the atomic check).
-    #[must_use]
-    pub fn queue_free(&self) -> usize {
-        self.capacity.saturating_sub(self.lock_queue().len())
     }
 
     /// The current published snapshot — the state after the most recently
@@ -1119,14 +958,13 @@ impl EngineService {
     }
 
     /// Serializes a consistent checkpoint of the service at the current drain
-    /// boundary (see [`crate::checkpoint`]): the engine's canonical state and
-    /// the committed-batch counter, under one fingerprinted header.  As a
-    /// side effect, rotated journal segments — which the checkpoint makes
-    /// redundant — are deleted ([`JournalSink::truncate_rotated`]), and the
-    /// checkpoint records how many blocks of the surviving journal it still
-    /// covers.  Queued but uncommitted batches are *not* part of a
-    /// checkpoint; they are not part of the service's durable state until a
-    /// drain commits them.
+    /// boundary (see [`crate::checkpoint`]): the engine's canonical state, the
+    /// committed-batch counter and how many journal blocks that state covers,
+    /// under one fingerprinted header.  Taking a checkpoint deletes no
+    /// journal history, so every checkpoint ever stored stays recoverable.
+    /// Queued but uncommitted batches are *not* part of a checkpoint; they
+    /// are not part of the service's durable state until a drain commits
+    /// them.
     ///
     /// Taking a checkpoint waits for any in-flight drain (it needs the commit
     /// lock), so it always observes a batch boundary.
@@ -1140,18 +978,16 @@ impl EngineService {
     }
 
     /// Gathers this service's shard section of a checkpoint under the commit
-    /// lock, truncating rotated journal segments in the same critical section
-    /// so `tail_skip` matches the surviving journal exactly.
+    /// lock, so `tail_skip` counts exactly the journal blocks the engine
+    /// state covers.
     pub(crate) fn checkpoint_parts(&self) -> Result<checkpoint::ShardParts, CheckpointError> {
-        let mut guard = self.inner.lock().expect("service commit lock poisoned");
-        let inner = &mut *guard;
+        let inner = self.inner.lock().expect("service commit lock poisoned");
         let state = inner
             .engine
             .save_state()
             .ok_or_else(|| CheckpointError::Unsupported {
                 engine: inner.engine.name().to_string(),
             })?;
-        inner.journal.truncate_rotated();
         let tail_skip = io::journal_blocks(&inner.journal.contents()).len() as u64;
         Ok(checkpoint::ShardParts {
             engine: inner.engine.name(),

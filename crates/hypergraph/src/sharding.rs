@@ -557,13 +557,17 @@ impl ShardedSnapshot {
         self.view.shards.iter().all(|s| s.is_empty())
     }
 
-    /// Total committed sub-batches across shards.
+    /// Total committed sub-batches across shards, saturating at `u64::MAX`.
     #[must_use]
     pub fn committed_batches(&self) -> u64 {
-        self.view.shards.iter().map(|s| s.committed_batches()).sum()
+        self.view
+            .shards
+            .iter()
+            .fold(0, |total, s| total.saturating_add(s.committed_batches()))
     }
 
-    /// Field-wise sum of every shard's lifetime [`EngineMetrics`].
+    /// Field-wise sum of every shard's lifetime [`EngineMetrics`],
+    /// saturating at `u64::MAX`.
     #[must_use]
     pub fn metrics(&self) -> EngineMetrics {
         let mut total = EngineMetrics::default();
@@ -1406,12 +1410,13 @@ impl ShardedService {
     /// Serializes a checkpoint of the whole sharded service under one
     /// fingerprinted header: every shard's section
     /// ([`EngineService::checkpoint`]-style), gathered shard by shard at that
-    /// shard's drain boundary, each truncating its own rotated journal
-    /// segments.  Shards are captured sequentially, so under concurrent
-    /// drains the sections may sit at different per-shard batch counts — that
-    /// is fine, because recovery is per-shard too (each section plus that
-    /// shard's journal tail); there is no meaningful global commit order
-    /// across independently-drained shards to preserve.
+    /// shard's drain boundary, each recording how many of its own journal's
+    /// blocks it covers; no journal history is deleted.  Shards are captured
+    /// sequentially, so under concurrent drains the sections may sit at
+    /// different per-shard batch counts — that is fine, because recovery is
+    /// per-shard too (each section plus that shard's journal tail); there is
+    /// no meaningful global commit order across independently-drained shards
+    /// to preserve.
     ///
     /// # Errors
     ///

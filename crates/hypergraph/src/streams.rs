@@ -55,12 +55,6 @@ impl Workload {
             .filter(|u| u.is_insert())
             .count()
     }
-
-    /// Number of deletions across all batches.
-    #[must_use]
-    pub fn total_deletions(&self) -> usize {
-        self.total_updates() - self.total_insertions()
-    }
 }
 
 /// Seals a generator-built batch through the validating [`UpdateBatch`]
@@ -442,7 +436,6 @@ mod tests {
         let w = insert_only(50, edges, 32);
         assert_eq!(w.total_updates(), 120);
         assert_eq!(w.total_insertions(), 120);
-        assert_eq!(w.total_deletions(), 0);
         assert_eq!(w.batches.len(), 4);
         assert!(validate_workload(&w));
     }
@@ -453,7 +446,7 @@ mod tests {
         let w = sliding_window(40, edges, 10, 3);
         assert!(validate_workload(&w));
         assert_eq!(w.total_insertions(), 100);
-        assert_eq!(w.total_deletions(), 100);
+        assert_eq!(w.total_updates(), 200);
     }
 
     #[test]
@@ -518,7 +511,7 @@ mod tests {
         let w = insert_then_teardown(30, edges, 16, 1);
         assert!(validate_workload(&w));
         assert_eq!(w.total_insertions(), 80);
-        assert_eq!(w.total_deletions(), 80);
+        assert_eq!(w.total_updates(), 160);
     }
 
     #[test]

@@ -72,12 +72,6 @@ impl NaiveDynamicMatching {
         &self.cost
     }
 
-    /// Number of single updates processed so far.
-    #[must_use]
-    pub fn updates_processed(&self) -> u64 {
-        self.counters.updates
-    }
-
     fn edge_is_free(&self, edge: &HyperEdge) -> bool {
         edge.vertices()
             .iter()
@@ -333,7 +327,7 @@ mod tests {
         alg.apply_all(&w.batches).unwrap();
         assert!(alg.matching_ids().is_empty());
         assert_eq!(alg.graph().num_edges(), 0);
-        assert_eq!(alg.updates_processed(), w.total_updates() as u64);
+        assert_eq!(alg.metrics().updates, w.total_updates() as u64);
     }
 
     #[test]

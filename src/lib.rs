@@ -16,9 +16,9 @@
 //! * [`service`] — the serve path: a long-lived [`service::EngineService`]
 //!   over any engine, with concurrent [`service::MatchingSnapshot`] reads, a
 //!   bounded submission queue with backpressure, pluggable
-//!   [`service::JournalSink`]s (in-memory or rotated files), and a journal
-//!   that [`service::EngineService::replay`] rebuilds bit-identical state
-//!   from,
+//!   [`service::JournalSink`]s (in memory or one append-only file), and a
+//!   journal that [`service::EngineService::replay`] rebuilds bit-identical
+//!   state from,
 //! * [`sharding`] — the sharded serving layer: `N` parallel
 //!   [`sharding::ShardedService`] shards partitioning the vertex space behind
 //!   a deterministic router, drained concurrently and merged into
@@ -30,7 +30,7 @@
 //!   admission responses (`OK`/`RETRY`/`SHED`/`ERR`) so overload degrades
 //!   gracefully instead of blocking connections,
 //! * [`checkpoint`] — checkpointed durability: fingerprinted drain-boundary
-//!   checkpoints that truncate old journal segments, `O(delta)` recovery via
+//!   checkpoints that cap replay work, `O(delta)` recovery via
 //!   [`service::EngineService::recover`] /
 //!   [`sharding::ShardedService::recover`], and the fault-injecting
 //!   [`checkpoint::FaultSink`] the crash tests are built on,

@@ -14,9 +14,11 @@
 //!   space, rank, shard count, format version) is rejected with a typed
 //!   error, never silently restored, and so is one whose engine state names
 //!   an edge the journal tail does not know;
-//! * taking a checkpoint truncates the journal segments it makes redundant;
+//! * a file journal is append-only and a checkpoint deletes none of it, so
+//!   a stored checkpoint plus the salvaged file recovers even after a later
+//!   checkpoint is lost before it is stored;
 //! * counters restored at `u64::MAX` saturate on the next batch instead of
-//!   overflowing.
+//!   overflowing, in one service and in the sums over shards.
 
 use pdmm::checkpoint::{CheckpointError, FaultSink};
 use pdmm::engine;
@@ -702,44 +704,25 @@ fn sharded_torn_kill_recovers_bit_identical_to_clean_replay_at_1_and_4_shards() 
 }
 
 // ---------------------------------------------------------------------------
-// File journals: truncation on checkpoint, salvage, crash-again
+// File journals: salvage, crash-again, a lost checkpoint
 // ---------------------------------------------------------------------------
 
 #[test]
-fn checkpoint_truncates_rotated_segments_and_salvage_recovers_from_disk() {
+fn salvage_recovers_from_disk_and_survives_a_second_crash() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
-    let path = dir.join("recovery_faults_truncate.log");
+    let path = dir.join("recovery_faults_salvage.log");
     let workload = serve_workload();
     let batches = nonempty_batches(&workload);
     let mid = batches.len() / 2;
     let builder = builder_for(&workload, 3);
-    let segment = |seq: usize| {
-        let mut name = path.clone().into_os_string();
-        name.push(format!(".{seq}"));
-        std::path::PathBuf::from(name)
-    };
 
-    let service = EngineService::new(engine::build(EngineKind::Parallel, &builder)).with_journal(
-        Box::new(FileJournal::create(&path).unwrap().with_rotate_at(192)),
-    );
+    let service = EngineService::new(engine::build(EngineKind::Parallel, &builder))
+        .with_journal(Box::new(FileJournal::create(&path).unwrap()));
     for batch in &batches[..mid] {
         service.submit(batch.clone());
         service.drain().unwrap();
     }
-    assert!(
-        segment(1).exists(),
-        "the tiny rotation threshold must have rotated by now"
-    );
-
-    // Taking the checkpoint deletes every rotated segment: the checkpoint
-    // covers them, so keeping them would only re-grow recovery back to
-    // O(history).
     let checkpoint = service.checkpoint().unwrap();
-    assert!(
-        !segment(1).exists(),
-        "journal segments older than the checkpoint must be truncated"
-    );
-
     for batch in &batches[mid..] {
         service.submit(batch.clone());
         service.drain().unwrap();
@@ -748,10 +731,10 @@ fn checkpoint_truncates_rotated_segments_and_salvage_recovers_from_disk() {
     let full_edges = service.snapshot().edge_ids();
     drop(service);
 
-    // Post-crash: salvage reads segments + active file without touching them;
-    // the recovered service journals into a fresh file.
+    // Post-crash: salvage reads the journal file without touching it; the
+    // recovered service journals into a fresh file.
     let salvaged = FileJournal::salvage(&path).unwrap();
-    let next_path = dir.join("recovery_faults_truncate_next.log");
+    let next_path = dir.join("recovery_faults_salvage_next.log");
     let recovered = EngineService::recover(
         engine::build(EngineKind::Parallel, &builder),
         &checkpoint,
@@ -787,6 +770,52 @@ fn checkpoint_truncates_rotated_segments_and_salvage_recovers_from_disk() {
         twice.snapshot().committed_batches(),
         (batches.len() + more.len()) as u64
     );
+}
+
+#[test]
+fn a_stored_checkpoint_recovers_after_a_later_one_is_lost() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join("recovery_faults_lost_checkpoint.log");
+    let stored = dir.join("recovery_faults_lost_checkpoint.ckpt");
+    let workload = serve_workload();
+    let batches = nonempty_batches(&workload);
+    let (first, second) = (batches.len() / 3, 2 * batches.len() / 3);
+    let builder = builder_for(&workload, 23);
+
+    let service = EngineService::new(engine::build(EngineKind::Parallel, &builder))
+        .with_journal(Box::new(FileJournal::create(&path).unwrap()));
+    for batch in &batches[..first] {
+        service.submit(batch.clone());
+        service.drain().unwrap();
+    }
+    pdmm::checkpoint::store_checkpoint(&stored, &service.checkpoint().unwrap()).unwrap();
+    for batch in &batches[first..second] {
+        service.submit(batch.clone());
+        service.drain().unwrap();
+    }
+    // A later checkpoint is taken but never stored: the process died before
+    // `store_checkpoint`, or the store failed.
+    let _lost = service.checkpoint().unwrap();
+    for batch in &batches[second..] {
+        service.submit(batch.clone());
+        service.drain().unwrap();
+    }
+    let full_state = service.save_state();
+    let committed = service.snapshot().committed_batches();
+    drop(service);
+
+    // The stored checkpoint still covers a prefix of the file journal, which
+    // taking the lost one deleted nothing from.
+    let recovered = EngineService::recover(
+        engine::build(EngineKind::Parallel, &builder),
+        &pdmm::checkpoint::load_checkpoint(&stored).unwrap(),
+        &FileJournal::salvage(&path).unwrap(),
+        mem(),
+    )
+    .unwrap();
+    assert_eq!(recovered.save_state(), full_state);
+    assert_eq!(recovered.snapshot().committed_batches(), committed);
+    assert_eq!(committed, batches.len() as u64);
 }
 
 #[test]
@@ -926,4 +955,37 @@ fn counters_restored_at_u64_max_saturate_instead_of_overflowing() {
     recovered.drain().unwrap();
     assert_eq!(recovered.snapshot().committed_batches(), u64::MAX);
     assert_eq!(recovered.snapshot().metrics().batches, 3);
+
+    // Two shards at `u64::MAX` each: the sums over shards saturate too.
+    let engines = || -> Vec<_> {
+        (0..2)
+            .map(|_| engine::build(EngineKind::Parallel, &builder))
+            .collect()
+    };
+    let sharded = ShardedService::new(engines());
+    for batch in &batches[..6] {
+        sharded.submit(batch.clone());
+        sharded.drain().unwrap();
+    }
+    let checkpoint = saturate(&sharded.checkpoint().unwrap(), "committed", &[1]);
+    let checkpoint = saturate(&checkpoint, "metrics", &[1, 2, 3, 4, 5, 13]);
+    assert_eq!(
+        pdmm::checkpoint::Checkpoint::parse(&checkpoint)
+            .unwrap()
+            .committed_batches(),
+        u64::MAX
+    );
+    let journals: Vec<String> = (0..2).map(|k| sharded.shard_journal(k)).collect();
+    let recovered = ShardedService::recover(
+        engines(),
+        Box::new(pdmm::sharding::HashPartitioner),
+        &checkpoint,
+        &journals,
+        vec![mem(), mem()],
+    )
+    .unwrap();
+    recovered.submit(next[1].clone());
+    recovered.drain().unwrap();
+    assert_eq!(recovered.snapshot().committed_batches(), u64::MAX);
+    assert_eq!(recovered.snapshot().metrics().batches, u64::MAX);
 }

@@ -5,16 +5,16 @@
 //!   across batches) are skipped and reported instead of poisoning the drain;
 //!   the journal records exactly the surviving subsets, so replay is still
 //!   bit-identical;
-//! * **`FileJournal`**: the file-backed sink (flush-on-commit, size-based
-//!   rotation) produces byte-identical journal contents to the in-memory
-//!   sink, across rotation boundaries, and replays cleanly;
+//! * **`FileJournal`**: the file-backed sink (one append-only file, synced on
+//!   every commit) produces byte-identical journal contents to the in-memory
+//!   sink, reads back from disk unchanged, and replays cleanly;
 //! * **per-commit publishing**: a drain of many queued batches publishes
 //!   after every commit, concurrent readers only ever observe committed
 //!   prefixes, monotonically, and a poison batch's error returns with every
 //!   earlier commit already visible;
 //! * **fault injection**: an injected I/O failure during `commit` surfaces
 //!   per the documented sink policy — a panic, not a silently diverging
-//!   journal — and leaves the on-disk segments parseable.
+//!   journal — and leaves the on-disk journal parseable.
 
 use pdmm::checkpoint::FaultSink;
 use pdmm::engine;
@@ -135,7 +135,7 @@ fn drain_lossy_reports_mixed_batches_update_by_update() {
 }
 
 #[test]
-fn file_journal_matches_memory_journal_and_rotates() {
+fn file_journal_matches_memory_journal() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
     let path = dir.join("service_sinks_file_journal.log");
     let workload = serve_workload();
@@ -143,11 +143,8 @@ fn file_journal_matches_memory_journal_and_rotates() {
     let builder = EngineBuilder::new(workload.num_vertices)
         .rank(workload.rank.max(2))
         .seed(17);
-    // A tiny rotation threshold so the workload crosses many segments.
     let file_backed = EngineService::new(engine::build(EngineKind::Parallel, &builder))
-        .with_journal(Box::new(
-            FileJournal::create(&path).unwrap().with_rotate_at(256),
-        ));
+        .with_journal(Box::new(FileJournal::create(&path).unwrap()));
     let in_memory = EngineService::new(engine::build(EngineKind::Parallel, &builder))
         .with_journal(Box::new(MemoryJournal::new()));
     for batch in &workload.batches {
@@ -157,17 +154,12 @@ fn file_journal_matches_memory_journal_and_rotates() {
         in_memory.drain().unwrap();
     }
 
-    // Byte-identical journals regardless of the sink, across rotations.
+    // Byte-identical journals regardless of the sink, and the file reads
+    // back unchanged after a crash.
     let journal = file_backed.journal();
     assert_eq!(journal, in_memory.journal());
-    // Rotation actually happened and left numbered segments behind.
-    let mut first_segment = path.clone().into_os_string();
-    first_segment.push(".1");
-    assert!(
-        std::path::Path::new(&first_segment).exists(),
-        "expected at least one rotated segment"
-    );
-    // The concatenated segments replay to the same state.
+    assert_eq!(FileJournal::salvage(&path).unwrap(), journal);
+    // The file replays to the same state.
     let replayed =
         EngineService::replay(engine::build(EngineKind::Parallel, &builder), &journal).unwrap();
     assert_eq!(
@@ -178,51 +170,31 @@ fn file_journal_matches_memory_journal_and_rotates() {
         replayed.snapshot().committed_batches(),
         file_backed.snapshot().committed_batches()
     );
-
-    // A no-rotation, no-flush file journal agrees too.
-    let relaxed_path = dir.join("service_sinks_file_journal_relaxed.log");
-    let relaxed =
-        EngineService::new(engine::build(EngineKind::Parallel, &builder)).with_journal(Box::new(
-            FileJournal::create(&relaxed_path)
-                .unwrap()
-                .with_flush_on_commit(false),
-        ));
-    for batch in &workload.batches {
-        relaxed.submit(batch.clone());
-        relaxed.drain().unwrap();
-    }
-    assert_eq!(relaxed.journal(), journal);
 }
 
 #[test]
-fn file_journal_create_clears_stale_segments_from_a_previous_run() {
+fn file_journal_create_starts_a_fresh_journal() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
-    let path = dir.join("service_sinks_stale_segments.log");
-    let segment = |seq: usize| {
-        let mut name = path.clone().into_os_string();
-        name.push(format!(".{seq}"));
-        std::path::PathBuf::from(name)
-    };
+    let path = dir.join("service_sinks_fresh_journal.log");
     let workload = serve_workload();
     let builder = EngineBuilder::new(workload.num_vertices)
         .rank(workload.rank.max(2))
         .seed(21);
 
-    // Run 1 rotates aggressively and leaves numbered segments on disk.
-    let first = EngineService::new(engine::build(EngineKind::Parallel, &builder)).with_journal(
-        Box::new(FileJournal::create(&path).unwrap().with_rotate_at(128)),
-    );
+    // Run 1 leaves its whole history on disk.
+    let first = EngineService::new(engine::build(EngineKind::Parallel, &builder))
+        .with_journal(Box::new(FileJournal::create(&path).unwrap()));
     for batch in &workload.batches {
         first.submit(batch.clone());
         first.drain().unwrap();
     }
-    assert!(segment(1).exists() && segment(2).exists());
+    assert!(!FileJournal::salvage(&path).unwrap().is_empty());
 
-    // Run 2 at the same path must clear them, or a restart reading the
-    // segment files back would replay the previous run's batches.
+    // Run 2 at the same path must start empty, or a restart reading the
+    // file back would replay the previous run's batches.
     let second = EngineService::new(engine::build(EngineKind::Parallel, &builder))
         .with_journal(Box::new(FileJournal::create(&path).unwrap()));
-    assert!(!segment(1).exists(), "stale segments must be removed");
+    assert_eq!(FileJournal::salvage(&path).unwrap(), "");
     second.submit(workload.batches[0].clone());
     second.drain().unwrap();
     let journal = second.journal();
