@@ -205,7 +205,11 @@ impl BatchKernel for ParallelDynamicMatching {
             }
         }
         let num_matched_deletions = matched_deletions.len();
-        self.state.metrics.temp_deleted_deletions += temp_deleted_deletions.len() as u64;
+        self.state.metrics.temp_deleted_deletions = self
+            .state
+            .metrics
+            .temp_deleted_deletions
+            .saturating_add(temp_deleted_deletions.len() as u64);
 
         let mut pending_reinsertions: Vec<HyperEdge> = Vec::new();
 
@@ -216,7 +220,7 @@ impl BatchKernel for ParallelDynamicMatching {
             let responsible = self.state.remove_edge_completely(id).responsible;
             if let Some(resp) = responsible {
                 if let Some(resp_state) = self.state.edges.get_mut(&resp) {
-                    resp_state.d_deleted_count += 1;
+                    resp_state.d_deleted_count = resp_state.d_deleted_count.saturating_add(1);
                 }
             }
             self.state.cost.work(1);
@@ -317,7 +321,11 @@ impl ParallelDynamicMatching {
         if !free.is_empty() {
             let result =
                 luby_maximal_matching_by_ref(free, &mut self.state.rng, Some(&self.state.cost));
-            self.state.metrics.luby_iterations += result.iterations as u64;
+            self.state.metrics.luby_iterations = self
+                .state
+                .metrics
+                .luby_iterations
+                .saturating_add(result.iterations as u64);
             newly_matched.extend(result.edges);
         }
 
@@ -371,7 +379,11 @@ impl ParallelDynamicMatching {
             .cost
             .work(all_edges.iter().map(|e| e.rank() as u64).sum::<u64>());
         let result = luby_maximal_matching(&all_edges, &mut self.state.rng, Some(&self.state.cost));
-        self.state.metrics.luby_iterations += result.iterations as u64;
+        self.state.metrics.luby_iterations = self
+            .state
+            .metrics
+            .luby_iterations
+            .saturating_add(result.iterations as u64);
         let matched: FxHashSet<EdgeId> = result.edges.into_iter().collect();
         for edge in all_edges.iter().filter(|e| matched.contains(&e.id)) {
             self.state.register_edge(edge, true, 0);

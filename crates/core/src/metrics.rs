@@ -86,40 +86,54 @@ impl Metrics {
     /// `d_size`.
     pub fn record_epoch_created(&mut self, level: usize, d_size: u64) {
         self.ensure_level(level);
-        self.per_level[level].epochs_created += 1;
-        self.per_level[level].d_size_at_creation += d_size;
+        let stats = &mut self.per_level[level];
+        stats.epochs_created = stats.epochs_created.saturating_add(1);
+        stats.d_size_at_creation = stats.d_size_at_creation.saturating_add(d_size);
     }
 
     /// Records a natural epoch termination at `level` after `d_deleted` of its
     /// temporarily deleted edges were themselves deleted by the adversary.
     pub fn record_epoch_natural_end(&mut self, level: usize, d_deleted: u64) {
         self.ensure_level(level);
-        self.per_level[level].epochs_ended_natural += 1;
-        self.per_level[level].d_deleted_before_natural_end += d_deleted;
+        let stats = &mut self.per_level[level];
+        stats.epochs_ended_natural = stats.epochs_ended_natural.saturating_add(1);
+        stats.d_deleted_before_natural_end =
+            stats.d_deleted_before_natural_end.saturating_add(d_deleted);
     }
 
     /// Records an induced epoch termination at `level`.
     pub fn record_epoch_induced_end(&mut self, level: usize) {
         self.ensure_level(level);
-        self.per_level[level].epochs_ended_induced += 1;
+        let stats = &mut self.per_level[level];
+        stats.epochs_ended_induced = stats.epochs_ended_induced.saturating_add(1);
     }
 
-    /// Total epochs created across all levels.
+    /// Total epochs created across all levels, saturating at `u64::MAX`.
     #[must_use]
     pub fn total_epochs_created(&self) -> u64 {
-        self.per_level.iter().map(|l| l.epochs_created).sum()
+        self.level_total(|l| l.epochs_created)
     }
 
-    /// Total natural epoch terminations across all levels.
+    /// Total natural epoch terminations across all levels, saturating at
+    /// `u64::MAX`.
     #[must_use]
     pub fn total_natural_ends(&self) -> u64 {
-        self.per_level.iter().map(|l| l.epochs_ended_natural).sum()
+        self.level_total(|l| l.epochs_ended_natural)
     }
 
-    /// Total induced epoch terminations across all levels.
+    /// Total induced epoch terminations across all levels, saturating at
+    /// `u64::MAX`.
     #[must_use]
     pub fn total_induced_ends(&self) -> u64 {
-        self.per_level.iter().map(|l| l.epochs_ended_induced).sum()
+        self.level_total(|l| l.epochs_ended_induced)
+    }
+
+    /// The saturating sum of one per-level counter: a restored state blob
+    /// can hold counters at `u64::MAX`.
+    fn level_total(&self, counter: impl Fn(&LevelStats) -> u64) -> u64 {
+        self.per_level
+            .iter()
+            .fold(0, |total, l| total.saturating_add(counter(l)))
     }
 }
 
@@ -151,6 +165,26 @@ mod tests {
         assert_eq!(m.total_epochs_created(), 3);
         assert_eq!(m.total_natural_ends(), 1);
         assert_eq!(m.total_induced_ends(), 1);
+    }
+
+    #[test]
+    fn counters_at_u64_max_saturate() {
+        let max = LevelStats {
+            epochs_created: u64::MAX,
+            epochs_ended_natural: u64::MAX,
+            epochs_ended_induced: u64::MAX,
+            d_size_at_creation: u64::MAX,
+            d_deleted_before_natural_end: u64::MAX,
+        };
+        let mut m = Metrics::new(1);
+        m.per_level = vec![max.clone(); 2];
+        m.record_epoch_created(1, 3);
+        m.record_epoch_natural_end(1, 3);
+        m.record_epoch_induced_end(1);
+        assert_eq!(m.per_level[1], max);
+        assert_eq!(m.total_epochs_created(), u64::MAX);
+        assert_eq!(m.total_natural_ends(), u64::MAX);
+        assert_eq!(m.total_induced_ends(), u64::MAX);
     }
 
     #[test]

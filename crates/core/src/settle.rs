@@ -37,7 +37,7 @@ pub(crate) fn process_level(
     level: usize,
     pending_reinsertions: &mut Vec<HyperEdge>,
 ) {
-    state.metrics.levels_processed += 1;
+    state.metrics.levels_processed = state.metrics.levels_processed.saturating_add(1);
     step1_resolve_undecided(state, level);
     step2_raise_nodes(state, level, pending_reinsertions);
 }
@@ -84,7 +84,10 @@ fn step1_resolve_undecided(state: &mut MatcherState, level: usize) {
     // hyperedges and their nodes drop to level 0.
     if !u_free.is_empty() {
         let result = luby_maximal_matching(&u_free, &mut state.rng, Some(&state.cost));
-        state.metrics.luby_iterations += result.iterations as u64;
+        state.metrics.luby_iterations = state
+            .metrics
+            .luby_iterations
+            .saturating_add(result.iterations as u64);
         for eid in result.edges {
             state.match_edge(eid, 0);
             state.metrics.record_epoch_created(0, 0);
@@ -146,7 +149,7 @@ pub(crate) fn grand_random_settle(
     level: usize,
     pending_reinsertions: &mut Vec<HyperEdge>,
 ) {
-    state.metrics.settle_invocations += 1;
+    state.metrics.settle_invocations = state.metrics.settle_invocations.saturating_add(1);
     let alpha = state.params.alpha;
     let threshold_half = (state.params.alpha_pow(level) / 2).max(1);
     // 2·⌈log₂ α⌉ phases per subsettle (the paper's 2·log α with base-2 logs).
@@ -163,7 +166,7 @@ pub(crate) fn grand_random_settle(
             sequential_settle_all(state, b, level, pending_reinsertions);
             return;
         }
-        state.metrics.settle_outer_repeats += 1;
+        state.metrics.settle_outer_repeats = state.metrics.settle_outer_repeats.saturating_add(1);
 
         // One grand-random-subsettle: `num_phases` phases of O(log |E'|) iterations.
         'phases: for i in 1..=num_phases {
@@ -205,7 +208,7 @@ fn subsubsettle(
     pending_reinsertions: &mut Vec<HyperEdge>,
 ) {
     state.cost.round();
-    state.metrics.settle_iterations += 1;
+    state.metrics.settle_iterations = state.metrics.settle_iterations.saturating_add(1);
 
     let eprime = current_eprime(state, b, level);
     state.cost.work(eprime.len() as u64);
@@ -362,13 +365,13 @@ pub(crate) fn release_bucket_and_remove(
         if still_ours {
             let st = state.remove_edge_completely(tid);
             pending_reinsertions.push(HyperEdge::new(tid, st.vertices.into_vec()));
-            state.metrics.reinsertions += 1;
+            state.metrics.reinsertions = state.metrics.reinsertions.saturating_add(1);
         }
     }
     let st = state.remove_edge_completely(edge_id);
     if reinsert_self {
         pending_reinsertions.push(HyperEdge::new(edge_id, st.vertices.into_vec()));
-        state.metrics.reinsertions += 1;
+        state.metrics.reinsertions = state.metrics.reinsertions.saturating_add(1);
     }
 }
 

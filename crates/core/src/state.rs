@@ -518,7 +518,7 @@ impl MatcherState {
             .bucket
             .push(id);
         self.park(id);
-        self.metrics.temp_deletions += 1;
+        self.metrics.temp_deletions = self.metrics.temp_deletions.saturating_add(1);
         self.cost.work(1);
     }
 

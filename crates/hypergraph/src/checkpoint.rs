@@ -73,9 +73,11 @@
 //! A checkpoint deletes nothing.  The journal is append-only and keeps every
 //! block, so it stays the full history, and the checkpoint records
 //! `tailskip`: how many complete journal blocks its engine state already
-//! covers.  Recovery skips exactly that many and replays the rest.  Because no
-//! block is ever removed, every checkpoint ever stored stays recoverable with
-//! the journal, even when a later checkpoint is lost before it is stored.
+//! covers.  The service counts the blocks as it appends them, so taking a
+//! checkpoint never reads the journal back.  Recovery skips exactly
+//! `tailskip` blocks and replays the rest.  Because no block is ever removed,
+//! every checkpoint ever stored stays recoverable with the journal, even when
+//! a later checkpoint is lost before it is stored.
 //!
 //! ## Torn-tail semantics
 //!

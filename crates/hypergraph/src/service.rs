@@ -653,6 +653,9 @@ struct ServiceInner {
     /// Committed batch count (equals the journal's block count, minus any
     /// committed empty batches, which the format cannot represent).
     committed: u64,
+    /// Blocks `journal` holds, counted as they are appended: a checkpoint's
+    /// `tail_skip`, which would otherwise cost a read of the whole journal.
+    journaled: u64,
 }
 
 /// A long-lived engine service: concurrent snapshot reads, a bounded
@@ -723,6 +726,7 @@ impl EngineService {
                 engine,
                 journal: Box::new(MemoryJournal::new()),
                 committed: 0,
+                journaled: 0,
             }),
             published: Mutex::new(initial),
             queue: Mutex::new(VecDeque::new()),
@@ -746,6 +750,7 @@ impl EngineService {
                 inner.committed, 0,
                 "the journal sink must be installed before the first commit"
             );
+            inner.journaled = io::journal_blocks(&sink.contents()).len() as u64;
             inner.journal = sink;
         }
         self
@@ -845,7 +850,7 @@ impl EngineService {
                 }
             };
             inner.committed = inner.committed.saturating_add(1);
-            append_journal(inner.journal.as_mut(), &batch);
+            append_journal(inner, &batch);
             inner.journal.commit();
             self.publish(inner);
             reports.push(report);
@@ -879,7 +884,7 @@ impl EngineService {
             // The journal records what actually committed — the surviving
             // subset — so replay stays bit-faithful.
             inner.committed = inner.committed.saturating_add(1);
-            append_journal(inner.journal.as_mut(), lossy.survivors());
+            append_journal(inner, lossy.survivors());
             inner.journal.commit();
             self.publish(inner);
             reports.push(IngestReport {
@@ -979,7 +984,8 @@ impl EngineService {
 
     /// Gathers this service's shard section of a checkpoint under the commit
     /// lock, so `tail_skip` counts exactly the journal blocks the engine
-    /// state covers.
+    /// state covers.  The count is kept as blocks are appended, so a
+    /// checkpoint costs O(state), whatever the journal's length.
     pub(crate) fn checkpoint_parts(&self) -> Result<checkpoint::ShardParts, CheckpointError> {
         let inner = self.inner.lock().expect("service commit lock poisoned");
         let state = inner
@@ -988,13 +994,12 @@ impl EngineService {
             .ok_or_else(|| CheckpointError::Unsupported {
                 engine: inner.engine.name().to_string(),
             })?;
-        let tail_skip = io::journal_blocks(&inner.journal.contents()).len() as u64;
         Ok(checkpoint::ShardParts {
             engine: inner.engine.name(),
             num_vertices: inner.engine.num_vertices(),
             max_rank: inner.engine.max_rank(),
             committed: inner.committed,
-            tail_skip,
+            tail_skip: inner.journaled,
             state,
         })
     }
@@ -1107,6 +1112,7 @@ impl EngineService {
                 engine,
                 journal: sink,
                 committed,
+                journaled: blocks.len() as u64,
             }),
             published: Mutex::new(initial),
             queue: Mutex::new(VecDeque::new()),
@@ -1249,7 +1255,8 @@ fn first_snapshot(engine: &mut (dyn MatchingEngine + Send), committed: u64) -> M
 /// [`io::COMMIT_MARKER`] trailer in the same append, so a torn write loses
 /// the trailer with the tail and recovery never mistakes a partial block for
 /// a committed batch (the parsers skip `#` lines, so replay is unaffected).
-fn append_journal(journal: &mut dyn JournalSink, batch: &[Update]) {
+/// The service's journaled-block count goes up with every block appended.
+fn append_journal(inner: &mut ServiceInner, batch: &[Update]) {
     if batch.is_empty() {
         // The stream format cannot represent an empty batch; it is a no-op on
         // every engine, so skipping it keeps replay faithful.
@@ -1258,7 +1265,8 @@ fn append_journal(journal: &mut dyn JournalSink, batch: &[Update]) {
     let mut block = io::batches_to_string(&[batch]);
     block.push_str(io::COMMIT_MARKER);
     block.push('\n');
-    journal.append_block(&block);
+    inner.journal.append_block(&block);
+    inner.journaled += 1;
 }
 
 // The whole point of the service: it is shareable across threads.

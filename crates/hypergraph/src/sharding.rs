@@ -28,11 +28,15 @@
 //!   would).  Routing is sequential and deterministic: per-shard sub-batch
 //!   sequences — and therefore per-shard journals — are a pure function of the
 //!   submitted stream and the partitioner.
-//! * **Fan-out/merge** — [`ShardedService::drain`] drains all shards
-//!   concurrently on the in-tree work-stealing pool and merges the per-shard
-//!   [`BatchReport`]s into one [`ShardedDrainReport`] (summed
-//!   [`EngineMetrics`], total matching size); [`ShardedService::drain_lossy`]
-//!   does the same for skip-and-report ingest with [`IngestReport`]s.
+//! * **Drain/merge** — [`ShardedService::drain`] drains the shards in shard
+//!   order on the calling thread and merges the per-shard [`BatchReport`]s
+//!   into one [`ShardedDrainReport`] (summed [`EngineMetrics`], total
+//!   matching size); [`ShardedService::drain_lossy`] does the same for
+//!   skip-and-report ingest with [`IngestReport`]s.  The shard drains are
+//!   not handed to the work-stealing pool: a `join` called from outside the
+//!   pool puts thread wake-ups on the critical path, which costs a small
+//!   drain more than its shards could overlap (see
+//!   [`ShardedService::drain`]).
 //! * **[`ShardedSnapshot`]** — one immutable view per drain boundary, read
 //!   with one lock and one `Arc` clone: every shard's snapshot at that
 //!   boundary, the **pre-arbitration** raw cross-shard accounting derived
@@ -63,8 +67,12 @@
 //!   that such a vertex, a freed endpoint of a routed insert, or a routed
 //!   deletion reaches.  The hashing is proportional to the batch, the
 //!   matching delta and the components they reach, on top of a few flat
-//!   O(M) copies and merges for `M` matched edges and one O(n) array for
-//!   `n` vertices; the result equals the from-scratch pass bit for bit (a
+//!   O(M) copies and merges for `M` matched edges.  Two O(n) arrays for `n`
+//!   vertices live from drain to drain: each vertex's cover (kept, freed or
+//!   uncovered), refreshed only at the vertices whose cover the delta can
+//!   move, so the repair wave reads a cover instead of probing every shard;
+//!   and the scratch of the component split, reset only where it was
+//!   written.  The result equals the from-scratch pass bit for bit (a
 //!   differential suite checks every drain).  A drain from an empty
 //!   matching (a bulk load) takes the full pass instead.  On the
 //!   benchmark's wire-2shard workload (2 shards, 2k live edges, batches of
@@ -119,7 +127,7 @@
 //!     .collect();
 //! let service = ShardedService::new(engines);
 //!
-//! // Batches are routed to owner shards, fanned out, drained concurrently.
+//! // Batches are routed to owner shards and drained shard by shard.
 //! let batch = UpdateBatch::new(vec![
 //!     Update::Insert(HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1))),
 //!     Update::Insert(HyperEdge::pair(EdgeId(1), VertexId(2), VertexId(3))),
@@ -155,7 +163,6 @@ use crate::engine::{BatchReport, EngineMetrics, IngestReport, MatchingEngine};
 use crate::io::{self, ParseError};
 use crate::service::{EngineService, JournalSink, MatchingSnapshot, ServiceError};
 use crate::types::{ArbitrationStats, EdgeId, ShardId, Update, UpdateBatch, VertexId};
-use rayon::prelude::*;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
@@ -409,9 +416,9 @@ impl ArbitrationReport {
 ///    `(owner shard, edge id)` priority.
 /// 2. **Evict** — a matched edge that lost *any* endpoint award is evicted;
 ///    everything else is kept.
-/// 3. **Repair** — one bounded wave: each shard concurrently collects its
-///    live edges incident to the freed vertices (endpoints of evicted edges
-///    not covered by kept edges), and a central greedy walks the candidates
+/// 3. **Repair** — one bounded wave: each shard in turn collects its live
+///    edges incident to the freed vertices (endpoints of evicted edges not
+///    covered by kept edges), and a central greedy walks the candidates
 ///    in `(owner shard, edge id)` order, accepting every edge whose
 ///    endpoints are still uncovered.  One wave suffices for maximality:
 ///    repaired edges only add coverage, so no vertex is ever re-exposed.
@@ -805,9 +812,10 @@ impl RoutePlan {
 /// end-to-end example.
 ///
 /// `Sync` like the underlying services: share it across threads with `Arc` or
-/// scoped borrows; submissions route under a short router lock, drains
-/// fan out per shard and run one at a time (each carries the arbitration
-/// forward from the last), reads never touch any commit lock.
+/// scoped borrows; submissions route under a short router lock, drains run
+/// the shards in shard order on the calling thread and run one at a time
+/// (each carries the arbitration forward from the last), reads never touch
+/// any commit lock.
 pub struct ShardedService {
     /// The shards, each a full service (engine, queue, journal, snapshots).
     shards: Vec<EngineService>,
@@ -1152,9 +1160,19 @@ impl ShardedService {
         Ok(report)
     }
 
-    /// Drains every shard **concurrently** on the in-tree work-stealing pool
-    /// (each shard through its own [`EngineService::drain`]) and merges the
-    /// per-shard reports.
+    /// Drains every shard in shard order **on the calling thread** (each
+    /// through its own [`EngineService::drain`]) and merges the per-shard
+    /// reports.  Each engine's kernel keeps its own parallelism.
+    ///
+    /// The shard drains are not fanned out to the work-stealing pool: a
+    /// `join` called from outside the pool puts at least two thread wake-ups
+    /// on the critical path, which costs a small drain more than its shards
+    /// could overlap.  On the benchmark's wire-2shard stream (2 shards, 2k
+    /// live edges; in-process on 2 shared vCPUs, medians of 150 set-ups in
+    /// each of 8 runs) a 32-update lossy drain takes 100–114 µs inline
+    /// against 137–148 µs fanned out.  Large drains pay for it, because their
+    /// shards no longer overlap: the stream's 2,000-edge bulk load takes
+    /// 2.27–2.53 ms inline against about 2.0 ms fanned out.
     ///
     /// # Errors
     ///
@@ -1166,13 +1184,11 @@ impl ShardedService {
     pub fn drain(&self) -> Result<ShardedDrainReport, ShardedServiceError> {
         let mut arbitration = self.lock_arbitration();
         let floor = self.lock_router().enqueued_floor();
-        let results: Vec<Result<Vec<BatchReport>, ServiceError>> =
-            self.shards.par_iter().map(EngineService::drain).collect();
-        let mut per_shard = Vec::with_capacity(results.len());
+        let mut per_shard = Vec::with_capacity(self.shards.len());
         let mut first_error: Option<(usize, ServiceError)> = None;
         let mut failed: Vec<usize> = Vec::new();
-        for (shard, result) in results.into_iter().enumerate() {
-            match result {
+        for (shard, service) in self.shards.iter().enumerate() {
+            match service.drain() {
                 Ok(reports) => per_shard.push(reports),
                 Err(error) => {
                     // The sub-batches this shard committed before stopping
@@ -1207,7 +1223,8 @@ impl ShardedService {
         }
     }
 
-    /// Drains every shard concurrently in **skip-and-report** mode
+    /// Drains every shard in shard order on the calling thread (as
+    /// [`ShardedService::drain`] does) in **skip-and-report** mode
     /// ([`EngineService::drain_lossy`]) and merges the per-shard
     /// [`IngestReport`]s: invalid updates are skipped and reported with their
     /// typed errors, so a dirty stream cannot poison any shard and the queues
@@ -1216,11 +1233,8 @@ impl ShardedService {
     pub fn drain_lossy(&self) -> ShardedIngestReport {
         let mut arbitration = self.lock_arbitration();
         let floor = self.lock_router().enqueued_floor();
-        let per_shard: Vec<Vec<IngestReport>> = self
-            .shards
-            .par_iter()
-            .map(EngineService::drain_lossy)
-            .collect();
+        let per_shard: Vec<Vec<IngestReport>> =
+            self.shards.iter().map(EngineService::drain_lossy).collect();
         // Skipped inserts never reached any engine: drop their routing-time
         // owner entries so the boundary sets match what actually committed.
         self.reconcile_rejected(&per_shard);
@@ -1540,6 +1554,25 @@ impl ShardedService {
         .clone()
     }
 
+    /// The vertices whose cover cached in the arbitration state differs from
+    /// the cover recomputed from the published shard snapshots and evicted
+    /// list, in ascending order: the audit of the per-vertex cache the
+    /// incremental arbitration reads.  Empty when the cache is sound.
+    /// O(n·shards) for `n` vertices; not a serving-path read.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn stale_covers(&self) -> Vec<VertexId> {
+        let arbitration = self.lock_arbitration();
+        let view = Arc::clone(&self.lock_published());
+        let evicted: FxHashSet<EdgeId> = view.arbitrated.evicted.iter().copied().collect();
+        (0..self.num_vertices)
+            .map(|i| VertexId(i as u32))
+            .filter(|&v| {
+                arbitration.covers.get(v.index()) != Some(&cover_of(&view.shards, &evicted, v))
+            })
+            .collect()
+    }
+
     /// Replaces the arbitration state with one built from scratch and
     /// publishes its view (replay and recovery, after rebuilding shards).
     fn rebuild_arbitration(&self) {
@@ -1744,12 +1777,13 @@ struct RepairComponent {
 /// Splits a closed set of candidates, in priority order, and their seeds
 /// into connected components, linking through the vertices `links`
 /// accepts.  `accepted[i]` says whether the greedy took `candidates[i]`.
-/// Vertices are below `num_vertices`.
+/// `first_at` has an entry per vertex, all `u32::MAX` on entry and again on
+/// return: only the entries written are reset.
 fn split_components(
     seeds: Vec<VertexId>,
     candidates: Vec<Candidate>,
     accepted: &[bool],
-    num_vertices: usize,
+    first_at: &mut [u32],
     links: impl Fn(VertexId) -> bool,
 ) -> Vec<RepairComponent> {
     fn find(parent: &mut [usize], mut x: usize) -> usize {
@@ -1761,25 +1795,30 @@ fn split_components(
     }
     let n = candidates.len();
     let mut parent: Vec<usize> = (0..n + seeds.len()).collect();
+    assert!(parent.len() < u32::MAX as usize, "repair nodes fit in u32");
     // The first node seen at each vertex (dense: every candidate endpoint
     // is probed, and hashing them would cost more than the array).
-    let mut first_at = vec![usize::MAX; num_vertices];
     let memberships = candidates
         .iter()
         .enumerate()
         .flat_map(|(i, (_, _, endpoints))| endpoints.iter().map(move |&v| (i, v)))
         .chain(seeds.iter().enumerate().map(|(s, &v)| (n + s, v)));
+    let mut written: Vec<VertexId> = Vec::new();
     for (node, v) in memberships {
         if !links(v) {
             continue;
         }
         let first = &mut first_at[v.index()];
-        if *first == usize::MAX {
-            *first = node;
+        if *first == u32::MAX {
+            *first = node as u32;
+            written.push(v);
         } else {
-            let (a, b) = (find(&mut parent, node), find(&mut parent, *first));
+            let (a, b) = (find(&mut parent, node), find(&mut parent, *first as usize));
             parent[a] = b;
         }
+    }
+    for v in written {
+        first_at[v.index()] = u32::MAX;
     }
     let roots: Vec<usize> = (0..parent.len()).map(|x| find(&mut parent, x)).collect();
     let mut slot_of_root = vec![usize::MAX; roots.len()];
@@ -1860,8 +1899,14 @@ struct Arbitration {
     view: Arc<ShardedView>,
     /// The evicted edges, for O(1) membership.
     evicted: FxHashSet<EdgeId>,
+    /// Every vertex's cover under `view` and `evicted`, indexed by vertex: a
+    /// cache of [`cover_of`], refreshed wherever a drain can move a cover
+    /// (see [`Arbitration::advance`]).
+    covers: Vec<Cover>,
     /// The repair wave, component by component.
     repairs: RepairIndex,
+    /// Scratch of [`split_components`], one `u32::MAX` entry per vertex.
+    first_at: Vec<u32>,
 }
 
 /// Every shard's published snapshot, indexed by shard.
@@ -1921,22 +1966,29 @@ fn arbitrate(
     }
 
     // Evict pass: keep exactly the edges that won all their endpoints.
+    // Walking shards ascending, the first matched edge seen at a vertex is
+    // its lowest covering shard's, which fixes the vertex's cover.
     let mut kept: Vec<EdgeId> = Vec::new();
     let mut evicted: Vec<EdgeId> = Vec::new();
     let mut evicted_endpoints: Vec<VertexId> = Vec::new();
     let mut by_vertex: FxHashMap<VertexId, EdgeId> = FxHashMap::default();
     let num_vertices = shards.first().map_or(0, |s| s.num_vertices());
-    let mut kept_vertex = vec![false; num_vertices];
+    let mut covers = vec![Cover::Uncovered; num_vertices];
     let mut conflicted: Vec<VertexId> = Vec::new();
     for (k, snap) in shards.iter().enumerate() {
         for (id, endpoints) in snap.matched_edges() {
             let wins = endpoints
                 .iter()
                 .all(|v| cover_count[v] == 1 || award.get(v) == Some(&(k, id)));
+            for &v in endpoints {
+                let cover = &mut covers[v.index()];
+                if *cover == Cover::Uncovered {
+                    *cover = if wins { Cover::Kept } else { Cover::Freed };
+                }
+            }
             if wins {
                 kept.push(id);
                 for &v in endpoints {
-                    kept_vertex[v.index()] = true;
                     if let Some(prev) = by_vertex.insert(v, id) {
                         if prev != id {
                             // Unreachable by the award argument; recorded
@@ -1956,7 +2008,7 @@ fn arbitrate(
     // Freed vertices: endpoints evictions exposed, minus kept coverage.
     let mut freed: Vec<VertexId> = evicted_endpoints
         .into_iter()
-        .filter(|v| !by_vertex.contains_key(v))
+        .filter(|v| covers[v.index()] == Cover::Freed)
         .collect();
     freed.sort_unstable();
     freed.dedup();
@@ -2006,12 +2058,13 @@ fn arbitrate(
 
     let evicted_set: FxHashSet<EdgeId> = evicted.iter().copied().collect();
     let mut repairs = RepairIndex::default();
+    let mut first_at = vec![u32::MAX; num_vertices];
     repairs.insert(split_components(
         freed,
         candidates,
         &accepted,
-        num_vertices,
-        |v| !kept_vertex[v.index()],
+        &mut first_at,
+        |v| covers[v.index()] != Cover::Kept,
     ));
     let mut cross_matched: Vec<EdgeId> = shards
         .iter()
@@ -2037,7 +2090,9 @@ fn arbitrate(
             }),
         }),
         evicted: evicted_set,
+        covers,
         repairs,
+        first_at,
     }
 }
 
@@ -2052,7 +2107,9 @@ impl Arbitration {
     ///    their endpoints are the vertices whose covers changed.
     /// 2. **Raw accounting** moves by that delta.
     /// 3. **Award and evict** are redone for the matched edges covering a
-    ///    changed vertex — the only edges whose outcome can move.
+    ///    changed vertex — the only edges whose outcome can move — and the
+    ///    cover cache is refreshed at the vertices of those edges, the only
+    ///    vertices whose cover can move.
     /// 4. **Repair** is rerun over a region grown to closure from the
     ///    vertices of step 3 whose cover moved or is freed, the freed
     ///    endpoints of routed inserts, and the old components of removed
@@ -2153,10 +2210,7 @@ impl Arbitration {
         );
         region.sort_unstable();
         region.dedup();
-        let covered_before: Vec<Cover> = region
-            .iter()
-            .map(|&v| cover_of(&prev.shards, &self.evicted, v))
-            .collect();
+        let covered_before: Vec<Cover> = region.iter().map(|&v| self.covers[v.index()]).collect();
         let (mut evicted_out, mut evicted_in) = (Vec::new(), Vec::new());
         for &(id, _) in &removed {
             if self.evicted.remove(&id) {
@@ -2178,7 +2232,16 @@ impl Arbitration {
         evicted_out.sort_unstable();
         evicted_in.sort_unstable();
         let evicted = patch_sorted(&prev.arbitrated.evicted, &evicted_out, &evicted_in);
-        let cover = |v: VertexId| cover_of(&next, &self.evicted, v);
+        // A cover moves only with the shards covering the vertex (a touched
+        // vertex) or the eviction of its covering edge (a removed edge, whose
+        // endpoints are touched, or a re-judged one): both are in the region.
+        for &v in &region {
+            self.covers[v.index()] = cover_of(&next, &self.evicted, v);
+        }
+        // An id outside the vertex space reads as uncovered, as `cover_of`
+        // finds it: the endpoints of rejected inserts can be such ids.
+        let covers = &self.covers;
+        let cover = |v: VertexId| covers.get(v.index()).copied().unwrap_or(Cover::Uncovered);
 
         // 4. Repair.  Retire the components a removed or deleted edge was a
         // candidate of, then grow the region to closure from the retired
@@ -2268,8 +2331,7 @@ impl Arbitration {
             })
             .collect();
         seeds.sort_unstable();
-        let num_vertices = next[0].num_vertices();
-        let components = split_components(seeds, candidates, &accepted, num_vertices, |v| {
+        let components = split_components(seeds, candidates, &accepted, &mut self.first_at, |v| {
             cover(v) != Cover::Kept
         });
 

@@ -21,7 +21,7 @@
 //!   state from,
 //! * [`sharding`] — the sharded serving layer: `N` parallel
 //!   [`sharding::ShardedService`] shards partitioning the vertex space behind
-//!   a deterministic router, drained concurrently and merged into
+//!   a deterministic router, drained shard by shard and merged into
 //!   [`sharding::ShardedSnapshot`] reads with explicit cross-shard
 //!   accounting and a boundary-arbitrated globally valid matching
 //!   ([`sharding::ArbitratedMatching`]),
@@ -120,7 +120,7 @@
 //!
 //! To scale commits past one engine's lock, shard the vertex space: a
 //! [`sharding::ShardedService`] routes every update to a deterministic owner
-//! shard, drains all shards concurrently, and merges per-shard snapshots —
+//! shard, drains the shards one after another, and merges per-shard snapshots —
 //! with cross-shard edges accounted explicitly (the full story lives in the
 //! [`sharding`] module docs):
 //!

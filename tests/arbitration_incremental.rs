@@ -6,9 +6,11 @@
 //! rejected inserts, with a dropped poison sub-batch, after `replay` and
 //! after `recover` — the published view equals a from-scratch arbitration
 //! pass over the same shard state, field for field (matching, evicted,
-//! repaired, by-vertex map, conflicted set and report), and its raw
+//! repaired, by-vertex map, conflicted set and report), its raw
 //! cross-shard accounting equals a direct recomputation from the shard
-//! snapshots.  All five engines, at 1, 2, 4 and 8 shards.
+//! snapshots, and every vertex's cached cover (kept, freed or uncovered)
+//! equals the cover recomputed from the published shard snapshots and
+//! evicted list.  All five engines, at 1, 2, 4 and 8 shards.
 
 use pdmm::engine;
 use pdmm::hypergraph::streams::{self, Workload};
@@ -32,8 +34,9 @@ fn mem() -> Box<dyn JournalSink> {
     Box::new(MemoryJournal::new())
 }
 
-/// Checks the published view against the from-scratch pass and the raw
-/// accounting against its direct recomputation.
+/// Checks the published view against the from-scratch pass, the raw
+/// accounting against its direct recomputation, and the cover cache against
+/// the published view.
 fn audit(service: &ShardedService, report: ArbitrationReport, label: &str) {
     let snapshot = service.snapshot();
     let oracle = service.arbitrate_from_scratch();
@@ -43,6 +46,11 @@ fn audit(service: &ShardedService, report: ArbitrationReport, label: &str) {
         "{label}: incremental arbitration diverged from the full pass"
     );
     assert_eq!(report, oracle.report(), "{label}: drain report");
+    let stale = service.stale_covers();
+    assert!(
+        stale.is_empty(),
+        "{label}: stale cached covers at {stale:?}"
+    );
 
     // One cut: every shard snapshot in the view is the shard's latest.
     for k in 0..service.num_shards() {

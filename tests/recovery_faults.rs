@@ -17,6 +17,8 @@
 //! * a file journal is append-only and a checkpoint deletes none of it, so
 //!   a stored checkpoint plus the salvaged file recovers even after a later
 //!   checkpoint is lost before it is stored;
+//! * a checkpoint's `tailskip` equals the blocks its journal holds, counted
+//!   as they are appended rather than by reading the journal back;
 //! * counters restored at `u64::MAX` saturate on the next batch instead of
 //!   overflowing, in one service and in the sums over shards.
 
@@ -818,6 +820,121 @@ fn a_stored_checkpoint_recovers_after_a_later_one_is_lost() {
     assert_eq!(committed, batches.len() as u64);
 }
 
+/// The `tailskip` of every shard section of a checkpoint, in shard order.
+fn tail_skips(checkpoint: &str) -> Vec<usize> {
+    checkpoint
+        .lines()
+        .filter_map(|line| line.strip_prefix("tailskip "))
+        .map(|n| n.parse().unwrap())
+        .collect()
+}
+
+#[test]
+fn a_checkpoint_covers_exactly_the_journaled_blocks_after_every_kind_of_drain() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let workload = serve_workload();
+    let batches = nonempty_batches(&workload);
+    let builder = builder_for(&workload, 3);
+    let blocks = |journal: &str| io::journal_blocks(journal).len();
+    let covers_journal = |service: &EngineService, label: &str| {
+        let checkpoint = service.checkpoint().unwrap();
+        assert_eq!(
+            tail_skips(&checkpoint),
+            [blocks(&service.journal())],
+            "{label}"
+        );
+        checkpoint
+    };
+    let all_rejected = || UpdateBatch::new(vec![Update::Delete(EdgeId(u64::MAX))]).unwrap();
+
+    let path = dir.join("recovery_faults_tail_count.log");
+    let service = EngineService::new(engine::build(EngineKind::Parallel, &builder))
+        .with_journal(Box::new(FileJournal::create(&path).unwrap()));
+    covers_journal(&service, "fresh");
+    let mid = batches.len() / 2;
+    let mut checkpoint = String::new();
+    for (i, batch) in batches.iter().enumerate() {
+        service.submit(batch.clone());
+        if i % 2 == 0 {
+            service.drain().unwrap();
+        } else {
+            assert!(service.drain_lossy()[0].rejected.is_empty());
+        }
+        let taken = covers_journal(&service, &format!("batch {i}"));
+        if i == mid {
+            checkpoint = taken;
+        }
+    }
+    // A strict drain refusing its batch and a lossy drain rejecting every
+    // update both leave the journal as it was.
+    service.submit(all_rejected());
+    service.drain().unwrap_err();
+    covers_journal(&service, "strict refusal");
+    service.submit(all_rejected());
+    assert_eq!(service.drain_lossy()[0].rejected.len(), 1);
+    covers_journal(&service, "all rejected");
+
+    // Recovery re-appends every retained block, the ones the checkpoint
+    // covers included, and counts them all.
+    let recovered = EngineService::recover(
+        engine::build(EngineKind::Parallel, &builder),
+        &checkpoint,
+        &FileJournal::salvage(&path).unwrap(),
+        mem(),
+    )
+    .unwrap();
+    assert_eq!(blocks(&recovered.journal()), batches.len());
+    covers_journal(&recovered, "recovered");
+    let mut rng = 19u64;
+    for batch in continuation_batches(workload.num_vertices, 2, &mut rng) {
+        recovered.submit(batch);
+        recovered.drain().unwrap();
+    }
+    covers_journal(&recovered, "recovered, then drained");
+
+    // Per shard, through strict, lossy and all-rejected drains and recovery.
+    let sections_cover_journals = |sharded: &ShardedService, label: &str| {
+        let checkpoint = sharded.checkpoint().unwrap();
+        let journaled: Vec<usize> = (0..sharded.num_shards())
+            .map(|k| blocks(&sharded.shard_journal(k)))
+            .collect();
+        assert_eq!(tail_skips(&checkpoint), journaled, "{label}");
+        checkpoint
+    };
+    let engines = || -> Vec<_> {
+        (0..4)
+            .map(|_| engine::build(EngineKind::Parallel, &builder))
+            .collect()
+    };
+    let sharded = ShardedService::new(engines());
+    let mut checkpoint = String::new();
+    for (i, batch) in batches.iter().enumerate() {
+        sharded.submit(batch.clone());
+        if i % 2 == 0 {
+            sharded.drain().unwrap();
+        } else {
+            assert_eq!(sharded.drain_lossy().rejected, 0);
+        }
+        let taken = sections_cover_journals(&sharded, &format!("sharded batch {i}"));
+        if i == mid {
+            checkpoint = taken;
+        }
+    }
+    sharded.submit(all_rejected());
+    assert_eq!(sharded.drain_lossy().rejected, 1);
+    sections_cover_journals(&sharded, "sharded, all rejected");
+    let journals: Vec<String> = (0..4).map(|k| sharded.shard_journal(k)).collect();
+    let recovered = ShardedService::recover(
+        engines(),
+        Box::new(pdmm::sharding::HashPartitioner),
+        &checkpoint,
+        &journals,
+        (0..4).map(|_| mem()).collect(),
+    )
+    .unwrap();
+    sections_cover_journals(&recovered, "sharded, recovered");
+}
+
 #[test]
 fn checkpoint_files_roundtrip_through_disk() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
@@ -915,24 +1032,44 @@ fn counters_restored_at_u64_max_saturate_instead_of_overflowing() {
     let builder = builder_for(&workload, 3);
     let mut rng = 5u64;
     let next = continuation_batches(workload.num_vertices, 2, &mut rng);
+    // Every counter of the parallel engine's `metrics` line, in blob order
+    // (tokens 1-5 and 13 are the uniform ones), and of its `lv` lines.
+    let kernel_counters: Vec<usize> = (1..=14).collect();
     for kind in EngineKind::ALL {
         let mut live = engine::build(kind, &builder);
         live.apply_all(&batches[..4]).unwrap();
         // The uniform counters: batches, updates, insertions, deletions,
-        // matched deletions and rebuilds.
+        // matched deletions and rebuilds; on the parallel engine also the
+        // settle, Luby, reinsertion and per-level epoch counters and every
+        // edge's count of deleted `D(e)` members.
         let blob = match kind {
             EngineKind::Parallel => {
-                saturate(&live.save_state().unwrap(), "metrics", &[1, 2, 3, 4, 5, 13])
+                let blob = saturate(&live.save_state().unwrap(), "metrics", &kernel_counters);
+                let blob = saturate(&blob, "lv", &[1, 2, 3, 4, 5]);
+                saturate(&blob, "e", &[7])
             }
             _ => saturate(&live.save_state().unwrap(), "counters", &[1, 2, 3, 4, 5, 6]),
         };
         let mut restored = engine::build(kind, &builder);
         restored.restore_state(&blob).unwrap();
         restored.apply_batch(&next[0]).unwrap();
+        // Deleting matched edges ends epochs and runs the level sweep, so
+        // the settle counters move too.
+        let matched: Vec<Update> = restored.matching().take(6).map(Update::Delete).collect();
+        assert!(!matched.is_empty(), "{kind}");
+        restored
+            .apply_batch(&UpdateBatch::new(matched).unwrap())
+            .unwrap();
         let m = restored.metrics();
         let counters = [m.batches, m.updates, m.insertions, m.deletions];
         assert_eq!(counters, [u64::MAX; 4], "{kind}");
         assert_eq!([m.matched_deletions, m.rebuilds], [u64::MAX; 2], "{kind}");
+        if kind == EngineKind::Parallel {
+            let state = restored.save_state().unwrap();
+            let line = state.lines().find(|l| l.starts_with("metrics ")).unwrap();
+            let max = u64::MAX.to_string();
+            assert!(line.split(' ').skip(1).all(|t| t == max), "{line}");
+        }
     }
 
     // The service's committed count saturates too: in tail replay and in
