@@ -780,6 +780,14 @@ impl EngineService {
     /// only thread that drains — with a full queue it would wait forever; use
     /// [`EngineService::try_submit`] or drain first.
     pub fn submit(&self, batch: UpdateBatch) {
+        self.wait_for_room().push_back(batch);
+    }
+
+    /// Locks the queue once it has room for a batch, **blocking** while it is
+    /// at capacity until a concurrent drain pops it.  The sharded layer's
+    /// blocking submit waits here between its all-or-nothing admission
+    /// attempts.
+    pub(crate) fn wait_for_room(&self) -> MutexGuard<'_, VecDeque<UpdateBatch>> {
         let mut queue = self.lock_queue();
         while queue.len() >= self.capacity {
             queue = self
@@ -787,7 +795,7 @@ impl EngineService {
                 .wait(queue)
                 .expect("submission queue lock poisoned");
         }
-        queue.push_back(batch);
+        queue
     }
 
     /// Enqueues a batch if the queue has room; hands the batch back otherwise
@@ -825,6 +833,16 @@ impl EngineService {
     /// first illegal update of the refused batch), exactly as the validating
     /// [`MatchingEngine::apply_batch`] path reports them.
     pub fn drain(&self) -> Result<Vec<BatchReport>, ServiceError> {
+        self.drain_with(|_| {})
+    }
+
+    /// [`EngineService::drain`], handing every committed batch to `on_commit`
+    /// under the commit lock, in commit order.  The sharded layer's
+    /// arbitration reads what each shard committed through this.
+    pub(crate) fn drain_with(
+        &self,
+        mut on_commit: impl FnMut(&[Update]),
+    ) -> Result<Vec<BatchReport>, ServiceError> {
         let mut guard = self.inner.lock().expect("service commit lock poisoned");
         let inner = &mut *guard;
         let mut reports = Vec::new();
@@ -853,6 +871,7 @@ impl EngineService {
             append_journal(inner, &batch);
             inner.journal.commit();
             self.publish(inner);
+            on_commit(&batch);
             reports.push(report);
         }
         Ok(reports)
@@ -872,6 +891,15 @@ impl EngineService {
     /// not journaled).  Unlike [`EngineService::drain`] this never stops
     /// early, so the queue is always empty when it returns.
     pub fn drain_lossy(&self) -> Vec<IngestReport> {
+        self.drain_lossy_with(|_| {})
+    }
+
+    /// [`EngineService::drain_lossy`], handing every batch's committed
+    /// survivors to `on_commit` under the commit lock, in commit order.
+    pub(crate) fn drain_lossy_with(
+        &self,
+        mut on_commit: impl FnMut(&[Update]),
+    ) -> Vec<IngestReport> {
         let mut guard = self.inner.lock().expect("service commit lock poisoned");
         let inner = &mut *guard;
         let mut reports = Vec::new();
@@ -887,6 +915,7 @@ impl EngineService {
             append_journal(inner, lossy.survivors());
             inner.journal.commit();
             self.publish(inner);
+            on_commit(lossy.survivors());
             reports.push(IngestReport {
                 batch: report,
                 deduplicated: lossy.deduplicated,

@@ -27,7 +27,10 @@
 //!   shard 0, which reports the same typed `UnknownDeletion` a single service
 //!   would).  Routing is sequential and deterministic: per-shard sub-batch
 //!   sequences — and therefore per-shard journals — are a pure function of the
-//!   submitted stream and the partitioner.
+//!   submitted stream and the partitioner.  A batch is routed and enqueued in
+//!   one step under one lock ([`ShardedService::try_submit`], which
+//!   [`ShardedService::submit`] retries), so each shard's queue order is its
+//!   routing order.
 //! * **Drain/merge** — [`ShardedService::drain`] drains the shards in shard
 //!   order on the calling thread and merges the per-shard [`BatchReport`]s
 //!   into one [`ShardedDrainReport`] (summed [`EngineMetrics`], total
@@ -59,29 +62,32 @@
 //!   pure function of the committed per-shard matchings and live edges — so
 //!   replay and recovery reproduce it bit-identically without persisting
 //!   anything.
-//! * **Incremental arbitration** — a drain does not redo the pass.  It
-//!   merges each shard's previous and current sorted matched-id arrays into
-//!   the matching delta, re-awards only the matched edges covering a vertex
-//!   the delta touched, and reruns the repair greedy only over the *repair
-//!   components* (candidates linked through vertices no kept edge covers)
-//!   that such a vertex, a freed endpoint of a routed insert, or a routed
-//!   deletion reaches.  The hashing is proportional to the batch, the
-//!   matching delta and the components they reach, on top of a few flat
-//!   O(M) copies and merges for `M` matched edges.  Two O(n) arrays for `n`
-//!   vertices live from drain to drain: each vertex's cover (kept, freed or
-//!   uncovered), refreshed only at the vertices whose cover the delta can
-//!   move, so the repair wave reads a cover instead of probing every shard;
-//!   and the scratch of the component split, reset only where it was
-//!   written.  The result equals the from-scratch pass bit for bit (a
-//!   differential suite checks every drain).  A drain from an empty
-//!   matching (a bulk load) takes the full pass instead.  On the
-//!   benchmark's wire-2shard workload (2 shards, 2k live edges, batches of
-//!   32) this cut a lossy drain from about 550 µs to about 230 µs
-//!   (`sharding.drain_lossy_ns`, 2 shared vCPUs).  Dense boundaries defeat
+//! * **Incremental arbitration** — a drain does not redo the pass, and it
+//!   moves only with what the shards committed: each shard's drain hands
+//!   back every batch it commits (the strict batch, or the lossy survivors).
+//!   The drain merges each shard's previous and current sorted matched-id
+//!   arrays into the matching delta, re-awards only the matched edges
+//!   covering a vertex the delta touched, and reruns the repair greedy only
+//!   over the *repair components* (candidates linked through vertices no
+//!   kept edge covers) that such a vertex, a freed endpoint of a committed
+//!   insert, or a committed deletion reaches.  The hashing is proportional
+//!   to the batch, the matching delta and the components they reach, on top
+//!   of a few flat O(M) copies and merges for `M` matched edges.  Two O(n)
+//!   arrays for `n` vertices live from drain to drain: each vertex's cover
+//!   (kept, freed or uncovered), refreshed only at the vertices whose cover
+//!   the delta can move, so the repair wave reads a cover instead of probing
+//!   every shard; and the scratch of the component split, reset only where
+//!   it was written.  The result equals the from-scratch pass bit for bit (a
+//!   differential suite checks every drain).  A drain from an empty matching
+//!   (a bulk load) takes the full pass instead.  On the benchmark's
+//!   wire-2shard stream (2 shards, 2k live edges, batches of 32) a lossy
+//!   drain took about 550 µs when every drain ran the full pass; a median
+//!   drain now takes 100–118 µs, against 48–50 µs for one service's drain of
+//!   the same stream (in-process, 2 shared vCPUs).  Dense boundaries defeat
 //!   it: at 200k live edges over 2 hash shards one repair component holds
 //!   nearly all of about 100k candidates, nearly every drain reruns it, and
-//!   that costs about three times the full pass (170–280 ms against 60–80 ms a
-//!   drain).
+//!   that costs about three times the full pass (170–280 ms against 60–80 ms
+//!   a drain).
 //! * **Journal and replay** — the sharded journal is the shard-tagged framing
 //!   of [`crate::io`] (`@ <shard>` blocks): per-shard journals in shard order,
 //!   each block tagged with its owner.  [`ShardedService::replay`] routes each
@@ -164,7 +170,6 @@ use crate::io::{self, ParseError};
 use crate::service::{EngineService, JournalSink, MatchingSnapshot, ServiceError};
 use crate::types::{ArbitrationStats, EdgeId, ShardId, Update, UpdateBatch, VertexId};
 use rustc_hash::{FxHashMap, FxHashSet};
-use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex};
 
@@ -658,23 +663,6 @@ impl ShardedSnapshot {
 // The sharded service
 // ---------------------------------------------------------------------------
 
-/// Routing state: the route of each routed-live edge, and what the routed
-/// batches touched since the arbitration last consumed it.
-#[derive(Debug, Default)]
-struct Router {
-    /// The route of every routed, not-yet-deleted edge.
-    routes: FxHashMap<EdgeId, Route>,
-    /// What each routed batch touched, in ticket order.  A record outlives
-    /// the drain that commits its batch only if that drain may have left
-    /// part of the batch queued (see [`Router::routed_since`]).
-    routed: VecDeque<RoutedRecord>,
-    /// Tickets of [`ShardedService::submit`] calls that have routed their
-    /// batch but not yet enqueued every sub-batch.
-    in_flight: Vec<u64>,
-    /// The ticket the next routed batch gets.
-    next_ticket: u64,
-}
-
 /// Where a routed-live edge went: its owner shard, and whether its endpoints
 /// span shards.
 #[derive(Debug, Clone, Copy)]
@@ -683,58 +671,33 @@ struct Route {
     cross: bool,
 }
 
-/// What one routed batch touched, for the incremental arbitration: the
-/// endpoints of its inserts and the ids of its deletions (a deletion names
-/// no endpoints; the arbitration looks the id up in its own state).
-#[derive(Debug)]
-struct RoutedRecord {
-    ticket: u64,
-    vertices: Vec<VertexId>,
-    deleted: Vec<EdgeId>,
-}
-
-/// Everything routed since the last arbitration, flattened.
+/// What the shards committed in one sharded drain, for the incremental
+/// arbitration: the endpoints of the committed inserts and the ids of the
+/// committed deletions (a deletion names no endpoints; the arbitration looks
+/// the id up in its own state).
 #[derive(Debug, Default)]
-struct Routed {
+struct Committed {
     vertices: Vec<VertexId>,
     deleted: Vec<EdgeId>,
 }
 
-impl Router {
-    /// Every batch with a smaller ticket was fully enqueued before this
-    /// call: a drain started after it pops all of them.
-    fn enqueued_floor(&self) -> u64 {
-        self.in_flight
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(self.next_ticket)
-    }
-
-    /// Everything routed and not yet consumed.  With `settled`, the records
-    /// below `floor` (taken by [`Router::enqueued_floor`] before the drain)
-    /// are forgotten: the drain popped and committed their batches.  Later
-    /// records stay, since their batches may still be queued.
-    fn routed_since(&mut self, floor: u64, settled: bool) -> Routed {
-        let mut routed = Routed::default();
-        for record in &self.routed {
-            routed.vertices.extend_from_slice(&record.vertices);
-            routed.deleted.extend_from_slice(&record.deleted);
-        }
-        if settled {
-            while self.routed.front().is_some_and(|r| r.ticket < floor) {
-                self.routed.pop_front();
+impl Committed {
+    /// Adds one committed batch.
+    fn record(&mut self, batch: &[Update]) {
+        for update in batch {
+            match update {
+                Update::Insert(edge) => self.vertices.extend_from_slice(edge.vertices()),
+                Update::Delete(id) => self.deleted.push(*id),
             }
         }
-        routed
     }
 }
 
-/// One batch's routing decisions, computed against the router *without
+/// One batch's routing decisions, computed against the route map *without
 /// mutating it*: the per-shard sub-batches plus the ownership overlay the
-/// batch implies.  [`ShardedService::submit`] always applies the plan;
-/// [`ShardedService::try_submit`] applies it only once every target shard has
-/// accepted its sub-batch, so a bounced batch leaves no routing trace.
+/// batch implies.  [`ShardedService::try_submit`] applies the plan only once
+/// every target shard has room for its sub-batch, so a bounced batch leaves
+/// no routing trace.
 struct RoutePlan {
     /// The routed updates, indexed by shard.
     per_shard: Vec<Vec<Update>>,
@@ -745,12 +708,8 @@ struct RoutePlan {
     /// Cross-shard routed updates (see [`RouteReport::cross_shard`]).
     cross_shard: usize,
     /// Final per-id route this batch establishes (`Some`) or removes
-    /// (`None`), overlaying [`Router::routes`].
+    /// (`None`), overlaying the route map.
     overlay: FxHashMap<EdgeId, Option<Route>>,
-    /// Endpoints of the batch's inserts, for [`Router::routed`].
-    touched: Vec<VertexId>,
-    /// Ids of the batch's deletions, for [`Router::routed`].
-    deleted: Vec<EdgeId>,
 }
 
 impl RoutePlan {
@@ -762,29 +721,21 @@ impl RoutePlan {
         }
     }
 
-    /// Folds the overlay into the router — the point where the plan's routing
-    /// decisions become real — and records what the batch touched under a
-    /// fresh ticket, which it returns.
-    fn apply(self, router: &mut Router) -> (RouteReport, Vec<Vec<Update>>, u64) {
+    /// Folds the overlay into the route map — the point where the plan's
+    /// routing decisions become real.
+    fn apply(self, routes: &mut FxHashMap<EdgeId, Route>) -> (RouteReport, Vec<Vec<Update>>) {
         let report = self.report();
-        let ticket = router.next_ticket;
-        router.next_ticket += 1;
-        router.routed.push_back(RoutedRecord {
-            ticket,
-            vertices: self.touched,
-            deleted: self.deleted,
-        });
         for (id, route) in self.overlay {
             match route {
                 Some(route) => {
-                    router.routes.insert(id, route);
+                    routes.insert(id, route);
                 }
                 None => {
-                    router.routes.remove(&id);
+                    routes.remove(&id);
                 }
             }
         }
-        (report, self.per_shard, ticket)
+        (report, self.per_shard)
     }
 
     /// Reassembles the original batch, in submission order, from the routed
@@ -812,17 +763,20 @@ impl RoutePlan {
 /// end-to-end example.
 ///
 /// `Sync` like the underlying services: share it across threads with `Arc` or
-/// scoped borrows; submissions route under a short router lock, drains run
-/// the shards in shard order on the calling thread and run one at a time
-/// (each carries the arbitration forward from the last), reads never touch
-/// any commit lock.
+/// scoped borrows.  A submission routes and enqueues its batch in one step,
+/// under a short route-map lock, so each shard's queue holds its sub-batches
+/// in routing order.  Drains run the shards in shard order on the calling
+/// thread and run one at a time; each carries the arbitration forward from
+/// the last by exactly what the shards committed.  Reads never touch any
+/// commit lock.
 pub struct ShardedService {
     /// The shards, each a full service (engine, queue, journal, snapshots).
     shards: Vec<EngineService>,
     /// The vertex→shard map.
     partitioner: Box<dyn Partitioner>,
-    /// Edge-ownership state, locked only while a batch is being routed.
-    router: Mutex<Router>,
+    /// The route of every routed, not-yet-deleted edge.  Every enqueue
+    /// happens under this lock.
+    routes: Mutex<FxHashMap<EdgeId, Route>>,
     /// The shared vertex-space size (all shard engines agree).
     num_vertices: usize,
     /// The incremental arbitration state.  A drain holds it from start to
@@ -897,15 +851,15 @@ impl ShardedService {
                 "shard {k} disagrees on the vertex-space size"
             );
         }
-        Self::assemble(services, partitioner, Router::default(), num_vertices)
+        Self::assemble(services, partitioner, FxHashMap::default(), num_vertices)
     }
 
-    /// The service over `shards` with `router`, its arbitration built from
+    /// The service over `shards` with `routes`, its arbitration built from
     /// scratch over the shards' current state.
     fn assemble(
         shards: Vec<EngineService>,
         partitioner: Box<dyn Partitioner>,
-        router: Router,
+        routes: FxHashMap<EdgeId, Route>,
         num_vertices: usize,
     ) -> Self {
         let arbitration = arbitrate(snapshots(&shards), &shards, partitioner.as_ref());
@@ -913,7 +867,7 @@ impl ShardedService {
         ShardedService {
             shards,
             partitioner,
-            router: Mutex::new(router),
+            routes: Mutex::new(routes),
             num_vertices,
             arbitration: Mutex::new(arbitration),
             published: Mutex::new(published),
@@ -953,8 +907,9 @@ impl ShardedService {
     /// while it is in flight, so later same-id inserts and deletions route
     /// to the recorded holder and an id can never end up live on two
     /// shards.  Every drain then **reconciles** the map against what the
-    /// engines actually accepted: entries for rejected inserts are dropped,
-    /// and entries removed by deletions a failed drain never committed are
+    /// engines actually accepted: entries for rejected inserts are dropped
+    /// (unless an insert of the same id is still queued on that shard), and
+    /// entries removed by deletions a failed drain never committed are
     /// restored from the shard engine's live edges.  After a drain that
     /// leaves no queued batches, the map is therefore *exact* — `Some(k)`
     /// iff the edge is live on shard `k` — which is what lets the
@@ -962,7 +917,7 @@ impl ShardedService {
     /// from exact rather than conservative boundary sets.
     #[must_use]
     pub fn owner_of_edge(&self, id: EdgeId) -> Option<usize> {
-        self.lock_router().routes.get(&id).map(|r| r.shard as usize)
+        self.lock_routes().get(&id).map(|r| r.shard as usize)
     }
 
     /// Whether routed-live edge `id` spans more than one shard.
@@ -974,7 +929,7 @@ impl ShardedService {
     /// for exactly the live edges whose endpoints span shards.
     #[must_use]
     pub fn is_cross_shard(&self, id: EdgeId) -> bool {
-        self.lock_router().routes.get(&id).is_some_and(|r| r.cross)
+        self.lock_routes().get(&id).is_some_and(|r| r.cross)
     }
 
     /// Total batches queued across shards (submitted, not yet committed).
@@ -992,27 +947,24 @@ impl ShardedService {
         self.shards.iter().map(EngineService::queue_capacity).sum()
     }
 
-    /// Computes one batch's routing without touching the router: owner
+    /// Computes one batch's routing without touching the route map: owner
     /// decisions consult the batch's own overlay first (a batch may delete an
-    /// id and the router must then treat it as gone for the rest of the
-    /// batch), then the shared state.
-    fn plan_routes(&self, router: &Router, batch: UpdateBatch) -> RoutePlan {
+    /// id and routing must then treat it as gone for the rest of the batch),
+    /// then the shared map.
+    fn plan_routes(&self, routes: &FxHashMap<EdgeId, Route>, batch: UpdateBatch) -> RoutePlan {
         let num_shards = self.shards.len();
         let mut plan = RoutePlan {
             per_shard: vec![Vec::new(); num_shards],
             order: Vec::with_capacity(batch.len()),
             cross_shard: 0,
             overlay: FxHashMap::default(),
-            touched: Vec::new(),
-            deleted: Vec::new(),
         };
         for update in batch {
             let shard = match &update {
                 Update::Insert(edge) => {
-                    plan.touched.extend_from_slice(edge.vertices());
                     let holder = match plan.overlay.get(&edge.id) {
                         Some(overlaid) => *overlaid,
-                        None => router.routes.get(&edge.id).copied(),
+                        None => routes.get(&edge.id).copied(),
                     };
                     if let Some(holder) = holder {
                         // The id is already routed (live or queued) on a
@@ -1043,7 +995,6 @@ impl ShardedService {
                     }
                 }
                 Update::Delete(id) => {
-                    plan.deleted.push(*id);
                     // Deletions go to the shard holding the edge, and count
                     // as cross-shard when its route was.  An id the router
                     // never saw inserted has no owner anywhere; shard 0
@@ -1051,7 +1002,7 @@ impl ShardedService {
                     // a single service would.
                     let route = match plan.overlay.insert(*id, None) {
                         Some(overlaid) => overlaid,
-                        None => router.routes.get(id).copied(),
+                        None => routes.get(id).copied(),
                     };
                     plan.cross_shard += usize::from(route.is_some_and(|r| r.cross));
                     route.map_or(0, |r| r.shard as usize)
@@ -1064,55 +1015,47 @@ impl ShardedService {
     }
 
     /// Routes one batch to its owner shards and enqueues the non-empty
-    /// sub-batches (blocking per shard under backpressure, like
-    /// [`EngineService::submit`]).  Routing is deterministic; within each
-    /// shard, updates keep their submission order.  An empty batch is routed
-    /// to shard 0 (it commits as a no-op there, mirroring the single-service
-    /// behavior).
+    /// sub-batches in one step, **blocking** under backpressure: it retries
+    /// [`ShardedService::try_submit`] until every target shard has room.
+    /// Routing is deterministic; within each shard, updates keep their
+    /// submission order.  An empty batch is routed to shard 0 (it commits as
+    /// a no-op there, mirroring the single-service behavior).
+    ///
+    /// A waiting batch has routed nothing yet, so no later submission can
+    /// overtake it on any shard: each shard's queue order is its routing
+    /// order.  Like [`EngineService::submit`], do not call it from the only
+    /// thread that drains.
     ///
     /// Returns where everything went.
-    pub fn submit(&self, batch: UpdateBatch) -> RouteReport {
-        let num_shards = self.shards.len();
-        if batch.is_empty() {
-            self.shards[0].submit(batch);
-            return RouteReport {
-                per_shard: vec![0; num_shards],
-                cross_shard: 0,
-            };
-        }
-        let (report, per_shard, ticket) = {
-            let mut router = self.lock_router();
-            let plan = self.plan_routes(&router, batch);
-            let applied = plan.apply(&mut router);
-            // Until every sub-batch is enqueued, a concurrent drain must not
-            // forget what this batch touched (see `Router::enqueued_floor`).
-            router.in_flight.push(applied.2);
-            applied
-        };
-        for (shard, updates) in per_shard.into_iter().enumerate() {
-            if !updates.is_empty() {
-                // A subsequence of a context-free-valid batch is itself
-                // context-free valid, so sealing cannot fail.
-                self.shards[shard].submit(UpdateBatch::trusted(updates));
+    pub fn submit(&self, mut batch: UpdateBatch) -> RouteReport {
+        loop {
+            match self.try_submit(batch) {
+                Ok(report) => return report,
+                Err(bounced) => batch = bounced,
+            }
+            // Every drain pops at least one batch from each non-empty shard
+            // queue, so waiting on every full shard, not only the batch's
+            // targets, still ends at the next drain.
+            for shard in &self.shards {
+                drop(shard.wait_for_room());
             }
         }
-        self.lock_router().in_flight.retain(|&t| t != ticket);
-        report
     }
 
     /// Routes one batch and enqueues its sub-batches **all-or-nothing,
     /// without blocking**: every target shard's queue is locked, capacities
     /// are checked, and only if *all* of them have room are the sub-batches
     /// pushed and the routing decisions committed.  A bounced batch leaves no
-    /// trace — no sub-batch enqueued anywhere, no router state recorded — so
-    /// the caller can retry or shed it as one unit.  This is the admission
-    /// primitive of the network front-end (`crate::net`): backpressure
-    /// surfaces as a typed refusal instead of a blocked connection thread.
+    /// trace — no sub-batch enqueued anywhere, no route recorded — so the
+    /// caller can retry or shed it as one unit.  This is the admission
+    /// primitive of the network front-end (`crate::net`), where backpressure
+    /// surfaces as a typed refusal instead of a blocked connection thread,
+    /// and of [`ShardedService::submit`].
     ///
-    /// Lock order is router → shard queues in ascending shard order, which
-    /// cannot deadlock against [`ShardedService::submit`] (router, then one
-    /// queue at a time after the router is released) or drains (queue locks
-    /// only, one at a time).
+    /// Lock order is route map → shard queues in ascending shard order.  It
+    /// cannot deadlock against drains, which take a shard's commit lock and
+    /// then its queue lock, one shard at a time, and take the route map only
+    /// after releasing both.
     ///
     /// An empty batch is admitted to shard 0 if its queue has room, mirroring
     /// [`ShardedService::submit`].
@@ -1132,8 +1075,8 @@ impl ShardedService {
                 Err(batch) => Err(batch),
             };
         }
-        let mut router = self.lock_router();
-        let plan = self.plan_routes(&router, batch);
+        let mut routes = self.lock_routes();
+        let plan = self.plan_routes(&routes, batch);
         let targets: Vec<usize> = (0..num_shards)
             .filter(|&k| !plan.per_shard[k].is_empty())
             .collect();
@@ -1147,11 +1090,12 @@ impl ShardedService {
             .any(|(&k, guard)| guard.len() >= self.shards[k].queue_capacity());
         if full {
             drop(guards);
-            drop(router);
+            drop(routes);
             return Err(plan.into_batch());
         }
-        // Enqueued under the router lock, so the batch is never in flight.
-        let (report, mut per_shard, _) = plan.apply(&mut router);
+        // Routed and enqueued under one lock: no batch is ever routed but
+        // not yet enqueued.
+        let (report, mut per_shard) = plan.apply(&mut routes);
         for (&k, guard) in targets.iter().zip(guards.iter_mut()) {
             let updates = std::mem::take(&mut per_shard[k]);
             // Sub-batches of a valid batch stay context-free valid.
@@ -1183,12 +1127,12 @@ impl ShardedService {
     /// commit.
     pub fn drain(&self) -> Result<ShardedDrainReport, ShardedServiceError> {
         let mut arbitration = self.lock_arbitration();
-        let floor = self.lock_router().enqueued_floor();
+        let mut committed = Committed::default();
         let mut per_shard = Vec::with_capacity(self.shards.len());
         let mut first_error: Option<(usize, ServiceError)> = None;
         let mut failed: Vec<usize> = Vec::new();
         for (shard, service) in self.shards.iter().enumerate() {
-            match service.drain() {
+            match service.drain_with(|batch| committed.record(batch)) {
                 Ok(reports) => per_shard.push(reports),
                 Err(error) => {
                     // The sub-batches this shard committed before stopping
@@ -1210,9 +1154,7 @@ impl ShardedService {
             self.resync_router_with_shard(shard);
         }
         let mut report = self.merge_drain(per_shard);
-        // A failed shard leaves its later sub-batches queued, so the routing
-        // records of this drain's batches must outlive it.
-        report.arbitration = self.rearbitrate(&mut arbitration, floor, first_error.is_none());
+        report.arbitration = self.rearbitrate(&mut arbitration, &committed);
         match first_error {
             None => Ok(report),
             Some((shard, error)) => Err(ShardedServiceError {
@@ -1232,9 +1174,12 @@ impl ShardedService {
     #[must_use]
     pub fn drain_lossy(&self) -> ShardedIngestReport {
         let mut arbitration = self.lock_arbitration();
-        let floor = self.lock_router().enqueued_floor();
-        let per_shard: Vec<Vec<IngestReport>> =
-            self.shards.iter().map(EngineService::drain_lossy).collect();
+        let mut committed = Committed::default();
+        let per_shard: Vec<Vec<IngestReport>> = self
+            .shards
+            .iter()
+            .map(|service| service.drain_lossy_with(|batch| committed.record(batch)))
+            .collect();
         // Skipped inserts never reached any engine: drop their routing-time
         // owner entries so the boundary sets match what actually committed.
         self.reconcile_rejected(&per_shard);
@@ -1251,7 +1196,7 @@ impl ShardedService {
             }
         }
         merged.per_shard = per_shard;
-        merged.arbitration = self.rearbitrate(&mut arbitration, floor, true);
+        merged.arbitration = self.rearbitrate(&mut arbitration, &committed);
         merged
     }
 
@@ -1390,9 +1335,9 @@ impl ShardedService {
                 });
             }
             {
-                // Rebuild the router's ownership state from the authoritative
-                // tags (cross-ness from the partitioner, as at first routing).
-                let mut router = service.lock_router();
+                // Rebuild the route map from the authoritative tags
+                // (cross-ness from the partitioner, as at first routing).
+                let mut routes = service.lock_routes();
                 for update in &batch {
                     match update {
                         Update::Insert(edge) => {
@@ -1402,10 +1347,10 @@ impl ShardedService {
                                 shard: shard as u32,
                                 cross,
                             };
-                            router.routes.insert(edge.id, route);
+                            routes.insert(edge.id, route);
                         }
                         Update::Delete(id) => {
-                            router.routes.remove(id);
+                            routes.remove(id);
                         }
                     }
                 }
@@ -1506,7 +1451,7 @@ impl ShardedService {
             )?);
         }
         let num_shards = shards.len();
-        let mut router = Router::default();
+        let mut routes = FxHashMap::default();
         for (k, shard) in shards.iter().enumerate() {
             for edge in shard.live_edges() {
                 let cross = spans_shards(partitioner.as_ref(), edge.vertices(), num_shards);
@@ -1514,13 +1459,13 @@ impl ShardedService {
                     shard: k as u32,
                     cross,
                 };
-                router.routes.insert(edge.id, route);
+                routes.insert(edge.id, route);
             }
         }
         // Derived state, recomputed rather than persisted: the recovered
         // per-shard matchings are bit-identical to the originals, so the
         // arbitration pass over them is too.
-        Ok(Self::assemble(shards, partitioner, router, num_vertices))
+        Ok(Self::assemble(shards, partitioner, routes, num_vertices))
     }
 
     /// Shard `k`'s canonical engine state blob (exactly
@@ -1586,18 +1531,15 @@ impl ShardedService {
     }
 
     /// Brings the arbitration up to the shards' current matchings and live
-    /// edges, publishes the new view and returns the pass's report.
-    /// `floor` and `settled` say which routing records the drain consumed
-    /// (see [`Router::routed_since`]).
+    /// edges, given what the drain `committed`; publishes the new view and
+    /// returns the pass's report.
     fn rearbitrate(
         &self,
         arbitration: &mut Arbitration,
-        floor: u64,
-        settled: bool,
+        committed: &Committed,
     ) -> ArbitrationReport {
         let shards = snapshots(&self.shards);
-        let routed = self.lock_router().routed_since(floor, settled);
-        arbitration.advance(shards, &routed, &self.shards, self.partitioner.as_ref());
+        arbitration.advance(shards, committed, &self.shards, self.partitioner.as_ref());
         let view = Arc::clone(&arbitration.view);
         let report = view.arbitrated.report();
         // The replaced view is freed after the slot's lock is released.
@@ -1606,53 +1548,56 @@ impl ShardedService {
         report
     }
 
-    /// Reconciles the router against a lossy drain's skip-and-report outcome:
-    /// a rejected insert never reached its engine, so the route recorded for
-    /// it at routing time is dropped — unless the id is live on the shard
-    /// anyway (a rejected *re*-insert of a live id: the entry describes the
-    /// original, still-standing insert and must survive).
+    /// Reconciles the route map against a lossy drain's skip-and-report
+    /// outcome: a rejected insert never reached its engine, so the route
+    /// recorded for it at routing time is dropped — unless the id is live on
+    /// the shard anyway (a rejected *re*-insert of a live id: the entry
+    /// describes the original, still-standing insert), or an insert of the id
+    /// is still queued on the shard (it was routed there by this route after
+    /// the shard's drain ended, and commits in a later drain).  Every enqueue
+    /// holds the route lock, so the queue read under it is exact.
     fn reconcile_rejected(&self, per_shard: &[Vec<IngestReport>]) {
-        let mut router = self.lock_router();
+        let mut routes = self.lock_routes();
         for (k, reports) in per_shard.iter().enumerate() {
-            for report in reports {
-                for rejected in &report.rejected {
-                    // Rejected deletions need no reconciliation: a deletion
-                    // is only rejected when the id is not live, and routing
-                    // already removed its entries.
-                    let Update::Insert(edge) = &rejected.update else {
-                        continue;
-                    };
-                    if router
-                        .routes
-                        .get(&edge.id)
-                        .is_some_and(|r| r.shard as usize == k)
-                        && !self.shards[k].contains_live_edge(edge.id)
-                    {
-                        router.routes.remove(&edge.id);
-                    }
+            let mut queued_inserts: Option<FxHashSet<EdgeId>> = None;
+            for rejected in reports.iter().flat_map(|r| &r.rejected) {
+                // Rejected deletions need no reconciliation: a deletion is
+                // only rejected when the id is not live, and routing already
+                // removed its entries.
+                let Update::Insert(edge) = &rejected.update else {
+                    continue;
+                };
+                if routes.get(&edge.id).is_some_and(|r| r.shard as usize == k)
+                    && !self.shards[k].contains_live_edge(edge.id)
+                    && !queued_inserts
+                        .get_or_insert_with(|| self.shards[k].queued_update_ids().0)
+                        .contains(&edge.id)
+                {
+                    routes.remove(&edge.id);
                 }
             }
         }
     }
 
-    /// Reconciles the router with shard `k`'s engine after a strict drain
+    /// Reconciles the route map with shard `k`'s engine after a strict drain
     /// failed there: the poison sub-batch was dropped whole, so routes its
     /// inserts recorded are removed and routes its deletions removed are
     /// restored — except for ids named by still-queued updates (the shard's
     /// later sub-batches), whose routing state is still in flight and must
-    /// not be touched.
+    /// not be touched.  The queue is read under the route lock, which every
+    /// enqueue holds.
     fn resync_router_with_shard(&self, k: usize) {
+        let mut routes = self.lock_routes();
         let edges = self.shards[k].live_edges();
         let live: FxHashSet<EdgeId> = edges.iter().map(|e| e.id).collect();
         let (queued_inserts, queued_deletes) = self.shards[k].queued_update_ids();
         let num_shards = self.shards.len();
-        let mut router = self.lock_router();
-        router.routes.retain(|id, route| {
+        routes.retain(|id, route| {
             route.shard as usize != k || live.contains(id) || queued_inserts.contains(id)
         });
         for edge in &edges {
             if !queued_deletes.contains(&edge.id) {
-                router.routes.entry(edge.id).or_insert_with(|| Route {
+                routes.entry(edge.id).or_insert_with(|| Route {
                     shard: k as u32,
                     cross: spans_shards(self.partitioner.as_ref(), edge.vertices(), num_shards),
                 });
@@ -1668,8 +1613,8 @@ impl ShardedService {
         self.published.lock().expect("published view lock poisoned")
     }
 
-    fn lock_router(&self) -> std::sync::MutexGuard<'_, Router> {
-        self.router.lock().expect("shard router lock poisoned")
+    fn lock_routes(&self) -> std::sync::MutexGuard<'_, FxHashMap<EdgeId, Route>> {
+        self.routes.lock().expect("shard route lock poisoned")
     }
 }
 
@@ -2099,8 +2044,9 @@ fn arbitrate(
 impl Arbitration {
     /// Advances the state to the shard snapshots `next` and the shards'
     /// current live edges, redoing only what changed since `self.view`;
-    /// `routed` names what the updates routed since then touched.  The
-    /// result equals [`arbitrate`] over the same state, bit for bit.
+    /// `committed` names what the batches the shards committed since then
+    /// touched.  The result equals [`arbitrate`] over the same state, bit for
+    /// bit.
     ///
     /// 1. **Delta**: a merge of each changed shard's previous and current
     ///    sorted id arrays gives the matched edges that left and entered;
@@ -2112,7 +2058,7 @@ impl Arbitration {
     ///    vertices whose cover can move.
     /// 4. **Repair** is rerun over a region grown to closure from the
     ///    vertices of step 3 whose cover moved or is freed, the freed
-    ///    endpoints of routed inserts, and the old components of removed
+    ///    endpoints of committed inserts, and the old components of removed
     ///    or deleted candidates: every candidate sharing a vertex no kept
     ///    edge covers joins, and so does the whole old component of any
     ///    candidate that joins.  The greedy walks the region in
@@ -2120,7 +2066,7 @@ impl Arbitration {
     fn advance(
         &mut self,
         next: Vec<Arc<MatchingSnapshot>>,
-        routed: &Routed,
+        committed: &Committed,
         services: &[EngineService],
         partitioner: &dyn Partitioner,
     ) {
@@ -2144,8 +2090,8 @@ impl Arbitration {
         }
         if removed.is_empty()
             && added.is_empty()
-            && routed.vertices.is_empty()
-            && routed.deleted.is_empty()
+            && committed.vertices.is_empty()
+            && committed.deleted.is_empty()
         {
             // Only the snapshots' counters can have moved.
             self.view = Arc::new(ShardedView {
@@ -2238,8 +2184,9 @@ impl Arbitration {
         for &v in &region {
             self.covers[v.index()] = cover_of(&next, &self.evicted, v);
         }
-        // An id outside the vertex space reads as uncovered, as `cover_of`
-        // finds it: the endpoints of rejected inserts can be such ids.
+        // Every vertex read below is an endpoint of a committed edge, so lies
+        // in the vertex space; an id outside it would read as uncovered, as
+        // `cover_of` finds it.
         let covers = &self.covers;
         let cover = |v: VertexId| covers.get(v.index()).copied().unwrap_or(Cover::Uncovered);
 
@@ -2247,12 +2194,12 @@ impl Arbitration {
         // candidate of, then grow the region to closure from the retired
         // seeds and every vertex whose cover changed or is freed.  A vertex
         // kept-covered (or uncovered) before and after changes no candidate;
-        // of the routed endpoints only the freed ones can seed a new
+        // of the committed endpoints only the freed ones can seed a new
         // candidate (an insert with no freed endpoint is none).
         let mut retired: Vec<RepairComponent> = removed
             .iter()
             .map(|&(id, _)| id)
-            .chain(routed.deleted.iter().copied())
+            .chain(committed.deleted.iter().copied())
             .filter_map(|id| self.repairs.take_of(id))
             .collect();
         let mut frontier: Vec<VertexId> = region
@@ -2265,7 +2212,7 @@ impl Arbitration {
             .map(|(&v, _)| v)
             .collect();
         frontier.extend(
-            routed
+            committed
                 .vertices
                 .iter()
                 .copied()

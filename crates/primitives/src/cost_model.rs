@@ -43,6 +43,8 @@ impl CostSnapshot {
 /// The tracker is cheap enough to leave enabled in release builds: the work counter
 /// is bumped in batches (callers count a whole slice worth of operations with a
 /// single atomic add), and the depth counter is bumped once per parallel phase.
+/// Both totals saturate at `u64::MAX` instead of wrapping (a restored engine state
+/// can start them anywhere).
 #[derive(Debug, Default)]
 pub struct CostTracker {
     work: AtomicU64,
@@ -60,14 +62,14 @@ impl CostTracker {
     #[inline]
     pub fn work(&self, amount: u64) {
         if amount > 0 {
-            self.work.fetch_add(amount, Ordering::Relaxed);
+            saturating_add(&self.work, amount);
         }
     }
 
     /// Records one parallel round (one unit of depth).
     #[inline]
     pub fn round(&self) {
-        self.depth.fetch_add(1, Ordering::Relaxed);
+        saturating_add(&self.depth, 1);
     }
 
     /// Records `amount` parallel rounds at once.
@@ -77,7 +79,7 @@ impl CostTracker {
     #[inline]
     pub fn rounds(&self, amount: u64) {
         if amount > 0 {
-            self.depth.fetch_add(amount, Ordering::Relaxed);
+            saturating_add(&self.depth, amount);
         }
     }
 
@@ -106,6 +108,17 @@ impl CostTracker {
     #[must_use]
     pub fn total_depth(&self) -> u64 {
         self.depth.load(Ordering::Relaxed)
+    }
+}
+
+/// Adds `amount` to `counter`, saturating at `u64::MAX`: one atomic add, and a
+/// store only when the add wrapped.  A concurrent add that lands between the
+/// two only adds to the wrapped value, which the store then overwrites.
+#[inline]
+fn saturating_add(counter: &AtomicU64, amount: u64) {
+    let before = counter.fetch_add(amount, Ordering::Relaxed);
+    if before.checked_add(amount).is_none() {
+        counter.store(u64::MAX, Ordering::Relaxed);
     }
 }
 

@@ -15,7 +15,8 @@
 //!   torn journal) reproduce the arbitrated view bit-identically without
 //!   persisting it;
 //! * **router reconciliation**: rejected inserts and dropped poison
-//!   sub-batches leave no phantom owner/cross entries behind a drain;
+//!   sub-batches leave no phantom owner/cross entries behind a drain, and a
+//!   rejection never drops the route of a re-insert still queued;
 //! * **retained floor**: on a sparse skewed stream the arbitrated matching
 //!   keeps at least 95% of the raw per-shard union's size.
 
@@ -515,6 +516,65 @@ fn rejected_inserts_leave_no_phantom_router_entries_after_a_lossy_drain() {
     let report = service.drain_lossy();
     assert_eq!(report.rejected, 1);
     assert_eq!(service.owner_of_edge(EdgeId(0)), Some(0));
+}
+
+#[test]
+fn a_lossy_drain_keeps_the_route_of_a_reinsert_queued_behind_a_rejection() {
+    // Shard 0 rejects an insert of X (an endpoint out of range) while shard 1
+    // is still committing 8,000 local inserts.  Meanwhile a valid insert of X
+    // follows X's route onto shard 0's queue.  Reconciling the rejection must
+    // keep that route: without it the re-insert commits with no route, and a
+    // later insert of X with other endpoints is accepted on a second shard.
+    let n = 100_000u32;
+    let builder = EngineBuilder::new(n as usize).seed(9);
+    let service = ShardedService::new(build_shards(EngineKind::Parallel, &builder, 2));
+    let mut on_shard: [Vec<VertexId>; 2] = [Vec::new(), Vec::new()];
+    for v in (0..n).map(VertexId) {
+        on_shard[service.shard_of_vertex(v)].push(v);
+    }
+    let pair =
+        |id: u64, a: VertexId, b: VertexId| Update::Insert(HyperEdge::pair(EdgeId(id), a, b));
+    let x = EdgeId(0);
+    let mut updates = vec![pair(x.0, on_shard[0][0], VertexId(n + 7))];
+    updates.extend(
+        on_shard[1]
+            .chunks_exact(2)
+            .take(8_000)
+            .zip(1..)
+            .map(|(ends, id)| pair(id, ends[0], ends[1])),
+    );
+    service
+        .try_submit(UpdateBatch::new(updates).unwrap())
+        .unwrap();
+    std::thread::scope(|scope| {
+        let drainer = scope.spawn(|| service.drain_lossy());
+        while service.shard_snapshot(0).committed_batches() < 1 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_micros(300));
+        let reinsert = pair(x.0, on_shard[0][1], on_shard[0][2]);
+        service
+            .try_submit(UpdateBatch::new(vec![reinsert]).unwrap())
+            .unwrap();
+        assert_eq!(drainer.join().unwrap().rejected, 1);
+    });
+    assert_eq!(service.drain_lossy().rejected, 0);
+    assert_eq!(service.owner_of_edge(x), Some(0), "X is live on shard 0");
+
+    // X is live on shard 0, so an insert of X with shard-1 endpoints goes to
+    // its holder and is rejected there, never committed on shard 1.
+    let moved = pair(x.0, on_shard[1][0], on_shard[1][2]);
+    service
+        .try_submit(UpdateBatch::new(vec![moved]).unwrap())
+        .unwrap();
+    let report = service.drain_lossy();
+    assert_eq!(report.rejected, 1);
+    let on_holder: Vec<&BatchError> = report.per_shard[0]
+        .iter()
+        .flat_map(|r| r.rejected.iter().map(|rejected| &rejected.error))
+        .collect();
+    assert_eq!(on_holder, [&BatchError::DuplicateEdgeId { id: x }]);
+    assert_eq!(service.owner_of_edge(x), Some(0));
 }
 
 #[test]

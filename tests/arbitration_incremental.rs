@@ -3,14 +3,15 @@
 //! A `ShardedService` keeps its arbitrated matching up to date drain by
 //! drain, redoing only the awards and repair components a drain touched.
 //! The contract under test: after **every** drain — strict or lossy, with
-//! rejected inserts, with a dropped poison sub-batch, after `replay` and
-//! after `recover` — the published view equals a from-scratch arbitration
-//! pass over the same shard state, field for field (matching, evicted,
-//! repaired, by-vertex map, conflicted set and report), its raw
-//! cross-shard accounting equals a direct recomputation from the shard
-//! snapshots, and every vertex's cached cover (kept, freed or uncovered)
+//! rejected inserts, with a dropped poison sub-batch, with submitters racing
+//! the drains, after `replay` and after `recover` — the published view
+//! equals a from-scratch arbitration pass over the same shard state, field
+//! for field (matching, evicted, repaired, by-vertex map, conflicted set and
+//! report), and every vertex's cached cover (kept, freed or uncovered)
 //! equals the cover recomputed from the published shard snapshots and
-//! evicted list.  All five engines, at 1, 2, 4 and 8 shards.
+//! evicted list.  Where only the drainer submits, the raw cross-shard
+//! accounting must also equal a direct recomputation from the shard
+//! snapshots.  All five engines, at 1, 2, 4 and 8 shards.
 
 use pdmm::engine;
 use pdmm::hypergraph::streams::{self, Workload};
@@ -18,6 +19,7 @@ use pdmm::prelude::*;
 use pdmm::service::{JournalSink, MemoryJournal};
 use pdmm::sharding::{ArbitrationReport, HashPartitioner};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -34,14 +36,12 @@ fn mem() -> Box<dyn JournalSink> {
     Box::new(MemoryJournal::new())
 }
 
-/// Checks the published view against the from-scratch pass, the raw
-/// accounting against its direct recomputation, and the cover cache against
-/// the published view.
-fn audit(service: &ShardedService, report: ArbitrationReport, label: &str) {
-    let snapshot = service.snapshot();
+/// Checks the published view and the drain's report against the
+/// from-scratch pass, and the cover cache against the published view.
+fn audit_arbitration(service: &ShardedService, report: ArbitrationReport, label: &str) {
     let oracle = service.arbitrate_from_scratch();
     assert_eq!(
-        *snapshot.arbitrated_matching(),
+        *service.snapshot().arbitrated_matching(),
         oracle,
         "{label}: incremental arbitration diverged from the full pass"
     );
@@ -51,6 +51,13 @@ fn audit(service: &ShardedService, report: ArbitrationReport, label: &str) {
         stale.is_empty(),
         "{label}: stale cached covers at {stale:?}"
     );
+}
+
+/// [`audit_arbitration`], plus the raw accounting against its direct
+/// recomputation; only the drainer may submit meanwhile.
+fn audit(service: &ShardedService, report: ArbitrationReport, label: &str) {
+    audit_arbitration(service, report, label);
+    let snapshot = service.snapshot();
 
     // One cut: every shard snapshot in the view is the shard's latest.
     for k in 0..service.num_shards() {
@@ -214,21 +221,105 @@ fn incremental_arbitration_equals_the_full_pass_after_every_drain() {
 
 /// More churn over the same vertex space, under fresh ids.
 fn conflict_tail() -> Workload {
-    let mut tail = streams::skewed_churn(96, 2, 40, 6, 24, 0.5, 2.0, 77);
-    for batch in &mut tail.batches {
+    offset_ids(
+        streams::skewed_churn(96, 2, 40, 6, 24, 0.5, 2.0, 77),
+        10_000_000,
+    )
+}
+
+/// `workload` with every edge id moved up by `offset`.
+fn offset_ids(mut workload: Workload, offset: u64) -> Workload {
+    for batch in &mut workload.batches {
         let updates = batch
             .iter()
             .map(|u| match u {
                 Update::Insert(e) => Update::Insert(HyperEdge::new(
-                    EdgeId(e.id.0 + 10_000_000),
+                    EdgeId(e.id.0 + offset),
                     e.vertices().to_vec(),
                 )),
-                Update::Delete(id) => Update::Delete(EdgeId(id.0 + 10_000_000)),
+                Update::Delete(id) => Update::Delete(EdgeId(id.0 + offset)),
             })
             .collect();
         *batch = UpdateBatch::new(updates).unwrap();
     }
-    tail
+    workload
+}
+
+#[test]
+fn incremental_arbitration_holds_under_concurrent_submitters() {
+    // Three threads submit (blocking) into queues of capacity 2 while one
+    // drainer alternates lossy and strict drains, so batches are routed and
+    // enqueued while drains run.  Every drain must still arbitrate exactly
+    // what the shards committed.
+    let streams: Vec<Workload> = (0..3u64)
+        .map(|t| {
+            let stream = streams::skewed_churn(96, 2, 60, 12, 8, 0.55, 2.0, 31 + t);
+            offset_ids(stream, (t + 1) * 1_000_000)
+        })
+        .collect();
+    let mut ids: Vec<EdgeId> = streams
+        .iter()
+        .flat_map(|s| s.batches.iter().flat_map(|b| b.iter()))
+        .filter_map(|u| match u {
+            Update::Insert(e) => Some(e.id),
+            Update::Delete(_) => None,
+        })
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    for kind in EngineKind::ALL {
+        for shards in [2usize, 4] {
+            let builder = EngineBuilder::new(96).rank(2).seed(13);
+            let services = build_shards(kind, &builder, shards)
+                .into_iter()
+                .map(|engine| EngineService::with_queue_capacity(engine, 2))
+                .collect();
+            let service = ShardedService::from_services(services, Box::new(HashPartitioner));
+            let label = format!("{kind} at {shards} shards, concurrent submitters");
+            let finished = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for stream in &streams {
+                    let (service, finished) = (&service, &finished);
+                    scope.spawn(move || {
+                        for batch in &stream.batches {
+                            service.submit(batch.clone());
+                        }
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+                for drain in 0.. {
+                    let done = finished.load(Ordering::SeqCst) == streams.len();
+                    let report = if drain % 2 == 0 {
+                        service.drain_lossy().arbitration
+                    } else {
+                        service
+                            .drain()
+                            .unwrap_or_else(|e| panic!("{label}: drain {drain} refused: {e}"))
+                            .arbitration
+                    };
+                    audit_arbitration(&service, report, &format!("{label}, drain {drain}"));
+                    if done && service.queue_len() == 0 {
+                        break;
+                    }
+                }
+            });
+            let replayed =
+                ShardedService::replay(build_shards(kind, &builder, shards), &service.journal())
+                    .unwrap();
+            assert_eq!(
+                *replayed.snapshot().arbitrated_matching(),
+                *service.snapshot().arbitrated_matching(),
+                "{label}: replay"
+            );
+            for &id in &ids {
+                assert_eq!(
+                    service.owner_of_edge(id),
+                    replayed.owner_of_edge(id),
+                    "{label}: route of {id:?}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

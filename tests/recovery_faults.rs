@@ -1050,6 +1050,8 @@ fn counters_restored_at_u64_max_saturate_instead_of_overflowing() {
             }
             _ => saturate(&live.save_state().unwrap(), "counters", &[1, 2, 3, 4, 5, 6]),
         };
+        // Every engine's work and depth totals.
+        let blob = saturate(&blob, "cost", &[1, 2]);
         let mut restored = engine::build(kind, &builder);
         restored.restore_state(&blob).unwrap();
         restored.apply_batch(&next[0]).unwrap();
@@ -1064,11 +1066,17 @@ fn counters_restored_at_u64_max_saturate_instead_of_overflowing() {
         let counters = [m.batches, m.updates, m.insertions, m.deletions];
         assert_eq!(counters, [u64::MAX; 4], "{kind}");
         assert_eq!([m.matched_deletions, m.rebuilds], [u64::MAX; 2], "{kind}");
+        assert_eq!([m.work, m.depth], [u64::MAX; 2], "{kind}");
+        let state = restored.save_state().unwrap();
+        let max = u64::MAX.to_string();
+        let saturated = |tag: &str| {
+            let line = state.lines().find(|l| l.split(' ').next() == Some(tag));
+            let line = line.unwrap_or_else(|| panic!("{kind}: no {tag} line"));
+            assert!(line.split(' ').skip(1).all(|t| t == max), "{kind}: {line}");
+        };
+        saturated("cost");
         if kind == EngineKind::Parallel {
-            let state = restored.save_state().unwrap();
-            let line = state.lines().find(|l| l.starts_with("metrics ")).unwrap();
-            let max = u64::MAX.to_string();
-            assert!(line.split(' ').skip(1).all(|t| t == max), "{line}");
+            saturated("metrics");
         }
     }
 

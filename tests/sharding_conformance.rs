@@ -14,7 +14,9 @@
 //!   bit-identical per-shard state (and is a fixed point of `journal()`);
 //! * **routing semantics**: cross-shard updates land on the owner shard
 //!   (minimum endpoint), deletions follow the edge, unroutable deletions
-//!   surface the same typed error a single service reports.
+//!   surface the same typed error a single service reports;
+//! * **admission**: `try_submit` is all-or-nothing, and a blocked `submit`
+//!   routes nothing until it enqueues, so no later submission overtakes it.
 
 use pdmm::engine;
 use pdmm::hypergraph::graph::DynamicHypergraph;
@@ -25,6 +27,7 @@ use pdmm::hypergraph::verify_maximality;
 use pdmm::prelude::*;
 use pdmm::sharding::ShardedReplayError;
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -535,4 +538,66 @@ fn try_submit_is_all_or_nothing_and_hands_the_batch_back_intact() {
     // matching is still exactly the first batch.
     let ids: Vec<u64> = service.snapshot().edge_ids().iter().map(|e| e.0).collect();
     assert_eq!(ids, vec![0, 1, 2, 3]);
+}
+
+/// A `submit` blocked on a full shard has routed nothing yet, so a later
+/// submission cannot overtake it: a deletion of X, sent while the insert of
+/// X waits, must not reach X's shard ahead of the insert.  Whichever order
+/// the two commit in, the live route of X equals the route a replay of the
+/// journal rebuilds.
+#[test]
+fn a_deletion_never_overtakes_the_blocked_submit_of_its_insert() {
+    let n = 8;
+    let engine = || engine::build(EngineKind::Parallel, &EngineBuilder::new(n).seed(2));
+    let services = vec![
+        EngineService::with_queue_capacity(engine(), 1),
+        EngineService::with_queue_capacity(engine(), 1),
+    ];
+    // RangePartitioner: vertices 0..4 on shard 0, 4..8 on shard 1.
+    let service = ShardedService::from_services(services, Box::new(RangePartitioner::new(n)));
+    let insert = |id: u64, a: u32, b: u32| {
+        Update::Insert(HyperEdge::pair(EdgeId(id), VertexId(a), VertexId(b)))
+    };
+    let (x, y) = (EdgeId(2), EdgeId(1));
+    // Fill shard 0's queue, so the submit of Y (shard 0) and X (shard 1)
+    // has to wait.
+    service
+        .try_submit(UpdateBatch::new(vec![insert(0, 0, 1)]).unwrap())
+        .unwrap();
+    std::thread::scope(|scope| {
+        let submitter = scope.spawn(|| {
+            service.submit(UpdateBatch::new(vec![insert(y.0, 2, 3), insert(x.0, 4, 5)]).unwrap())
+        });
+        let start = Instant::now();
+        while service.owner_of_edge(x).is_none() && start.elapsed() < Duration::from_millis(200) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let bounced = service
+            .try_submit(UpdateBatch::new(vec![Update::Delete(x)]).unwrap())
+            .err();
+        // A strict drain may refuse the deletion if it committed first.
+        while !submitter.is_finished() {
+            let _ = service.drain();
+        }
+        submitter.join().unwrap();
+        let _ = service.drain();
+        if let Some(delete) = bounced {
+            service.try_submit(delete).unwrap();
+        }
+        let _ = service.drain();
+    });
+    assert_eq!(service.queue_len(), 0);
+    let replayed = ShardedService::replay_with(
+        build_shards(EngineKind::Parallel, &EngineBuilder::new(n).seed(2), 2),
+        Box::new(RangePartitioner::new(n)),
+        &service.journal(),
+    )
+    .unwrap();
+    for id in [x, y] {
+        assert_eq!(
+            service.owner_of_edge(id),
+            replayed.owner_of_edge(id),
+            "route of {id:?}"
+        );
+    }
 }
