@@ -153,20 +153,42 @@ pub fn batches_to_string<B: AsRef<[Update]>>(batches: &[B]) -> String {
 }
 
 /// Serializes one update as its stream line (the single place the line format
-/// is written, shared by the plain and shard-tagged serializers).
-fn write_update(out: &mut String, update: &Update) {
+/// is written, shared by the plain and shard-tagged serializers and the serve
+/// path's journal).
+pub(crate) fn write_update(out: &mut String, update: &Update) {
     match update {
         Update::Insert(e) => {
-            let _ = write!(out, "+ {}", e.id.0);
+            out.push_str("+ ");
+            push_decimal(out, e.id.0);
             for v in e.vertices() {
-                let _ = write!(out, " {}", v.0);
+                out.push(' ');
+                push_decimal(out, u64::from(v.0));
             }
-            out.push('\n');
         }
         Update::Delete(id) => {
-            let _ = writeln!(out, "- {}", id.0);
+            out.push_str("- ");
+            push_decimal(out, id.0);
         }
     }
+    out.push('\n');
+}
+
+/// Appends `n` in decimal.  The digits are written back to front into a
+/// stack buffer and pushed as ASCII: `core::fmt`'s machinery costs more per
+/// integer than the digits themselves, and a journal block is mostly
+/// integers.
+fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
 }
 
 /// Parses one non-empty, non-comment update line (`+ <id> <v>…` / `- <id>`).
@@ -288,7 +310,9 @@ pub fn sharded_batches_to_string(entries: &[(ShardId, UpdateBatch)]) -> String {
             out.push('\n');
         }
         written += 1;
-        let _ = writeln!(out, "@ {}", shard.0);
+        out.push_str("@ ");
+        push_decimal(&mut out, u64::from(shard.0));
+        out.push('\n');
         for update in batch {
             write_update(&mut out, update);
         }

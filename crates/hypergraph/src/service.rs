@@ -12,10 +12,13 @@
 //!   sorted matched-edge set, per-vertex lookup) taken at a committed batch
 //!   boundary.  Readers clone the `Arc` under a lock held for nanoseconds, then
 //!   query lock-free for as long as they like — a snapshot stays consistent
-//!   while the next batch commits.  Each publish folds the engine's matching
-//!   delta ([`MatchingEngine::take_matching_delta`]) into the previous
-//!   snapshot: it copies the flat id and endpoint arrays and the vertex map,
-//!   and scans no edge table;
+//!   while the next batch commits.  A lookup by vertex is one array read: the
+//!   snapshot keeps one slot per vertex.  Each publish folds the engine's
+//!   matching delta ([`MatchingEngine::take_matching_delta`]) into the
+//!   previous snapshot and scans no edge table.  It patches in place the
+//!   snapshot the previous publish replaced, so it copies the per-vertex map
+//!   only while a reader still holds that snapshot; the flat id and endpoint
+//!   arrays it rebuilds on every publish;
 //! * **a submission queue with backpressure** — producers
 //!   [`EngineService::submit`] validated [`UpdateBatch`]es; when the bounded
 //!   queue is full, `submit` blocks (and [`EngineService::try_submit`] hands
@@ -76,7 +79,7 @@ use crate::engine::{BatchError, BatchReport, EngineMetrics, IngestReport, Matchi
 use crate::io::{self, ParseError};
 use crate::matching::MatchingDelta;
 use crate::types::{EdgeId, HyperEdge, Update, UpdateBatch, VertexId};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -256,13 +259,18 @@ impl JournalSink for FileJournal {
 /// answering from the state it was taken at.
 ///
 /// The matched edges live in flat arrays — the sorted ids, and every edge's
-/// endpoints concatenated in the same order — beside a vertex → edge map whose
-/// keys and values are `Copy`, so copying a snapshot is a few flat copies and
-/// no per-edge allocation.  A publish builds the next snapshot from the
-/// previous one plus the engine's [`MatchingDelta`] in one merge pass: it
-/// copies the id and endpoint arrays and the vertex map, hashes only the
-/// vertices of changed edges, and scans no edge table — O(M + delta) for a
-/// matching of `M` edges, whatever the number of live edges.
+/// endpoints concatenated in the same order — beside a dense vertex → edge map
+/// with one slot per vertex of the engine's vertex space (16 bytes a vertex),
+/// so a per-vertex lookup is one bounds-checked array read.  A publish builds
+/// the next snapshot from the previous one plus the engine's
+/// [`MatchingDelta`] in one merge pass over the flat arrays, and scans no
+/// edge table.  It never copies the map when it can avoid it: the snapshot
+/// the previous publish replaced is recycled whenever no reader still holds
+/// it, patched in place at the vertices the last two publishes wrote and
+/// rebuilt into its own buffers, so a publish costs O(M + delta) for a
+/// matching of `M` edges, whatever the number of vertices or live edges.
+/// Only while a reader holds that snapshot does a publish copy the map, in
+/// O(n) for `n` vertices.
 #[derive(Debug, Clone)]
 pub struct MatchingSnapshot {
     /// How many batches had committed when this snapshot was taken.
@@ -270,15 +278,15 @@ pub struct MatchingSnapshot {
     /// The engine's vertex-space size.
     num_vertices: usize,
     /// The matched edge ids, sorted.
-    matching: Box<[EdgeId]>,
+    matching: Vec<EdgeId>,
     /// `matching[i]`'s endpoints are `endpoints[bounds[i]..bounds[i + 1]]`
     /// (`bounds[0] == 0`).  Matched edges are vertex-disjoint, so the total
     /// fits the `u32` vertex-id space.
-    bounds: Box<[u32]>,
+    bounds: Vec<u32>,
     /// The endpoints of every matched edge, concatenated in `matching` order.
-    endpoints: Box<[VertexId]>,
-    /// Matched edge covering each matched vertex.
-    by_vertex: FxHashMap<VertexId, EdgeId>,
+    endpoints: Vec<VertexId>,
+    /// Matched edge covering each vertex, indexed by vertex.
+    by_vertex: Box<[Option<EdgeId>]>,
     /// The engine's lifetime metrics at commit time.
     metrics: EngineMetrics,
     /// The engine's display name.
@@ -304,16 +312,17 @@ impl MatchingSnapshot {
         self.matching.binary_search(&id).is_ok()
     }
 
-    /// The matched edge covering `v`, if any.
+    /// The matched edge covering `v`, if any (`None` for a vertex outside
+    /// the vertex space).  One array read.
     #[must_use]
     pub fn matched_edge_of(&self, v: VertexId) -> Option<EdgeId> {
-        self.by_vertex.get(&v).copied()
+        self.by_vertex.get(v.index()).copied().flatten()
     }
 
     /// Whether `v` is an endpoint of a matched edge.
     #[must_use]
     pub fn is_matched(&self, v: VertexId) -> bool {
-        self.by_vertex.contains_key(&v)
+        self.matched_edge_of(v).is_some()
     }
 
     /// The endpoint set of matched edge `id` (sorted ascending, as stored by
@@ -451,109 +460,143 @@ impl MatchingSnapshot {
         MatchingSnapshot {
             committed_batches: 0,
             num_vertices: engine.num_vertices(),
-            matching: Box::default(),
-            bounds: Box::new([0]),
-            endpoints: Box::default(),
-            by_vertex: FxHashMap::default(),
+            matching: Vec::new(),
+            bounds: vec![0],
+            endpoints: Vec::new(),
+            by_vertex: vec![None; engine.num_vertices()].into_boxed_slice(),
             metrics: engine.metrics(),
             engine: engine.name(),
         }
     }
 
-    /// The next snapshot: this one with `delta` applied, stamped with the
-    /// engine's current metrics and `committed_batches`.  One merge pass in
-    /// id order copies each run of retained edges wholesale into the new id
-    /// and endpoint arrays; the vertex map is copied flat and only the
-    /// vertices of removed and added edges are rehashed.
+    /// The next snapshot, copied: this one with `delta` applied, stamped with
+    /// the engine's current metrics and `committed_batches`.  The vertex map
+    /// is copied whole, O(n); `written` receives the vertices whose entry the
+    /// delta rewrote.
     fn advance(
         &self,
         delta: &MatchingDelta,
         engine: &(impl MatchingEngine + ?Sized),
         committed_batches: u64,
+        written: &mut Vec<VertexId>,
     ) -> Self {
-        let mut by_vertex = self.by_vertex.clone();
+        let mut next = MatchingSnapshot {
+            matching: Vec::new(),
+            bounds: Vec::new(),
+            endpoints: Vec::new(),
+            by_vertex: self.by_vertex.clone(),
+            ..*self
+        };
+        next.assign_advanced(self, delta, engine, committed_batches, written);
+        next
+    }
+
+    /// Turns this snapshot — one that `base`'s publish replaced — into `base`
+    /// advanced by `delta`, in place.  On entry `written` holds the vertices
+    /// where this snapshot's map may differ from `base`'s; those entries are
+    /// copied from `base`, the delta is applied, and the flat arrays are
+    /// rebuilt into their own buffers.  On return `written` holds the
+    /// vertices the delta wrote.  O(M + delta), whatever the vertex count.
+    fn patch(
+        &mut self,
+        base: &MatchingSnapshot,
+        written: &mut Vec<VertexId>,
+        delta: &MatchingDelta,
+        engine: &(impl MatchingEngine + ?Sized),
+        committed_batches: u64,
+    ) {
+        for &v in written.iter() {
+            self.by_vertex[v.index()] = base.by_vertex[v.index()];
+        }
+        written.clear();
+        self.assign_advanced(base, delta, engine, committed_batches, written);
+    }
+
+    /// Makes this snapshot `base` with `delta` applied, in its own buffers;
+    /// its vertex map must already equal `base`'s.  One merge pass in id
+    /// order copies each run of retained edges wholesale into the id and
+    /// endpoint arrays, and only the vertices of removed and added edges are
+    /// written in the map; `written` receives them.
+    fn assign_advanced(
+        &mut self,
+        base: &MatchingSnapshot,
+        delta: &MatchingDelta,
+        engine: &(impl MatchingEngine + ?Sized),
+        committed_batches: u64,
+        written: &mut Vec<VertexId>,
+    ) {
         // Retire removals before installing additions: a vertex freed by an
         // unmatched edge may be claimed by a newly matched one.
         let removed_at: Vec<usize> = delta
             .removed
             .iter()
             .map(|id| {
-                let i = self
+                let i = base
                     .matching
                     .binary_search(id)
                     .expect("removed edges were matched at the previous publish");
-                for v in self.endpoints_at(i) {
-                    by_vertex.remove(v);
+                for &v in base.endpoints_at(i) {
+                    self.by_vertex[v.index()] = None;
+                    written.push(v);
                 }
                 i
             })
             .collect();
         for edge in &delta.added {
             for &v in edge.vertices() {
-                by_vertex.insert(v, edge.id);
+                self.by_vertex[v.index()] = Some(edge.id);
+                written.push(v);
             }
         }
 
-        let size = self.matching.len() - delta.removed.len() + delta.added.len();
+        let size = base.matching.len() - delta.removed.len() + delta.added.len();
         let added_endpoints: usize = delta.added.iter().map(HyperEdge::rank).sum();
-        let mut next = FlatEdges {
-            matching: Vec::with_capacity(size),
-            bounds: Vec::with_capacity(size + 1),
-            endpoints: Vec::with_capacity(self.endpoints.len() + added_endpoints),
-        };
-        next.bounds.push(0);
-        // `copied`: this snapshot's edges below it are copied or dropped.  A
-        // removal at `r` is dropped only once no addition sorts before it, so
-        // an edge re-added under a removed id takes the old one's place.
+        self.matching.clear();
+        self.matching.reserve(size);
+        self.bounds.clear();
+        self.bounds.reserve(size + 1);
+        self.bounds.push(0);
+        self.endpoints.clear();
+        self.endpoints
+            .reserve(base.endpoints.len() + added_endpoints);
+        // `copied`: `base`'s edges below it are copied or dropped.  A removal
+        // at `r` is dropped only once no addition sorts before it, so an edge
+        // re-added under a removed id takes the old one's place.
         let mut copied = 0;
         let mut removed = removed_at.into_iter().peekable();
         for edge in &delta.added {
-            let at = self.matching.partition_point(|&id| id < edge.id);
+            let at = base.matching.partition_point(|&id| id < edge.id);
             while let Some(r) = removed.next_if(|&r| r < at) {
-                next.copy(self, copied..r);
+                self.copy_edges(base, copied..r);
                 copied = r + 1;
             }
-            next.copy(self, copied..at);
+            self.copy_edges(base, copied..at);
             copied = at;
-            next.push(edge.id, edge.vertices());
+            self.push_edge(edge.id, edge.vertices());
         }
         for r in removed {
-            next.copy(self, copied..r);
+            self.copy_edges(base, copied..r);
             copied = r + 1;
         }
-        next.copy(self, copied..self.matching.len());
-        MatchingSnapshot {
-            committed_batches,
-            num_vertices: engine.num_vertices(),
-            matching: next.matching.into_boxed_slice(),
-            bounds: next.bounds.into_boxed_slice(),
-            endpoints: next.endpoints.into_boxed_slice(),
-            by_vertex,
-            metrics: engine.metrics(),
-            engine: engine.name(),
-        }
+        self.copy_edges(base, copied..base.matching.len());
+        self.committed_batches = committed_batches;
+        self.num_vertices = engine.num_vertices();
+        self.metrics = engine.metrics();
+        self.engine = engine.name();
     }
-}
 
-/// The flat arrays of a [`MatchingSnapshot`] under construction.
-struct FlatEdges {
-    matching: Vec<EdgeId>,
-    bounds: Vec<u32>,
-    endpoints: Vec<VertexId>,
-}
-
-impl FlatEdges {
-    /// Appends one edge.
-    fn push(&mut self, id: EdgeId, vertices: &[VertexId]) {
+    /// Appends one edge to the flat arrays.
+    fn push_edge(&mut self, id: EdgeId, vertices: &[VertexId]) {
         self.matching.push(id);
         self.endpoints.extend_from_slice(vertices);
-        self.bounds.push(self.end());
+        self.bounds.push(self.endpoints_end());
     }
 
-    /// Appends `from`'s edges `edges` (by index) wholesale.
-    fn copy(&mut self, from: &MatchingSnapshot, edges: Range<usize>) {
+    /// Appends `from`'s edges `edges` (by index) to the flat arrays
+    /// wholesale.
+    fn copy_edges(&mut self, from: &MatchingSnapshot, edges: Range<usize>) {
         let (lo, hi) = (from.bounds[edges.start], from.bounds[edges.end]);
-        let base = self.end();
+        let base = self.endpoints_end();
         self.matching
             .extend_from_slice(&from.matching[edges.clone()]);
         self.endpoints
@@ -566,7 +609,7 @@ impl FlatEdges {
     }
 
     /// The offset one past the last endpoint.
-    fn end(&self) -> u32 {
+    fn endpoints_end(&self) -> u32 {
         u32::try_from(self.endpoints.len()).expect("matched edges are vertex-disjoint")
     }
 }
@@ -656,6 +699,37 @@ struct ServiceInner {
     /// Blocks `journal` holds, counted as they are appended: a checkpoint's
     /// `tail_skip`, which would otherwise cost a read of the whole journal.
     journaled: u64,
+    /// The journal block under construction, kept so that an append
+    /// allocates nothing once the buffer has grown to the largest block.
+    block: String,
+    /// The snapshot the last publish replaced, kept for the next publish to
+    /// recycle once no reader holds it (`None` until a service's first
+    /// publish).
+    retired: Option<Arc<MatchingSnapshot>>,
+    /// The vertices the last publish wrote in the vertex map: where
+    /// `retired`'s map may differ from the published one's.
+    written: Vec<VertexId>,
+}
+
+impl ServiceInner {
+    /// The state of a service whose first snapshot is about to be
+    /// published: no retired snapshot yet.
+    fn new(
+        engine: Box<dyn MatchingEngine + Send>,
+        journal: Box<dyn JournalSink>,
+        committed: u64,
+        journaled: u64,
+    ) -> Self {
+        ServiceInner {
+            engine,
+            journal,
+            committed,
+            journaled,
+            block: String::new(),
+            retired: None,
+            written: Vec::new(),
+        }
+    }
 }
 
 /// A long-lived engine service: concurrent snapshot reads, a bounded
@@ -722,12 +796,12 @@ impl EngineService {
         );
         let initial = Arc::new(first_snapshot(engine.as_mut(), 0));
         EngineService {
-            inner: Mutex::new(ServiceInner {
+            inner: Mutex::new(ServiceInner::new(
                 engine,
-                journal: Box::new(MemoryJournal::new()),
-                committed: 0,
-                journaled: 0,
-            }),
+                Box::new(MemoryJournal::new()),
+                0,
+                0,
+            )),
             published: Mutex::new(initial),
             queue: Mutex::new(VecDeque::new()),
             space: Condvar::new(),
@@ -926,21 +1000,29 @@ impl EngineService {
     }
 
     /// Takes the engine's matching delta since the last publish, folds it
-    /// into the published snapshot and swaps the result in — O(M + delta),
-    /// no edge-table scan (see [`MatchingSnapshot`]).  The replaced snapshot
-    /// is freed after the slot's lock is released.
+    /// into the published snapshot and swaps the result in, with no
+    /// edge-table scan (see [`MatchingSnapshot`]).  The result is built in
+    /// the snapshot the previous publish replaced when no reader holds it
+    /// any more, in O(M + delta); otherwise in a copy, in O(n + M + delta).
+    /// The replaced snapshot is kept for the next publish to recycle.
     fn publish(&self, inner: &mut ServiceInner) {
         let delta = inner.engine.take_matching_delta();
-        let next = Arc::new(self.snapshot().advance(
-            &delta,
-            inner.engine.as_ref(),
-            inner.committed,
-        ));
+        let current = self.snapshot();
+        let (engine, committed) = (inner.engine.as_ref(), inner.committed);
+        let written = &mut inner.written;
+        let recycled = inner.retired.take().and_then(|mut spare| {
+            Arc::get_mut(&mut spare)?.patch(&current, written, &delta, engine, committed);
+            Some(spare)
+        });
+        let next = recycled.unwrap_or_else(|| {
+            written.clear();
+            Arc::new(current.advance(&delta, engine, committed, written))
+        });
         let previous = std::mem::replace(
             &mut *self.published.lock().expect("snapshot lock poisoned"),
             next,
         );
-        drop(previous);
+        inner.retired = Some(previous);
     }
 
     /// The journal so far: every committed batch, in commit order, in the
@@ -1137,12 +1219,12 @@ impl EngineService {
         // The restored engine's first delta is its whole matching.
         let initial = Arc::new(first_snapshot(engine.as_mut(), committed));
         Ok(EngineService {
-            inner: Mutex::new(ServiceInner {
+            inner: Mutex::new(ServiceInner::new(
                 engine,
-                journal: sink,
+                sink,
                 committed,
-                journaled: blocks.len() as u64,
-            }),
+                blocks.len() as u64,
+            )),
             published: Mutex::new(initial),
             queue: Mutex::new(VecDeque::new()),
             space: Condvar::new(),
@@ -1275,26 +1357,32 @@ impl EngineService {
 /// theirs.
 fn first_snapshot(engine: &mut (dyn MatchingEngine + Send), committed: u64) -> MatchingSnapshot {
     let delta = engine.take_matching_delta();
-    MatchingSnapshot::empty(engine).advance(&delta, engine, committed)
+    MatchingSnapshot::empty(engine).advance(&delta, engine, committed, &mut Vec::new())
 }
 
 /// Appends one committed batch to a journal sink as an update-stream block,
-/// through the one serializer ([`io::batches_to_string`]) so the journal
-/// format cannot drift from the `io` module's.  The block carries the
-/// [`io::COMMIT_MARKER`] trailer in the same append, so a torn write loses
-/// the trailer with the tail and recovery never mistakes a partial block for
-/// a committed batch (the parsers skip `#` lines, so replay is unaffected).
-/// The service's journaled-block count goes up with every block appended.
+/// built in the service's reused block buffer by the `io` module's one line
+/// serializer (the one [`io::batches_to_string`] uses), so the journal format
+/// cannot drift from the `io` module's.  The block carries
+/// the [`io::COMMIT_MARKER`] trailer in the same append, so a torn write
+/// loses the trailer with the tail and recovery never mistakes a partial
+/// block for a committed batch (the parsers skip `#` lines, so replay is
+/// unaffected).  The service's journaled-block count goes up with every
+/// block appended.
 fn append_journal(inner: &mut ServiceInner, batch: &[Update]) {
     if batch.is_empty() {
         // The stream format cannot represent an empty batch; it is a no-op on
         // every engine, so skipping it keeps replay faithful.
         return;
     }
-    let mut block = io::batches_to_string(&[batch]);
+    let block = &mut inner.block;
+    block.clear();
+    for update in batch {
+        io::write_update(block, update);
+    }
     block.push_str(io::COMMIT_MARKER);
     block.push('\n');
-    inner.journal.append_block(&block);
+    inner.journal.append_block(block);
     inner.journaled += 1;
 }
 

@@ -77,8 +77,12 @@
 //!   (kept, freed or uncovered), refreshed only at the vertices whose cover
 //!   the delta can move, so the repair wave reads a cover instead of probing
 //!   every shard; and the scratch of the component split, reset only where
-//!   it was written.  The result equals the from-scratch pass bit for bit (a
-//!   differential suite checks every drain).  A drain from an empty matching
+//!   it was written.  The arbitrated matching's per-vertex map is O(n) as
+//!   well, kept twice (the published one and a spare), and a drain does not
+//!   copy it: it patches the spare, the one the drain before it replaced,
+//!   in place once no reader holds it (see [`ArbitratedMatching`]).  The
+//!   result equals the from-scratch pass bit for bit (a differential suite
+//!   checks every drain).  A drain from an empty matching
 //!   (a bulk load) takes the full pass instead.  On the benchmark's
 //!   wire-2shard stream (2 shards, 2k live edges, batches of 32) a lossy
 //!   drain took about 550 µs when every drain ran the full pass; a median
@@ -431,6 +435,15 @@ impl ArbitrationReport {
 /// The evicted/repaired lists are the **delta** against the raw merged view
 /// ([`ShardedSnapshot::edge_ids`]), so consumers maintaining a persistent
 /// index apply O(delta) work per drain instead of rebuilding.
+///
+/// Per-vertex lookups read a dense map with one slot per vertex of the
+/// shards' vertex space (16 bytes a vertex): one bounds-checked array read.
+/// A drain does not copy that map.  It builds the next arbitrated matching
+/// in the one the previous drain replaced, once no reader holds that one any
+/// more: the map is made equal to the current one at the vertices the
+/// previous drain wrote, this drain's changes are applied, and the sorted
+/// lists are rebuilt into their own buffers.  Only while a reader holds the
+/// replaced matching does a drain copy the map, in O(n).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ArbitratedMatching {
     /// Arbitrated matched edge ids (kept + repaired), sorted ascending.
@@ -439,8 +452,8 @@ pub struct ArbitratedMatching {
     evicted: Vec<EdgeId>,
     /// Edges added by the repair wave, sorted ascending.
     repaired: Vec<EdgeId>,
-    /// Arbitrated matched edge covering each covered vertex.
-    by_vertex: FxHashMap<VertexId, EdgeId>,
+    /// Arbitrated matched edge covering each vertex, indexed by vertex.
+    by_vertex: Box<[Option<EdgeId>]>,
     /// Vertices covered by more than one arbitrated edge.  Empty by
     /// construction — kept separate (not asserted away) so audits can check
     /// the post-arbitration invariant directly.
@@ -474,16 +487,17 @@ impl ArbitratedMatching {
         self.matching.binary_search(&id).is_ok()
     }
 
-    /// The arbitrated matched edge covering `v`, if any.
+    /// The arbitrated matched edge covering `v`, if any (`None` for a vertex
+    /// outside the vertex space).  One array read.
     #[must_use]
     pub fn matched_edge_of(&self, v: VertexId) -> Option<EdgeId> {
-        self.by_vertex.get(&v).copied()
+        self.by_vertex.get(v.index()).copied().flatten()
     }
 
     /// Whether `v` is covered by the arbitrated matching.
     #[must_use]
     pub fn is_matched(&self, v: VertexId) -> bool {
-        self.by_vertex.contains_key(&v)
+        self.matched_edge_of(v).is_some()
     }
 
     /// Edges evicted from the raw per-shard union (half of the O(delta)
@@ -528,12 +542,15 @@ impl ArbitratedMatching {
 /// across shards**: its shard snapshots were all taken at the same sharded
 /// drain boundary, and the cross-shard accounting and the arbitrated
 /// matching were derived from exactly those snapshots.  Per-shard queries
-/// delegate to the O(1)/O(log) queries of the underlying snapshots.  At 2k
-/// live edges over 2 shards a read (one snapshot plus 64 arbitrated
-/// lookups) costs about 0.64 µs, against about 0.82 µs through one
-/// service's [`EngineService::snapshot`] (the benchmark's wire-2shard and
-/// serve-2k `read_p50_ns` on 2 shared vCPUs; it cost about 130 µs when every
-/// read re-derived the cross-shard accounting).
+/// delegate to the O(1)/O(log) queries of the underlying snapshots, and a
+/// per-vertex lookup, in a shard snapshot or in the arbitrated matching, is
+/// one array read.  At 2k live edges over 2 shards a read (one snapshot plus
+/// 64 arbitrated lookups) costs about 0.21 µs, against about 0.34 µs
+/// through one service's [`EngineService::snapshot`] (the benchmark's
+/// wire-2shard and serve-2k `read_p50_ns`, medians of 10 alternating pairs
+/// on 2 shared vCPUs).  With hash-map lookups the same reads cost about 0.64
+/// and 0.89 µs, and a sharded read cost about 130 µs when every read
+/// re-derived the cross-shard accounting.
 #[derive(Debug, Clone)]
 pub struct ShardedSnapshot {
     /// The view of the most recent drain boundary.
@@ -1674,12 +1691,14 @@ fn cover_of(shards: &[Arc<MatchingSnapshot>], evicted: &FxHashSet<EdgeId>, v: Ve
     }
 }
 
-/// `old` without the items of `remove`, plus the items of `add`.  All three
-/// are sorted; `remove` is a subset of `old`, and `add` is disjoint from
-/// what remains of it.  The runs between changes are copied wholesale, so a
-/// small change to a long list costs a copy plus a binary search per change.
-fn patch_sorted<T: Ord + Copy>(old: &[T], mut remove: &[T], mut add: &[T]) -> Vec<T> {
-    let mut out = Vec::with_capacity(old.len() + add.len());
+/// Sets `out` to `old` without the items of `remove`, plus the items of
+/// `add`, reusing `out`'s buffer.  All three are sorted; `remove` is a
+/// subset of `old`, and `add` is disjoint from what remains of it.  The runs
+/// between changes are copied wholesale, so a small change to a long list
+/// costs a copy plus a binary search per change.
+fn patch_sorted<T: Ord + Copy>(old: &[T], mut remove: &[T], mut add: &[T], out: &mut Vec<T>) {
+    out.clear();
+    out.reserve(old.len() + add.len());
     let mut rest = old;
     loop {
         // The next change in order; a removal goes first on a tie, so an
@@ -1704,7 +1723,6 @@ fn patch_sorted<T: Ord + Copy>(old: &[T], mut remove: &[T], mut add: &[T]) -> Ve
         }
     }
     out.extend_from_slice(rest);
-    out
 }
 
 /// A connected piece of the repair wave: freed vertices (its seeds), the
@@ -1852,6 +1870,12 @@ struct Arbitration {
     repairs: RepairIndex,
     /// Scratch of [`split_components`], one `u32::MAX` entry per vertex.
     first_at: Vec<u32>,
+    /// The arbitrated matching `view` replaced, kept for the next drain to
+    /// recycle once no reader holds it (`None` after a full pass).
+    spare: Option<Arc<ArbitratedMatching>>,
+    /// The vertices the drain that replaced `spare` wrote in the vertex map:
+    /// where `spare`'s map may differ from `view`'s.
+    stale: Vec<VertexId>,
 }
 
 /// Every shard's published snapshot, indexed by shard.
@@ -1916,8 +1940,8 @@ fn arbitrate(
     let mut kept: Vec<EdgeId> = Vec::new();
     let mut evicted: Vec<EdgeId> = Vec::new();
     let mut evicted_endpoints: Vec<VertexId> = Vec::new();
-    let mut by_vertex: FxHashMap<VertexId, EdgeId> = FxHashMap::default();
     let num_vertices = shards.first().map_or(0, |s| s.num_vertices());
+    let mut by_vertex: Box<[Option<EdgeId>]> = vec![None; num_vertices].into_boxed_slice();
     let mut covers = vec![Cover::Uncovered; num_vertices];
     let mut conflicted: Vec<VertexId> = Vec::new();
     for (k, snap) in shards.iter().enumerate() {
@@ -1934,7 +1958,7 @@ fn arbitrate(
             if wins {
                 kept.push(id);
                 for &v in endpoints {
-                    if let Some(prev) = by_vertex.insert(v, id) {
+                    if let Some(prev) = by_vertex[v.index()].replace(id) {
                         if prev != id {
                             // Unreachable by the award argument; recorded
                             // honestly rather than asserted away, so the
@@ -1971,11 +1995,11 @@ fn arbitrate(
     let mut repaired: Vec<EdgeId> = Vec::new();
     let mut accepted = vec![false; candidates.len()];
     for ((_, id, endpoints), taken) in candidates.iter().zip(&mut accepted) {
-        if endpoints.iter().any(|v| by_vertex.contains_key(v)) {
+        if endpoints.iter().any(|v| by_vertex[v.index()].is_some()) {
             continue;
         }
         for &v in endpoints.iter() {
-            by_vertex.insert(v, *id);
+            by_vertex[v.index()] = Some(*id);
         }
         repaired.push(*id);
         *taken = true;
@@ -2038,6 +2062,8 @@ fn arbitrate(
         covers,
         repairs,
         first_at,
+        spare: None,
+        stale: Vec::new(),
     }
 }
 
@@ -2120,8 +2146,13 @@ impl Arbitration {
             ids.sort_unstable();
             ids
         };
-        let cross_matched =
-            patch_sorted(&prev.cross_matched, &crossing(&removed), &crossing(&added));
+        let mut cross_matched = Vec::new();
+        patch_sorted(
+            &prev.cross_matched,
+            &crossing(&removed),
+            &crossing(&added),
+            &mut cross_matched,
+        );
         let (mut raw_out, mut raw_in) = (Vec::new(), Vec::new());
         for &v in &touched {
             let was = prev.conflicted.binary_search(&v).is_ok();
@@ -2132,7 +2163,8 @@ impl Arbitration {
                 raw_in.push(v);
             }
         }
-        let raw_conflicted = patch_sorted(&prev.conflicted, &raw_out, &raw_in);
+        let mut raw_conflicted = Vec::new();
+        patch_sorted(&prev.conflicted, &raw_out, &raw_in, &mut raw_conflicted);
 
         // 3. Award and evict.  The region is every vertex whose cover can
         // have moved: the changed vertices and the endpoints of the edges
@@ -2177,7 +2209,6 @@ impl Arbitration {
         }
         evicted_out.sort_unstable();
         evicted_in.sort_unstable();
-        let evicted = patch_sorted(&prev.arbitrated.evicted, &evicted_out, &evicted_in);
         // A cover moves only with the shards covering the vertex (a touched
         // vertex) or the eviction of its covering edge (a removed edge, whose
         // endpoints are touched, or a re-judged one): both are in the region.
@@ -2283,7 +2314,31 @@ impl Arbitration {
         });
 
         // The arbitrated matching moves by the edges whose award or repair
-        // outcome was redone.
+        // outcome was redone.  It is built in the spare — the view the
+        // previous drain replaced — when no reader holds it any more: its
+        // map is brought level with the current one at the vertices the
+        // previous drain wrote, so no drain copies the O(n) map but while a
+        // reader holds the spare.
+        let recycled = self.spare.take().and_then(|mut spare| {
+            let out = Arc::get_mut(&mut spare)?;
+            for &v in &self.stale {
+                out.by_vertex[v.index()] = prev.arbitrated.by_vertex[v.index()];
+            }
+            Some(spare)
+        });
+        let mut arbitrated = recycled.unwrap_or_else(|| {
+            Arc::new(ArbitratedMatching {
+                by_vertex: prev.arbitrated.by_vertex.clone(),
+                ..ArbitratedMatching::default()
+            })
+        });
+        let out = Arc::get_mut(&mut arbitrated).expect("a recycled or new view is unshared");
+        patch_sorted(
+            &prev.arbitrated.evicted,
+            &evicted_out,
+            &evicted_in,
+            &mut out.evicted,
+        );
         let ids_of = |components: &[RepairComponent]| {
             let mut ids: Vec<EdgeId> = components
                 .iter()
@@ -2293,7 +2348,12 @@ impl Arbitration {
             ids
         };
         let (repaired_out, repaired_in) = (ids_of(&retired), ids_of(&components));
-        let repaired = patch_sorted(&prev.arbitrated.repaired, &repaired_out, &repaired_in);
+        patch_sorted(
+            &prev.arbitrated.repaired,
+            &repaired_out,
+            &repaired_in,
+            &mut out.repaired,
+        );
         fn ends_of(components: &[RepairComponent]) -> FxHashMap<EdgeId, &[VertexId]> {
             components
                 .iter()
@@ -2311,7 +2371,6 @@ impl Arbitration {
             .collect();
         changed.sort_unstable();
         changed.dedup();
-        let mut by_vertex = prev.arbitrated.by_vertex.clone();
         let (mut matching_out, mut matching_in) = (Vec::new(), Vec::new());
         let mut entering: Vec<(EdgeId, &[VertexId])> = Vec::new();
         // The endpoints of the redone edges that were in the matching: their
@@ -2331,9 +2390,10 @@ impl Arbitration {
                         .find_map(|s| s.matched_endpoints(id))
                         .expect("kept edges were matched")
                 });
-                for v in ends {
-                    if by_vertex.get(v) == Some(&id) {
-                        by_vertex.remove(v);
+                for &v in ends {
+                    let slot = &mut out.by_vertex[v.index()];
+                    if *slot == Some(id) {
+                        *slot = None;
                     }
                 }
                 vacated.extend_from_slice(ends);
@@ -2355,50 +2415,55 @@ impl Arbitration {
         // becomes conflicted when an entering edge finds it taken — as in the
         // full pass, recorded rather than asserted away.
         vacated.sort_unstable();
-        let mut conflicted: Vec<VertexId> = prev
-            .arbitrated
-            .conflicted
-            .iter()
-            .copied()
-            .filter(|v| vacated.binary_search(v).is_err())
-            .collect();
+        out.conflicted.clear();
+        out.conflicted.extend(
+            prev.arbitrated
+                .conflicted
+                .iter()
+                .copied()
+                .filter(|v| vacated.binary_search(v).is_err()),
+        );
+        // The map moved only at the vacated and entering vertices: the next
+        // drain's spare (this drain's previous view) is stale exactly there.
+        self.stale.clear();
+        self.stale.extend_from_slice(&vacated);
         for (id, ends) in entering {
+            self.stale.extend_from_slice(ends);
             for &v in ends {
-                if let Some(holder) = by_vertex.insert(v, id) {
+                if let Some(holder) = out.by_vertex[v.index()].replace(id) {
                     if holder != id {
-                        conflicted.push(v);
+                        out.conflicted.push(v);
                     }
                 }
             }
         }
-        conflicted.sort_unstable();
-        conflicted.dedup();
-        let matching = patch_sorted(&prev.arbitrated.matching, &matching_out, &matching_in);
+        out.conflicted.sort_unstable();
+        out.conflicted.dedup();
+        patch_sorted(
+            &prev.arbitrated.matching,
+            &matching_out,
+            &matching_in,
+            &mut out.matching,
+        );
         self.repairs.insert(components);
 
-        let report = ArbitrationReport {
+        out.report = ArbitrationReport {
             stats: ArbitrationStats {
                 conflicted_vertices: raw_conflicted.len(),
-                evicted_edges: evicted.len(),
+                evicted_edges: out.evicted.len(),
                 freed_vertices: self.repairs.freed,
                 repair_candidates: self.repairs.candidates,
-                repaired_edges: repaired.len(),
+                repaired_edges: out.repaired.len(),
             },
             pre_size: next.iter().map(|s| s.size()).sum(),
-            post_size: matching.len(),
+            post_size: out.matching.len(),
         };
+        self.spare = Some(Arc::clone(&prev.arbitrated));
         self.view = Arc::new(ShardedView {
             shards: next,
             cross_matched,
             conflicted: raw_conflicted,
-            arbitrated: Arc::new(ArbitratedMatching {
-                matching,
-                evicted,
-                repaired,
-                by_vertex,
-                conflicted,
-                report,
-            }),
+            arbitrated,
         });
     }
 }

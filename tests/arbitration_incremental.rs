@@ -12,6 +12,13 @@
 //! evicted list.  Where only the drainer submits, the raw cross-shard
 //! accounting must also equal a direct recomputation from the shard
 //! snapshots.  All five engines, at 1, 2, 4 and 8 shards.
+//!
+//! A drain builds the new arbitrated view in the one the previous drain
+//! replaced when no reader holds it, and each shard publish likewise
+//! recycles its replaced snapshot: a service whose every view is held (so
+//! everything is copied) and one that holds none (so everything is
+//! recycled) must agree after every drain, and every held view must still
+//! answer as it did when it was published.
 
 use pdmm::engine;
 use pdmm::hypergraph::streams::{self, Workload};
@@ -412,4 +419,96 @@ fn incremental_arbitration_survives_a_giant_repair_component() {
         stats.repair_candidates > 1024,
         "the workload must reach a repair wave of over a thousand candidates"
     );
+}
+
+/// Every per-vertex answer of an arbitrated matching and of each shard
+/// snapshot of a view, over every vertex plus `VertexId(n)` and
+/// `VertexId(u32::MAX)`, which lie outside the vertex space.
+type Lookups = Vec<(Option<EdgeId>, bool)>;
+
+fn lookups(snapshot: &ShardedSnapshot, n: usize) -> (Lookups, Vec<(Vec<EdgeId>, Lookups)>) {
+    let probes: Vec<VertexId> = (0..=n as u32)
+        .map(VertexId)
+        .chain([VertexId(u32::MAX)])
+        .collect();
+    let arbitrated = snapshot.arbitrated_matching();
+    let shards = (0..snapshot.num_shards())
+        .map(|k| {
+            let shard = snapshot.shard(k);
+            let answers = probes
+                .iter()
+                .map(|&v| (shard.matched_edge_of(v), shard.is_matched(v)))
+                .collect();
+            (shard.edge_ids(), answers)
+        })
+        .collect();
+    let answers = probes
+        .iter()
+        .map(|&v| (arbitrated.matched_edge_of(v), arbitrated.is_matched(v)))
+        .collect();
+    (answers, shards)
+}
+
+#[test]
+fn recycled_arbitrated_views_equal_copied_ones_and_held_views_stay_frozen() {
+    let workload = streams::skewed_churn(96, 2, 140, 30, 24, 0.55, 2.0, 31);
+    let n = workload.num_vertices;
+    let mut conflicts = 0usize;
+    for kind in EngineKind::ALL {
+        for shards in [2usize, 4] {
+            let label = format!("{kind} at {shards} shards");
+            let builder = EngineBuilder::new(n).rank(2).seed(11);
+            // `holding` keeps every view it publishes, so its shards and its
+            // arbitration copy on every drain; `recycling` keeps none.
+            let holding = ShardedService::new(build_shards(kind, &builder, shards));
+            let recycling = ShardedService::new(build_shards(kind, &builder, shards));
+            let first = holding.snapshot();
+            let mut held = vec![(
+                first.clone(),
+                first.arbitrated_matching().clone(),
+                lookups(&first, n),
+            )];
+            for (i, batch) in workload.batches.iter().enumerate() {
+                for service in [&holding, &recycling] {
+                    service.submit(batch.clone());
+                    if i % 3 == 1 {
+                        let _ = service.drain_lossy();
+                    } else {
+                        service.drain().unwrap();
+                    }
+                }
+                let snapshot = holding.snapshot();
+                let expected = snapshot.arbitrated_matching().clone();
+                let answers = lookups(&snapshot, n);
+                let oracle = recycling.arbitrate_from_scratch();
+                let recycled = recycling.snapshot();
+                assert_eq!(
+                    *recycled.arbitrated_matching(),
+                    oracle,
+                    "{label}, batch {i}: the recycled view diverged from the full pass"
+                );
+                assert_eq!(expected, oracle, "{label}, batch {i}: the copied view");
+                assert_eq!(
+                    lookups(&recycled, n),
+                    answers,
+                    "{label}, batch {i}: recycled lookups differ from copied ones"
+                );
+                assert!(
+                    answers.0[n..].iter().all(|&a| a == (None, false)),
+                    "{label}: ids outside the vertex space read as unmatched"
+                );
+                conflicts += oracle.report().stats.conflicted_vertices;
+                held.push((snapshot, expected, answers));
+            }
+            for (i, (snapshot, expected, answers)) in held.iter().enumerate() {
+                assert_eq!(
+                    snapshot.arbitrated_matching(),
+                    expected,
+                    "{label}: the view held since drain {i} changed"
+                );
+                assert_eq!(&lookups(snapshot, n), answers, "{label}: drain {i}");
+            }
+        }
+    }
+    assert!(conflicts > 0, "the workload must produce shard conflicts");
 }

@@ -8,9 +8,13 @@
 //!   trailing batch without a terminating newline all parse to the same
 //!   stream;
 //! * serialization is a canonical form: `serialize ∘ parse` is idempotent on
-//!   any text that parses.
+//!   any text that parses;
+//! * the bytes themselves are pinned: a literal block serializes to a literal
+//!   string through the plain and the shard-tagged serializer, so a writer
+//!   that changed the format while staying self-consistent (which both
+//!   properties above would accept) fails here — old journals must replay.
 
-use pdmm::hypergraph::io::{batches_from_string, batches_to_string};
+use pdmm::hypergraph::io::{batches_from_string, batches_to_string, sharded_batches_to_string};
 use pdmm::prelude::*;
 use proptest::prelude::*;
 
@@ -120,6 +124,39 @@ proptest! {
         let reparsed = batches_from_string(&decorated).expect("decorated text parses");
         prop_assert_eq!(batches_to_string(&reparsed), canonical);
     }
+}
+
+#[test]
+fn journal_bytes_are_pinned_for_both_serializers() {
+    let (v0, vmax) = (VertexId(0), VertexId(u32::MAX));
+    let block = UpdateBatch::new(vec![
+        Update::Delete(EdgeId(9)),
+        Update::Insert(HyperEdge::new(EdgeId(0), vec![vmax])),
+        Update::Insert(HyperEdge::pair(EdgeId(9), v0, vmax)),
+        Update::Insert(HyperEdge::new(
+            EdgeId(10),
+            vec![v0, VertexId(9), VertexId(10)],
+        )),
+        Update::Insert(HyperEdge::new(
+            EdgeId(u64::MAX),
+            vec![v0, VertexId(1), VertexId(10), vmax],
+        )),
+    ])
+    .unwrap();
+    let lines = "- 9\n\
+                 + 0 4294967295\n\
+                 + 9 0 4294967295\n\
+                 + 10 0 9 10\n\
+                 + 18446744073709551615 0 1 10 4294967295\n";
+    assert_eq!(batches_to_string(std::slice::from_ref(&block)), lines);
+    assert_eq!(
+        batches_to_string(&[block.clone(), UpdateBatch::empty(), block.clone()]),
+        format!("{lines}\n{lines}")
+    );
+    assert_eq!(
+        sharded_batches_to_string(&[(ShardId(0), block.clone()), (ShardId(u32::MAX), block)]),
+        format!("@ 0\n{lines}\n@ 4294967295\n{lines}")
+    );
 }
 
 #[test]

@@ -14,7 +14,10 @@
 //!   earlier commit already visible;
 //! * **fault injection**: an injected I/O failure during `commit` surfaces
 //!   per the documented sink policy — a panic, not a silently diverging
-//!   journal — and leaves the on-disk journal parseable.
+//!   journal — and leaves the on-disk journal parseable;
+//! * **snapshot recycling**: a publish that patches the replaced snapshot in
+//!   place answers exactly like one that copies it, on every engine, and a
+//!   snapshot a reader holds never changes.
 
 use pdmm::checkpoint::FaultSink;
 use pdmm::engine;
@@ -342,4 +345,100 @@ fn commits_before_a_poison_batch_are_visible_when_the_drain_errors() {
     // The tail drains normally afterwards.
     service.drain().unwrap();
     assert_eq!(service.snapshot().committed_batches(), 2);
+}
+
+/// Everything a snapshot answers, read through its public queries: every
+/// vertex of the space plus `VertexId(n)` and `VertexId(u32::MAX)`, which lie
+/// outside it.
+#[derive(Debug, PartialEq)]
+struct SnapshotRecord {
+    committed: u64,
+    size: usize,
+    edge_ids: Vec<EdgeId>,
+    endpoints: Vec<Vec<VertexId>>,
+    matched_edge_of: Vec<Option<EdgeId>>,
+    is_matched: Vec<bool>,
+}
+
+fn record(snapshot: &MatchingSnapshot, n: usize) -> SnapshotRecord {
+    let edge_ids = snapshot.edge_ids();
+    let probes: Vec<VertexId> = (0..=n as u32)
+        .map(VertexId)
+        .chain([VertexId(u32::MAX)])
+        .collect();
+    SnapshotRecord {
+        committed: snapshot.committed_batches(),
+        size: snapshot.size(),
+        endpoints: edge_ids
+            .iter()
+            .map(|&id| {
+                snapshot
+                    .matched_endpoints(id)
+                    .expect("listed ids are matched")
+                    .to_vec()
+            })
+            .collect(),
+        edge_ids,
+        matched_edge_of: probes
+            .iter()
+            .map(|&v| snapshot.matched_edge_of(v))
+            .collect(),
+        is_matched: probes.iter().map(|&v| snapshot.is_matched(v)).collect(),
+    }
+}
+
+#[test]
+fn a_recycled_publish_equals_a_copied_one_and_held_snapshots_stay_frozen() {
+    let workload = streams::random_churn(90, 3, 120, 40, 16, 0.5, 13);
+    let n = workload.num_vertices;
+    for kind in EngineKind::ALL {
+        let builder = EngineBuilder::new(n).rank(3).seed(17);
+        // `holding` keeps every snapshot it publishes, so each of its
+        // publishes copies; `recycling` drops every snapshot once read, so
+        // its publishes patch the replaced one in place; `mixed` holds every
+        // other snapshot across the next two commits, the second of which
+        // would recycle it, so its copies and patches alternate.
+        let holding = EngineService::new(engine::build(kind, &builder));
+        let recycling = EngineService::new(engine::build(kind, &builder));
+        let mixed = EngineService::new(engine::build(kind, &builder));
+        let mut held = vec![(holding.snapshot(), record(&holding.snapshot(), n))];
+        let mut pinned = None;
+        for (i, batch) in workload.batches.iter().enumerate() {
+            for service in [&holding, &recycling, &mixed] {
+                service.submit(batch.clone());
+                service.drain().unwrap();
+            }
+            let snapshot = holding.snapshot();
+            let expected = record(&snapshot, n);
+            assert_eq!(expected.committed, i as u64 + 1, "{kind}");
+            assert_eq!(expected.matched_edge_of[n], None, "{kind}: VertexId(n)");
+            assert_eq!(expected.matched_edge_of[n + 1], None, "{kind}: u32::MAX");
+            assert!(
+                !expected.is_matched[n] && !expected.is_matched[n + 1],
+                "{kind}"
+            );
+            assert_eq!(
+                record(&recycling.snapshot(), n),
+                expected,
+                "{kind}, batch {i}: a recycled publish differs from a copied one"
+            );
+            assert_eq!(
+                record(&mixed.snapshot(), n),
+                expected,
+                "{kind}, batch {i}: mixed publishing differs"
+            );
+            if i % 2 == 0 {
+                pinned = Some(mixed.snapshot());
+            }
+            held.push((snapshot, expected));
+        }
+        drop(pinned);
+        for (i, (snapshot, expected)) in held.iter().enumerate() {
+            assert_eq!(
+                &record(snapshot, n),
+                expected,
+                "{kind}: the snapshot held since commit {i} changed"
+            );
+        }
+    }
 }
