@@ -21,7 +21,7 @@ use crate::invariants;
 use crate::metrics::Metrics;
 use crate::persist;
 use crate::settle::{process_level, release_bucket_and_remove};
-use crate::state::MatcherState;
+use crate::state::{EdgeList, MatcherState};
 use pdmm_hypergraph::engine::{
     run_batch_trusted, BatchError, BatchKernel, BatchReport, EngineBuilder, EngineMetrics,
     EnginePool, KernelOutcome, MatchingEngine, MatchingIter, StateError, UpdateCounters,
@@ -30,7 +30,7 @@ use pdmm_hypergraph::engine::{
 use pdmm_hypergraph::matching::MatchingDelta;
 use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};
 use pdmm_primitives::cost_model::CostTracker;
-use pdmm_static::luby::{luby_maximal_matching, luby_maximal_matching_by_ref};
+use pdmm_static::luby::luby_maximal_matching_by_ref;
 use rustc_hash::FxHashSet;
 
 /// Parallel dynamic maximal matching for rank-`r` hypergraphs
@@ -176,17 +176,15 @@ impl BatchKernel for ParallelDynamicMatching {
         }
 
         // Categorize the batch (§3.3): unmatched deletions, matched deletions,
-        // temporarily-deleted deletions, insertions.
+        // temporarily-deleted deletions, insertions.  The lists are the
+        // state's, kept from batch to batch for their capacity.
         self.state.cost.round();
         self.state.cost.work(updates.len() as u64);
-        let mut unmatched_deletions: Vec<EdgeId> = Vec::new();
-        let mut matched_deletions: Vec<EdgeId> = Vec::new();
-        let mut temp_deleted_deletions: Vec<EdgeId> = Vec::new();
-        let mut insertions: Vec<&HyperEdge> = Vec::new();
+        let mut lists = std::mem::take(&mut self.state.lists);
         for update in updates {
             match update {
                 Update::Insert(edge) => {
-                    insertions.push(edge);
+                    lists.insertions.push(edge.id, edge.vertices());
                 }
                 Update::Delete(id) => {
                     let e = self
@@ -195,30 +193,27 @@ impl BatchKernel for ParallelDynamicMatching {
                         .get(id)
                         .expect("validated batch: deletion names a live edge");
                     if e.temp_deleted {
-                        temp_deleted_deletions.push(*id);
+                        lists.temp_deleted_deletions.push(*id);
                     } else if e.matched {
-                        matched_deletions.push(*id);
+                        lists.matched_deletions.push(*id);
                     } else {
-                        unmatched_deletions.push(*id);
+                        lists.unmatched_deletions.push(*id);
                     }
                 }
             }
         }
-        let num_matched_deletions = matched_deletions.len();
+        let num_matched_deletions = lists.matched_deletions.len();
         self.state.metrics.temp_deleted_deletions = self
             .state
             .metrics
             .temp_deleted_deletions
-            .saturating_add(temp_deleted_deletions.len() as u64);
-
-        let mut pending_reinsertions: Vec<HyperEdge> = Vec::new();
+            .saturating_add(lists.temp_deleted_deletions.len() as u64);
 
         // Group 1a: deleting temporarily deleted hyperedges — drop them and credit
         // the deletion to the responsible epoch (its "uninterrupted duration").
         self.state.cost.round();
-        for id in temp_deleted_deletions {
-            let responsible = self.state.remove_edge_completely(id).responsible;
-            if let Some(resp) = responsible {
+        for &id in &lists.temp_deleted_deletions {
+            if let Some(resp) = self.state.remove_edge_completely(id) {
                 if let Some(resp_state) = self.state.edges.get_mut(&resp) {
                     resp_state.d_deleted_count = resp_state.d_deleted_count.saturating_add(1);
                 }
@@ -227,25 +222,25 @@ impl BatchKernel for ParallelDynamicMatching {
         }
 
         // Group 1b: deleting unmatched hyperedges — just unhook them.
-        for id in unmatched_deletions {
+        for &id in &lists.unmatched_deletions {
             self.state.remove_edge_completely(id);
         }
 
         // Group 2: deleting matched hyperedges — expose their endpoints as
-        // undecided, queue their D(·) buckets for re-insertion, then sweep the
-        // levels from L down to 0.
-        for id in &matched_deletions {
-            let level = self.state.edges[id].level;
-            let d_deleted = self.state.edges[id].d_deleted_count;
+        // undecided, queue their D(·) buckets for re-insertion (after the
+        // batch's own insertions), then sweep the levels from L down to 0.
+        for &id in &lists.matched_deletions {
+            let level = self.state.edges[&id].level;
+            let d_deleted = self.state.edges[&id].d_deleted_count;
             self.state
                 .metrics
                 .record_epoch_natural_end(level, d_deleted);
-            self.state.unmatch_edge(*id);
-            release_bucket_and_remove(&mut self.state, *id, false, &mut pending_reinsertions);
+            self.state.unmatch_edge(id);
+            release_bucket_and_remove(&mut self.state, id, false, &mut lists.insertions);
         }
         if !self.state.undecided.is_empty() {
             for level in (0..=self.state.num_levels()).rev() {
-                process_level(&mut self.state, level, &mut pending_reinsertions);
+                process_level(&mut self.state, level, &mut lists.insertions);
             }
         }
         debug_assert!(
@@ -254,19 +249,18 @@ impl BatchKernel for ParallelDynamicMatching {
         );
 
         // Group 3: insertions — adversary insertions plus algorithm re-insertions.
-        insertions.extend(&pending_reinsertions);
-        self.process_insertions(&insertions);
+        self.process_insertions(&lists.insertions, &mut lists.newly_matched);
 
         // Optional ablation: also run the rising pass after insertions.
         if self.state.config.settle_after_insert {
-            let mut extra_pending: Vec<HyperEdge> = Vec::new();
+            lists.insertions.clear();
             for level in (0..=self.state.num_levels()).rev() {
-                process_level(&mut self.state, level, &mut extra_pending);
+                process_level(&mut self.state, level, &mut lists.insertions);
             }
-            if !extra_pending.is_empty() {
-                self.process_insertions(&extra_pending.iter().collect::<Vec<_>>());
-            }
+            self.process_insertions(&lists.insertions, &mut lists.newly_matched);
         }
+        lists.clear();
+        self.state.lists = lists;
 
         self.state.flush_dirty();
         if self.state.config.check_invariants {
@@ -298,26 +292,29 @@ impl BatchKernel for ParallelDynamicMatching {
 impl ParallelDynamicMatching {
     /// §3.3.3: run the static parallel matcher over the inserted hyperedges whose
     /// endpoints are all free, place the newly matched ones (and their nodes) at
-    /// level 0, and register every inserted hyperedge with its owner.
-    fn process_insertions(&mut self, edges: &[&HyperEdge]) {
-        if edges.is_empty() {
-            return;
+    /// level 0, and register every inserted hyperedge with its owner.  An
+    /// empty list costs nothing.
+    fn process_insertions(&mut self, edges: &EdgeList, newly_matched: &mut FxHashSet<EdgeId>) {
+        if !edges.is_empty() {
+            self.match_and_register(edges, newly_matched);
         }
+    }
+
+    /// The body of [`Self::process_insertions`], which the rebuild runs on
+    /// every edge (all free then), even on none.  `newly_matched` is
+    /// scratch, empty on entry and on return.
+    fn match_and_register(&mut self, edges: &EdgeList, newly_matched: &mut FxHashSet<EdgeId>) {
         self.state.cost.round();
         self.state
             .cost
-            .work(edges.iter().map(|e| e.rank() as u64).sum::<u64>());
+            .work(edges.iter().map(|(_, ends)| ends.len() as u64).sum::<u64>());
 
-        let free: Vec<&HyperEdge> = edges
-            .iter()
-            .copied()
-            .filter(|e| {
-                e.vertices()
-                    .iter()
-                    .all(|&v| !self.state.is_matched_vertex(v))
-            })
-            .collect();
-        let mut newly_matched: FxHashSet<EdgeId> = FxHashSet::default();
+        let mut free: Vec<(EdgeId, &[VertexId])> = Vec::with_capacity(edges.len());
+        free.extend(
+            edges
+                .iter()
+                .filter(|(_, ends)| ends.iter().all(|&v| !self.state.is_matched_vertex(v))),
+        );
         if !free.is_empty() {
             let result =
                 luby_maximal_matching_by_ref(free, &mut self.state.rng, Some(&self.state.cost));
@@ -331,13 +328,14 @@ impl ParallelDynamicMatching {
 
         // Register matched edges first so that the owner/level computation of the
         // remaining insertions sees the updated (level-0) endpoints.
-        for edge in edges.iter().filter(|e| newly_matched.contains(&e.id)) {
-            self.state.register_edge(edge, true, 0);
+        for (id, ends) in edges.iter().filter(|(id, _)| newly_matched.contains(id)) {
+            self.state.register_edge(id, ends, true, 0);
             self.state.metrics.record_epoch_created(0, 0);
         }
-        for edge in edges.iter().filter(|e| !newly_matched.contains(&e.id)) {
-            self.state.register_edge(edge, false, 0);
+        for (id, ends) in edges.iter().filter(|(id, _)| !newly_matched.contains(id)) {
+            self.state.register_edge(id, ends, false, 0);
         }
+        newly_matched.clear();
     }
 
     /// §3.2.1: doubles `N`, rebuilds every data structure from scratch, and
@@ -348,17 +346,19 @@ impl ParallelDynamicMatching {
         let needed = self.state.num_vertices() as u64 + self.state.updates_since_rebuild;
         let new_params = self.state.params.doubled(needed);
         // The delta tracker survives the rebuild: the old matching leaves it
-        // here, and edges the rebuild re-matches below cancel out again.
+        // here, and edges the rebuild re-matches below cancel out again.  The
+        // free lists and the per-batch lists survive too: each old edge's
+        // endpoints go to the (empty) insertion list, its slices to the free
+        // lists, and the edges register afresh from there.
         let mut delta = std::mem::take(&mut self.state.delta);
-        let all_edges: Vec<HyperEdge> = std::mem::take(&mut self.state.edges)
-            .into_iter()
-            .map(|(id, e)| {
-                if e.matched {
-                    delta.unmatched(id, &e.vertices);
-                }
-                HyperEdge::new(id, e.vertices.into_vec())
-            })
-            .collect();
+        let mut lists = std::mem::take(&mut self.state.lists);
+        for (id, e) in std::mem::take(&mut self.state.edges) {
+            if e.matched {
+                delta.unmatched(id, &e.vertices);
+            }
+            lists.insertions.push(id, &e.vertices);
+            self.state.recycle(e);
+        }
         let num_vertices = self.state.num_vertices();
         let config = self.state.config.clone();
         // Preserve the RNG stream and accumulated counters across the rebuild.
@@ -371,27 +371,15 @@ impl ParallelDynamicMatching {
         fresh.cost = cost;
         fresh.metrics = metrics;
         fresh.delta = delta;
+        fresh.spare = std::mem::take(&mut self.state.spare);
         fresh.metrics.ensure_level(fresh.params.num_levels);
         self.state = fresh;
 
-        self.state.cost.round();
-        self.state
-            .cost
-            .work(all_edges.iter().map(|e| e.rank() as u64).sum::<u64>());
-        let result = luby_maximal_matching(&all_edges, &mut self.state.rng, Some(&self.state.cost));
-        self.state.metrics.luby_iterations = self
-            .state
-            .metrics
-            .luby_iterations
-            .saturating_add(result.iterations as u64);
-        let matched: FxHashSet<EdgeId> = result.edges.into_iter().collect();
-        for edge in all_edges.iter().filter(|e| matched.contains(&e.id)) {
-            self.state.register_edge(edge, true, 0);
-            self.state.metrics.record_epoch_created(0, 0);
-        }
-        for edge in all_edges.iter().filter(|e| !matched.contains(&e.id)) {
-            self.state.register_edge(edge, false, 0);
-        }
+        // Every endpoint is free now, so the insertion step matches and
+        // registers every edge, charging what a static recompute does.
+        self.match_and_register(&lists.insertions, &mut lists.newly_matched);
+        lists.clear();
+        self.state.lists = lists;
         self.state.updates_since_rebuild = 0;
         self.state.flush_dirty();
     }

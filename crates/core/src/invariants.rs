@@ -11,8 +11,10 @@
 //! * **Maximality** — every live, non-temporarily-deleted edge has a matched
 //!   endpoint, and matched edges are pairwise disjoint.
 //! * **Structure consistency** — the `O(v)` / `A(v,ℓ)` and parked buckets
-//!   agree exactly with the edge records and their stored slots, and the
-//!   `S_ℓ` sets agree with their definition and with every vertex's `s_mask`.
+//!   agree exactly with the edge records and their stored slots, no two live
+//!   edges share an endpoint or slot slice and none sits on a free list of
+//!   recycled slices, and the `S_ℓ` sets agree with their definition and
+//!   with every vertex's `s_mask`.
 
 use crate::state::MatcherState;
 use pdmm_hypergraph::types::{EdgeId, VertexId};
@@ -194,6 +196,8 @@ fn check_temp_deleted(state: &MatcherState) -> Result<(), String> {
 /// put it there, and every incidence of such an edge sits at its stored slot.
 /// The parked buckets `P(v)` do the same for temporarily deleted edges.
 /// Together these put each incidence in exactly one bucket, exactly once.
+/// Finally, every live edge owns its endpoint and slot slices: no other live
+/// edge holds them and no free list of recycled slices lists them.
 fn check_structures(state: &MatcherState) -> Result<(), String> {
     for (i, vs) in state.vertices.iter().enumerate() {
         let v = VertexId(i as u32);
@@ -271,6 +275,52 @@ fn check_structures(state: &MatcherState) -> Result<(), String> {
             }
         }
     }
+    check_slices(state)
+}
+
+/// Every live edge's endpoint and slot slices are its own, and each free
+/// list holds only unused slices of its rank.
+fn check_slices(state: &MatcherState) -> Result<(), String> {
+    // Slice address → the live edge holding it (`None`: a free list).
+    let mut holders: FxHashMap<usize, Option<EdgeId>> = FxHashMap::default();
+    for (id, e) in &state.edges {
+        if e.slots.len() != e.vertices.len() {
+            return Err(format!(
+                "edge {id} has {} slots for {} endpoints",
+                e.slots.len(),
+                e.vertices.len()
+            ));
+        }
+        for at in [e.vertices.as_ptr() as usize, e.slots.as_ptr() as usize] {
+            if let Some(other) = holders.insert(at, Some(*id)).flatten() {
+                return Err(format!("edges {other} and {id} share a recycled slice"));
+            }
+        }
+    }
+    for (rank, spare) in state.spare.iter().enumerate() {
+        for (ends, slots) in spare {
+            if ends.len() != rank || slots.len() != rank {
+                return Err(format!(
+                    "the rank-{rank} free list holds slices of {} and {} entries",
+                    ends.len(),
+                    slots.len()
+                ));
+            }
+            for at in [ends.as_ptr() as usize, slots.as_ptr() as usize] {
+                match holders.insert(at, None) {
+                    Some(Some(id)) => {
+                        return Err(format!(
+                            "live edge {id}'s slice is on the rank-{rank} free list"
+                        ))
+                    }
+                    Some(None) => {
+                        return Err(format!("a rank-{rank} slice is on a free list twice"))
+                    }
+                    None => {}
+                }
+            }
+        }
+    }
     Ok(())
 }
 
@@ -343,8 +393,8 @@ mod tests {
     #[test]
     fn healthy_small_state_passes() {
         let mut s = MatcherState::new(4, Config::for_graphs(1));
-        s.register_edge(&edge(0, &[0, 1]), false, 0);
-        s.register_edge(&edge(1, &[1, 2]), false, 0);
+        s.register(&edge(0, &[0, 1]), false, 0);
+        s.register(&edge(1, &[1, 2]), false, 0);
         s.match_edge(EdgeId(0), 0);
         s.flush_dirty();
         assert_eq!(check_all(&s), Ok(()));
@@ -353,8 +403,8 @@ mod tests {
     #[test]
     fn detects_non_maximal_matching() {
         let mut s = MatcherState::new(4, Config::for_graphs(2));
-        s.register_edge(&edge(0, &[0, 1]), false, 0);
-        s.register_edge(&edge(1, &[2, 3]), false, 0);
+        s.register(&edge(0, &[0, 1]), false, 0);
+        s.register(&edge(1, &[2, 3]), false, 0);
         s.match_edge(EdgeId(0), 0);
         s.flush_dirty();
         let err = check_all(&s).unwrap_err();
@@ -364,7 +414,7 @@ mod tests {
     #[test]
     fn detects_undecided_vertex_left_behind() {
         let mut s = MatcherState::new(2, Config::for_graphs(3));
-        s.register_edge(&edge(0, &[0, 1]), false, 0);
+        s.register(&edge(0, &[0, 1]), false, 0);
         s.match_edge(EdgeId(0), 1);
         // Unmatching without running the level sweep leaves the endpoints at level
         // 1 while unmatched — exactly what Invariant 3.1(1) forbids.
@@ -380,8 +430,8 @@ mod tests {
     #[test]
     fn detects_stale_level_bucket() {
         let mut s = MatcherState::new(3, Config::for_graphs(4));
-        s.register_edge(&edge(0, &[0, 1]), false, 0);
-        s.register_edge(&edge(1, &[1, 2]), false, 0);
+        s.register(&edge(0, &[0, 1]), false, 0);
+        s.register(&edge(1, &[1, 2]), false, 0);
         s.match_edge(EdgeId(0), 0);
         // Corrupt the state: claim the unmatched edge sits at level 2 without
         // moving it between buckets.
@@ -393,8 +443,8 @@ mod tests {
     #[test]
     fn detects_orphaned_temp_deletion() {
         let mut s = MatcherState::new(4, Config::for_graphs(5));
-        s.register_edge(&edge(0, &[0, 1]), false, 0);
-        s.register_edge(&edge(1, &[1, 2]), false, 0);
+        s.register(&edge(0, &[0, 1]), false, 0);
+        s.register(&edge(1, &[1, 2]), false, 0);
         s.match_edge(EdgeId(0), 0);
         s.temp_delete_edge(EdgeId(1), EdgeId(0));
         // Forcibly unmatch the responsible edge: Invariant 3.2 is now violated
@@ -417,9 +467,9 @@ mod tests {
         // them into a vertex structure it must have left.
         let parked = || {
             let mut s = MatcherState::new(4, Config::for_graphs(6));
-            s.register_edge(&edge(0, &[0, 1]), false, 0);
-            s.register_edge(&edge(1, &[0, 2]), false, 0);
-            s.register_edge(&edge(2, &[0, 3]), false, 0);
+            s.register(&edge(0, &[0, 1]), false, 0);
+            s.register(&edge(1, &[0, 2]), false, 0);
+            s.register(&edge(2, &[0, 3]), false, 0);
             s.match_edge(EdgeId(0), 1);
             s.temp_delete_edge(EdgeId(1), EdgeId(0));
             s.temp_delete_edge(EdgeId(2), EdgeId(0));
@@ -443,5 +493,22 @@ mod tests {
         ] {
             assert_eq!(check_all(&s), Err(expected.to_string()));
         }
+    }
+
+    #[test]
+    fn detects_a_misfiled_free_list_entry() {
+        let mut s = MatcherState::new(3, Config::for_graphs(7));
+        s.register(&edge(0, &[0, 1]), true, 0);
+        s.register(&edge(1, &[1, 2]), false, 0);
+        s.remove_edge_completely(EdgeId(1));
+        s.flush_dirty();
+        assert_eq!(check_all(&s), Ok(()));
+        // Move the rank-2 pair onto the rank-1 list.
+        let pair = s.spare[2].pop().unwrap();
+        s.spare[1].push(pair);
+        assert_eq!(
+            check_all(&s),
+            Err("the rank-1 free list holds slices of 2 and 2 entries".to_string())
+        );
     }
 }

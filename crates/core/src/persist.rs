@@ -26,7 +26,7 @@
 use crate::config::LevelingParams;
 use crate::invariants;
 use crate::metrics::{LevelStats, Metrics};
-use crate::state::{EdgeState, MatcherState};
+use crate::state::MatcherState;
 use pdmm_hypergraph::engine::{
     read_state_header, read_state_rng, write_state_header, write_state_rng, StateError, StateParser,
 };
@@ -213,6 +213,7 @@ pub(crate) fn restore(state: &mut MatcherState, blob: &str) -> Result<(), StateE
     };
     let mut matched: Vec<EdgeId> = Vec::new();
     let mut temp_deleted: Vec<(EdgeId, EdgeId)> = Vec::new();
+    let mut vertices: Vec<VertexId> = Vec::new();
     for _ in 0..edge_count {
         let rest = p.tagged("e")?;
         let mut it = rest.split_whitespace();
@@ -239,7 +240,7 @@ pub(crate) fn restore(state: &mut MatcherState, blob: &str) -> Result<(), StateE
             tok => Some(EdgeId(p.parse_token(tok, "responsible edge id")?)),
         };
         let d_deleted_count: u64 = p.parse_token(&next("deleted-count field")?, "deleted count")?;
-        let mut vertices: Vec<VertexId> = Vec::new();
+        vertices.clear();
         for tok in it {
             let v = VertexId(p.parse_token(tok, "vertex id")?);
             if v.index() >= state.vertices.len() {
@@ -273,7 +274,7 @@ pub(crate) fn restore(state: &mut MatcherState, blob: &str) -> Result<(), StateE
         if let Some(r) = responsible {
             temp_deleted.push((id, r));
         }
-        let mut edge = EdgeState::new(&vertices);
+        let mut edge = state.new_edge(&vertices);
         edge.level = level;
         edge.owner = owner;
         edge.matched = is_matched;
@@ -289,12 +290,10 @@ pub(crate) fn restore(state: &mut MatcherState, blob: &str) -> Result<(), StateE
     // restored matching is the first delta the engine hands out.
     state.matched_count = matched.len();
     for &id in &matched {
-        let (verts, level) = {
-            let e = &state.edges[&id];
-            (e.vertices.clone(), e.level)
-        };
-        state.delta.matched(id, &verts);
-        for &v in verts.iter() {
+        let e = &state.edges[&id];
+        let level = e.level;
+        state.delta.matched(id, &e.vertices);
+        for &v in e.vertices.iter() {
             let vs = &mut state.vertices[v.index()];
             if vs.matched_edge.is_some() {
                 return Err(StateError::Corrupt {

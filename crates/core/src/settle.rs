@@ -18,9 +18,9 @@
 //!    until every original node either reached level `ℓ` or lost half its
 //!    prospective ownership.
 
-use crate::state::MatcherState;
-use pdmm_hypergraph::types::{EdgeId, HyperEdge, VertexId};
-use pdmm_static::luby::luby_maximal_matching;
+use crate::state::{EdgeList, MatcherState};
+use pdmm_hypergraph::types::{EdgeId, VertexId};
+use pdmm_static::luby::luby_maximal_matching_by_ref;
 use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Safety valve: if `grand-random-settle` has not converged after this many
@@ -35,7 +35,7 @@ const MAX_OUTER_REPEATS: usize = 512;
 pub(crate) fn process_level(
     state: &mut MatcherState,
     level: usize,
-    pending_reinsertions: &mut Vec<HyperEdge>,
+    pending_reinsertions: &mut EdgeList,
 ) {
     state.metrics.levels_processed = state.metrics.levels_processed.saturating_add(1);
     step1_resolve_undecided(state, level);
@@ -44,29 +44,39 @@ pub(crate) fn process_level(
 
 /// Step 1: resolve every undecided node at exactly this level.
 fn step1_resolve_undecided(state: &mut MatcherState, level: usize) {
-    let mut undecided_here: Vec<VertexId> = state
-        .undecided
-        .iter()
-        .copied()
-        .filter(|v| state.level_of(*v) == level as i32)
-        .collect();
+    // The state's scratch list holds the undecided nodes at this level, and
+    // then the ones among them still unmatched after the matching below.
+    let mut nodes = std::mem::take(&mut state.undecided_here);
+    nodes.extend(
+        state
+            .undecided
+            .iter()
+            .copied()
+            .filter(|v| state.level_of(*v) == level as i32),
+    );
     // Canonical order, as for `b` in step 2: the free edges below are
     // gathered in this order, so it must not follow hash-iteration order.
-    undecided_here.sort_unstable();
-    if undecided_here.is_empty() {
+    nodes.sort_unstable();
+    if nodes.is_empty() {
+        state.undecided_here = nodes;
         return;
     }
     state.cost.round();
-    state.cost.work(undecided_here.len() as u64);
+    state.cost.work(nodes.len() as u64);
 
     // U_free: hyperedges owned by an undecided node at this level, all of whose
-    // endpoints are currently unmatched.  (Owned sets are disjoint.)
-    let mut u_free: Vec<HyperEdge> = Vec::new();
-    for &v in &undecided_here {
+    // endpoints are currently unmatched, as views of the edges the state
+    // holds.  (Owned sets are disjoint.)
+    let owned: usize = nodes
+        .iter()
+        .map(|v| state.vertices[v.index()].owned.len())
+        .sum();
+    let mut u_free: Vec<(EdgeId, &[VertexId])> = Vec::with_capacity(owned);
+    for &v in &nodes {
         for &eid in &state.vertices[v.index()].owned {
             let e = &state.edges[&eid];
             if !e.matched && e.vertices.iter().all(|&w| !state.is_matched_vertex(w)) {
-                u_free.push(HyperEdge::new(eid, e.vertices.to_vec()));
+                u_free.push((eid, &e.vertices));
             }
         }
     }
@@ -76,14 +86,17 @@ fn step1_resolve_undecided(state: &mut MatcherState, level: usize) {
     // Luby lists its matches by round and then in input order, the input is
     // grouped by owner in sorted order, and two matched edges never share
     // an owner.
-    state
-        .cost
-        .work(u_free.iter().map(|e| e.rank() as u64).sum::<u64>());
+    state.cost.work(
+        u_free
+            .iter()
+            .map(|(_, ends)| ends.len() as u64)
+            .sum::<u64>(),
+    );
 
     // Static maximal matching on the free edges (Theorem 2.2); newly matched
     // hyperedges and their nodes drop to level 0.
     if !u_free.is_empty() {
-        let result = luby_maximal_matching(&u_free, &mut state.rng, Some(&state.cost));
+        let result = luby_maximal_matching_by_ref(u_free, &mut state.rng, Some(&state.cost));
         state.metrics.luby_iterations = state
             .metrics
             .luby_iterations
@@ -95,30 +108,30 @@ fn step1_resolve_undecided(state: &mut MatcherState, level: usize) {
     }
 
     // Undecided nodes at this level that are still unmatched drop to level -1.
-    let mut still_undecided: Vec<VertexId> = state
-        .undecided
-        .iter()
-        .copied()
-        .filter(|v| state.level_of(*v) == level as i32 && !state.is_matched_vertex(*v))
-        .collect();
+    nodes.clear();
+    nodes.extend(
+        state
+            .undecided
+            .iter()
+            .copied()
+            .filter(|v| state.level_of(*v) == level as i32 && !state.is_matched_vertex(*v)),
+    );
     // `set_vertex_level` charges for the edges a node owns when it moves,
     // and that depends on which neighbours moved first: demote in canonical
     // order, so a restored engine charges exactly what the live one did.
-    still_undecided.sort_unstable();
+    nodes.sort_unstable();
     state.cost.round();
-    for v in still_undecided {
+    for &v in &nodes {
         state.set_vertex_level(v, -1);
         state.undecided.remove(&v);
     }
+    nodes.clear();
+    state.undecided_here = nodes;
 }
 
 /// Step 2: raise the nodes of `S_ℓ` (or settle them sequentially under the
 /// ablation configuration).
-fn step2_raise_nodes(
-    state: &mut MatcherState,
-    level: usize,
-    pending_reinsertions: &mut Vec<HyperEdge>,
-) {
+fn step2_raise_nodes(state: &mut MatcherState, level: usize, pending_reinsertions: &mut EdgeList) {
     state.flush_dirty();
     let threshold_full = state.params.alpha_pow(level);
     let mut b: Vec<VertexId> = state.s_levels[level]
@@ -147,7 +160,7 @@ pub(crate) fn grand_random_settle(
     state: &mut MatcherState,
     initial_b: Vec<VertexId>,
     level: usize,
-    pending_reinsertions: &mut Vec<HyperEdge>,
+    pending_reinsertions: &mut EdgeList,
 ) {
     state.metrics.settle_invocations = state.metrics.settle_invocations.saturating_add(1);
     let alpha = state.params.alpha;
@@ -205,7 +218,7 @@ fn subsubsettle(
     phase_index: usize,
     h_phase: pdmm_primitives::random::PhaseRandom,
     threshold_half: u64,
-    pending_reinsertions: &mut Vec<HyperEdge>,
+    pending_reinsertions: &mut EdgeList,
 ) {
     state.cost.round();
     state.metrics.settle_iterations = state.metrics.settle_iterations.saturating_add(1);
@@ -260,14 +273,9 @@ fn subsubsettle(
         //    kicking out lower-level matched edges of its endpoints.
         let mut selected_vertex_owner: FxHashMap<VertexId, EdgeId> = FxHashMap::default();
         for &eid in &selected {
-            let verts = state.edges[&eid].vertices.clone();
-            for &u in verts.iter() {
-                if let Some(old) = state.vertices[u.index()].matched_edge {
-                    kick_matched_edge(state, old, pending_reinsertions);
-                }
-            }
+            kick_matched_endpoints(state, eid, pending_reinsertions);
             state.match_edge(eid, level);
-            for &u in verts.iter() {
+            for &u in state.edges[&eid].vertices.iter() {
                 selected_vertex_owner.insert(u, eid);
             }
         }
@@ -335,12 +343,29 @@ fn prune_b(state: &mut MatcherState, b: &mut Vec<VertexId>, level: usize, thresh
 pub(crate) fn kick_matched_edge(
     state: &mut MatcherState,
     edge_id: EdgeId,
-    pending_reinsertions: &mut Vec<HyperEdge>,
+    pending_reinsertions: &mut EdgeList,
 ) {
     let level = state.edges[&edge_id].level;
     state.metrics.record_epoch_induced_end(level);
     state.unmatch_edge(edge_id);
     release_bucket_and_remove(state, edge_id, true, pending_reinsertions);
+}
+
+/// Kicks the matched edges at the endpoints of the unmatched, live edge
+/// `eid` (each queues its `D(·)` and itself for re-insertion).  Kicking
+/// removes only matched and temporarily deleted edges, so `eid` and its
+/// endpoints stay put throughout.
+fn kick_matched_endpoints(
+    state: &mut MatcherState,
+    eid: EdgeId,
+    pending_reinsertions: &mut EdgeList,
+) {
+    for i in 0..state.edges[&eid].vertices.len() {
+        let u = state.edges[&eid].vertices[i];
+        if let Some(old) = state.vertices[u.index()].matched_edge {
+            kick_matched_edge(state, old, pending_reinsertions);
+        }
+    }
 }
 
 /// Drains the `D(edge_id)` bucket into `pending_reinsertions` and removes the edge
@@ -350,7 +375,7 @@ pub(crate) fn release_bucket_and_remove(
     state: &mut MatcherState,
     edge_id: EdgeId,
     reinsert_self: bool,
-    pending_reinsertions: &mut Vec<HyperEdge>,
+    pending_reinsertions: &mut EdgeList,
 ) {
     let bucket = std::mem::take(&mut state.edges.get_mut(&edge_id).expect("edge exists").bucket);
     for tid in bucket {
@@ -363,15 +388,15 @@ pub(crate) fn release_bucket_and_remove(
             .map(|t| t.temp_deleted && t.responsible == Some(edge_id))
             .unwrap_or(false);
         if still_ours {
-            let st = state.remove_edge_completely(tid);
-            pending_reinsertions.push(HyperEdge::new(tid, st.vertices.into_vec()));
+            state.remove_edge_into(tid, pending_reinsertions);
             state.metrics.reinsertions = state.metrics.reinsertions.saturating_add(1);
         }
     }
-    let st = state.remove_edge_completely(edge_id);
     if reinsert_self {
-        pending_reinsertions.push(HyperEdge::new(edge_id, st.vertices.into_vec()));
+        state.remove_edge_into(edge_id, pending_reinsertions);
         state.metrics.reinsertions = state.metrics.reinsertions.saturating_add(1);
+    } else {
+        state.remove_edge_completely(edge_id);
     }
 }
 
@@ -382,7 +407,7 @@ pub(crate) fn sequential_settle_all(
     state: &mut MatcherState,
     b: Vec<VertexId>,
     level: usize,
-    pending_reinsertions: &mut Vec<HyperEdge>,
+    pending_reinsertions: &mut EdgeList,
 ) {
     let threshold_full = state.params.alpha_pow(level);
     for v in b {
@@ -402,7 +427,7 @@ pub(crate) fn random_settle_one(
     state: &mut MatcherState,
     v: VertexId,
     level: usize,
-    pending_reinsertions: &mut Vec<HyperEdge>,
+    pending_reinsertions: &mut EdgeList,
 ) {
     state.cost.round();
     let old_level = state.level_of(v);
@@ -432,12 +457,7 @@ pub(crate) fn random_settle_one(
     let pick = candidates[state.rng.uniform_below(candidates.len() as u64) as usize];
 
     // Kick the current matched edges of the chosen edge's endpoints, then match.
-    let verts = state.edges[&pick].vertices.clone();
-    for &u in verts.iter() {
-        if let Some(old) = state.vertices[u.index()].matched_edge {
-            kick_matched_edge(state, old, pending_reinsertions);
-        }
-    }
+    kick_matched_endpoints(state, pick, pending_reinsertions);
     state.match_edge(pick, level);
 
     // Park every other candidate in D(pick).
@@ -471,6 +491,7 @@ fn ceil_log2(n: u64) -> usize {
 mod tests {
     use super::*;
     use crate::config::Config;
+    use pdmm_hypergraph::types::HyperEdge;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -484,7 +505,7 @@ mod tests {
     fn hub_state(fan: u64) -> MatcherState {
         let mut s = MatcherState::new(fan as usize + 1, Config::for_graphs(3));
         for i in 0..fan {
-            s.register_edge(&edge(i, &[0, 1 + i as u32]), false, 0);
+            s.register(&edge(i, &[0, 1 + i as u32]), false, 0);
         }
         s.flush_dirty();
         s
@@ -504,7 +525,7 @@ mod tests {
         // α = 8, so a hub prospectively owning 20 edges qualifies for level 1.
         let mut s = hub_state(20);
         assert!(s.s_levels[1].contains(&v(0)));
-        let mut pending = Vec::new();
+        let mut pending = EdgeList::default();
         let b: Vec<VertexId> = s.s_levels[1].iter().copied().collect();
         grand_random_settle(&mut s, b, 1, &mut pending);
         s.flush_dirty();
@@ -542,7 +563,7 @@ mod tests {
     #[test]
     fn sequential_settle_matches_one_and_parks_rest() {
         let mut s = hub_state(12);
-        let mut pending = Vec::new();
+        let mut pending = EdgeList::default();
         random_settle_one(&mut s, v(0), 1, &mut pending);
         assert_eq!(s.level_of(v(0)), 1);
         assert_eq!(s.matching_size(), 1);
@@ -557,7 +578,7 @@ mod tests {
     #[test]
     fn kick_releases_bucket_for_reinsertion() {
         let mut s = hub_state(10);
-        let mut pending = Vec::new();
+        let mut pending = EdgeList::default();
         // Settle the hub at level 1, then kick the matched edge out again.
         random_settle_one(&mut s, v(0), 1, &mut pending);
         let matched_id = s.matched_edge_ids()[0];
@@ -575,13 +596,13 @@ mod tests {
         // Path 0-1-2-3 with (1,2) matched at level 2; the adversary deletes it,
         // exposing 1 and 2 as undecided at level 2.
         let mut s = MatcherState::new(4, Config::for_graphs(5));
-        s.register_edge(&edge(0, &[0, 1]), false, 0);
-        s.register_edge(&edge(1, &[1, 2]), false, 0);
-        s.register_edge(&edge(2, &[2, 3]), false, 0);
+        s.register(&edge(0, &[0, 1]), false, 0);
+        s.register(&edge(1, &[1, 2]), false, 0);
+        s.register(&edge(2, &[2, 3]), false, 0);
         s.match_edge(EdgeId(1), 2);
         // Adversary deletion of the matched edge.
         s.unmatch_edge(EdgeId(1));
-        let mut pending = Vec::new();
+        let mut pending = EdgeList::default();
         release_bucket_and_remove(&mut s, EdgeId(1), false, &mut pending);
         for level in (0..=s.num_levels()).rev() {
             process_level(&mut s, level, &mut pending);
@@ -601,10 +622,10 @@ mod tests {
         // A single matched edge (0,1) is deleted; the endpoints have no other
         // incident edges and must settle at level -1.
         let mut s = MatcherState::new(2, Config::for_graphs(6));
-        s.register_edge(&edge(0, &[0, 1]), false, 0);
+        s.register(&edge(0, &[0, 1]), false, 0);
         s.match_edge(EdgeId(0), 1);
         s.unmatch_edge(EdgeId(0));
-        let mut pending = Vec::new();
+        let mut pending = EdgeList::default();
         release_bucket_and_remove(&mut s, EdgeId(0), false, &mut pending);
         for level in (0..=s.num_levels()).rev() {
             process_level(&mut s, level, &mut pending);
@@ -627,14 +648,14 @@ mod tests {
         for h in 0..hubs {
             let base = h * (fan + 1);
             for i in 0..fan {
-                s.register_edge(&edge(next, &[base, base + 1 + i]), false, 0);
+                s.register(&edge(next, &[base, base + 1 + i]), false, 0);
                 next += 1;
             }
         }
         s.flush_dirty();
         let b: Vec<VertexId> = s.s_levels[1].iter().copied().collect();
         assert_eq!(b.len(), hubs as usize);
-        let mut pending = Vec::new();
+        let mut pending = EdgeList::default();
         grand_random_settle(&mut s, b.clone(), 1, &mut pending);
         s.flush_dirty();
         for &hub in &b {

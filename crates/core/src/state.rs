@@ -25,8 +25,18 @@
 //!   live edges reads these buckets, so parking charges nothing and marks no
 //!   vertex dirty.
 //! * `S_ℓ` membership is cached per vertex as a bit mask, so refreshing a
-//!   vertex costs O(L) arithmetic and touches the `S_ℓ` sets only where a bit
-//!   flips.  Stale vertices wait on a dirty list, each at most once.
+//!   vertex costs O(L) arithmetic (one running power of α per level) and
+//!   touches the `S_ℓ` sets only where a bit flips.  Stale vertices wait on a
+//!   dirty list, each at most once.
+//! * A removed edge's endpoint and slot slices go to a free list of their
+//!   rank, and the next edge of that rank to register is built in them, so
+//!   steady churn registers, removes and re-inserts edges without allocating
+//!   their endpoint storage.  The edge table stays a map keyed by edge id: a
+//!   table indexed by dense slot ids timed no faster.
+//! * The kernel's per-batch lists ([`BatchLists`], among them the edges to
+//!   insert at the end of a batch as an [`EdgeList`], ids with endpoints
+//!   packed in one buffer) and step 1's node list live here between batches,
+//!   cleared after use, so a batch reuses the capacity earlier ones grew.
 //!
 //! Bucket order is history-dependent and never canonical; a reader that
 //! could let it leak into a decision or a charge sorts first, or is shown
@@ -41,7 +51,7 @@
 use crate::config::{Config, LevelingParams};
 use crate::metrics::Metrics;
 use pdmm_hypergraph::matching::DeltaTracker;
-use pdmm_hypergraph::types::{EdgeId, HyperEdge, VertexId};
+use pdmm_hypergraph::types::{EdgeId, VertexId};
 use pdmm_primitives::cost_model::CostTracker;
 use pdmm_primitives::random::RandomSource;
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -111,6 +121,10 @@ impl VertexState {
 }
 
 /// Per-edge state (§3.2.3, "data structures for edges").
+///
+/// The two boxed slices are recycled: [`MatcherState`] keeps a removed edge's
+/// pair on a free list of its rank and builds the next edge of that rank in
+/// it (see [`EdgeState::new`]).
 #[derive(Debug, Clone)]
 pub(crate) struct EdgeState {
     /// The endpoints of the hyperedge (sorted, deduplicated).
@@ -137,12 +151,25 @@ pub(crate) struct EdgeState {
     pub d_deleted_count: u64,
 }
 
+/// An edge's endpoint and slot slices, as a removed edge hands them back.
+pub(crate) type EndpointSlices = (Box<[VertexId]>, Box<[u32]>);
+
 impl EdgeState {
-    /// A fresh, unmatched edge at level 0 over sorted, deduplicated `vertices`.
-    pub fn new(vertices: &[VertexId]) -> Self {
+    /// A fresh, unmatched edge at level 0 over sorted, deduplicated
+    /// `vertices`, built in `spare`'s slices when given (they must have one
+    /// entry per endpoint) and in newly allocated ones otherwise.
+    pub fn new(vertices: &[VertexId], spare: Option<EndpointSlices>) -> Self {
+        let (ends, slots) = match spare {
+            Some((mut ends, mut slots)) => {
+                ends.copy_from_slice(vertices);
+                slots.fill(0);
+                (ends, slots)
+            }
+            None => (vertices.into(), vec![0; vertices.len()].into_boxed_slice()),
+        };
         EdgeState {
-            vertices: vertices.into(),
-            slots: vec![0; vertices.len()].into_boxed_slice(),
+            vertices: ends,
+            slots,
             level: 0,
             owner: vertices[0],
             matched: false,
@@ -163,6 +190,80 @@ impl EdgeState {
 /// An edge whose slot at `vertex` changed to `slot` because a removal
 /// swapped it into the hole.
 type SlotFix = (EdgeId, VertexId, u32);
+
+/// A list of edges stored flat: their ids, and their endpoints packed back to
+/// back in one buffer.  Clearing keeps every buffer's capacity.
+#[derive(Debug, Default)]
+pub(crate) struct EdgeList {
+    ids: Vec<EdgeId>,
+    /// `ends[i]`: one past the last endpoint of edge `i` in `endpoints`.
+    ends: Vec<usize>,
+    endpoints: Vec<VertexId>,
+}
+
+impl EdgeList {
+    /// Appends edge `id` over `vertices`.
+    pub fn push(&mut self, id: EdgeId, vertices: &[VertexId]) {
+        self.ids.push(id);
+        self.endpoints.extend_from_slice(vertices);
+        self.ends.push(self.endpoints.len());
+    }
+
+    /// Number of edges listed.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether no edge is listed.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Empties the list, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.ids.clear();
+        self.ends.clear();
+        self.endpoints.clear();
+    }
+
+    /// The listed edges as `(id, endpoints)` views, in push order.
+    pub fn iter(&self) -> impl Iterator<Item = (EdgeId, &[VertexId])> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        self.ids
+            .iter()
+            .zip(starts.zip(&self.ends))
+            .map(|(&id, (start, &end))| (id, &self.endpoints[start..end]))
+    }
+}
+
+/// The kernel's per-batch lists, kept between batches for their capacity: a
+/// batch takes them out of the state, fills and drains them, clears them and
+/// puts them back.
+#[derive(Debug, Default)]
+pub(crate) struct BatchLists {
+    /// The batch's deletions of unmatched edges.
+    pub unmatched_deletions: Vec<EdgeId>,
+    /// The batch's deletions of matched edges.
+    pub matched_deletions: Vec<EdgeId>,
+    /// The batch's deletions of temporarily deleted edges.
+    pub temp_deleted_deletions: Vec<EdgeId>,
+    /// The batch's insertions, then the algorithm's re-insertions, in the
+    /// order §3.3.3 registers them.
+    pub insertions: EdgeList,
+    /// The edges of `insertions` Luby matched.
+    pub newly_matched: FxHashSet<EdgeId>,
+}
+
+impl BatchLists {
+    /// Empties every list, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.unmatched_deletions.clear();
+        self.matched_deletions.clear();
+        self.temp_deleted_deletions.clear();
+        self.insertions.clear();
+        self.newly_matched.clear();
+    }
+}
 
 /// The complete mutable state of the dynamic matching algorithm.
 #[derive(Debug)]
@@ -188,6 +289,14 @@ pub(crate) struct MatcherState {
     pub matched_count: usize,
     /// The matching's net change since the engine last handed it out.
     pub delta: DeltaTracker,
+    /// The kernel's per-batch lists (see [`BatchLists`]).
+    pub lists: BatchLists,
+    /// Scratch for step 1 of `process-level`: the undecided nodes at the
+    /// level, and then the ones still unmatched.
+    pub undecided_here: Vec<VertexId>,
+    /// Free lists of removed edges' slices: `spare[r]` holds rank-`r` pairs
+    /// for [`EdgeState::new`] to reuse (grown to the highest rank recycled).
+    pub spare: Vec<Vec<EndpointSlices>>,
     /// Scratch: the slot fixes of one removal or re-index.
     fixes: Vec<SlotFix>,
     /// Scratch: the edges `set_vertex_level` re-indexes.
@@ -227,6 +336,9 @@ impl MatcherState {
             updates_since_rebuild: 0,
             matched_count: 0,
             delta: DeltaTracker::default(),
+            lists: BatchLists::default(),
+            undecided_here: Vec::new(),
+            spare: Vec::new(),
             fixes: Vec::new(),
             affected: Vec::new(),
             endpoints: Vec::new(),
@@ -324,14 +436,18 @@ impl MatcherState {
         // Running õ value, accumulated level by level: at the top of the
         // loop it equals õ_{v,l}, because A(v, l-1) was added on the way in.
         let mut running = vs.owned.len() as u64;
+        // α^l, kept by one saturating multiply per level (equal to
+        // `alpha_pow(l)`, which saturates the same way).
+        let mut threshold = 1u64;
         let mut mask = 0u64;
         for l in 0..=self.params.num_levels {
-            if (l as i32) > vs.level && running >= self.params.alpha_pow(l) {
+            if (l as i32) > vs.level && running >= threshold {
                 mask |= 1 << l;
             }
             if l >= from {
                 running += vs.unowned.get(l).map_or(0, Vec::len) as u64;
             }
+            threshold = threshold.saturating_mul(self.params.alpha);
         }
         mask
     }
@@ -534,58 +650,87 @@ impl MatcherState {
         }
     }
 
-    /// Registers a brand-new edge (from an insertion) with the given matched flag
-    /// and level, and adds it to the structures.  The owner/level of unmatched
-    /// edges is recomputed from the endpoints.
+    /// A fresh [`EdgeState`] over sorted, deduplicated `vertices`, built in a
+    /// spare pair of slices of its rank when one is free.
+    pub fn new_edge(&mut self, vertices: &[VertexId]) -> EdgeState {
+        let spare = self.spare.get_mut(vertices.len()).and_then(Vec::pop);
+        EdgeState::new(vertices, spare)
+    }
+
+    /// Registers a brand-new edge `id` over sorted, deduplicated `vertices`
+    /// (from an insertion) with the given matched flag and level, and adds it
+    /// to the structures.  The owner/level of unmatched edges is recomputed
+    /// from the endpoints.
     ///
     /// # Panics
     ///
     /// Panics if the edge's rank exceeds the configured maximum rank.
     /// Validation rejects such edges upstream, so this never fires on the
     /// serve path.
-    pub fn register_edge(&mut self, edge: &HyperEdge, matched: bool, level: usize) {
+    pub fn register_edge(
+        &mut self,
+        id: EdgeId,
+        vertices: &[VertexId],
+        matched: bool,
+        level: usize,
+    ) {
         debug_assert!(
-            !self.edges.contains_key(&edge.id),
-            "edge {} already registered",
-            edge.id
+            !self.edges.contains_key(&id),
+            "edge {id} already registered"
         );
         assert!(
-            edge.rank() <= self.config.max_rank,
-            "edge {} has rank {} > configured max rank {}",
-            edge.id,
-            edge.rank(),
+            vertices.len() <= self.config.max_rank,
+            "edge {id} has rank {} > configured max rank {}",
+            vertices.len(),
             self.config.max_rank
         );
-        let mut state = EdgeState::new(edge.vertices());
+        let mut state = self.new_edge(vertices);
         state.matched = matched;
         state.level = level;
         if matched {
-            for &v in edge.vertices() {
+            for &v in vertices {
                 debug_assert!(self.vertices[v.index()].matched_edge.is_none());
                 self.set_vertex_level(v, level as i32);
-                self.vertices[v.index()].matched_edge = Some(edge.id);
+                self.vertices[v.index()].matched_edge = Some(id);
                 self.undecided.remove(&v);
             }
             self.matched_count += 1;
-            self.delta.matched(edge.id, edge.vertices());
+            self.delta.matched(id, vertices);
         }
-        let (owner, max_level) = owner_and_level(&self.vertices, edge.vertices());
+        let (owner, max_level) = owner_and_level(&self.vertices, vertices);
         state.owner = owner;
         if !matched {
             state.level = max_level.max(0) as usize;
         }
         // One unit per endpoint to index the edge, one to register it.
-        self.cost.work(2 * edge.rank() as u64);
-        attach(&mut self.vertices, &mut self.dirty, edge.id, &mut state);
-        self.edges.insert(edge.id, state);
+        self.cost.work(2 * vertices.len() as u64);
+        attach(&mut self.vertices, &mut self.dirty, id, &mut state);
+        self.edges.insert(id, state);
     }
 
-    /// Removes an edge from the state entirely (it is gone from the graph), and
-    /// returns its final [`EdgeState`].  A temporarily deleted edge leaves its
-    /// parked buckets for free, but *not* its responsible edge's `D(·)` (that
-    /// bucket is scrubbed lazily when it is consumed); the caller updates
-    /// metrics.
-    pub fn remove_edge_completely(&mut self, id: EdgeId) -> EdgeState {
+    /// Removes an edge from the state entirely (it is gone from the graph),
+    /// recycles its slices, and returns the matched edge it was responsible
+    /// to, if it was temporarily deleted.  A temporarily deleted edge leaves
+    /// its parked buckets for free, but *not* its responsible edge's `D(·)`
+    /// (that bucket is scrubbed lazily when it is consumed); the caller
+    /// updates metrics.
+    pub fn remove_edge_completely(&mut self, id: EdgeId) -> Option<EdgeId> {
+        let e = self.unhook(id);
+        let responsible = e.responsible;
+        self.recycle(e);
+        responsible
+    }
+
+    /// [`Self::remove_edge_completely`] for an edge the batch re-inserts at
+    /// its end: appends it to `queue` first.
+    pub fn remove_edge_into(&mut self, id: EdgeId, queue: &mut EdgeList) {
+        let e = self.unhook(id);
+        queue.push(id, &e.vertices);
+        self.recycle(e);
+    }
+
+    /// Takes edge `id` out of the edge table and out of every bucket.
+    fn unhook(&mut self, id: EdgeId) -> EdgeState {
         let e = self.edges.remove(&id).expect("edge exists");
         if e.temp_deleted {
             for (&v, &slot) in e.vertices.iter().zip(e.slots.iter()) {
@@ -598,6 +743,15 @@ impl MatcherState {
         }
         apply_fixes(&mut self.edges, &mut self.fixes);
         e
+    }
+
+    /// Puts a removed edge's slices on the free list of its rank.
+    pub fn recycle(&mut self, e: EdgeState) {
+        let rank = e.vertices.len();
+        if self.spare.len() <= rank {
+            self.spare.resize_with(rank + 1, Vec::new);
+        }
+        self.spare[rank].push((e.vertices, e.slots));
     }
 
     /// The prospective ownership set `Õ_{v,ℓ}`: every edge `v` would own if raised
@@ -708,6 +862,7 @@ fn apply_fixes(edges: &mut FxHashMap<EdgeId, EdgeState>, fixes: &mut Vec<SlotFix
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdmm_hypergraph::types::HyperEdge;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -715,6 +870,13 @@ mod tests {
 
     fn edge(id: u64, vs: &[u32]) -> HyperEdge {
         HyperEdge::new(EdgeId(id), vs.iter().map(|&i| VertexId(i)).collect())
+    }
+
+    impl MatcherState {
+        /// [`MatcherState::register_edge`] for a [`HyperEdge`].
+        pub(crate) fn register(&mut self, edge: &HyperEdge, matched: bool, level: usize) {
+            self.register_edge(edge.id, edge.vertices(), matched, level);
+        }
     }
 
     fn fresh(n: usize) -> MatcherState {
@@ -738,7 +900,7 @@ mod tests {
     fn removal_fixes_the_slot_of_the_edge_moved_into_the_hole() {
         let mut s = fresh(4);
         for i in 0..3u64 {
-            s.register_edge(&edge(i, &[0, 1 + i as u32]), false, 0);
+            s.register(&edge(i, &[0, 1 + i as u32]), false, 0);
         }
         assert_eq!(s.vertices[0].owned, [EdgeId(0), EdgeId(1), EdgeId(2)]);
         s.remove_edge_completely(EdgeId(0));
@@ -751,7 +913,7 @@ mod tests {
     #[test]
     fn register_unmatched_edge_sets_owner_and_level_zero() {
         let mut s = fresh(4);
-        s.register_edge(&edge(0, &[0, 1]), false, 0);
+        s.register(&edge(0, &[0, 1]), false, 0);
         let e = &s.edges[&EdgeId(0)];
         assert_eq!(e.level, 0);
         assert!(!e.matched);
@@ -766,7 +928,7 @@ mod tests {
     #[test]
     fn register_matched_edge_raises_endpoints() {
         let mut s = fresh(4);
-        s.register_edge(&edge(0, &[1, 2]), true, 0);
+        s.register(&edge(0, &[1, 2]), true, 0);
         assert_eq!(s.level_of(v(1)), 0);
         assert_eq!(s.level_of(v(2)), 0);
         assert!(s.is_matched_vertex(v(1)));
@@ -777,10 +939,10 @@ mod tests {
     fn o_tilde_counts_owned_and_lower_buckets() {
         let mut s = fresh(6);
         // Vertex 0 matched at level 0 so other edges incident to it go to A(·, 0).
-        s.register_edge(&edge(0, &[0, 1]), true, 0);
-        s.register_edge(&edge(1, &[0, 2]), false, 0);
-        s.register_edge(&edge(2, &[0, 3]), false, 0);
-        s.register_edge(&edge(3, &[4, 5]), false, 0);
+        s.register(&edge(0, &[0, 1]), true, 0);
+        s.register(&edge(1, &[0, 2]), false, 0);
+        s.register(&edge(2, &[0, 3]), false, 0);
+        s.register(&edge(3, &[4, 5]), false, 0);
         // Vertex 0 owns edges 1 and 2 (it is the highest-level endpoint) plus the
         // matched edge 0 depending on tie-breaks; õ at level 1 counts them all.
         let ot = s.o_tilde(v(0), 1);
@@ -799,7 +961,7 @@ mod tests {
         // α = 8 for rank 2, so α^1 = 8: a vertex prospectively owning ≥ 8 edges
         // must appear in S_1 after a flush.
         for i in 0..10u64 {
-            s.register_edge(&edge(i, &[0, 1 + i as u32]), false, 0);
+            s.register(&edge(i, &[0, 1 + i as u32]), false, 0);
         }
         s.flush_dirty();
         assert!(s.s_levels[1].contains(&v(0)), "hub vertex should be in S_1");
@@ -809,7 +971,7 @@ mod tests {
     #[test]
     fn set_vertex_level_moves_ownership() {
         let mut s = fresh(4);
-        s.register_edge(&edge(0, &[0, 1]), false, 0);
+        s.register(&edge(0, &[0, 1]), false, 0);
         // Raise vertex 1 to level 2: it becomes the highest endpoint, so it must
         // now own the edge and the edge level must follow it.
         s.set_vertex_level(v(1), 2);
@@ -829,8 +991,8 @@ mod tests {
     #[test]
     fn match_and_unmatch_roundtrip() {
         let mut s = fresh(4);
-        s.register_edge(&edge(0, &[0, 1]), false, 0);
-        s.register_edge(&edge(1, &[1, 2]), false, 0);
+        s.register(&edge(0, &[0, 1]), false, 0);
+        s.register(&edge(1, &[1, 2]), false, 0);
         s.match_edge(EdgeId(0), 2);
         assert!(s.edges[&EdgeId(0)].matched);
         assert_eq!(s.edges[&EdgeId(0)].level, 2);
@@ -851,8 +1013,8 @@ mod tests {
     #[test]
     fn temp_delete_parks_edge_in_bucket() {
         let mut s = fresh(4);
-        s.register_edge(&edge(0, &[0, 1]), false, 0);
-        s.register_edge(&edge(1, &[1, 2]), false, 0);
+        s.register(&edge(0, &[0, 1]), false, 0);
+        s.register(&edge(1, &[1, 2]), false, 0);
         s.match_edge(EdgeId(0), 1);
         s.temp_delete_edge(EdgeId(1), EdgeId(0));
         assert!(s.edges[&EdgeId(1)].temp_deleted);
@@ -871,7 +1033,7 @@ mod tests {
     fn prospective_owned_matches_o_tilde() {
         let mut s = fresh(8);
         for i in 0..5u64 {
-            s.register_edge(&edge(i, &[0, 1 + i as u32]), false, 0);
+            s.register(&edge(i, &[0, 1 + i as u32]), false, 0);
         }
         let count = s.prospective_owned(v(0), 2).count();
         assert_eq!(count as u64, s.o_tilde(v(0), 2));
@@ -880,18 +1042,41 @@ mod tests {
     #[test]
     fn remove_edge_completely_clears_structures() {
         let mut s = fresh(3);
-        s.register_edge(&edge(0, &[0, 1]), false, 0);
-        let st = s.remove_edge_completely(EdgeId(0));
-        assert_eq!(st.vertices.len(), 2);
+        s.register(&edge(0, &[0, 1]), false, 0);
+        assert_eq!(s.remove_edge_completely(EdgeId(0)), None);
         assert_eq!(s.num_edges(), 0);
         assert_eq!(s.vertices[0].degree(), 0);
         assert_eq!(s.vertices[1].degree(), 0);
+        // Its slices wait on the rank-2 free list.
+        assert_eq!(s.spare[2].len(), 1);
+    }
+
+    #[test]
+    fn a_removed_edges_slices_hold_the_next_edge_of_its_rank() {
+        let mut s = fresh(4);
+        s.register(&edge(0, &[0, 1]), false, 0);
+        let (ends, slots) = {
+            let e = &s.edges[&EdgeId(0)];
+            (e.vertices.as_ptr(), e.slots.as_ptr())
+        };
+        s.remove_edge_completely(EdgeId(0));
+        s.register(&edge(1, &[2, 3]), false, 0);
+        let e = &s.edges[&EdgeId(1)];
+        assert_eq!((e.vertices.as_ptr(), e.slots.as_ptr()), (ends, slots));
+        assert_eq!(*e.vertices, [v(2), v(3)]);
+        assert!(s.spare.iter().all(Vec::is_empty));
+        // A queued re-insertion keeps its endpoints after the slices move on.
+        let mut queue = EdgeList::default();
+        s.remove_edge_into(EdgeId(1), &mut queue);
+        s.register(&edge(2, &[0, 3]), false, 0);
+        let queued: Vec<(EdgeId, &[VertexId])> = queue.iter().collect();
+        assert_eq!(queued, [(EdgeId(1), &[v(2), v(3)][..])]);
     }
 
     #[test]
     #[should_panic(expected = "rank")]
     fn register_edge_enforces_max_rank() {
         let mut s = fresh(5);
-        s.register_edge(&edge(0, &[0, 1, 2]), false, 0);
+        s.register(&edge(0, &[0, 1, 2]), false, 0);
     }
 }

@@ -1379,6 +1379,22 @@ impl BatchLedger {
         Self::default()
     }
 
+    /// An empty ledger with room for every update of `updates`, so folding
+    /// them never rehashes.
+    fn sized_for(updates: &[Update]) -> Self {
+        let inserts = updates
+            .iter()
+            .filter(|u| matches!(u, Update::Insert(_)))
+            .count();
+        BatchLedger {
+            inserted: FxHashMap::with_capacity_and_hasher(inserts, Default::default()),
+            deleted: FxHashSet::with_capacity_and_hasher(
+                updates.len() - inserts,
+                Default::default(),
+            ),
+        }
+    }
+
     /// Checks one update against the engine-level live predicate and
     /// everything recorded so far, without recording it.
     ///
@@ -1470,7 +1486,7 @@ pub(crate) fn fold_strict(
     max_rank: usize,
     num_vertices: usize,
 ) -> Result<(), BatchError> {
-    let mut ledger = BatchLedger::new();
+    let mut ledger = BatchLedger::sized_for(updates);
     for (at, update) in updates.iter().enumerate() {
         let id = update.edge_id();
         match ledger.check(update, |_| live(update), max_rank, num_vertices)? {
@@ -1496,7 +1512,7 @@ pub(crate) fn fold_lossy(
     max_rank: usize,
     num_vertices: usize,
 ) -> (Vec<Update>, usize, Vec<RejectedUpdate>) {
-    let mut ledger = BatchLedger::new();
+    let mut ledger = BatchLedger::sized_for(&updates);
     let mut survivors: Vec<Update> = Vec::with_capacity(updates.len());
     let mut deduplicated = 0;
     let mut rejected = Vec::new();

@@ -44,19 +44,34 @@ impl MatchingDelta {
     }
 }
 
-/// One edge's net change since the last take.
-#[derive(Debug, Clone)]
+/// Where one recorded edge's endpoints sit in a [`DeltaTracker`]'s pool.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: usize,
+    end: usize,
+}
+
+impl Span {
+    fn len(self) -> usize {
+        self.end - self.start
+    }
+}
+
+/// One edge's net change since the last take; each span names endpoints in
+/// the tracker's pool.
+#[derive(Debug, Clone, Copy)]
 enum Change {
     /// Unmatched at the last take; matched now with these endpoints.
-    Added(Box<[VertexId]>),
+    Added(Span),
     /// Matched at the last take with these endpoints; unmatched now.
-    Removed(Box<[VertexId]>),
+    Removed(Span),
     /// Matched at the last take with `was` and now with `now != was`.
-    Replaced {
-        was: Box<[VertexId]>,
-        now: Box<[VertexId]>,
-    },
+    Replaced { was: Span, now: Span },
 }
+
+/// Pool entries a tracker may leave dead before it compacts, whatever its
+/// live size.
+const COMPACT_FLOOR: usize = 1 << 12;
 
 /// Nets an engine's matching changes between takes into a [`MatchingDelta`].
 ///
@@ -67,6 +82,14 @@ enum Change {
 /// holds at most one entry per edge of the last take's matching plus one per
 /// edge of the current matching: O(matching) memory even when nobody takes.
 /// It is bookkeeping only — no cost-model charge, no part of any saved state.
+///
+/// The endpoints of every recorded change are packed back to back in one
+/// pool that [`DeltaTracker::take`] clears, so recording a change allocates
+/// nothing once the pool and the change table have grown.  A cancelled
+/// change leaves its endpoints in the pool until the next take; should the
+/// dead entries outnumber the live ones (past a small floor) before then,
+/// the tracker copies the live ones into a spare buffer, which keeps the
+/// pool O(matching) too.
 ///
 /// ```
 /// use pdmm_hypergraph::matching::DeltaTracker;
@@ -84,6 +107,22 @@ enum Change {
 #[derive(Debug, Clone, Default)]
 pub struct DeltaTracker {
     changes: FxHashMap<EdgeId, Change>,
+    /// The endpoints the changes' spans name, back to back.
+    pool: Vec<VertexId>,
+    /// Entries of `pool` no change names any more.
+    dead: usize,
+    /// The buffer the pool is compacted into (empty between compactions).
+    spare: Vec<VertexId>,
+}
+
+/// Appends `endpoints` to `pool` and returns where they landed.
+fn record(pool: &mut Vec<VertexId>, endpoints: &[VertexId]) -> Span {
+    let start = pool.len();
+    pool.extend_from_slice(endpoints);
+    Span {
+        start,
+        end: pool.len(),
+    }
 }
 
 impl DeltaTracker {
@@ -95,20 +134,20 @@ impl DeltaTracker {
     /// Panics if `id` joined since the last take without leaving again — an
     /// engine bug.
     pub fn matched(&mut self, id: EdgeId, endpoints: &[VertexId]) {
+        let pool = &mut self.pool;
         match self.changes.entry(id) {
             Entry::Vacant(slot) => {
-                slot.insert(Change::Added(endpoints.into()));
+                slot.insert(Change::Added(record(pool, endpoints)));
             }
-            Entry::Occupied(mut slot) => match slot.get_mut() {
-                Change::Removed(was) if **was == *endpoints => {
+            Entry::Occupied(mut slot) => match *slot.get() {
+                Change::Removed(was) if pool[was.start..was.end] == *endpoints => {
                     slot.remove();
+                    self.dead += was.len();
+                    self.compact_if_sparse();
                 }
                 Change::Removed(was) => {
-                    let was = std::mem::take(was);
-                    slot.insert(Change::Replaced {
-                        was,
-                        now: endpoints.into(),
-                    });
+                    let now = record(pool, endpoints);
+                    slot.insert(Change::Replaced { was, now });
                 }
                 Change::Added(_) | Change::Replaced { .. } => {
                     panic!("edge {id} joined the matching twice")
@@ -127,19 +166,49 @@ impl DeltaTracker {
     pub fn unmatched(&mut self, id: EdgeId, endpoints: &[VertexId]) {
         match self.changes.entry(id) {
             Entry::Vacant(slot) => {
-                slot.insert(Change::Removed(endpoints.into()));
+                slot.insert(Change::Removed(record(&mut self.pool, endpoints)));
             }
-            Entry::Occupied(mut slot) => match slot.get_mut() {
-                Change::Added(_) => {
-                    slot.remove();
-                }
-                Change::Replaced { was, .. } => {
-                    let was = std::mem::take(was);
-                    slot.insert(Change::Removed(was));
-                }
-                Change::Removed(_) => panic!("edge {id} left the matching twice"),
-            },
+            Entry::Occupied(mut slot) => {
+                let dropped = match *slot.get() {
+                    Change::Added(now) => {
+                        slot.remove();
+                        now
+                    }
+                    Change::Replaced { was, now } => {
+                        slot.insert(Change::Removed(was));
+                        now
+                    }
+                    Change::Removed(_) => panic!("edge {id} left the matching twice"),
+                };
+                self.dead += dropped.len();
+                self.compact_if_sparse();
+            }
         }
+    }
+
+    /// Copies the live endpoints into the spare buffer once dead entries
+    /// outnumber them and the floor; amortized O(1) per recorded endpoint.
+    fn compact_if_sparse(&mut self) {
+        if self.dead <= (self.pool.len() - self.dead).max(COMPACT_FLOOR) {
+            return;
+        }
+        let mut fresh = std::mem::take(&mut self.spare);
+        let pool = &self.pool;
+        let mut relocate = |span: &mut Span| {
+            *span = record(&mut fresh, &pool[span.start..span.end]);
+        };
+        for change in self.changes.values_mut() {
+            match change {
+                Change::Added(span) | Change::Removed(span) => relocate(span),
+                Change::Replaced { was, now } => {
+                    relocate(was);
+                    relocate(now);
+                }
+            }
+        }
+        self.spare = std::mem::replace(&mut self.pool, fresh);
+        self.spare.clear();
+        self.dead = 0;
     }
 
     /// Records every edge of `matching` (ids live in `graph`) as leaving —
@@ -162,21 +231,28 @@ impl DeltaTracker {
     }
 
     /// The net change since the previous take (or since construction), in
-    /// O(changes) time; the tracker starts over empty, sized for as many
-    /// changes as this take returned.
+    /// O(changes) time; the tracker starts over empty, its change table and
+    /// endpoint pool keeping their capacity (the table stays sized for at
+    /// least as many changes as this take returned).
     pub fn take(&mut self) -> MatchingDelta {
-        let fresh = FxHashMap::with_capacity_and_hasher(self.changes.len(), Default::default());
-        let mut delta = MatchingDelta::default();
-        for (id, change) in std::mem::replace(&mut self.changes, fresh) {
+        let mut delta = MatchingDelta {
+            removed: Vec::with_capacity(self.changes.len()),
+            added: Vec::with_capacity(self.changes.len()),
+        };
+        let pool = &self.pool;
+        let endpoints = |span: Span| pool[span.start..span.end].to_vec();
+        for (id, change) in self.changes.drain() {
             match change {
-                Change::Added(now) => delta.added.push(HyperEdge::new(id, now.into_vec())),
+                Change::Added(now) => delta.added.push(HyperEdge::new(id, endpoints(now))),
                 Change::Removed(_) => delta.removed.push(id),
                 Change::Replaced { now, .. } => {
                     delta.removed.push(id);
-                    delta.added.push(HyperEdge::new(id, now.into_vec()));
+                    delta.added.push(HyperEdge::new(id, endpoints(now)));
                 }
             }
         }
+        self.pool.clear();
+        self.dead = 0;
         delta.removed.sort_unstable();
         delta.added.sort_unstable_by_key(|edge| edge.id);
         delta
@@ -499,6 +575,31 @@ mod tests {
         assert_eq!(t.clone().take().removed, vec![EdgeId(1)]);
         t.matched(EdgeId(1), &a);
         assert!(t.take().is_empty());
+    }
+
+    #[test]
+    fn delta_tracker_pool_stays_bounded_without_takes() {
+        // One edge leaving and rejoining with other endpoints, over and
+        // over, and nobody taking: the dead endpoints are compacted away.
+        let mut t = DeltaTracker::default();
+        t.matched(EdgeId(0), &[v(0), v(1)]);
+        for round in 0..10_000u32 {
+            let ends = [v(round), v(round + 1)];
+            let next = [v(round + 1), v(round + 2)];
+            t.unmatched(EdgeId(0), &ends);
+            t.matched(EdgeId(0), &next);
+        }
+        assert!(
+            t.pool.len() <= 2 * COMPACT_FLOOR,
+            "pool grew to {}",
+            t.pool.len()
+        );
+        let delta = t.take();
+        assert_eq!(
+            delta.added,
+            vec![HyperEdge::new(EdgeId(0), vec![v(10_000), v(10_001)])]
+        );
+        assert!(delta.removed.is_empty());
     }
 
     #[test]

@@ -19,7 +19,5 @@ pub mod luby;
 pub mod recompute;
 
 pub use greedy::greedy_maximal_matching;
-pub use luby::{
-    luby_maximal_matching, luby_maximal_matching_by_ref, luby_on_free_edges, StaticMatching,
-};
+pub use luby::{luby_maximal_matching, luby_maximal_matching_by_ref, StaticMatching};
 pub use recompute::{GreedyMatcher, LubyMatcher, Recompute, StaticMatcher};

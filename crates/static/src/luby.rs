@@ -15,12 +15,20 @@
 //! maximum (with a deterministic tie-break) at every one of its endpoints.  This is
 //! exactly the simulation described in the proof of Theorem 2.2 and costs `O(M·r)`
 //! work per iteration.
+//!
+//! The matcher works on `(id, endpoints)` views, so a caller that holds its
+//! candidates elsewhere (the dynamic algorithm's edge table) lends them
+//! without copying.  Its per-iteration scratch (the per-vertex maximum map,
+//! the matched-vertex set and the priority vector) is created once per call,
+//! sized from the input, and cleared each iteration, so no iteration
+//! allocates; each edge is selected and matched in one pass, with no
+//! selection vector.
 
 use pdmm_hypergraph::types::{EdgeId, HyperEdge, VertexId};
 use pdmm_primitives::cost_model::CostTracker;
 use pdmm_primitives::random::{PhaseRandom, RandomSource};
 use rayon::prelude::*;
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Result of a static maximal-matching computation.
 #[derive(Debug, Clone)]
@@ -47,24 +55,31 @@ pub fn luby_maximal_matching(
     rng: &mut RandomSource,
     cost: Option<&CostTracker>,
 ) -> StaticMatching {
-    luby_maximal_matching_by_ref(edges.iter().collect(), rng, cost)
+    let views = edges.iter().map(|e| (e.id, e.vertices())).collect();
+    luby_maximal_matching_by_ref(views, rng, cost)
 }
 
-/// [`luby_maximal_matching`] over borrowed hyperedges, for callers that
-/// gather candidates from several places without copying them.  The vector
-/// becomes the working set of surviving edges.
+/// [`luby_maximal_matching`] over borrowed `(id, endpoints)` views (sorted,
+/// deduplicated endpoints), for callers whose candidates live elsewhere and
+/// should not be copied.  The vector becomes the working set of surviving
+/// edges; the per-iteration scratch is allocated once, sized from it.
 ///
 /// The matched set depends only on the candidate set and the RNG position;
 /// [`StaticMatching::edges`] lists it by iteration, and within an iteration
 /// in input order.
 #[must_use]
 pub fn luby_maximal_matching_by_ref(
-    mut alive: Vec<&HyperEdge>,
+    mut alive: Vec<(EdgeId, &[VertexId])>,
     rng: &mut RandomSource,
     cost: Option<&CostTracker>,
 ) -> StaticMatching {
+    let incidences: usize = alive.iter().map(|(_, ends)| ends.len()).sum();
+    let mut vertex_max: FxHashMap<VertexId, Priority> =
+        FxHashMap::with_capacity_and_hasher(incidences, Default::default());
+    let mut matched_vertices: FxHashSet<VertexId> =
+        FxHashSet::with_capacity_and_hasher(incidences, Default::default());
+    let mut priorities: Vec<Priority> = Vec::with_capacity(alive.len());
     let mut matched: Vec<EdgeId> = Vec::new();
-    let mut matched_vertices: FxHashMap<VertexId, ()> = FxHashMap::default();
     let mut iterations = 0usize;
 
     while !alive.is_empty() {
@@ -72,24 +87,24 @@ pub fn luby_maximal_matching_by_ref(
         let phase: PhaseRandom = rng.next_phase();
         if let Some(c) = cost {
             c.round();
-            c.work(alive.iter().map(|e| e.rank() as u64).sum::<u64>());
+            c.work(alive.iter().map(|(_, ends)| ends.len() as u64).sum::<u64>());
         }
 
         // Per-vertex maximum priority among surviving incident edges.
-        let priorities: Vec<Priority> = if alive.len() > 2048 {
-            alive
-                .par_iter()
-                .map(|e| Priority(phase.hash64(e.id.0), e.id.0))
-                .collect()
+        let priority = |id: EdgeId| Priority(phase.hash64(id.0), id.0);
+        priorities.clear();
+        if alive.len() > 2048 {
+            priorities.resize(alive.len(), Priority(0, 0));
+            priorities
+                .par_iter_mut()
+                .zip(alive.par_iter())
+                .for_each(|(p, &(id, _))| *p = priority(id));
         } else {
-            alive
-                .iter()
-                .map(|e| Priority(phase.hash64(e.id.0), e.id.0))
-                .collect()
-        };
-        let mut vertex_max: FxHashMap<VertexId, Priority> = FxHashMap::default();
-        for (edge, &prio) in alive.iter().zip(priorities.iter()) {
-            for &v in edge.vertices() {
+            priorities.extend(alive.iter().map(|&(id, _)| priority(id)));
+        }
+        vertex_max.clear();
+        for (&(_, ends), &prio) in alive.iter().zip(priorities.iter()) {
+            for &v in ends {
                 vertex_max
                     .entry(v)
                     .and_modify(|cur| {
@@ -101,54 +116,26 @@ pub fn luby_maximal_matching_by_ref(
             }
         }
 
-        // An edge is selected iff it is the maximum at every endpoint.
-        let selected: Vec<usize> = (0..alive.len())
-            .filter(|&i| {
-                alive[i]
-                    .vertices()
-                    .iter()
-                    .all(|v| vertex_max[v] == priorities[i])
-            })
-            .collect();
-
-        // Add selected edges to the matching; they are pairwise disjoint because
+        // An edge is selected iff it is the maximum at every endpoint, and
+        // joins the matching; selected edges are pairwise disjoint because
         // two edges sharing a vertex cannot both be the maximum there.
-        for &i in &selected {
-            matched.push(alive[i].id);
-            for &v in alive[i].vertices() {
-                matched_vertices.insert(v, ());
+        matched_vertices.clear();
+        for (&(id, ends), prio) in alive.iter().zip(&priorities) {
+            if ends.iter().all(|v| vertex_max[v] == *prio) {
+                matched.push(id);
+                matched_vertices.extend(ends);
             }
         }
 
-        // Remove selected edges and everything incident to a newly matched vertex.
-        alive.retain(|e| {
-            !e.vertices()
-                .iter()
-                .any(|v| matched_vertices.contains_key(v))
-        });
+        // Remove selected edges and everything incident to a newly matched
+        // vertex (edges at vertices matched in earlier iterations are gone).
+        alive.retain(|(_, ends)| !ends.iter().any(|v| matched_vertices.contains(v)));
     }
 
     StaticMatching {
         edges: matched,
         iterations,
     }
-}
-
-/// Computes a maximal matching restricted to edges whose endpoints are all
-/// currently unmatched according to `is_matched`, as used by the insertion handling
-/// of §3.3.3 and Step 1 of `process-level`.
-#[must_use]
-pub fn luby_on_free_edges(
-    edges: &[HyperEdge],
-    is_matched: impl Fn(VertexId) -> bool + Sync,
-    rng: &mut RandomSource,
-    cost: Option<&CostTracker>,
-) -> StaticMatching {
-    let free: Vec<&HyperEdge> = edges
-        .iter()
-        .filter(|e| !e.vertices().iter().any(|&v| is_matched(v)))
-        .collect();
-    luby_maximal_matching_by_ref(free, rng, cost)
 }
 
 #[cfg(test)]
@@ -240,18 +227,6 @@ mod tests {
         let ra = luby_maximal_matching(&edges, &mut a, None);
         let rb = luby_maximal_matching(&edges, &mut b, None);
         assert_eq!(ra.edges, rb.edges);
-    }
-
-    #[test]
-    fn free_edge_variant_respects_matched_vertices() {
-        let edges = vec![
-            HyperEdge::pair(EdgeId(0), VertexId(0), VertexId(1)),
-            HyperEdge::pair(EdgeId(1), VertexId(2), VertexId(3)),
-        ];
-        let mut rng = RandomSource::from_seed(12);
-        // Vertex 0 is already matched elsewhere: edge 0 must not be selected.
-        let r = luby_on_free_edges(&edges, |v| v == VertexId(0), &mut rng, None);
-        assert_eq!(r.edges, vec![EdgeId(1)]);
     }
 
     proptest! {

@@ -26,6 +26,7 @@ use pdmm::prelude::*;
 use pdmm::service::{JournalSink, MemoryJournal};
 use pdmm::sharding::{ArbitrationReport, HashPartitioner};
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -284,6 +285,11 @@ fn incremental_arbitration_holds_under_concurrent_submitters() {
             let service = ShardedService::from_services(services, Box::new(HashPartitioner));
             let label = format!("{kind} at {shards} shards, concurrent submitters");
             let finished = AtomicUsize::new(0);
+            // A failed check must not stop the drainer: the submitters block
+            // on full queues, and the scope would wait for them forever.  The
+            // first failure is kept, the queues are drained until every
+            // submitter is done, and the failure is raised after the scope.
+            let mut failure = None;
             std::thread::scope(|scope| {
                 for stream in &streams {
                     let (service, finished) = (&service, &finished);
@@ -296,20 +302,33 @@ fn incremental_arbitration_holds_under_concurrent_submitters() {
                 }
                 for drain in 0.. {
                     let done = finished.load(Ordering::SeqCst) == streams.len();
-                    let report = if drain % 2 == 0 {
-                        service.drain_lossy().arbitration
+                    if failure.is_some() {
+                        // Only to unblock the submitters; nothing is checked.
+                        let _ = service.drain_lossy();
                     } else {
-                        service
-                            .drain()
-                            .unwrap_or_else(|e| panic!("{label}: drain {drain} refused: {e}"))
-                            .arbitration
-                    };
-                    audit_arbitration(&service, report, &format!("{label}, drain {drain}"));
+                        let checked = panic::catch_unwind(AssertUnwindSafe(|| {
+                            let report = if drain % 2 == 0 {
+                                service.drain_lossy().arbitration
+                            } else {
+                                service
+                                    .drain()
+                                    .unwrap_or_else(|e| {
+                                        panic!("{label}: drain {drain} refused: {e}")
+                                    })
+                                    .arbitration
+                            };
+                            audit_arbitration(&service, report, &format!("{label}, drain {drain}"));
+                        }));
+                        failure = checked.err();
+                    }
                     if done && service.queue_len() == 0 {
                         break;
                     }
                 }
             });
+            if let Some(payload) = failure {
+                panic::resume_unwind(payload);
+            }
             let replayed =
                 ShardedService::replay(build_shards(kind, &builder, shards), &service.journal())
                     .unwrap();
