@@ -335,7 +335,13 @@ impl ParallelDynamicMatching {
         for (id, ends) in edges.iter().filter(|(id, _)| !newly_matched.contains(id)) {
             self.state.register_edge(id, ends, false, 0);
         }
-        newly_matched.clear();
+        // Clearing a hash set walks its whole capacity, so a set that a bulk
+        // load or a rebuild grew far past this batch is given up instead.
+        if newly_matched.capacity() > 4 * edges.len().max(64) {
+            *newly_matched = FxHashSet::default();
+        } else {
+            newly_matched.clear();
+        }
     }
 
     /// §3.2.1: doubles `N`, rebuilds every data structure from scratch, and

@@ -232,12 +232,16 @@ impl DeltaTracker {
 
     /// The net change since the previous take (or since construction), in
     /// O(changes) time; the tracker starts over empty, its change table and
-    /// endpoint pool keeping their capacity (the table stays sized for at
-    /// least as many changes as this take returned).
+    /// endpoint pool keeping their capacity, so the table stays sized for as
+    /// many changes as this take returned.  Draining a table walks its whole
+    /// capacity, so one that an earlier, bigger take (a bulk load, a
+    /// restore) left more than four times larger than this one (and than
+    /// 64 changes) is replaced by one sized for this take.
     pub fn take(&mut self) -> MatchingDelta {
+        let taken = self.changes.len();
         let mut delta = MatchingDelta {
-            removed: Vec::with_capacity(self.changes.len()),
-            added: Vec::with_capacity(self.changes.len()),
+            removed: Vec::with_capacity(taken),
+            added: Vec::with_capacity(taken),
         };
         let pool = &self.pool;
         let endpoints = |span: Span| pool[span.start..span.end].to_vec();
@@ -250,6 +254,9 @@ impl DeltaTracker {
                     delta.added.push(HyperEdge::new(id, endpoints(now)));
                 }
             }
+        }
+        if self.changes.capacity() > 4 * taken.max(64) {
+            self.changes = FxHashMap::with_capacity_and_hasher(taken, Default::default());
         }
         self.pool.clear();
         self.dead = 0;
