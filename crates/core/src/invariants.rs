@@ -282,7 +282,8 @@ fn check_structures(state: &MatcherState) -> Result<(), String> {
 /// list holds only unused slices of its rank.
 fn check_slices(state: &MatcherState) -> Result<(), String> {
     // Slice address → the live edge holding it (`None`: a free list).
-    let mut holders: FxHashMap<usize, Option<EdgeId>> = FxHashMap::default();
+    let mut holders: FxHashMap<usize, Option<EdgeId>> =
+        FxHashMap::with_capacity_and_hasher(2 * state.edges.len(), Default::default());
     for (id, e) in &state.edges {
         if e.slots.len() != e.vertices.len() {
             return Err(format!(
