@@ -3,12 +3,13 @@
 //! The kernel recycles edge endpoint slices, feeds Luby borrowed views, keeps
 //! its per-batch lists and re-insertion buffer between batches, and the
 //! matching-delta tracker packs endpoints into one pooled buffer, so once
-//! those buffers have grown a batch allocates little beyond what the serving
-//! layer around it needs (the delta's `HyperEdge`s, the published snapshot,
-//! the journal text, bucket growth).  A counting global allocator counts the
-//! calling thread's allocations and reallocations over a window of
-//! submit-and-drain calls on an `EngineService`; with no thread budget the
-//! engine runs its batches on the calling thread, so the window sees them.
+//! those buffers have grown a batch allocates little beyond the growth of
+//! vertex buckets and what the serving layer around the kernel needs (the
+//! delta's `HyperEdge`s, the published snapshot, the journal text).  A
+//! counting global allocator counts the calling thread's allocations and
+//! reallocations over a window of submit-and-drain calls on an
+//! `EngineService`; with no thread budget the engine runs its batches on
+//! the calling thread, so the window sees them.
 //!
 //! The counter is a const-initialized thread-local `Cell` read with
 //! `try_with`, so counting never allocates and other test threads do not
