@@ -1,5 +1,7 @@
-//! Pins the parallel kernel's output bit for bit, and the two recompute
-//! engines' on the smaller streams.
+//! Pins all five engines' output bit for bit: the parallel kernel on every
+//! stream family, the two sequential-repair engines on families 0–2 (family
+//! 3 exists to make an engine rebuild, which these never do), and the two
+//! recompute engines on the smaller streams.
 //!
 //! Each run drives one engine kind through a fixed stream and folds
 //! everything the engine decides into one FNV-1a digest: every
@@ -8,9 +10,10 @@
 //! `save_state()` blob, `cost` line included.  The parallel constants were
 //! recorded with the kernel's original hash-set leveling state, the
 //! recompute constants with the two engines' original separate
-//! implementations.  A change to an engine's data layout or code structure
-//! must leave them untouched; only a change to an algorithm or its cost
-//! model may move them.
+//! implementations, and the sequential-repair constants with the naive and
+//! random-replace engines' original separate implementations.  A change to
+//! an engine's data layout or code structure must leave them untouched;
+//! only a change to an algorithm or its cost model may move them.
 //!
 //! Every stream also runs at 2 threads (same digest) and as a twin restored
 //! from `save_state()` at the midpoint, which must reproduce the live run's
@@ -133,6 +136,47 @@ const STATIC_RECOMPUTE_GOLDEN: [[u64; 3]; 2] = [
         0x976f_3fa6_1472_ee24,
         0x325c_89ac_a7b8_81d8,
         0xc565_615e_22ea_528f,
+    ],
+];
+
+/// [`EngineKind::NaiveSequential`]'s digests for families 0–2, laid out as
+/// [`GOLDEN`].  Family 3 is left out: its rebuild assertion is for engines
+/// that rebuild, and the sequential-repair engines never do.
+const NAIVE_SEQUENTIAL_GOLDEN: [[u64; 3]; 3] = [
+    [
+        0x58e6_efef_0e2b_9d63,
+        0x890b_af19_2a80_a8f8,
+        0x7d45_d580_a673_4346,
+    ],
+    [
+        0x846a_b0a5_4515_968d,
+        0xa275_d9b4_1662_2ab9,
+        0x9b02_94e0_6c24_9cf1,
+    ],
+    [
+        0x9061_a232_4ff5_824e,
+        0xf415_777a_299c_d757,
+        0x3550_e8a9_400b_56e1,
+    ],
+];
+
+/// [`EngineKind::RandomReplace`]'s digests, laid out as
+/// [`NAIVE_SEQUENTIAL_GOLDEN`].
+const RANDOM_REPLACE_GOLDEN: [[u64; 3]; 3] = [
+    [
+        0x8f4b_300f_00dd_b950,
+        0x8343_8b5d_b533_5ef2,
+        0x543a_03c6_6c78_d79f,
+    ],
+    [
+        0x0c2f_2c54_577c_d830,
+        0xc302_3632_aa1d_8b88,
+        0x3ab5_3627_c7db_573a,
+    ],
+    [
+        0x657c_712e_81b2_b3a8,
+        0xf2b6_d4a8_0191_a767,
+        0x7495_2056_576f_0d39,
     ],
 ];
 
@@ -277,4 +321,34 @@ fn static_recompute_random_churn_2k_rank_3() {
 #[test]
 fn static_recompute_random_churn_500_rank_4() {
     check_family(EngineKind::StaticRecompute, 3, STATIC_RECOMPUTE_GOLDEN[1]);
+}
+
+#[test]
+fn naive_sequential_random_churn_10k_rank_3() {
+    check_family(EngineKind::NaiveSequential, 0, NAIVE_SEQUENTIAL_GOLDEN[0]);
+}
+
+#[test]
+fn naive_sequential_skewed_churn_10k_rank_2() {
+    check_family(EngineKind::NaiveSequential, 1, NAIVE_SEQUENTIAL_GOLDEN[1]);
+}
+
+#[test]
+fn naive_sequential_random_churn_2k_rank_3() {
+    check_family(EngineKind::NaiveSequential, 2, NAIVE_SEQUENTIAL_GOLDEN[2]);
+}
+
+#[test]
+fn random_replace_random_churn_10k_rank_3() {
+    check_family(EngineKind::RandomReplace, 0, RANDOM_REPLACE_GOLDEN[0]);
+}
+
+#[test]
+fn random_replace_skewed_churn_10k_rank_2() {
+    check_family(EngineKind::RandomReplace, 1, RANDOM_REPLACE_GOLDEN[1]);
+}
+
+#[test]
+fn random_replace_random_churn_2k_rank_3() {
+    check_family(EngineKind::RandomReplace, 2, RANDOM_REPLACE_GOLDEN[2]);
 }
