@@ -339,7 +339,7 @@ pub fn e7_quality(scale: Scale) -> String {
         for batch in &partial.batches {
             truth.apply_batch(batch);
         }
-        let greedy = greedy_maximal_matching(&truth).len();
+        let greedy = greedy_maximal_matching(&truth.snapshot_edges()).len();
         let dynamic = matcher.matching_size();
         let cover: Vec<_> = matcher
             .matching()

@@ -1848,7 +1848,7 @@ pub(crate) mod toy {
                 .count();
             self.delta.retire(&self.matching, &self.graph);
             self.graph.apply_batch(updates);
-            self.matching = greedy_maximal_matching(&self.graph);
+            self.matching = greedy_maximal_matching(&self.graph.snapshot_edges());
             self.delta.adopt(&self.matching, &self.graph);
             KernelOutcome {
                 matched_deletions,

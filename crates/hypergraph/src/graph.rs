@@ -16,7 +16,6 @@ pub struct DynamicHypergraph {
     num_vertices: usize,
     edges: FxHashMap<EdgeId, HyperEdge>,
     incidence: Vec<FxHashSet<EdgeId>>,
-    max_rank_seen: usize,
 }
 
 impl DynamicHypergraph {
@@ -27,7 +26,6 @@ impl DynamicHypergraph {
             num_vertices,
             edges: FxHashMap::default(),
             incidence: vec![FxHashSet::default(); num_vertices],
-            max_rank_seen: 0,
         }
     }
 
@@ -41,12 +39,6 @@ impl DynamicHypergraph {
     #[must_use]
     pub fn num_edges(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Largest rank among all edges ever inserted.
-    #[must_use]
-    pub fn max_rank_seen(&self) -> usize {
-        self.max_rank_seen
     }
 
     /// Whether an edge with this id is currently live.
@@ -125,7 +117,6 @@ impl DynamicHypergraph {
             );
             self.incidence[v.index()].insert(edge.id);
         }
-        self.max_rank_seen = self.max_rank_seen.max(edge.rank());
         self.edges.insert(edge.id, edge);
     }
 
@@ -206,7 +197,6 @@ mod tests {
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.degree(v(1)), 2);
         assert_eq!(g.degree(v(0)), 1);
-        assert_eq!(g.max_rank_seen(), 3);
         assert!(g.contains_edge(EdgeId(0)));
         assert_eq!(g.edge(EdgeId(1)).unwrap().rank(), 3);
         let mut inc = g.incident_edges(v(1));

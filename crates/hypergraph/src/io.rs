@@ -3,7 +3,6 @@
 //! A small, dependency-free exchange format so that workloads can be generated
 //! once, stored, and replayed across runs or shared with other implementations:
 //!
-//! * **edge list** — one hyperedge per line: `<id> <v1> <v2> ... <vk>`;
 //! * **update stream** — one batch per blank-line-separated block, one update per
 //!   line: `+ <id> <v1> ... <vk>` for an insertion, `- <id>` for a deletion;
 //! * **shard-tagged update stream** — the update-stream format with one
@@ -29,7 +28,6 @@
 
 use crate::engine::{BatchLedger, UpdateCheck};
 use crate::types::{EdgeId, HyperEdge, ShardId, Update, UpdateBatch, VertexId};
-use std::fmt::Write as _;
 
 /// Error produced by the parsers in this module.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,44 +45,6 @@ impl std::fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
-
-/// Serializes hyperedges as an edge list.
-#[must_use]
-pub fn edges_to_string(edges: &[HyperEdge]) -> String {
-    let mut out = String::new();
-    for e in edges {
-        let _ = write!(out, "{}", e.id.0);
-        for v in e.vertices() {
-            let _ = write!(out, " {}", v.0);
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses an edge list produced by [`edges_to_string`].
-pub fn edges_from_string(text: &str) -> Result<Vec<HyperEdge>, ParseError> {
-    let mut out = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let id = parse_u64(parts.next(), i + 1, "edge id")?;
-        let vertices: Vec<VertexId> = parts
-            .map(|p| parse_u32(Some(p), i + 1, "vertex id").map(VertexId))
-            .collect::<Result<_, _>>()?;
-        if vertices.is_empty() {
-            return Err(ParseError {
-                line: i + 1,
-                message: "edge with no endpoints".into(),
-            });
-        }
-        out.push(HyperEdge::new(EdgeId(id), vertices));
-    }
-    Ok(out)
-}
 
 /// Trailer comment the serve path writes as the last line of every journal
 /// block (`crate::service`), inside the same append as the block's updates.
@@ -402,34 +362,8 @@ fn parse_u32(token: Option<&str>, line: usize, what: &str) -> Result<u32, ParseE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{gnm_graph, random_hypergraph};
+    use crate::generators::gnm_graph;
     use crate::streams::random_churn;
-
-    #[test]
-    fn edge_list_roundtrip() {
-        let edges = random_hypergraph(30, 50, 3, 7, 10);
-        let text = edges_to_string(&edges);
-        let parsed = edges_from_string(&text).unwrap();
-        assert_eq!(parsed, edges);
-    }
-
-    #[test]
-    fn edge_list_ignores_comments_and_blank_lines() {
-        let text = "# a comment\n\n3 1 2\n";
-        let parsed = edges_from_string(text).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].id, EdgeId(3));
-        assert_eq!(parsed[0].rank(), 2);
-    }
-
-    #[test]
-    fn edge_list_rejects_garbage() {
-        assert!(edges_from_string("abc 1 2").is_err());
-        assert!(edges_from_string("5").is_err());
-        let err = edges_from_string("1 2\nbroken").unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(format!("{err}").contains("line 2"));
-    }
 
     #[test]
     fn batch_roundtrip() {

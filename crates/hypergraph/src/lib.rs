@@ -12,11 +12,11 @@
 //!   [`engine::MatchingEngine::validate_lossy`], then
 //!   [`engine::MatchingEngine::apply_batch_trusted`]),
 //! * [`graph`] — the ground-truth dynamic hypergraph,
-//! * [`matching`] — matchings, validity/maximality verification, reference
-//!   (greedy / exact) matching algorithms,
+//! * [`matching`] — matchings, validity/maximality verification, the §3.1
+//!   greedy scan and an exact maximum matching for tests,
 //! * [`generators`] — synthetic graph and hypergraph families,
 //! * [`streams`] — batched oblivious-adversary update streams,
-//! * [`io`] — a line-based interchange format for edge lists and update streams,
+//! * [`io`] — a line-based interchange format for update streams,
 //! * [`service`] — the serve path: a long-lived [`service::EngineService`] over
 //!   any engine with concurrent snapshot reads, a bounded submission queue,
 //!   pluggable [`service::JournalSink`]s, and a replayable journal,

@@ -6,8 +6,8 @@
 //! matching, and the endpoint set of a maximal matching is a vertex cover of size at
 //! most `r` times the minimum vertex cover.  This module provides the matching
 //! container, the validity and maximality checkers used throughout the test suite,
-//! and reference algorithms (greedy maximal matching, exact maximum matching on
-//! small inputs) used by the quality experiments (E7).
+//! the §3.1 greedy scan (the static reference of the quality experiment E7), and an
+//! exact maximum matching on small inputs, the test oracle for the `1/r` bound.
 
 use crate::graph::DynamicHypergraph;
 use crate::types::{EdgeId, HyperEdge, VertexId};
@@ -437,11 +437,17 @@ pub fn verify_maximality(graph: &DynamicHypergraph, ids: &[EdgeId]) -> Result<()
     Ok(())
 }
 
-/// Sequential greedy maximal matching: scans edges in id order and adds every edge
-/// whose endpoints are all free.  Used as a yardstick and in tests.
+/// The sequential greedy maximal matching of §3.1: scans `edges` in the given
+/// order and takes every edge whose endpoints are all free.
+///
+/// Work is `O(Σ rank(e))`, but the scan is inherently sequential — one edge
+/// per step — which is exactly why the paper needs Luby's algorithm in the
+/// parallel setting.  It is the work-efficiency yardstick (the matcher of
+/// `pdmm-static`'s `GreedyMatcher`) and the static reference of the quality
+/// experiment (E7); callers holding a graph pass
+/// [`DynamicHypergraph::snapshot_edges`], ascending by id.
 #[must_use]
-pub fn greedy_maximal_matching(graph: &DynamicHypergraph) -> Vec<EdgeId> {
-    let edges = graph.snapshot_edges();
+pub fn greedy_maximal_matching(edges: &[HyperEdge]) -> Vec<EdgeId> {
     let mut matched: FxHashSet<VertexId> = FxHashSet::default();
     let mut out = Vec::new();
     for edge in edges {
@@ -526,6 +532,11 @@ mod tests {
 
     fn pair(id: u64, a: u32, b: u32) -> HyperEdge {
         HyperEdge::pair(EdgeId(id), v(a), v(b))
+    }
+
+    /// The greedy scan over `g`'s live edges in ascending id order.
+    fn greedy(g: &DynamicHypergraph) -> Vec<EdgeId> {
+        greedy_maximal_matching(&g.snapshot_edges())
     }
 
     fn path_graph(n: u32) -> DynamicHypergraph {
@@ -660,15 +671,25 @@ mod tests {
             Err(MatchingError::NotMaximal(EdgeId(3)))
         );
         // Greedy is maximal.
-        let greedy = greedy_maximal_matching(&g);
+        let greedy = greedy(&g);
         assert_eq!(verify_maximality(&g, &greedy), Ok(()));
     }
 
     #[test]
     fn greedy_on_path_picks_alternate_edges() {
         let g = path_graph(6);
-        let m = greedy_maximal_matching(&g);
+        let m = greedy(&g);
         assert_eq!(m, vec![EdgeId(0), EdgeId(2), EdgeId(4)]);
+    }
+
+    #[test]
+    fn greedy_scan_follows_the_given_order() {
+        assert!(greedy_maximal_matching(&[]).is_empty());
+        // Edges (0,1) and (1,2): the scan takes whichever comes first.
+        let mut edges = vec![pair(0, 0, 1), pair(1, 1, 2)];
+        assert_eq!(greedy_maximal_matching(&edges), vec![EdgeId(0)]);
+        edges.reverse();
+        assert_eq!(greedy_maximal_matching(&edges), vec![EdgeId(1)]);
     }
 
     #[test]
@@ -686,7 +707,7 @@ mod tests {
     fn maximal_is_half_of_maximum_on_graphs() {
         // Classical 2-approximation check (r = 2 ⇒ factor 1/2).
         let g = path_graph(20);
-        let greedy = greedy_maximal_matching(&g);
+        let greedy = greedy(&g);
         let opt = maximum_matching_size_exact(&g);
         assert!(greedy.len() * 2 >= opt);
     }
@@ -694,7 +715,7 @@ mod tests {
     #[test]
     fn vertex_cover_covers_all_edges() {
         let g = path_graph(10);
-        let ids = greedy_maximal_matching(&g);
+        let ids = greedy(&g);
         let m = Matching::from_edge_ids(&g, &ids);
         assert_eq!(uncovered_edges(&g, &m.vertex_cover()), 0);
     }
@@ -706,7 +727,7 @@ mod tests {
         g.insert_edge(HyperEdge::new(EdgeId(1), vec![v(2), v(3), v(4)]));
         g.insert_edge(HyperEdge::new(EdgeId(2), vec![v(4), v(5), v(6)]));
         g.insert_edge(HyperEdge::new(EdgeId(3), vec![v(6), v(7), v(8)]));
-        let greedy = greedy_maximal_matching(&g);
+        let greedy = greedy(&g);
         assert_eq!(verify_maximality(&g, &greedy), Ok(()));
         let opt = maximum_matching_size_exact(&g);
         assert_eq!(opt, 2);
@@ -717,7 +738,7 @@ mod tests {
     #[test]
     fn matching_tracks_graph_changes() {
         let mut g = path_graph(4);
-        let ids = greedy_maximal_matching(&g);
+        let ids = greedy(&g);
         assert_eq!(verify_maximality(&g, &ids), Ok(()));
         // Delete a matched edge from the graph: validity now fails.
         g.apply_batch(&[Update::Delete(ids[0])]);
@@ -738,8 +759,20 @@ mod tests {
             for (i, (a, b)) in edges.iter().enumerate() {
                 g.insert_edge(HyperEdge::pair(EdgeId(i as u64), v(*a), v(*b)));
             }
-            let m = greedy_maximal_matching(&g);
+            let m = greedy(&g);
             prop_assert_eq!(verify_maximality(&g, &m), Ok(()));
+        }
+
+        #[test]
+        fn prop_greedy_is_maximal_on_hypergraphs(
+            n in 6usize..30,
+            m in 0usize..60,
+            r in 2usize..5,
+            seed in 0u64..200,
+        ) {
+            let edges = crate::generators::random_hypergraph(n, m, r.min(n), seed, 0);
+            let g = DynamicHypergraph::from_edges(n, edges.clone());
+            prop_assert_eq!(verify_maximality(&g, &greedy_maximal_matching(&edges)), Ok(()));
         }
 
         #[test]
@@ -750,7 +783,7 @@ mod tests {
             for (i, (a, b)) in edges.iter().enumerate() {
                 g.insert_edge(HyperEdge::pair(EdgeId(i as u64), v(*a), v(*b)));
             }
-            let greedy = greedy_maximal_matching(&g);
+            let greedy = greedy(&g);
             let opt = maximum_matching_size_exact(&g);
             prop_assert!(greedy.len() * 2 >= opt);
             prop_assert!(greedy.len() <= opt);

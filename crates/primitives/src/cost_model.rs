@@ -92,12 +92,6 @@ impl CostTracker {
         }
     }
 
-    /// Resets both counters to zero.
-    pub fn reset(&self) {
-        self.work.store(0, Ordering::Relaxed);
-        self.depth.store(0, Ordering::Relaxed);
-    }
-
     /// Total work recorded so far.
     #[must_use]
     pub fn total_work(&self) -> u64 {
@@ -129,41 +123,6 @@ impl Clone for CostTracker {
             work: AtomicU64::new(snap.work),
             depth: AtomicU64::new(snap.depth),
         }
-    }
-}
-
-/// Scoped helper that measures the work/depth consumed by a region of code.
-///
-/// ```
-/// use pdmm_primitives::cost_model::{CostTracker, CostScope};
-///
-/// let tracker = CostTracker::new();
-/// let scope = CostScope::begin(&tracker);
-/// tracker.work(10);
-/// tracker.round();
-/// let cost = scope.end();
-/// assert_eq!(cost.work, 10);
-/// assert_eq!(cost.depth, 1);
-/// ```
-pub struct CostScope<'a> {
-    tracker: &'a CostTracker,
-    start: CostSnapshot,
-}
-
-impl<'a> CostScope<'a> {
-    /// Starts measuring on `tracker`.
-    #[must_use]
-    pub fn begin(tracker: &'a CostTracker) -> Self {
-        CostScope {
-            tracker,
-            start: tracker.snapshot(),
-        }
-    }
-
-    /// Stops measuring and returns the cost accumulated since [`CostScope::begin`].
-    #[must_use]
-    pub fn end(self) -> CostSnapshot {
-        self.tracker.snapshot().since(&self.start)
     }
 }
 
@@ -209,27 +168,6 @@ mod tests {
         let d = b.since(&a);
         assert_eq!(d.work, 2);
         assert_eq!(d.depth, 2);
-    }
-
-    #[test]
-    fn scope_measures_region() {
-        let t = CostTracker::new();
-        t.work(100);
-        let scope = CostScope::begin(&t);
-        t.work(11);
-        t.rounds(3);
-        let cost = scope.end();
-        assert_eq!(cost.work, 11);
-        assert_eq!(cost.depth, 3);
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let t = CostTracker::new();
-        t.work(9);
-        t.round();
-        t.reset();
-        assert_eq!(t.snapshot(), CostSnapshot::default());
     }
 
     #[test]

@@ -16,5 +16,5 @@
 pub mod cost_model;
 pub mod random;
 
-pub use cost_model::{CostScope, CostSnapshot, CostTracker};
+pub use cost_model::{CostSnapshot, CostTracker};
 pub use random::{PhaseRandom, RandomSource};

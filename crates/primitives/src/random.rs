@@ -10,7 +10,6 @@
 //! tasks never contend on a shared generator and the outcome does not depend on the
 //! parallel schedule.
 
-use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -123,13 +122,6 @@ impl PhaseRandom {
         // 128-bit multiply-shift avoids modulo bias for the bounds used here.
         ((u128::from(self.hash64(id)) * u128::from(bound)) >> 64) as u64
     }
-
-    /// A small, cheap RNG seeded from `(phase seed, id)` for uses that need a
-    /// sequence of draws for one element (for example sampling without replacement).
-    #[must_use]
-    pub fn rng_for(&self, id: u64) -> SmallRng {
-        SmallRng::seed_from_u64(self.hash64(id))
-    }
 }
 
 #[cfg(test)]
@@ -227,13 +219,5 @@ mod tests {
         }
         assert_eq!(a.next_phase().hash64(4), b.next_phase().hash64(4));
         assert_eq!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn rng_for_is_reproducible() {
-        let p = PhaseRandom::from_seed(8);
-        let mut r1 = p.rng_for(3);
-        let mut r2 = p.rng_for(3);
-        assert_eq!(r1.next_u64(), r2.next_u64());
     }
 }

@@ -16,7 +16,6 @@
 //!   deep (`EngineKind::StaticRecompute`), the work-efficiency yardstick of
 //!   experiment E1.
 
-use crate::greedy::greedy_maximal_matching;
 use crate::luby::luby_maximal_matching;
 use pdmm_hypergraph::engine::{
     read_state_counters, read_state_graph, read_state_header, read_state_rng, run_batch_trusted,
@@ -25,7 +24,9 @@ use pdmm_hypergraph::engine::{
     MatchingEngine, MatchingIter, StateError, StateParser, UpdateCounters, ValidatedBatch,
 };
 use pdmm_hypergraph::graph::DynamicHypergraph;
-use pdmm_hypergraph::matching::{verify_maximality, DeltaTracker, MatchingDelta};
+use pdmm_hypergraph::matching::{
+    greedy_maximal_matching, verify_maximality, DeltaTracker, MatchingDelta,
+};
 use pdmm_hypergraph::types::{EdgeId, HyperEdge, Update, VertexId};
 use pdmm_primitives::cost_model::CostTracker;
 use pdmm_primitives::random::RandomSource;
@@ -119,7 +120,11 @@ impl StaticMatcher for GreedyMatcher {
     }
 
     fn maximal_matching(&mut self, edges: &[HyperEdge], cost: &CostTracker) -> Vec<EdgeId> {
-        greedy_maximal_matching(edges, Some(cost))
+        // One work unit per endpoint, and one round per edge: the scan is
+        // inherently sequential.
+        cost.work(edges.iter().map(|e| e.rank() as u64).sum());
+        cost.rounds(edges.len() as u64);
+        greedy_maximal_matching(edges)
     }
 
     fn write_state(&self, _out: &mut String) {}
@@ -349,6 +354,16 @@ mod tests {
             alg.apply_batch(&[Update::Delete(*id)]).unwrap();
         }
         alg.metrics().work - before
+    }
+
+    #[test]
+    fn greedy_matcher_charges_a_round_per_edge_and_work_per_endpoint() {
+        let edges = gnm_graph(50, 120, 1, 0);
+        let cost = CostTracker::new();
+        let matched = GreedyMatcher.maximal_matching(&edges, &cost);
+        assert_eq!(matched, greedy_maximal_matching(&edges));
+        assert_eq!(cost.total_depth(), 120);
+        assert_eq!(cost.total_work(), 240);
     }
 
     #[test]

@@ -26,6 +26,7 @@ pub use pdmm_hypergraph::engine::{
     ValidationToken,
 };
 pub use pdmm_hypergraph::matching::{DeltaTracker, MatchingDelta};
+use pdmm_seq_dynamic::SequentialRepair;
 use pdmm_static::{GreedyMatcher, LubyMatcher, Recompute};
 
 /// Constructs the engine of the given kind from a shared builder configuration.
@@ -48,12 +49,8 @@ use pdmm_static::{GreedyMatcher, LubyMatcher, Recompute};
 pub fn build(kind: EngineKind, builder: &EngineBuilder) -> Box<dyn MatchingEngine + Send> {
     match kind {
         EngineKind::Parallel => Box::new(pdmm_core::ParallelDynamicMatching::from_builder(builder)),
-        EngineKind::NaiveSequential => Box::new(
-            pdmm_seq_dynamic::NaiveDynamicMatching::from_builder(builder),
-        ),
-        EngineKind::RandomReplace => Box::new(
-            pdmm_seq_dynamic::RandomReplaceMatching::from_builder(builder),
-        ),
+        EngineKind::NaiveSequential => Box::new(SequentialRepair::first_free(builder)),
+        EngineKind::RandomReplace => Box::new(SequentialRepair::uniform_random(builder)),
         EngineKind::RecomputeSequential => {
             Box::new(Recompute::<LubyMatcher>::from_builder(builder))
         }

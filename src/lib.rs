@@ -36,10 +36,11 @@
 //!   [`checkpoint::FaultSink`] the crash tests are built on,
 //! * [`core`] ([`ParallelDynamicMatching`]) — the paper's algorithm,
 //! * [`hypergraph`] — the dynamic hypergraph substrate, workload generators,
-//!   update streams and matching verification,
+//!   update streams, matching verification and the §3.1 greedy scan,
 //! * [`static_matching`] — the static parallel maximal matching of Theorem 2.2,
-//!   the greedy scan, and the recompute-from-scratch engine over either,
-//! * [`seq_dynamic`] — sequential dynamic repair baselines,
+//!   and the recompute-from-scratch engine over it or over the greedy scan,
+//! * [`seq_dynamic`] — [`seq_dynamic::SequentialRepair`], the sequential
+//!   dynamic repair baseline under its two replacement rules,
 //! * [`primitives`] — the work/depth cost model and deterministic
 //!   randomness every engine shares.
 //!

@@ -9,7 +9,7 @@ use pdmm::hypergraph::matching::{greedy_maximal_matching, verify_maximality};
 use pdmm::hypergraph::streams::{self, Workload};
 use pdmm::hypergraph::{generators, matching};
 use pdmm::prelude::*;
-use pdmm::seq_dynamic::NaiveDynamicMatching;
+use pdmm::seq_dynamic::SequentialRepair;
 
 fn algorithms(num_vertices: usize) -> Vec<Box<dyn MatchingEngine + Send>> {
     engine::build_all(&EngineBuilder::new(num_vertices).seed(1))
@@ -69,7 +69,7 @@ fn parallel_algorithm_handles_rank_three_hypergraphs_like_the_naive_one() {
     assert!(streams::validate_workload(&w));
     let builder = EngineBuilder::new(w.num_vertices).rank(3).seed(5);
     let mut parallel = ParallelDynamicMatching::from_builder(&builder);
-    let mut naive = NaiveDynamicMatching::from_builder(&builder);
+    let mut naive = SequentialRepair::first_free(&builder);
     let mut truth = DynamicHypergraph::new(w.num_vertices);
     for batch in &w.batches {
         truth.apply_batch(batch);
@@ -100,7 +100,7 @@ fn matching_quality_is_close_to_greedy_reference() {
         matcher.apply_batch(batch).unwrap();
     }
     let dynamic_size = matcher.matching_size();
-    let greedy_size = greedy_maximal_matching(&truth).len();
+    let greedy_size = greedy_maximal_matching(&truth.snapshot_edges()).len();
     assert!(dynamic_size * 2 >= greedy_size);
     assert!(greedy_size * 2 >= dynamic_size);
     // The vertex cover induced by the dynamic matching covers the whole graph.

@@ -52,13 +52,3 @@ fn serialized_workload_replays_identically() {
     mb.sort_unstable();
     assert_eq!(ma, mb);
 }
-
-#[test]
-fn edge_list_files_round_trip_through_the_graph() {
-    let edges = generators::random_hypergraph(40, 120, 4, 9, 0);
-    let text = io::edges_to_string(&edges);
-    let parsed = io::edges_from_string(&text).expect("parse");
-    let graph = DynamicHypergraph::from_edges(40, parsed);
-    assert_eq!(graph.num_edges(), 120);
-    assert_eq!(graph.max_rank_seen(), 4);
-}
