@@ -442,9 +442,9 @@ pub fn verify_maximality(graph: &DynamicHypergraph, ids: &[EdgeId]) -> Result<()
 ///
 /// Work is `O(Σ rank(e))`, but the scan is inherently sequential — one edge
 /// per step — which is exactly why the paper needs Luby's algorithm in the
-/// parallel setting.  It is the work-efficiency yardstick (the matcher of
-/// `pdmm-static`'s `GreedyMatcher`) and the static reference of the quality
-/// experiment (E7); callers holding a graph pass
+/// parallel setting.  `pdmm-static`'s `GreedyMatcher` reruns it after every
+/// batch as the work-efficiency yardstick, and the quality experiment (E7)
+/// takes it as the static reference.  Callers holding a graph pass
 /// [`DynamicHypergraph::snapshot_edges`], ascending by id.
 #[must_use]
 pub fn greedy_maximal_matching(edges: &[HyperEdge]) -> Vec<EdgeId> {

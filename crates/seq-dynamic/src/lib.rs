@@ -132,9 +132,10 @@ impl SequentialRepair {
         true
     }
 
-    /// The free edge among `incident` that the rule takes, if any, charging
-    /// the rank of every candidate the rule examines: up to the first free
-    /// one, or all the free ones for a uniform draw among them.
+    /// The free edge among `incident` that the rule takes, if any.
+    /// First-free charges the rank of every candidate it examines, up to and
+    /// including the one it takes; uniform-random charges the ranks of the
+    /// free candidates it draws among, and draws only when there is one.
     fn pick(&mut self, incident: &[EdgeId]) -> Option<HyperEdge> {
         let (graph, matching, cost) = (&self.graph, &self.matching, &self.cost);
         let mut candidates = incident
