@@ -561,22 +561,21 @@ pub fn e11_serve_loop(scale: Scale) -> String {
 
 /// E12 — the sharded serving layer: update throughput vs shard count.  Every
 /// engine kind serves the same skewed-key churn stream through a
-/// `ShardedService` at 1/2/4/8 shards (hash partitioning, concurrent shard
-/// drains on the in-tree pool).  On a single core the point is the overhead
-/// curve — routing + per-shard commit bookkeeping vs one big commit lock; on
-/// a multi-core host the per-shard commit locks are independent, so
-/// throughput should scale until cross-shard skew or the router serializes.
-/// The cross column counts cross-shard routed updates (owner-shard placement
-/// of edges whose endpoints span shards); conflicts is the size of the
-/// merged snapshot's raw conflicted-vertex set at the end; arbitrated is the
-/// size of the globally valid matching the boundary-arbitration pass
-/// recovers from that union, and retained is arbitrated/matching — the
-/// matched-size fraction the award-evict-repair wave keeps (1.000 at one
-/// shard, where arbitration is a bit-identical no-op).  The union holds
-/// matched edges of different shards that share a vertex, so retained
-/// measures how much the shards' matchings overlap; vs 1 shard is the quality
-/// figure, the arbitrated size over the same engine's 1-shard arbitrated size
-/// on the same stream.
+/// `ShardedService` at 1/2/4/8 shards (hash partitioning).  A drain runs the
+/// shards one after another on the calling thread, so the point is the
+/// overhead curve: routing, per-shard commit bookkeeping and arbitration on
+/// top of the same kernel work.  The cross column counts cross-shard routed
+/// updates (owner-shard placement of edges whose endpoints span shards);
+/// conflicts is the number of vertices matched by more than one shard at the
+/// end, and matching the total size of the shard matchings (the
+/// arbitration's `pre_size`); arbitrated is the size of the globally valid
+/// matching the boundary-arbitration pass recovers from the shard matchings,
+/// and retained is arbitrated/matching — the matched-size fraction the
+/// award-evict-repair wave keeps (1.000 at one shard, where arbitration is a
+/// bit-identical no-op).  Matched edges of different shards can share a
+/// vertex, so retained measures how much the shards' matchings overlap; vs
+/// 1 shard is the quality figure, the arbitrated size over the same engine's
+/// 1-shard arbitrated size on the same stream.
 #[must_use]
 pub fn e12_shard_scaling(scale: Scale) -> String {
     use pdmm::sharding::ShardedService;
@@ -616,6 +615,7 @@ pub fn e12_shard_scaling(scale: Scale) -> String {
             let wall = t0.elapsed();
             let snap = service.snapshot();
             let arbitrated = snap.arbitrated_matching();
+            let report = arbitrated.report();
             let us_per_update = wall.as_secs_f64() * 1e6 / w.total_updates() as f64;
             let baseline = *one_shard_size.get_or_insert(arbitrated.size());
             table.row(vec![
@@ -624,10 +624,10 @@ pub fn e12_shard_scaling(scale: Scale) -> String {
                 f(us_per_update, 2),
                 f(1e6 / us_per_update.max(1e-9), 0),
                 cross.to_string(),
-                snap.conflicted_vertices().len().to_string(),
-                snap.size().to_string(),
+                report.stats.conflicted_vertices.to_string(),
+                report.pre_size.to_string(),
                 arbitrated.size().to_string(),
-                f(arbitrated.report().retained(), 3),
+                f(report.retained(), 3),
                 f(arbitrated.size() as f64 / baseline.max(1) as f64, 3),
             ]);
         }

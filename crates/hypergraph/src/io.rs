@@ -7,8 +7,10 @@
 //!   line: `+ <id> <v1> ... <vk>` for an insertion, `- <id>` for a deletion;
 //! * **shard-tagged update stream** — the update-stream format with one
 //!   `@ <shard>` header line per block, used by the sharded serving layer's
-//!   journal ([`sharded_batches_to_string`]) so every batch replays onto the
-//!   shard that committed it.  Nothing arbitration-related is journaled: the
+//!   journal (written by `ShardedService::journal`, which tags the blocks of
+//!   the shard journals without parsing them, and read by
+//!   [`sharded_batches_from_string`]) so every batch replays onto the shard
+//!   that committed it.  Nothing arbitration-related is journaled: the
 //!   arbitrated matching is derived state, recomputed deterministically from
 //!   the replayed per-shard matchings.
 //!
@@ -113,8 +115,7 @@ pub fn batches_to_string<B: AsRef<[Update]>>(batches: &[B]) -> String {
 }
 
 /// Serializes one update as its stream line (the single place the line format
-/// is written, shared by the plain and shard-tagged serializers and the serve
-/// path's journal).
+/// is written, shared by the plain serializer and the serve path's journal).
 pub(crate) fn write_update(out: &mut String, update: &Update) {
     match update {
         Update::Insert(e) => {
@@ -248,41 +249,11 @@ pub fn batches_from_string(text: &str) -> Result<Vec<UpdateBatch>, ParseError> {
     Ok(batches)
 }
 
-/// Serializes shard-tagged batches — the journal framing of the sharded
-/// serving layer (`pdmm_hypergraph::sharding`).
+/// Parses a shard-tagged update stream: the sharded serving layer's journal
+/// (`pdmm_hypergraph::sharding`).
 ///
 /// The framing extends the update-stream format with one header line per
 /// block: `@ <shard>` names the shard that committed the following updates.
-/// Blocks are separated by blank lines exactly as in [`batches_to_string`],
-/// empty batches are skipped for the same reason, and a consecutive run of
-/// blocks from one shard repeats the tag per block (tags are *sticky* on
-/// parse, but the serializer is always explicit so concatenating two sharded
-/// journals is always safe).
-#[must_use]
-pub fn sharded_batches_to_string(entries: &[(ShardId, UpdateBatch)]) -> String {
-    let mut out = String::new();
-    let mut written = 0usize;
-    for (shard, batch) in entries {
-        if batch.is_empty() {
-            continue;
-        }
-        if written > 0 {
-            out.push('\n');
-        }
-        written += 1;
-        out.push_str("@ ");
-        push_decimal(&mut out, u64::from(shard.0));
-        out.push('\n');
-        for update in batch {
-            write_update(&mut out, update);
-        }
-    }
-    out
-}
-
-/// Parses a shard-tagged update stream produced by
-/// [`sharded_batches_to_string`].
-///
 /// `@ <shard>` starts a new block (flushing any updates accumulated for the
 /// previous tag, so a blank line between tagged blocks is optional); blank
 /// lines flush the current block while keeping the tag sticky for the next
@@ -437,17 +408,30 @@ mod tests {
 
     #[test]
     fn sharded_roundtrip() {
-        let w = random_churn(40, 2, 30, 5, 20, 0.5, 9);
-        let entries: Vec<(ShardId, UpdateBatch)> = w
-            .batches
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (ShardId((i % 3) as u32), b.clone()))
-            .collect();
-        let text = sharded_batches_to_string(&entries);
-        assert!(text.starts_with("@ 0\n"), "{text}");
-        let parsed = sharded_batches_from_string(&text).unwrap();
-        assert_eq!(parsed, entries);
+        // The journal's framing: one tag per block, blank lines between
+        // blocks, and under each tag the plain serializer's lines plus the
+        // commit trailer.
+        let text = "@ 0\n+ 0 1 2\n- 5\n# commit\n\n@ 2\n+ 1 3 4\n# commit\n\n@ 0\n- 0\n# commit\n";
+        let pair = |id, a, b| Update::Insert(HyperEdge::pair(EdgeId(id), VertexId(a), VertexId(b)));
+        let entries = vec![
+            (
+                ShardId(0),
+                UpdateBatch::new(vec![pair(0, 1, 2), Update::Delete(EdgeId(5))]).unwrap(),
+            ),
+            (ShardId(2), UpdateBatch::new(vec![pair(1, 3, 4)]).unwrap()),
+            (
+                ShardId(0),
+                UpdateBatch::new(vec![Update::Delete(EdgeId(0))]).unwrap(),
+            ),
+        ];
+        assert_eq!(sharded_batches_from_string(text).unwrap(), entries);
+        for ((shard, batch), block) in entries.iter().zip(journal_blocks(text)) {
+            let plain = batches_to_string(std::slice::from_ref(batch));
+            assert_eq!(
+                format!("{block}\n"),
+                format!("@ {}\n{plain}{COMMIT_MARKER}\n", shard.0)
+            );
+        }
     }
 
     #[test]
@@ -503,21 +487,5 @@ mod tests {
         let parsed = batches_from_string("+ 1 0 1\n# commit\n").unwrap();
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].len(), 1);
-    }
-
-    #[test]
-    fn sharded_serializer_skips_empty_batches() {
-        let batch = UpdateBatch::new(vec![Update::Delete(EdgeId(1))]).unwrap();
-        let entries = vec![
-            (ShardId(0), UpdateBatch::empty()),
-            (ShardId(1), batch.clone()),
-            (ShardId(2), UpdateBatch::empty()),
-        ];
-        let text = sharded_batches_to_string(&entries);
-        assert_eq!(text, "@ 1\n- 1\n");
-        assert_eq!(
-            sharded_batches_from_string(&text).unwrap(),
-            vec![(ShardId(1), batch)]
-        );
     }
 }

@@ -412,11 +412,8 @@ impl MatchingSnapshot {
 
     /// Every vertex covered by a matched edge, **sorted ascending** — the
     /// order is contractual, so two snapshots of the same matching iterate
-    /// identically regardless of hash-map history.  The merge side of a
-    /// sharded snapshot folds this into its conflict accounting (which
-    /// vertices are matched in more than one shard) and relies on the
-    /// determinism.  Copies and sorts the flat endpoint array; O(k log k)
-    /// for k matched vertices.
+    /// identically regardless of hash-map history.  Copies and sorts the
+    /// flat endpoint array; O(k log k) for k matched vertices.
     pub fn matched_vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
         let mut vertices = self.endpoints.to_vec();
         vertices.sort_unstable();

@@ -1,15 +1,15 @@
-//! The sharded serving layer: the vertex space partitioned across parallel
+//! The sharded serving layer: the vertex space partitioned across
 //! [`EngineService`] shards behind one router/merge front-end.
 //!
-//! One [`EngineService`] scales reads (snapshots never touch the commit lock)
-//! but commits through a single engine under a single lock — the ceiling on
-//! update throughput is one core, no matter how many the box has.  The paper's
-//! parallel dynamic model already assumes update work decomposes across
-//! processors; [`ShardedService`] is the standard systems realization of that:
-//! partition the *vertex space* into `N` shards, give each shard its own
-//! engine, service, journal and commit lock, and put a deterministic router in
-//! front (cf. partitioned packet classification: classify to a partition,
-//! process locally, merge results).
+//! [`ShardedService`] partitions the *vertex space* into `N` shards, gives
+//! each shard its own engine, service, journal and commit lock, and puts a
+//! deterministic router in front (cf. partitioned packet classification:
+//! classify to a partition, process locally, merge results).  It publishes
+//! one answer, as a single service does: the arbitrated matching, one
+//! globally valid matching merged from the shards' matchings.  A drain runs
+//! the shards one after another on the calling thread, so on one machine a
+//! sharded drain does the kernel work of one service plus routing and
+//! arbitration; it does not add update throughput.
 //!
 //! The moving parts:
 //!
@@ -33,23 +33,22 @@
 //!   routing order.
 //! * **Drain/merge** — [`ShardedService::drain`] drains the shards in shard
 //!   order on the calling thread and merges the per-shard [`BatchReport`]s
-//!   into one [`ShardedDrainReport`] (summed [`EngineMetrics`], total
-//!   matching size); [`ShardedService::drain_lossy`] does the same for
-//!   skip-and-report ingest with [`IngestReport`]s.  The shard drains are
-//!   not handed to the work-stealing pool: a `join` called from outside the
-//!   pool puts thread wake-ups on the critical path, which costs a small
+//!   into one [`ShardedDrainReport`] (summed [`EngineMetrics`] and the
+//!   arbitration's report); [`ShardedService::drain_lossy`] does the same
+//!   for skip-and-report ingest with [`IngestReport`]s.  The shard drains
+//!   are not handed to the work-stealing pool: a `join` called from outside
+//!   the pool puts thread wake-ups on the critical path, which costs a small
 //!   drain more than its shards could overlap (see
 //!   [`ShardedService::drain`]).
 //! * **[`ShardedSnapshot`]** — one immutable view per drain boundary, read
 //!   with one lock and one `Arc` clone: every shard's snapshot at that
-//!   boundary, the **pre-arbitration** raw cross-shard accounting derived
-//!   from exactly those snapshots (which matched edges span shards, and
-//!   which vertices are matched by more than one shard —
-//!   [`ShardedSnapshot::conflicted_vertices`]), and the arbitrated matching.
-//!   Each shard's matching is valid and maximal **on that shard's edges**;
-//!   the raw union of them is globally valid only when that conflict set is
-//!   empty.  The *repaired* global matching is
-//!   [`ShardedSnapshot::arbitrated_matching`], below.
+//!   boundary and the arbitrated matching derived from exactly those
+//!   snapshots ([`ShardedSnapshot::arbitrated_matching`], the view's only
+//!   matching).  Each shard's matching is valid and maximal **on that
+//!   shard's edges**, but matched edges of different shards can share a
+//!   vertex, so the union of them is not a matching; the arbitration's
+//!   report counts those vertices
+//!   ([`ArbitrationStats::conflicted_vertices`]).
 //! * **Boundary arbitration** — after every drain, an arbitration pass turns
 //!   the per-shard matchings into one globally valid matching
 //!   ([`ArbitratedMatching`]): every conflicted vertex is awarded to exactly
@@ -96,9 +95,12 @@
 //!   of [`crate::io`] (`@ <shard>` blocks): per-shard journals in shard order,
 //!   each block tagged with its owner.  [`ShardedService::replay`] routes each
 //!   block back to its recorded shard, so an engine set of the same kinds,
-//!   configuration and seeds rebuilds bit-identical per-shard state.  A
-//!   1-shard `ShardedService` is conformance-pinned bit-identical to a bare
-//!   [`EngineService`] (snapshots, reports, per-shard journal).
+//!   configuration and seeds rebuilds bit-identical per-shard state.
+//!   Construction, replay and recovery then rebuild the router one way, from
+//!   what the shards hold: each live edge routes to the shard whose engine
+//!   holds it.  A 1-shard `ShardedService` is conformance-pinned
+//!   bit-identical to a bare [`EngineService`] (snapshots, reports, per-shard
+//!   journal).
 //!
 //! What sharding deliberately does **not** give: cross-shard batch atomicity.
 //! A poison sub-batch is dropped on its shard while sibling sub-batches
@@ -148,16 +150,12 @@
 //! let report = service.drain().unwrap();
 //! assert_eq!(report.committed, routed.sub_batches());
 //!
-//! // The merged snapshot reads each shard in O(1) and accounts for
-//! // cross-shard edges explicitly.
+//! // The snapshot's matching is the arbitrated one: globally valid, and here
+//! // every shard's matched edge, since no two shards matched one vertex.
 //! let snap = service.snapshot();
-//! assert_eq!(snap.size(), 2);
-//! assert!(snap.conflicted_vertices().is_empty());
-//!
-//! // The arbitrated matching is the conflict-free repaired global view —
-//! // identical to the raw union here, since nothing conflicted.
 //! let arbitrated = snap.arbitrated_matching();
-//! assert_eq!(arbitrated.edge_ids(), snap.edge_ids());
+//! assert_eq!(arbitrated.edge_ids(), vec![EdgeId(0), EdgeId(1)]);
+//! assert_eq!(arbitrated.report().pre_size, 2);
 //! assert!(arbitrated.report().stats.is_noop());
 //!
 //! // The shard-tagged journal replays onto fresh engines, bit-identically.
@@ -165,7 +163,7 @@
 //!     .map(|_| engine::build(EngineKind::Parallel, &builder))
 //!     .collect();
 //! let replayed = ShardedService::replay(engines, &service.journal()).unwrap();
-//! assert_eq!(replayed.snapshot().edge_ids(), snap.edge_ids());
+//! assert_eq!(replayed.snapshot().arbitrated_matching(), arbitrated);
 //! ```
 
 use crate::checkpoint::{self, CheckpointError};
@@ -281,8 +279,6 @@ pub struct ShardedDrainReport {
     pub committed: usize,
     /// Field-wise sum of every committed batch's [`EngineMetrics`] delta.
     pub metrics: EngineMetrics,
-    /// Sum of per-shard matching sizes after the drain.
-    pub matching_size: usize,
     /// Outcome of the boundary-arbitration pass run at the end of the drain.
     pub arbitration: ArbitrationReport,
 }
@@ -301,8 +297,6 @@ pub struct ShardedIngestReport {
     pub rejected: usize,
     /// Field-wise sum of every committed batch's [`EngineMetrics`] delta.
     pub metrics: EngineMetrics,
-    /// Sum of per-shard matching sizes after the drain.
-    pub matching_size: usize,
     /// Outcome of the boundary-arbitration pass run at the end of the drain.
     pub arbitration: ArbitrationReport,
 }
@@ -432,9 +426,9 @@ impl ArbitrationReport {
 ///    endpoints are still uncovered.  One wave suffices for maximality:
 ///    repaired edges only add coverage, so no vertex is ever re-exposed.
 ///
-/// The evicted/repaired lists are the **delta** against the raw merged view
-/// ([`ShardedSnapshot::edge_ids`]), so consumers maintaining a persistent
-/// index apply O(delta) work per drain instead of rebuilding.
+/// The evicted/repaired lists are the **delta** against the union of the
+/// shard matchings, so consumers maintaining a persistent index apply
+/// O(delta) work per drain instead of rebuilding.
 ///
 /// Per-vertex lookups read a dense map with one slot per vertex of the
 /// shards' vertex space (16 bytes a vertex): one bounds-checked array read.
@@ -533,24 +527,23 @@ impl ArbitratedMatching {
 // Merged snapshots
 // ---------------------------------------------------------------------------
 
-/// The merged read view over every shard's [`MatchingSnapshot`], with
-/// explicit cross-shard accounting.
+/// The merged read view over every shard's [`MatchingSnapshot`]: the shard
+/// snapshots of one drain boundary and the one matching they publish, the
+/// arbitrated one.
 ///
 /// Every drain publishes one immutable view, and
 /// [`ShardedService::snapshot`] hands it out with one lock and one `Arc`
 /// clone, O(1) whatever the matching size.  The view is a **consistent cut
 /// across shards**: its shard snapshots were all taken at the same sharded
-/// drain boundary, and the cross-shard accounting and the arbitrated
-/// matching were derived from exactly those snapshots.  Per-shard queries
-/// delegate to the O(1)/O(log) queries of the underlying snapshots, and a
-/// per-vertex lookup, in a shard snapshot or in the arbitrated matching, is
-/// one array read.  At 2k live edges over 2 shards a read (one snapshot plus
-/// 64 arbitrated lookups) costs about 0.21 µs, against about 0.34 µs
-/// through one service's [`EngineService::snapshot`] (the benchmark's
-/// wire-2shard and serve-2k `read_p50_ns`, medians of 10 alternating pairs
-/// on 2 shared vCPUs).  With hash-map lookups the same reads cost about 0.64
-/// and 0.89 µs, and a sharded read cost about 130 µs when every read
-/// re-derived the cross-shard accounting.
+/// drain boundary, and the arbitrated matching was derived from exactly
+/// those snapshots.  A per-vertex lookup, in a shard snapshot or in the
+/// arbitrated matching, is one array read.  At 2k live edges over 2 shards a
+/// read (one snapshot plus 64 arbitrated lookups) costs about 0.21 µs,
+/// against about 0.34 µs through one service's [`EngineService::snapshot`]
+/// (the benchmark's wire-2shard and serve-2k `read_p50_ns`, medians of 10
+/// alternating pairs on 2 shared vCPUs).  With hash-map lookups the same
+/// reads cost about 0.64 and 0.89 µs, and a sharded read cost about 130 µs
+/// when every read re-derived the cross-shard accounting.
 #[derive(Debug, Clone)]
 pub struct ShardedSnapshot {
     /// The view of the most recent drain boundary.
@@ -574,18 +567,6 @@ impl ShardedSnapshot {
         &self.view.shards[k]
     }
 
-    /// Total matched edges across shards.
-    #[must_use]
-    pub fn size(&self) -> usize {
-        self.view.shards.iter().map(|s| s.size()).sum()
-    }
-
-    /// Whether no shard matched anything.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.view.shards.iter().all(|s| s.is_empty())
-    }
-
     /// Total committed sub-batches across shards, saturating at `u64::MAX`.
     #[must_use]
     pub fn committed_batches(&self) -> u64 {
@@ -604,63 +585,6 @@ impl ShardedSnapshot {
             total.merge(&shard.metrics());
         }
         total
-    }
-
-    /// Whether `id` is matched in any shard.
-    #[must_use]
-    pub fn contains_edge(&self, id: EdgeId) -> bool {
-        self.view.shards.iter().any(|s| s.contains_edge(id))
-    }
-
-    /// The matched edge covering `v`, if any shard matched it (lowest shard
-    /// wins when `v` is conflicted — see
-    /// [`ShardedSnapshot::conflicted_vertices`]).
-    #[must_use]
-    pub fn matched_edge_of(&self, v: VertexId) -> Option<EdgeId> {
-        self.view.shards.iter().find_map(|s| s.matched_edge_of(v))
-    }
-
-    /// Whether any shard matched an edge covering `v`.
-    #[must_use]
-    pub fn is_matched(&self, v: VertexId) -> bool {
-        self.view.shards.iter().any(|s| s.is_matched(v))
-    }
-
-    /// The merged matched-edge view: every shard's matched edges, sorted
-    /// ascending (allocates; per-shard iteration via [`ShardedSnapshot::shard`]
-    /// is allocation-free).
-    #[must_use]
-    pub fn edge_ids(&self) -> Vec<EdgeId> {
-        let mut ids: Vec<EdgeId> = self.view.shards.iter().flat_map(|s| s.edges()).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Matched edges whose endpoints span more than one shard, sorted.
-    ///
-    /// **Pre-arbitration raw state**: these are exactly the edges that can
-    /// invalidate the raw merged union — each is matched by its owner shard,
-    /// which cannot see sibling shards' matchings over the foreign
-    /// endpoints.  The arbitration pass has already resolved them; consumers
-    /// wanting the repaired matching should read
-    /// [`ShardedSnapshot::arbitrated_matching`] instead.
-    #[must_use]
-    pub fn cross_shard_matched(&self) -> &[EdgeId] {
-        &self.view.cross_matched
-    }
-
-    /// Vertices matched by more than one shard, sorted.
-    ///
-    /// **Pre-arbitration raw state** — the conflict set the arbitration pass
-    /// consumed, kept as the honest account of what the shards produced
-    /// independently.  Empty means the raw union was already globally valid
-    /// (always the case at 1 shard).  For the conflict-free repaired view,
-    /// read [`ShardedSnapshot::arbitrated_matching`]; its
-    /// [`ArbitratedMatching::conflicted_vertices`] is empty after every
-    /// pass.
-    #[must_use]
-    pub fn conflicted_vertices(&self) -> &[VertexId] {
-        &self.view.conflicted
     }
 
     /// The arbitrated matching: the globally valid (and, by the one-wave
@@ -775,9 +699,9 @@ impl RoutePlan {
     }
 }
 
-/// `N` parallel [`EngineService`] shards behind a deterministic router and a
-/// merge layer.  See the [module docs](self) for the full story and an
-/// end-to-end example.
+/// `N` [`EngineService`] shards behind a deterministic router and a merge
+/// layer, drained one after another on the calling thread.  See the
+/// [module docs](self) for the full story and an end-to-end example.
 ///
 /// `Sync` like the underlying services: share it across threads with `Arc` or
 /// scoped borrows.  A submission routes and enqueues its batch in one step,
@@ -853,33 +777,33 @@ impl ShardedService {
     /// batches, or the shard engines disagree on the vertex space.
     #[must_use]
     pub fn from_services(services: Vec<EngineService>, partitioner: Box<dyn Partitioner>) -> Self {
-        assert!(!services.is_empty(), "a sharded service needs ≥ 1 shard");
-        let num_vertices = services[0].snapshot().num_vertices();
-        for (k, service) in services.iter().enumerate() {
-            let snapshot = service.snapshot();
-            assert_eq!(
-                snapshot.committed_batches(),
-                0,
-                "shard {k} is not fresh: the router must observe the whole history"
-            );
-            assert_eq!(
-                snapshot.num_vertices(),
-                num_vertices,
-                "shard {k} disagrees on the vertex-space size"
-            );
-        }
-        Self::assemble(services, partitioner, FxHashMap::default(), num_vertices)
+        let num_vertices = fresh_vertex_space(&services);
+        Self::assemble(services, partitioner, num_vertices)
     }
 
-    /// The service over `shards` with `routes`, its arbitration built from
-    /// scratch over the shards' current state.
+    /// The service over `shards`, its router and arbitration rebuilt from
+    /// what the shards hold: the one path construction, replay and recovery
+    /// share.  Every live edge routes to the shard whose engine holds it,
+    /// with its cross-shard flag recomputed from the partitioner, and the
+    /// arbitration is the full pass over the shards' current state.
     fn assemble(
         shards: Vec<EngineService>,
         partitioner: Box<dyn Partitioner>,
-        routes: FxHashMap<EdgeId, Route>,
         num_vertices: usize,
     ) -> Self {
-        let arbitration = arbitrate(snapshots(&shards), &shards, partitioner.as_ref());
+        let num_shards = shards.len();
+        let mut routes = FxHashMap::default();
+        for (k, shard) in shards.iter().enumerate() {
+            for edge in shard.live_edges() {
+                let cross = spans_shards(partitioner.as_ref(), edge.vertices(), num_shards);
+                let route = Route {
+                    shard: k as u32,
+                    cross,
+                };
+                routes.insert(edge.id, route);
+            }
+        }
+        let arbitration = arbitrate(snapshots(&shards), &shards);
         let published = Arc::clone(&arbitration.view);
         ShardedService {
             shards,
@@ -929,9 +853,9 @@ impl ShardedService {
     /// entries removed by deletions a failed drain never committed are
     /// restored from the shard engine's live edges.  After a drain that
     /// leaves no queued batches, the map is therefore *exact* — `Some(k)`
-    /// iff the edge is live on shard `k` — which is what lets the
-    /// arbitration pass (and [`ShardedSnapshot::cross_shard_matched`]) work
-    /// from exact rather than conservative boundary sets.
+    /// iff the edge is live on shard `k` — and equals the map that
+    /// construction, replay and recovery rebuild from the shards' live
+    /// edges.
     #[must_use]
     pub fn owner_of_edge(&self, id: EdgeId) -> Option<usize> {
         self.lock_routes().get(&id).map(|r| r.shard as usize)
@@ -1170,7 +1094,14 @@ impl ShardedService {
         for &shard in &failed {
             self.resync_router_with_shard(shard);
         }
-        let mut report = self.merge_drain(per_shard);
+        let mut report = ShardedDrainReport::default();
+        for reports in &per_shard {
+            report.committed += reports.len();
+            for batch in reports {
+                report.metrics.merge(&batch.metrics);
+            }
+        }
+        report.per_shard = per_shard;
         report.arbitration = self.rearbitrate(&mut arbitration, &committed);
         match first_error {
             None => Ok(report),
@@ -1200,10 +1131,7 @@ impl ShardedService {
         // Skipped inserts never reached any engine: drop their routing-time
         // owner entries so the boundary sets match what actually committed.
         self.reconcile_rejected(&per_shard);
-        let mut merged = ShardedIngestReport {
-            matching_size: self.shards.iter().map(|s| s.snapshot().size()).sum(),
-            ..ShardedIngestReport::default()
-        };
+        let mut merged = ShardedIngestReport::default();
         for reports in &per_shard {
             merged.committed += reports.len();
             for report in reports {
@@ -1214,22 +1142,6 @@ impl ShardedService {
         }
         merged.per_shard = per_shard;
         merged.arbitration = self.rearbitrate(&mut arbitration, &committed);
-        merged
-    }
-
-    /// Merges per-shard drain reports into the aggregate view.
-    fn merge_drain(&self, per_shard: Vec<Vec<BatchReport>>) -> ShardedDrainReport {
-        let mut merged = ShardedDrainReport {
-            matching_size: self.shards.iter().map(|s| s.snapshot().size()).sum(),
-            ..ShardedDrainReport::default()
-        };
-        for reports in &per_shard {
-            merged.committed += reports.len();
-            for report in reports {
-                merged.metrics.merge(&report.metrics);
-            }
-        }
-        merged.per_shard = per_shard;
         merged
     }
 
@@ -1270,8 +1182,9 @@ impl ShardedService {
     }
 
     /// The sharded journal: every shard's committed sub-batches, tagged with
-    /// their shard (`@ <shard>` framing, see
-    /// [`io::sharded_batches_to_string`]), shard by shard in shard order.
+    /// their shard (the `@ <shard>` framing that
+    /// [`io::sharded_batches_from_string`] parses), shard by shard in shard
+    /// order.  This is the only writer of that framing.
     /// Per-shard sub-sequences are what replay must preserve — there is no
     /// meaningful global commit order across independently-drained shards —
     /// so this grouping *is* the canonical serialization, and it is
@@ -1318,11 +1231,12 @@ impl ShardedService {
 
     /// Rebuilds a sharded service by committing every journaled block on the
     /// exact shard its tag records (the partitioner is *not* consulted for
-    /// journaled updates — ownership was decided at first routing and the
-    /// tags are authoritative — but it must equal the original's for the
-    /// cross-shard accounting, and future routing, to be faithful).  With
-    /// engines of the same kinds, configurations and seeds, every shard
-    /// rebuilds a bit-identical matching, snapshot and journal.
+    /// journaled updates: ownership was decided at first routing and the tags
+    /// are authoritative).  The router is then rebuilt from what the shards
+    /// hold, as at construction and recovery, so the partitioner must equal
+    /// the original's for the cross-shard flags, and future routing, to be
+    /// faithful.  With engines of the same kinds, configurations and seeds,
+    /// every shard rebuilds a bit-identical matching, snapshot and journal.
     ///
     /// # Errors
     ///
@@ -1341,46 +1255,23 @@ impl ShardedService {
     ) -> Result<Self, ShardedReplayError> {
         let entries =
             io::sharded_batches_from_string(journal).map_err(ShardedReplayError::Parse)?;
-        let service = Self::with_partitioner(engines, partitioner);
-        let num_shards = service.shards.len();
+        let shards: Vec<EngineService> = engines.into_iter().map(EngineService::new).collect();
+        let num_vertices = fresh_vertex_space(&shards);
+        let num_shards = shards.len();
         for (tag, batch) in entries {
             let shard = tag.index();
-            if shard >= num_shards {
+            let Some(service) = shards.get(shard) else {
                 return Err(ShardedReplayError::ShardOutOfRange {
                     shard: tag,
                     num_shards,
                 });
-            }
-            {
-                // Rebuild the route map from the authoritative tags
-                // (cross-ness from the partitioner, as at first routing).
-                let mut routes = service.lock_routes();
-                for update in &batch {
-                    match update {
-                        Update::Insert(edge) => {
-                            let partitioner = service.partitioner.as_ref();
-                            let cross = spans_shards(partitioner, edge.vertices(), num_shards);
-                            let route = Route {
-                                shard: shard as u32,
-                                cross,
-                            };
-                            routes.insert(edge.id, route);
-                        }
-                        Update::Delete(id) => {
-                            routes.remove(id);
-                        }
-                    }
-                }
-            }
-            service.shards[shard].submit(batch);
-            service.shards[shard]
+            };
+            service.submit(batch);
+            service
                 .drain()
-                .map_err(|e| ShardedReplayError::Shard { shard, error: e })?;
+                .map_err(|error| ShardedReplayError::Shard { shard, error })?;
         }
-        // Arbitration is derived state: recomputing it over the replayed
-        // per-shard matchings reproduces the original outcome bit-identically.
-        service.rebuild_arbitration();
-        Ok(service)
+        Ok(Self::assemble(shards, partitioner, num_vertices))
     }
 
     /// Serializes a checkpoint of the whole sharded service under one
@@ -1418,9 +1309,10 @@ impl ShardedService {
     ///
     /// The router is rebuilt from the recovered engines' live edges: every
     /// live edge is owned by the shard whose engine holds it, with cross-shard
-    /// flags recomputed from the partitioner — the same semantics as
-    /// [`ShardedService::replay_with`], including losing the phantom owner
-    /// entries of engine-rejected inserts (those never reached any journal).
+    /// flags recomputed from the partitioner — the path construction and
+    /// [`ShardedService::replay_with`] take too.  The phantom owner entries
+    /// of engine-rejected inserts are therefore lost (those never reached any
+    /// journal).
     ///
     /// # Errors
     ///
@@ -1467,22 +1359,10 @@ impl ShardedService {
                 engine, &header, section, journal, sink,
             )?);
         }
-        let num_shards = shards.len();
-        let mut routes = FxHashMap::default();
-        for (k, shard) in shards.iter().enumerate() {
-            for edge in shard.live_edges() {
-                let cross = spans_shards(partitioner.as_ref(), edge.vertices(), num_shards);
-                let route = Route {
-                    shard: k as u32,
-                    cross,
-                };
-                routes.insert(edge.id, route);
-            }
-        }
         // Derived state, recomputed rather than persisted: the recovered
         // per-shard matchings are bit-identical to the originals, so the
         // arbitration pass over them is too.
-        Ok(Self::assemble(shards, partitioner, routes, num_vertices))
+        Ok(Self::assemble(shards, partitioner, num_vertices))
     }
 
     /// Shard `k`'s canonical engine state blob (exactly
@@ -1505,15 +1385,11 @@ impl ShardedService {
     #[doc(hidden)]
     #[must_use]
     pub fn arbitrate_from_scratch(&self) -> ArbitratedMatching {
-        arbitrate(
-            snapshots(&self.shards),
-            &self.shards,
-            self.partitioner.as_ref(),
-        )
-        .view
-        .arbitrated
-        .as_ref()
-        .clone()
+        arbitrate(snapshots(&self.shards), &self.shards)
+            .view
+            .arbitrated
+            .as_ref()
+            .clone()
     }
 
     /// The vertices whose cover cached in the arbitration state differs from
@@ -1535,18 +1411,6 @@ impl ShardedService {
             .collect()
     }
 
-    /// Replaces the arbitration state with one built from scratch and
-    /// publishes its view (replay and recovery, after rebuilding shards).
-    fn rebuild_arbitration(&self) {
-        let arbitration = arbitrate(
-            snapshots(&self.shards),
-            &self.shards,
-            self.partitioner.as_ref(),
-        );
-        *self.lock_published() = Arc::clone(&arbitration.view);
-        *self.lock_arbitration() = arbitration;
-    }
-
     /// Brings the arbitration up to the shards' current matchings and live
     /// edges, given what the drain `committed`; publishes the new view and
     /// returns the pass's report.
@@ -1556,7 +1420,7 @@ impl ShardedService {
         committed: &Committed,
     ) -> ArbitrationReport {
         let shards = snapshots(&self.shards);
-        arbitration.advance(shards, committed, &self.shards, self.partitioner.as_ref());
+        arbitration.advance(shards, committed, &self.shards);
         let view = Arc::clone(&arbitration.view);
         let report = view.arbitrated.report();
         // The replaced view is freed after the slot's lock is released.
@@ -1639,19 +1503,13 @@ impl ShardedService {
 // Arbitration state
 // ---------------------------------------------------------------------------
 
-/// One drain boundary's published view: the shard snapshots, and the raw
-/// cross-shard accounting and arbitrated matching derived from exactly
-/// those snapshots.
+/// One drain boundary's published view: the shard snapshots, and the
+/// arbitrated matching derived from exactly those snapshots (read through
+/// [`ShardedSnapshot::arbitrated_matching`]).
 #[derive(Debug)]
 struct ShardedView {
     /// One snapshot per shard, indexed by shard.
     shards: Vec<Arc<MatchingSnapshot>>,
-    /// Matched edges (across all shards) whose endpoints span shards, sorted.
-    cross_matched: Vec<EdgeId>,
-    /// Vertices matched by more than one shard, sorted — the raw,
-    /// pre-arbitration conflict set (see
-    /// [`ShardedSnapshot::conflicted_vertices`]).
-    conflicted: Vec<VertexId>,
     /// The arbitrated matching, shared with the previous view when a drain
     /// changed nothing it depends on.
     arbitrated: Arc<ArbitratedMatching>,
@@ -1883,6 +1741,31 @@ fn snapshots(services: &[EngineService]) -> Vec<Arc<MatchingSnapshot>> {
     services.iter().map(EngineService::snapshot).collect()
 }
 
+/// The vertex-space size the fresh `services` share.
+///
+/// # Panics
+///
+/// Panics if `services` is empty, a service has already committed batches,
+/// or the shard engines disagree on the vertex space.
+fn fresh_vertex_space(services: &[EngineService]) -> usize {
+    assert!(!services.is_empty(), "a sharded service needs ≥ 1 shard");
+    let num_vertices = services[0].snapshot().num_vertices();
+    for (k, service) in services.iter().enumerate() {
+        let snapshot = service.snapshot();
+        assert_eq!(
+            snapshot.committed_batches(),
+            0,
+            "shard {k} is not fresh: a sharded service starts from empty shards"
+        );
+        assert_eq!(
+            snapshot.num_vertices(),
+            num_vertices,
+            "shard {k} disagrees on the vertex-space size"
+        );
+    }
+    num_vertices
+}
+
 /// One boundary-arbitration pass from scratch over the shard snapshots
 /// `shards` and the shards' committed live edges — a pure, deterministic
 /// function of them (the shard engines are never touched, let alone
@@ -1906,11 +1789,7 @@ fn snapshots(services: &[EngineService]) -> Vec<Arc<MatchingSnapshot>> {
 ///    wave cannot re-expose a vertex — which is exactly why a single wave
 ///    restores maximality over the committed edge set (see the module
 ///    docs).
-fn arbitrate(
-    shards: Vec<Arc<MatchingSnapshot>>,
-    services: &[EngineService],
-    partitioner: &dyn Partitioner,
-) -> Arbitration {
+fn arbitrate(shards: Vec<Arc<MatchingSnapshot>>, services: &[EngineService]) -> Arbitration {
     let pre_size: usize = shards.iter().map(|s| s.size()).sum();
 
     // Award pass: occupancy counts, then lowest-shard awards.  Each pass
@@ -2035,20 +1914,9 @@ fn arbitrate(
         &mut first_at,
         |v| covers[v.index()] != Cover::Kept,
     ));
-    let mut cross_matched: Vec<EdgeId> = shards
-        .iter()
-        .flat_map(|s| s.matched_edges())
-        .filter(|(_, endpoints)| spans_shards(partitioner, endpoints, shards.len()))
-        .map(|(id, _)| id)
-        .collect();
-    cross_matched.sort_unstable();
-    let mut raw_conflicted: Vec<VertexId> = award.into_keys().collect();
-    raw_conflicted.sort_unstable();
     Arbitration {
         view: Arc::new(ShardedView {
             shards,
-            cross_matched,
-            conflicted: raw_conflicted,
             arbitrated: Arc::new(ArbitratedMatching {
                 matching,
                 evicted,
@@ -2076,14 +1944,15 @@ impl Arbitration {
     ///
     /// 1. **Delta**: a merge of each changed shard's previous and current
     ///    sorted id arrays gives the matched edges that left and entered;
-    ///    their endpoints are the vertices whose covers changed.
-    /// 2. **Raw accounting** moves by that delta.
-    /// 3. **Award and evict** are redone for the matched edges covering a
+    ///    their endpoints are the vertices whose covers changed, and the
+    ///    only ones where the count of vertices covered by more than one
+    ///    shard can move.
+    /// 2. **Award and evict** are redone for the matched edges covering a
     ///    changed vertex — the only edges whose outcome can move — and the
     ///    cover cache is refreshed at the vertices of those edges, the only
     ///    vertices whose cover can move.
-    /// 4. **Repair** is rerun over a region grown to closure from the
-    ///    vertices of step 3 whose cover moved or is freed, the freed
+    /// 3. **Repair** is rerun over a region grown to closure from the
+    ///    vertices of step 2 whose cover moved or is freed, the freed
     ///    endpoints of committed inserts, and the old components of removed
     ///    or deleted candidates: every candidate sharing a vertex no kept
     ///    edge covers joins, and so does the whole old component of any
@@ -2094,15 +1963,13 @@ impl Arbitration {
         next: Vec<Arc<MatchingSnapshot>>,
         committed: &Committed,
         services: &[EngineService],
-        partitioner: &dyn Partitioner,
     ) {
         let prev = Arc::clone(&self.view);
-        let num_shards = next.len();
         if prev.shards.iter().all(|s| s.is_empty()) {
             // Nothing to carry forward (the first drain after a bulk load):
             // every matched vertex changed, and the full pass's flat walks
             // build the same state for less than redoing each one.
-            *self = arbitrate(next, services, partitioner);
+            *self = arbitrate(next, services);
             return;
         }
 
@@ -2122,8 +1989,6 @@ impl Arbitration {
             // Only the snapshots' counters can have moved.
             self.view = Arc::new(ShardedView {
                 shards: next,
-                cross_matched: prev.cross_matched.clone(),
-                conflicted: prev.conflicted.clone(),
                 arbitrated: Arc::clone(&prev.arbitrated),
             });
             return;
@@ -2135,38 +2000,21 @@ impl Arbitration {
             .collect();
         touched.sort_unstable();
         touched.dedup();
-
-        // 2. Raw accounting.
-        let crossing = |delta: &[(EdgeId, &[VertexId])]| {
-            let mut ids: Vec<EdgeId> = delta
-                .iter()
-                .filter(|(_, endpoints)| spans_shards(partitioner, endpoints, num_shards))
-                .map(|&(id, _)| id)
-                .collect();
-            ids.sort_unstable();
-            ids
+        // The count of vertices covered by more than one shard moves only at
+        // the touched vertices.
+        let covered_twice = |shards: &[Arc<MatchingSnapshot>], v: VertexId| {
+            shards.iter().filter(|s| s.is_matched(v)).count() > 1
         };
-        let mut cross_matched = Vec::new();
-        patch_sorted(
-            &prev.cross_matched,
-            &crossing(&removed),
-            &crossing(&added),
-            &mut cross_matched,
-        );
-        let (mut raw_out, mut raw_in) = (Vec::new(), Vec::new());
+        let mut conflicts = prev.arbitrated.report.stats.conflicted_vertices;
         for &v in &touched {
-            let was = prev.conflicted.binary_search(&v).is_ok();
-            let now = next.iter().filter(|s| s.is_matched(v)).count() > 1;
-            if was && !now {
-                raw_out.push(v);
-            } else if now && !was {
-                raw_in.push(v);
+            match (covered_twice(&prev.shards, v), covered_twice(&next, v)) {
+                (true, false) => conflicts -= 1,
+                (false, true) => conflicts += 1,
+                _ => {}
             }
         }
-        let mut raw_conflicted = Vec::new();
-        patch_sorted(&prev.conflicted, &raw_out, &raw_in, &mut raw_conflicted);
 
-        // 3. Award and evict.  The region is every vertex whose cover can
+        // 2. Award and evict.  The region is every vertex whose cover can
         // have moved: the changed vertices and the endpoints of the edges
         // re-judged for covering one.
         let mut rejudged: FxHashMap<EdgeId, (usize, &[VertexId])> = FxHashMap::default();
@@ -2221,7 +2069,7 @@ impl Arbitration {
         let covers = &self.covers;
         let cover = |v: VertexId| covers.get(v.index()).copied().unwrap_or(Cover::Uncovered);
 
-        // 4. Repair.  Retire the components a removed or deleted edge was a
+        // 3. Repair.  Retire the components a removed or deleted edge was a
         // candidate of, then grow the region to closure from the retired
         // seeds and every vertex whose cover changed or is freed.  A vertex
         // kept-covered (or uncovered) before and after changes no candidate;
@@ -2449,7 +2297,7 @@ impl Arbitration {
 
         out.report = ArbitrationReport {
             stats: ArbitrationStats {
-                conflicted_vertices: raw_conflicted.len(),
+                conflicted_vertices: conflicts,
                 evicted_edges: out.evicted.len(),
                 freed_vertices: self.repairs.freed,
                 repair_candidates: self.repairs.candidates,
@@ -2461,8 +2309,6 @@ impl Arbitration {
         self.spare = Some(Arc::clone(&prev.arbitrated));
         self.view = Arc::new(ShardedView {
             shards: next,
-            cross_matched,
-            conflicted: raw_conflicted,
             arbitrated,
         });
     }

@@ -71,7 +71,7 @@ fn main() -> std::io::Result<()> {
         stats.admitted,
         stats.connections,
         snapshot.committed_batches(),
-        snapshot.size()
+        snapshot.arbitrated_matching().size()
     );
 
     // The journal replays onto fresh engines, bit-identically.
@@ -82,7 +82,13 @@ fn main() -> std::io::Result<()> {
         })
         .collect();
     let replayed = ShardedService::replay(engines, &service.journal()).expect("journal replays");
-    assert_eq!(replayed.snapshot().edge_ids(), snapshot.edge_ids());
-    println!("replayed the journal: snapshots identical");
+    for k in 0..2 {
+        assert_eq!(replayed.shard_state(k), service.shard_state(k));
+    }
+    assert_eq!(
+        replayed.snapshot().arbitrated_matching(),
+        snapshot.arbitrated_matching()
+    );
+    println!("replayed the journal: shard states and arbitrated matching identical");
     Ok(())
 }

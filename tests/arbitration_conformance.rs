@@ -67,6 +67,16 @@ fn drive(service: &ShardedService, workload: &Workload) -> pdmm::sharding::Arbit
     last
 }
 
+/// Every shard's matched edge ids, sorted: the union of the shard matchings
+/// the arbitration starts from.
+fn shard_union(snapshot: &ShardedSnapshot) -> Vec<EdgeId> {
+    let mut ids: Vec<EdgeId> = (0..snapshot.num_shards())
+        .flat_map(|k| snapshot.shard(k).edge_ids())
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
 /// Rebuilds the global ground-truth graph from every shard's journal (edge
 /// ids never collide across shards, so the per-shard streams compose).
 fn global_graph(service: &ShardedService, num_vertices: usize) -> DynamicHypergraph {
@@ -114,7 +124,11 @@ fn arbitrated_matching_is_valid_and_maximal_on_every_engine_and_shard_count() {
             // The report is consistent with the structure and the raw union.
             let report = arbitrated.report();
             assert_eq!(report, last, "{kind} at {shards} shards: snapshot/drain");
-            assert_eq!(report.pre_size, snapshot.size(), "{kind}/{shards}");
+            assert_eq!(
+                report.pre_size,
+                shard_union(&snapshot).len(),
+                "{kind}/{shards}"
+            );
             assert_eq!(report.post_size, arbitrated.size(), "{kind}/{shards}");
             assert_eq!(
                 report.stats.evicted_edges,
@@ -129,8 +143,7 @@ fn arbitrated_matching_is_valid_and_maximal_on_every_engine_and_shard_count() {
             conflicts_seen += report.stats.conflicted_vertices;
 
             // Delta semantics: raw union − evicted + repaired = arbitrated.
-            let mut expected: Vec<EdgeId> = snapshot
-                .edge_ids()
+            let mut expected: Vec<EdgeId> = shard_union(&snapshot)
                 .into_iter()
                 .filter(|id| arbitrated.evicted_edges().binary_search(id).is_err())
                 .chain(arbitrated.repaired_edges().iter().copied())
@@ -235,7 +248,11 @@ fn one_shard_arbitration_is_a_bit_identical_noop() {
         let arbitrated = snapshot.arbitrated_matching();
         // Bit-identical to the bare service's published matching.
         assert_eq!(arbitrated.edge_ids(), bare.snapshot().edge_ids(), "{kind}");
-        assert_eq!(arbitrated.edge_ids(), snapshot.edge_ids(), "{kind}");
+        assert_eq!(
+            arbitrated.edge_ids(),
+            snapshot.shard(0).edge_ids(),
+            "{kind}"
+        );
         assert!(arbitrated.evicted_edges().is_empty(), "{kind}");
         assert!(arbitrated.repaired_edges().is_empty(), "{kind}");
         let report = arbitrated.report();
@@ -429,11 +446,18 @@ fn award_evict_repair_resolves_a_cross_shard_conflict_deterministically() {
     service.submit(UpdateBatch::new(vec![pair(0, 0, 1), pair(1, 2, 4), pair(2, 4, 5)]).unwrap());
     let report = service.drain().unwrap();
 
-    // Raw view: both shards matched over vertex 4.
+    // Both shards matched over vertex 4, through cross-shard edge 1 and
+    // shard-local edge 2, so the shard matchings together over-count.
     let snap = service.snapshot();
-    assert_eq!(snap.conflicted_vertices(), &[VertexId(4)]);
-    assert_eq!(snap.cross_shard_matched(), &[EdgeId(1)]);
-    assert_eq!(snap.size(), 3, "raw union over-counts");
+    assert_eq!(snap.shard(0).matched_edge_of(VertexId(4)), Some(EdgeId(1)));
+    assert_eq!(snap.shard(1).matched_edge_of(VertexId(4)), Some(EdgeId(2)));
+    assert!(service.is_cross_shard(EdgeId(1)));
+    assert!(!service.is_cross_shard(EdgeId(0)));
+    assert!(!service.is_cross_shard(EdgeId(2)));
+    assert_eq!(
+        report.arbitration.pre_size, 3,
+        "the shard matchings over-count"
+    );
 
     // Arbitrated view: edge 2 evicted (lost vertex 4), vertex 5 freed, no
     // repair possible yet (edge 2 itself is the only candidate and vertex 4
@@ -619,5 +643,5 @@ fn a_dropped_poison_sub_batch_is_reconciled_out_of_the_router() {
     service.drain().unwrap();
     assert_eq!(service.owner_of_edge(EdgeId(0)), None);
     assert_eq!(service.owner_of_edge(EdgeId(5)), Some(0));
-    assert_eq!(service.snapshot().edge_ids(), vec![EdgeId(5)]);
+    assert_eq!(shard_union(&service.snapshot()), vec![EdgeId(5)]);
 }

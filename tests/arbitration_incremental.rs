@@ -9,9 +9,11 @@
 //! for field (matching, evicted, repaired, by-vertex map, conflicted set and
 //! report), and every vertex's cached cover (kept, freed or uncovered)
 //! equals the cover recomputed from the published shard snapshots and
-//! evicted list.  Where only the drainer submits, the raw cross-shard
-//! accounting must also equal a direct recomputation from the shard
-//! snapshots.  All five engines, at 1, 2, 4 and 8 shards.
+//! evicted list.  Where only the drainer submits, the report's conflict
+//! count and pre-arbitration size must also equal a direct recomputation
+//! from the shard snapshots, and the router must own every matched edge on
+//! its shard, flagged cross-shard exactly when its endpoints span shards.
+//! All five engines, at 1, 2, 4 and 8 shards.
 //!
 //! A drain builds the new arbitrated view in the one the previous drain
 //! replaced when no reader holds it, and each shard publish likewise
@@ -61,8 +63,9 @@ fn audit_arbitration(service: &ShardedService, report: ArbitrationReport, label:
     );
 }
 
-/// [`audit_arbitration`], plus the raw accounting against its direct
-/// recomputation; only the drainer may submit meanwhile.
+/// [`audit_arbitration`], plus the report's counts and the router's flags
+/// against their direct recomputation; only the drainer may submit
+/// meanwhile.
 fn audit(service: &ShardedService, report: ArbitrationReport, label: &str) {
     audit_arbitration(service, report, label);
     let snapshot = service.snapshot();
@@ -87,25 +90,52 @@ fn audit(service: &ShardedService, report: ArbitrationReport, label: &str) {
         .filter_map(|(v, n)| (n > 1).then_some(v))
         .collect();
     conflicted.sort_unstable();
-    assert_eq!(snapshot.conflicted_vertices(), &conflicted[..], "{label}");
+    let published = snapshot.arbitrated_matching().report();
+    assert_eq!(
+        published.stats.conflicted_vertices,
+        conflicted.len(),
+        "{label}"
+    );
+    let union: usize = (0..snapshot.num_shards())
+        .map(|k| snapshot.shard(k).size())
+        .sum();
+    assert_eq!(published.pre_size, union, "{label}");
 
-    // Cross-shard matched edges, by the router's flags (exact once nothing
-    // is queued).
+    // Matched edges, by the router's routes (exact once nothing is queued).
     if service.queue_len() == 0 {
-        let mut cross: Vec<EdgeId> = (0..snapshot.num_shards())
-            .flat_map(|k| snapshot.shard(k).edge_ids())
-            .filter(|&id| service.is_cross_shard(id))
-            .collect();
-        cross.sort_unstable();
-        assert_eq!(snapshot.cross_shard_matched(), &cross[..], "{label}");
+        for k in 0..snapshot.num_shards() {
+            let shard = snapshot.shard(k);
+            for id in shard.edges() {
+                let endpoints = shard.matched_endpoints(id).unwrap();
+                let owner = service.shard_of_vertex(endpoints[0]);
+                let spans = endpoints
+                    .iter()
+                    .any(|&v| service.shard_of_vertex(v) != owner);
+                assert_eq!(service.owner_of_edge(id), Some(k), "{label}: {id}");
+                assert_eq!(service.is_cross_shard(id), spans, "{label}: {id}");
+            }
+        }
     }
+}
+
+/// Every shard's matched edge ids, sorted: the union of the shard matchings.
+fn shard_union(snapshot: &ShardedSnapshot) -> Vec<EdgeId> {
+    let mut ids: Vec<EdgeId> = (0..snapshot.num_shards())
+        .flat_map(|k| snapshot.shard(k).edge_ids())
+        .collect();
+    ids.sort_unstable();
+    ids
 }
 
 /// A lossy batch with two rejected inserts — an out-of-range endpoint and a
 /// re-insert of a live id — beside two fresh valid ones.
 fn rejecting_batch(service: &ShardedService, fresh: u64) -> UpdateBatch {
     let n = service.num_vertices() as u32;
-    let live = service.snapshot().edge_ids()[0];
+    let snapshot = service.snapshot();
+    let live = (0..snapshot.num_shards())
+        .filter_map(|k| snapshot.shard(k).edges().next())
+        .min()
+        .expect("something is matched");
     UpdateBatch::new(vec![
         Update::Insert(HyperEdge::pair(EdgeId(fresh), VertexId(0), VertexId(n + 3))),
         Update::Insert(HyperEdge::pair(live, VertexId(1), VertexId(n - 1))),
@@ -377,8 +407,8 @@ fn incremental_arbitration_survives_checkpoint_and_recovery() {
             .unwrap();
             let label = format!("{kind} at {shards} shards, recovered");
             // The recovered service is the pre-crash one, bit for bit: every
-            // shard's engine state and journal, the merged matching and the
-            // arbitrated view.
+            // shard's engine state and journal, the union of the shard
+            // matchings and the arbitrated view.
             for k in 0..shards {
                 assert_eq!(
                     recovered.shard_state(k),
@@ -392,8 +422,8 @@ fn incremental_arbitration_survives_checkpoint_and_recovery() {
                 );
             }
             assert_eq!(
-                recovered.snapshot().edge_ids(),
-                service.snapshot().edge_ids(),
+                shard_union(&recovered.snapshot()),
+                shard_union(&service.snapshot()),
                 "{label}"
             );
             assert_eq!(

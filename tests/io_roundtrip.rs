@@ -10,11 +10,14 @@
 //! * serialization is a canonical form: `serialize ∘ parse` is idempotent on
 //!   any text that parses;
 //! * the bytes themselves are pinned: a literal block serializes to a literal
-//!   string through the plain and the shard-tagged serializer, so a writer
-//!   that changed the format while staying self-consistent (which both
-//!   properties above would accept) fails here — old journals must replay.
+//!   string through the plain serializer, the sharded journal writer
+//!   (`ShardedService::journal`) writes literal tagged text, and the tagged
+//!   parser reads literal tagged text back, so a writer that changed the
+//!   format while staying self-consistent (which both properties above would
+//!   accept) fails here — old journals must replay.
 
-use pdmm::hypergraph::io::{batches_from_string, batches_to_string, sharded_batches_to_string};
+use pdmm::hypergraph::io::{batches_from_string, batches_to_string, sharded_batches_from_string};
+use pdmm::hypergraph::sharding::RangePartitioner;
 use pdmm::prelude::*;
 use proptest::prelude::*;
 
@@ -154,8 +157,27 @@ fn journal_bytes_are_pinned_for_both_serializers() {
         format!("{lines}\n{lines}")
     );
     assert_eq!(
-        sharded_batches_to_string(&[(ShardId(0), block.clone()), (ShardId(u32::MAX), block)]),
-        format!("@ 0\n{lines}\n@ 4294967295\n{lines}")
+        sharded_batches_from_string(&format!("@ 0\n{lines}\n@ 4294967295\n{lines}")).unwrap(),
+        vec![(ShardId(0), block.clone()), (ShardId(u32::MAX), block)]
+    );
+
+    // The sharded journal tags each block of each shard's journal, shard by
+    // shard: vertices 0..2 on shard 0, 2..4 on shard 1.
+    let builder = EngineBuilder::new(4).seed(1);
+    let service = ShardedService::with_partitioner(
+        (0..2)
+            .map(|_| pdmm::engine::build(EngineKind::Parallel, &builder))
+            .collect(),
+        Box::new(RangePartitioner::new(4)),
+    );
+    let pair = |id, a, b| Update::Insert(HyperEdge::pair(EdgeId(id), VertexId(a), VertexId(b)));
+    service.submit(UpdateBatch::new(vec![pair(0, 0, 1), pair(1, 2, 3)]).unwrap());
+    service.drain().unwrap();
+    service.submit(UpdateBatch::new(vec![Update::Delete(EdgeId(0))]).unwrap());
+    service.drain().unwrap();
+    assert_eq!(
+        service.journal(),
+        "@ 0\n+ 0 0 1\n# commit\n\n@ 0\n- 0\n# commit\n\n@ 1\n+ 1 2 3\n# commit\n"
     );
 }
 

@@ -84,8 +84,18 @@ fn served_snapshot_matches_offline_sharded_service_on_every_engine() {
         assert_eq!(stats.protocol_errors, 0, "{kind:?}");
 
         let served = live.snapshot();
-        assert_eq!(served.edge_ids(), twin.edge_ids(), "{kind:?}");
-        assert_eq!(served.size(), twin.size(), "{kind:?}");
+        for k in 0..served.num_shards() {
+            assert_eq!(
+                served.shard(k).edge_ids(),
+                twin.shard(k).edge_ids(),
+                "{kind:?}: shard {k}"
+            );
+        }
+        assert_eq!(
+            served.arbitrated_matching(),
+            twin.arbitrated_matching(),
+            "{kind:?}"
+        );
         assert_eq!(
             served.committed_batches(),
             twin.committed_batches(),
@@ -167,7 +177,10 @@ fn backpressure_escalates_retry_then_shed_and_recovers() {
     // Shutdown flushed the second admitted batch; refused batches are gone.
     let snapshot = service.snapshot();
     assert_eq!(snapshot.committed_batches(), 2);
-    assert_eq!(snapshot.edge_ids(), vec![EdgeId(0), EdgeId(6)]);
+    assert_eq!(
+        snapshot.arbitrated_matching().edge_ids(),
+        vec![EdgeId(0), EdgeId(6)]
+    );
 }
 
 /// Refused batches are dropped server-side: the served state contains exactly
@@ -226,8 +239,8 @@ fn shed_load_leaves_a_replayable_consistent_history() {
     )
     .unwrap();
     assert_eq!(
-        replayed.snapshot().edge_ids(),
-        service.snapshot().edge_ids()
+        replayed.snapshot().arbitrated_matching(),
+        service.snapshot().arbitrated_matching()
     );
     assert_eq!(
         replayed.snapshot().committed_batches(),

@@ -123,7 +123,7 @@ fn truncated_batch_never_commits() {
     assert_eq!(stats.admitted, 0);
     assert_eq!(stats.protocol_errors, 0);
     assert_eq!(service.snapshot().committed_batches(), 0);
-    assert!(service.snapshot().edge_ids().is_empty());
+    assert!(service.snapshot().arbitrated_matching().is_empty());
 }
 
 /// Interleaving valid batches with malformed ones: the `ERR` names the

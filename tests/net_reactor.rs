@@ -95,7 +95,10 @@ fn byte_at_a_time_slow_sender_is_assembled_correctly() {
     let stats = handle.shutdown();
     assert_eq!(stats.admitted, 3);
     assert_eq!(stats.protocol_errors, 1);
-    assert_eq!(service.snapshot().edge_ids(), vec![EdgeId(2)]);
+    assert_eq!(
+        service.snapshot().arbitrated_matching().edge_ids(),
+        vec![EdgeId(2)]
+    );
 }
 
 /// A client that stops reading mid-response must not wedge the server: it is
@@ -315,7 +318,9 @@ fn many_mostly_idle_connections_on_one_event_thread() {
     )
     .unwrap();
     let (served, twin) = (service.snapshot(), replayed.snapshot());
-    assert_eq!(twin.edge_ids(), served.edge_ids());
+    for k in 0..2 {
+        assert_eq!(twin.shard(k).edge_ids(), served.shard(k).edge_ids());
+    }
     assert_eq!(twin.arbitrated_matching(), served.arbitrated_matching());
 }
 
@@ -534,6 +539,7 @@ fn garbage_and_truncated_frames_never_panic_the_loop() {
     }
     let stats = handle.shutdown();
     // The truncated inserts (edge 9999999) must never have committed.
-    assert!(!service.snapshot().edge_ids().contains(&EdgeId(9_999_999)));
+    let snapshot = service.snapshot();
+    assert!((0..snapshot.num_shards()).all(|k| !snapshot.shard(k).contains_edge(EdgeId(9_999_999))));
     assert!(stats.protocol_errors > 0, "garbage produced no ERRs?");
 }

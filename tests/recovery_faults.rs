@@ -659,7 +659,7 @@ fn sharded_torn_kill_recovers_bit_identical_to_clean_replay_at_1_and_4_shards() 
             );
 
             // Bit-identical to a clean replay of the recovered history: every
-            // shard's engine state blob, journal, and the merged snapshot.
+            // shard's engine state blob, journal, and the arbitrated matching.
             let twin = ShardedService::replay(engines(), &recovered.journal())
                 .unwrap_or_else(|e| panic!("{kind}/{shards} kill at byte {kill}: {e}"));
             for k in 0..shards {
@@ -675,8 +675,8 @@ fn sharded_torn_kill_recovers_bit_identical_to_clean_replay_at_1_and_4_shards() 
                 );
             }
             assert_eq!(
-                recovered.snapshot().edge_ids(),
-                twin.snapshot().edge_ids(),
+                recovered.snapshot().arbitrated_matching(),
+                twin.snapshot().arbitrated_matching(),
                 "{kind}/{shards} kill at byte {kill}"
             );
 
@@ -697,8 +697,8 @@ fn sharded_torn_kill_recovers_bit_identical_to_clean_replay_at_1_and_4_shards() 
                 );
             }
             assert_eq!(
-                recovered.snapshot().edge_ids(),
-                twin.snapshot().edge_ids(),
+                recovered.snapshot().arbitrated_matching(),
+                twin.snapshot().arbitrated_matching(),
                 "{kind}/{shards} post-recovery serving"
             );
         }

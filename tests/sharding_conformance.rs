@@ -5,13 +5,15 @@
 //!   bare `EngineService` — same per-batch reports, same snapshot (matching,
 //!   metrics, committed count), same journal;
 //! * **N-shard validity**: at 2/4/8 shards every shard's matching is a valid,
-//!   maximal matching of exactly that shard's routed edges, and the merged
-//!   snapshot's cross-shard edge set and conflicted-vertex accounting are
-//!   consistent with the partitioner;
+//!   maximal matching of exactly that shard's routed edges, the router's
+//!   cross-shard flags agree with the partitioner, and the arbitration's
+//!   conflict count is the number of vertices matched by more than one
+//!   shard;
 //! * **determinism and replay**: the same stream routed at any shard count
 //!   yields identical per-shard journals across runs, and
 //!   `ShardedService::replay` of the shard-tagged journal rebuilds
-//!   bit-identical per-shard state (and is a fixed point of `journal()`);
+//!   bit-identical per-shard state and routes (and is a fixed point of
+//!   `journal()`);
 //! * **routing semantics**: cross-shard updates land on the owner shard
 //!   (minimum endpoint), deletions follow the edge, unroutable deletions
 //!   surface the same typed error a single service reports;
@@ -47,6 +49,15 @@ fn build_shards(
     shards: usize,
 ) -> Vec<Box<dyn MatchingEngine + Send>> {
     (0..shards).map(|_| engine::build(kind, builder)).collect()
+}
+
+/// Every shard's matched edge ids, sorted: the union of the shard matchings.
+fn shard_union(snapshot: &ShardedSnapshot) -> Vec<EdgeId> {
+    let mut ids: Vec<EdgeId> = (0..snapshot.num_shards())
+        .flat_map(|k| snapshot.shard(k).edge_ids())
+        .collect();
+    ids.sort_unstable();
+    ids
 }
 
 /// Drives every batch of `workload` through `service`, draining after each
@@ -93,10 +104,11 @@ fn one_shard_is_bit_identical_to_a_bare_engine_service() {
         assert_eq!(b.metrics(), a.metrics(), "{kind}: metrics");
         assert_eq!(b.committed_batches(), a.committed_batches(), "{kind}");
         let merged = sharded.snapshot();
-        assert_eq!(merged.edge_ids(), a.edge_ids(), "{kind}: merged view");
+        let arbitrated = merged.arbitrated_matching();
+        assert_eq!(arbitrated.edge_ids(), a.edge_ids(), "{kind}: merged view");
         assert_eq!(merged.metrics(), a.metrics(), "{kind}");
-        assert!(merged.cross_shard_matched().is_empty(), "{kind}");
-        assert!(merged.conflicted_vertices().is_empty(), "{kind}");
+        assert!(a.edges().all(|id| !sharded.is_cross_shard(id)), "{kind}");
+        assert!(arbitrated.report().stats.is_noop(), "{kind}");
         // Journals: the per-shard journal is the bare journal, bit for bit.
         assert_eq!(sharded.shard_journal(0), bare.journal(), "{kind}: journal");
     }
@@ -137,7 +149,8 @@ fn n_shard_matchings_are_valid_and_maximal_per_shard() {
                     *matched_shards_of.entry(v).or_insert(0) += 1;
                 }
             }
-            assert_eq!(snapshot.size(), total, "{kind} at {shards} shards");
+            let report = snapshot.arbitrated_matching().report();
+            assert_eq!(report.pre_size, total, "{kind} at {shards} shards");
 
             // Every routed edge lives in exactly one shard (ids never collide
             // across shard graphs — checked implicitly by the insert above
@@ -153,37 +166,33 @@ fn n_shard_matchings_are_valid_and_maximal_per_shard() {
                 );
             }
 
-            // Cross-shard accounting: reported cross edges really span
-            // shards, and conflicted vertices are exactly those matched by
-            // more than one shard.
-            for id in snapshot.cross_shard_matched() {
-                let edge = &live_edges[id];
+            // Cross-shard accounting: the router flags a live edge
+            // cross-shard exactly when its endpoints span shards, and the
+            // conflict count is the number of vertices matched by more than
+            // one shard.
+            for (id, edge) in &live_edges {
                 let owner = service.shard_of_vertex(edge.vertices()[0]);
-                assert!(
-                    edge.vertices()
-                        .iter()
-                        .any(|&v| service.shard_of_vertex(v) != owner),
-                    "{kind}: edge {id} reported cross-shard but does not span shards"
-                );
-                assert!(snapshot.contains_edge(*id));
-            }
-            let expected_conflicts: Vec<VertexId> = {
-                let mut v: Vec<VertexId> = matched_shards_of
+                let spans = edge
+                    .vertices()
                     .iter()
-                    .filter(|(_, &count)| count > 1)
-                    .map(|(&v, _)| v)
-                    .collect();
-                v.sort_unstable();
-                v
-            };
+                    .any(|&v| service.shard_of_vertex(v) != owner);
+                assert_eq!(
+                    service.is_cross_shard(*id),
+                    spans,
+                    "{kind}: edge {id}'s cross-shard flag"
+                );
+            }
+            let conflicts = matched_shards_of.values().filter(|&&n| n > 1).count();
             assert_eq!(
-                snapshot.conflicted_vertices(),
-                expected_conflicts.as_slice(),
+                report.stats.conflicted_vertices, conflicts,
                 "{kind} at {shards} shards"
             );
             // A conflicted vertex can only arise through a cross-shard edge.
-            if snapshot.cross_shard_matched().is_empty() {
-                assert!(snapshot.conflicted_vertices().is_empty(), "{kind}");
+            let cross_matched = (0..shards)
+                .flat_map(|k| snapshot.shard(k).edge_ids())
+                .any(|id| service.is_cross_shard(id));
+            if !cross_matched {
+                assert_eq!(conflicts, 0, "{kind}");
             }
         }
     }
@@ -229,9 +238,13 @@ fn same_stream_routes_identically_across_runs_and_replays_bit_identically() {
         }
         let live = first.snapshot();
         let rebuilt = replayed.snapshot();
-        assert_eq!(rebuilt.edge_ids(), live.edge_ids());
-        assert_eq!(rebuilt.cross_shard_matched(), live.cross_shard_matched());
-        assert_eq!(rebuilt.conflicted_vertices(), live.conflicted_vertices());
+        assert_eq!(rebuilt.arbitrated_matching(), live.arbitrated_matching());
+        // The rebuilt router owns and flags every matched edge as the live
+        // one does.
+        for id in shard_union(&live) {
+            assert_eq!(replayed.owner_of_edge(id), first.owner_of_edge(id));
+            assert_eq!(replayed.is_cross_shard(id), first.is_cross_shard(id));
+        }
         // Replaying a journal reproduces the journal itself.
         assert_eq!(replayed.journal(), journal, "{shards} shards");
     }
@@ -264,7 +277,8 @@ fn routing_classifies_local_and_cross_shard_updates() {
     assert_eq!(routed.sub_batches(), 2);
     let report = service.drain().unwrap();
     assert_eq!(report.committed, 2);
-    assert_eq!(report.matching_size, service.snapshot().size());
+    let shard_sizes: usize = (0..2).map(|k| service.shard_snapshot(k).size()).sum();
+    assert_eq!(report.arbitration.pre_size, shard_sizes);
     assert_eq!(service.owner_of_edge(EdgeId(1)), Some(0));
     assert_eq!(service.owner_of_edge(EdgeId(2)), Some(1));
     assert!(service.is_cross_shard(EdgeId(1)));
@@ -278,10 +292,11 @@ fn routing_classifies_local_and_cross_shard_updates() {
     assert_eq!(service.owner_of_edge(EdgeId(1)), None);
     assert!(!service.is_cross_shard(EdgeId(1)));
     let snap = service.snapshot();
-    assert_eq!(snap.edge_ids(), vec![EdgeId(0), EdgeId(2)]);
-    assert_eq!(snap.matched_edge_of(VertexId(4)), Some(EdgeId(2)));
-    assert!(snap.is_matched(VertexId(0)));
-    assert!(!snap.is_matched(VertexId(6)));
+    let arbitrated = snap.arbitrated_matching();
+    assert_eq!(arbitrated.edge_ids(), vec![EdgeId(0), EdgeId(2)]);
+    assert_eq!(arbitrated.matched_edge_of(VertexId(4)), Some(EdgeId(2)));
+    assert!(arbitrated.is_matched(VertexId(0)));
+    assert!(!arbitrated.is_matched(VertexId(6)));
 
     // An empty batch is a counted no-op on shard 0, like a bare service.
     let before = service.shard_snapshot(0).committed_batches();
@@ -319,7 +334,7 @@ fn reinserting_a_live_id_is_rejected_on_its_holder_never_double_inserted() {
     assert_eq!(service.owner_of_edge(EdgeId(0)), Some(0));
     let snap = service.snapshot();
     assert_eq!(
-        snap.edge_ids(),
+        shard_union(&snap),
         vec![EdgeId(0)],
         "the id exists exactly once"
     );
@@ -335,12 +350,12 @@ fn reinserting_a_live_id_is_rejected_on_its_holder_never_double_inserted() {
     );
     // The legitimate insert landed; the duplicate did not.
     let snap = service.snapshot();
-    assert_eq!(snap.edge_ids(), vec![EdgeId(0), EdgeId(1)]);
+    assert_eq!(shard_union(&snap), vec![EdgeId(0), EdgeId(1)]);
     // Deleting id 0 still follows the (single) holder.
     let routed = service.submit(UpdateBatch::new(vec![Update::Delete(EdgeId(0))]).unwrap());
     assert_eq!(routed.per_shard, vec![1, 0]);
     service.drain().unwrap();
-    assert_eq!(service.snapshot().edge_ids(), vec![EdgeId(1)]);
+    assert_eq!(shard_union(&service.snapshot()), vec![EdgeId(1)]);
 }
 
 #[test]
@@ -391,10 +406,10 @@ fn unroutable_deletions_surface_the_same_typed_error() {
     assert!(err.to_string().contains("shard 0"), "{err}");
     // Per-shard atomicity: nothing else was affected, and the service keeps
     // serving.
-    assert_eq!(service.snapshot().size(), 1);
+    assert_eq!(service.snapshot().arbitrated_matching().size(), 1);
     service.submit(UpdateBatch::new(vec![pair(1, 2, 3)]).unwrap());
     service.drain().unwrap();
-    assert_eq!(service.snapshot().size(), 2);
+    assert_eq!(service.snapshot().arbitrated_matching().size(), 2);
 }
 
 #[test]
@@ -420,8 +435,8 @@ fn sharded_drain_lossy_skips_and_merges_reports() {
         let twin = ShardedService::new(build_shards(EngineKind::Parallel, &builder, shards));
         drive(&twin, &workload);
         assert_eq!(
-            service.snapshot().edge_ids(),
-            twin.snapshot().edge_ids(),
+            shard_union(&service.snapshot()),
+            shard_union(&twin.snapshot()),
             "{shards} shards"
         );
         for k in 0..shards {
@@ -536,7 +551,10 @@ fn try_submit_is_all_or_nothing_and_hands_the_batch_back_intact() {
     }
     // Edges 10–13 duplicate the matched vertex pairs of 0–3, so the maximal
     // matching is still exactly the first batch.
-    let ids: Vec<u64> = service.snapshot().edge_ids().iter().map(|e| e.0).collect();
+    let ids: Vec<u64> = shard_union(&service.snapshot())
+        .iter()
+        .map(|e| e.0)
+        .collect();
     assert_eq!(ids, vec![0, 1, 2, 3]);
 }
 
@@ -600,4 +618,46 @@ fn a_deletion_never_overtakes_the_blocked_submit_of_its_insert() {
             "route of {id:?}"
         );
     }
+}
+
+/// Replay rebuilds the router from what the shards hold.  A batch that
+/// deletes an id on one shard and re-inserts it with endpoints a lower shard
+/// owns moves the id to that lower shard, and the replayed router must route
+/// it there too: walking the tagged journal shard by shard would see the
+/// lower shard's insert first and the higher shard's deletion last, and lose
+/// the route.  A later deletion then commits on the live service and on its
+/// replay alike.
+#[test]
+fn replay_keeps_the_route_of_an_id_reinserted_on_a_lower_shard() {
+    let n = 9;
+    let builder = EngineBuilder::new(n).seed(3);
+    // RangePartitioner over 9 vertices and 3 shards: vertices 0..3 on shard
+    // 0, 3..6 on shard 1, 6..9 on shard 2.
+    let service = ShardedService::with_partitioner(
+        build_shards(EngineKind::Parallel, &builder, 3),
+        Box::new(RangePartitioner::new(n)),
+    );
+    let x = EdgeId(7);
+    let insert = |a, b| Update::Insert(HyperEdge::pair(x, VertexId(a), VertexId(b)));
+    service.submit(UpdateBatch::new(vec![insert(6, 7)]).unwrap());
+    service.drain().unwrap();
+    service.submit(UpdateBatch::new(vec![Update::Delete(x), insert(3, 4)]).unwrap());
+    service.drain().unwrap();
+    assert_eq!(service.owner_of_edge(x), Some(1));
+
+    let replayed = ShardedService::replay_with(
+        build_shards(EngineKind::Parallel, &builder, 3),
+        Box::new(RangePartitioner::new(n)),
+        &service.journal(),
+    )
+    .unwrap();
+    assert_eq!(replayed.owner_of_edge(x), service.owner_of_edge(x));
+    for (label, sharded) in [("live", &service), ("replayed", &replayed)] {
+        sharded.submit(UpdateBatch::new(vec![Update::Delete(x)]).unwrap());
+        sharded
+            .drain()
+            .unwrap_or_else(|e| panic!("{label}: the deletion of {x} was refused: {e}"));
+        assert_eq!(sharded.owner_of_edge(x), None, "{label}");
+    }
+    assert_eq!(replayed.journal(), service.journal());
 }
