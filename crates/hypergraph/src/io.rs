@@ -7,8 +7,8 @@
 //!   line: `+ <id> <v1> ... <vk>` for an insertion, `- <id>` for a deletion;
 //! * **shard-tagged update stream** — the update-stream format with one
 //!   `@ <shard>` header line per block, used by the sharded serving layer's
-//!   journal (written by `ShardedService::journal`, which tags the blocks of
-//!   the shard journals without parsing them, and read by
+//!   journal (written by [`ShardedService::journal`], which tags the blocks
+//!   of the shard journals without parsing them, and read by
 //!   [`sharded_batches_from_string`]) so every batch replays onto the shard
 //!   that committed it.  Nothing arbitration-related is journaled: the
 //!   arbitrated matching is derived state, recomputed deterministically from
@@ -27,6 +27,7 @@
 //! engine.
 //!
 //! [`ValidatedBatch`]: crate::engine::ValidatedBatch
+//! [`ShardedService::journal`]: crate::sharding::ShardedService::journal
 
 use crate::engine::{BatchLedger, UpdateCheck};
 use crate::types::{EdgeId, HyperEdge, ShardId, Update, UpdateBatch, VertexId};
